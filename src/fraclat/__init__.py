@@ -12,13 +12,13 @@ __version__ = "0.1.0"
 
 from .lattice import (CleavageData, LatticeError, LatticeSpec, LatticeVectors,
                       TriangleMesh, build_mesh, classify_edges,
-                      cleavage_direction, gamma_of, lattice_vectors)
+                      cleavage_direction, lattice_vectors)
 from .material import (MagnetizationModel, MaterialError, PairPotential,
                        PenaltyChi, cell_energy, field_energy,
                        magnetization, magnetization_hessian_form,
                        quadratic_form, quadratic_min_under_strain,
                        rotation_reflection_distances)
-from .discrete_energy import (BoundaryCondition, Displacement,
+from .discrete_energy import (Assembly, BoundaryCondition, Displacement,
                               DiscreteEnergyError, EnergyBreakdown, apply_bc,
                               bc_affine, bc_cleavage, bc_zero, energy_rescaled,
                               gradient, interpolate_gradients)

@@ -9,10 +9,6 @@ writes its CSV tables plus a manifest echoing the fully resolved
 configuration with 17 significant digits, so a table can be reproduced
 from its manifest alone.  Partial outputs are deleted when a command
 fails, and any failure exits nonzero.
-
-The single environment variable ``FRACLAT_NUM_THREADS``, when set,
-bounds the thread count of the underlying linear-algebra backend; the
-code itself is sequential and deterministic.
 """
 
 from __future__ import annotations
@@ -27,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .continuum import CleavageProblem, a_crit, build_u_cr, build_u_el
+from .continuum import (CleavageProblem, a_crit, build_u_cr, build_u_el,
+                        crack_branch_energy, elastic_branch_energy, min_energy)
 from .crack_extraction import (build_modified, classify_broken,
                                crack_energy_estimate)
 from .discrete_energy import (ENERGY_HEADER, bc_cleavage,
@@ -259,8 +256,7 @@ def cmd_cleavage(args) -> int:
         write_manifest(out.path("cleavage_manifest.txt"), cfg, {
             "derived.gamma": problem.gamma,
             "derived.a_crit": a_crit(problem),
-            "derived.target": min(problem.alpha * problem.l * problem.a ** 2
-                                  / math.sqrt(3.0), 2 * problem.beta / problem.gamma),
+            "derived.target": min_energy(problem),
         })
     except Exception:
         out.discard()
@@ -309,10 +305,9 @@ def cmd_recovery(args) -> int:
         for eps in cfg.eps_list():
             mesh = build_mesh(_spec(cfg, eps))
             if cfg.get("recovery.kind") == "elastic":
-                u_cont, target = build_u_el(problem), \
-                    problem.alpha * problem.l * problem.a ** 2 / math.sqrt(3.0)
+                u_cont, target = build_u_el(problem), elastic_branch_energy(problem)
             else:
-                u_cont, target = build_u_cr(problem, p), 2 * problem.beta / problem.gamma
+                u_cont, target = build_u_cr(problem, p), crack_branch_energy(problem)
             u = recovery_sequence(u_cont, mesh)
             bd = energy_rescaled(u, pot, mode=cfg.get("solve.mode"), chi=chi,
                                  domain=cfg.get("solve.domain"))
@@ -453,15 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_env():
-    n = os.environ.get("FRACLAT_NUM_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
 def main(argv=None) -> int:
-    _apply_thread_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,6 +10,10 @@ per-triangle cell energies plus a boundary term collecting bonds that
 belong to fewer than two mesh triangles; both routes are assembled and
 cross-checked on every evaluation.
 
+:class:`Assembly` holds the index and weight arrays of one energy on one
+mesh and evaluates it, with its gradient, on raw displacement arrays;
+:func:`energy_rescaled` and :func:`gradient` build one per call.
+
 Energy modes
 ------------
 plain
@@ -33,14 +37,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .lattice import SQRT3, TriangleMesh, classify_edges
 from .material import (MagnetizationModel, PairPotential, PenaltyChi,
-                       cell_energy, field_energy, field_energy_smooth,
-                       magnetization_first)
+                       field_energy, field_energy_smooth, magnetization_first)
 
 MODES = ("plain", "chi", "f", "total-magnetic")
 
@@ -98,15 +102,26 @@ def _basis_inverse(mesh: TriangleMesh) -> np.ndarray:
     return np.linalg.inv(np.column_stack([mesh.vecs.v1, mesh.vecs.v2]))
 
 
-def _gradients_from_values(mesh: TriangleMesh, values: np.ndarray,
-                           scale: float) -> np.ndarray:
-    """Per-triangle gradient of the affine interpolant of point values."""
-    tri = mesh.triangles
-    d1 = values[tri[:, 1]] - values[tri[:, 0]]
-    d2 = values[tri[:, 2]] - values[tri[:, 0]]
-    D = np.stack([d1, d2], axis=-1)  # columns are the two edge differences
-    G = D @ _basis_inverse(mesh)
-    return G / (mesh.tri_sign * scale)[:, None, None]
+def _interpolant_gradients(values: np.ndarray, corners, Minv: np.ndarray,
+                           den: np.ndarray) -> np.ndarray:
+    """Per-triangle gradient of the affine interpolant of point values.
+
+    Returns the component-major array ``G[j, i, t]``, the derivative of
+    value component i along x_j on triangle t.  ``corners`` holds the
+    three vertex index arrays and ``den`` each triangle's orientation
+    sign times the length scale.  One matrix product serves all
+    triangles.
+    """
+    t0, t1, t2 = corners
+    D = np.empty((2, 2, len(den)))  # D[k, i]: component i of edge difference k
+    for i in range(2):
+        c = np.ascontiguousarray(values[:, i])
+        c0 = c[t0]
+        np.subtract(c[t1], c0, out=D[0, i])
+        np.subtract(c[t2], c0, out=D[1, i])
+    G = (Minv.T @ D.reshape(2, -1)).reshape(D.shape)
+    G /= den
+    return G
 
 
 def interpolate_gradients(u: Displacement) -> tuple[np.ndarray, np.ndarray]:
@@ -117,15 +132,12 @@ def interpolate_gradients(u: Displacement) -> tuple[np.ndarray, np.ndarray]:
     point values exactly, so affine inputs give an exact constant
     gradient.
     """
-    eps = u.mesh.spec.eps
-    grad_u = _gradients_from_values(u.mesh, u.values, eps)
+    mesh, eps = u.mesh, u.mesh.spec.eps
+    G = _interpolant_gradients(u.values, mesh.triangles.T, _basis_inverse(mesh),
+                               mesh.tri_sign * eps)
+    grad_u = np.ascontiguousarray(G.transpose(2, 1, 0))
     F = np.eye(2) + np.sqrt(eps) * grad_u
     return grad_u, F
-
-
-def deformation_gradients_from_y(mesh: TriangleMesh, y_values: np.ndarray) -> np.ndarray:
-    """Per-triangle gradient of the affine interpolant of a deformation."""
-    return _gradients_from_values(mesh, y_values, mesh.spec.eps)
 
 
 def gradient_l1_norm(u: Displacement, domain: str = "omega") -> float:
@@ -220,21 +232,180 @@ def apply_bc(u: Displacement, bc: BoundaryCondition) -> Displacement:
 # energy assembly
 # ----------------------------------------------------------------------
 
-def _edge_geometry(mesh: TriangleMesh, u_values: np.ndarray, edge_mask: np.ndarray):
-    """Deformed bond vectors z (in units of eps) and stretches r = |z|."""
-    dirs = mesh.vecs.as_array()[mesh.edge_dir[edge_mask]]
-    e = mesh.edges[edge_mask]
-    du = u_values[e[:, 1]] - u_values[e[:, 0]]
-    z = dirs + du / np.sqrt(mesh.spec.eps)
-    return z, np.linalg.norm(z, axis=1)
-
-
 def _check_pair_identity(pair_total: float, bulk: float, boundary: float):
     scale = 1.0 + abs(pair_total) + abs(bulk) + abs(boundary)
     if abs(pair_total - bulk - boundary) > _CONSISTENCY_RTOL * scale:
         raise DiscreteEnergyError(
             "pair sum and triangle-plus-boundary sum disagree: "
             f"{pair_total} vs {bulk} + {boundary}")
+
+
+def _chain_to_edges(dPhi_dF: np.ndarray, Minv: np.ndarray, pref: np.ndarray) -> np.ndarray:
+    """d Phi(F) / d(edge differences); column c acts on vertex c+1.
+
+    Chain rule through ``F = Id + sqrt(eps) / (sign eps) [d1 d2] Minv``;
+    the per-triangle factor ``pref`` is that derivative times the
+    coefficient of the term.
+    """
+    P = (dPhi_dF.reshape(-1, 2) @ Minv.T).reshape(dPhi_dF.shape)
+    return P * pref[:, None, None]
+
+
+class Assembly:
+    """The rescaled energy of one mesh with its index and weight arrays precomputed.
+
+    Built once per (mesh, potential, mode, penalty, field model, domain)
+    and evaluated on raw ``(N, 2)`` displacement arrays.  Every
+    evaluation computes the bond stretches and the per-triangle
+    deformation gradients once, checks the raw pair sum against the cell
+    sum plus the boundary term to 1e-12 relative, evaluates the
+    orientation penalty only on triangles with det F < 0 (it vanishes
+    identically elsewhere) and scatters gradients with ``np.bincount``.
+    ``smooth_field`` selects the smoothed field cutoff in mode ``f``; only
+    that form has a gradient.
+    """
+
+    def __init__(self, mesh: TriangleMesh, pot: PairPotential, mode: str = "plain",
+                 chi: PenaltyChi | None = None,
+                 model: MagnetizationModel | None = None,
+                 domain: str = "omega", smooth_field: bool = False):
+        mode = "f" if mode == "F" else mode
+        if mode not in MODES:
+            raise DiscreteEnergyError(f"unknown mode {mode!r}")
+        if mode != "plain" and chi is None:
+            raise DiscreteEnergyError(f"mode {mode!r} needs a penalty definition")
+        if mode in ("f", "total-magnetic") and model is None:
+            raise DiscreteEnergyError(f"mode {mode!r} needs a magnetization model")
+        self.mesh, self.pot, self.mode = mesh, pot, mode
+        self.chi, self.model, self.smooth_field = chi, model, smooth_field
+        eps = mesh.spec.eps
+        self.eps, self._sqrt_eps = eps, np.sqrt(eps)
+
+        edge_mask = mesh.edge_set(domain)
+        self._bond_ends = np.ascontiguousarray(mesh.edges[edge_mask].T)  # (2, E)
+        self._bond_dirs = np.ascontiguousarray(
+            mesh.vecs.as_array()[mesh.edge_dir[edge_mask]].T)  # (2, E)
+        self._bond_weight = 2.0 * classify_edges(mesh, domain)[edge_mask]
+
+        tri_mask = mesh.triangle_set(domain)
+        self._corners = np.ascontiguousarray(mesh.triangles[tri_mask].T)  # (3, M)
+        self._den = mesh.tri_sign[tri_mask] * eps
+        self._minv = _basis_inverse(mesh)
+        self._vecs = mesh.vecs.as_array()
+
+    # chain-rule factors of the per-triangle terms, coefficient included;
+    # only the gradient needs them
+    @cached_property
+    def _pref_chi(self) -> np.ndarray:
+        return self.eps * self._sqrt_eps / self._den
+
+    @cached_property
+    def _pref_field(self) -> np.ndarray:
+        return SQRT3 * self.eps / 4.0 * self._sqrt_eps / self._den
+
+    def breakdown(self, x: np.ndarray) -> EnergyBreakdown:
+        """Energy of the displacement values ``x``, split into its parts."""
+        return self._evaluate(x, False)[0]
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Total energy of ``x`` and its gradient with respect to ``x``."""
+        if self.mode == "total-magnetic":
+            raise DiscreteEnergyError("no gradient for mode 'total-magnetic'")
+        if self.mode == "f" and not self.smooth_field:
+            raise DiscreteEnergyError("the sharp field cutoff has no gradient; "
+                                      "assemble with smooth_field=True")
+        if not self.pot.differentiable:
+            raise DiscreteEnergyError("gradient needs a differentiable potential family")
+        bd, grad = self._evaluate(x, True)
+        return bd.total, grad
+
+    def _evaluate(self, x: np.ndarray, with_grad: bool):
+        n = self.mesh.n_points
+        x = np.asarray(x, dtype=float)
+        if x.shape != (n, 2):
+            raise DiscreteEnergyError(f"expected values of shape {(n, 2)}, got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise DiscreteEnergyError("displacement contains non-finite entries")
+        eps, pot, chi, model = self.eps, self.pot, self.chi, self.model
+        xc = np.ascontiguousarray(x.T)
+
+        # bonds: deformed bond vectors z (in units of eps) and stretches r = |z|
+        e0, e1 = self._bond_ends
+        z = np.take(xc, e1, axis=1)
+        z -= np.take(xc, e0, axis=1)
+        z /= self._sqrt_eps
+        z += self._bond_dirs
+        zx, zy = z
+        r = np.sqrt(zx * zx + zy * zy)
+        Wr = pot(r)
+        pair_total = eps * float(Wr.sum())
+        boundary = eps * float((self._bond_weight * Wr).sum())
+
+        # triangles: F[j, i] holds the component F_ij on every triangle, and
+        # the cell energy is half the pair energy of the sides |F v|
+        F = _interpolant_gradients(xc.T, self._corners, self._minv, self._den)
+        F *= self._sqrt_eps
+        F[0, 0] += 1.0
+        F[1, 1] += 1.0
+        (F00, F10), (F01, F11) = F
+        V = self._vecs
+        a = np.multiply.outer(V[:, 0], F00)  # (3, M): F v for each bond direction
+        a += np.multiply.outer(V[:, 1], F01)
+        b = np.multiply.outer(V[:, 0], F10)
+        b += np.multiply.outer(V[:, 1], F11)
+        a *= a
+        b *= b
+        a += b
+        W = pot(np.sqrt(a, out=a))
+        bulk = eps * float((0.5 * ((W[0] + W[1]) + W[2])).sum())
+        _check_pair_identity(pair_total, bulk, boundary)
+
+        def matrices(sel):  # (k, 2, 2) deformation gradients of the selection
+            return np.ascontiguousarray(F[:, :, sel].transpose(2, 1, 0))
+
+        penalty = fieldval = 0.0
+        tri_terms = []  # (triangle selection, d Phi / d edge differences)
+        if self.mode != "plain":
+            support = np.flatnonzero(F00 * F11 - F01 * F10 < 0.0)
+            Fs = matrices(support)
+            chi_vals = np.zeros(len(F00))
+            chi_vals[support] = chi(Fs)
+            penalty = eps * float(chi_vals.sum())
+            if with_grad and len(support):
+                tri_terms.append((support, _chain_to_edges(
+                    chi.grad(Fs), self._minv, self._pref_chi[support])))
+        if self.mode in ("f", "total-magnetic"):
+            Fd = matrices(slice(None))
+            if self.mode == "total-magnetic":
+                fieldval = -model.kappa * SQRT3 * eps / 4.0 \
+                    * float(magnetization_first(Fd).sum())
+            else:
+                fvals = field_energy_smooth(Fd, model) if self.smooth_field \
+                    else field_energy(Fd, model)
+                fieldval = SQRT3 * eps / 4.0 * float(np.sum(fvals))
+                if with_grad:
+                    tri_terms.append((slice(None), _chain_to_edges(
+                        _field_energy_smooth_grad(Fd, model), self._minv,
+                        self._pref_field)))
+        bd = EnergyBreakdown(mode=self.mode, bulk=bulk, boundary=boundary,
+                             penalty=penalty, field=fieldval)
+        if not with_grad:
+            return bd, None
+
+        coef = self._sqrt_eps * pot.deriv(r) / np.where(r > 0.0, r, 1.0)
+        gx, gy = coef * zx, coef * zy
+        index = [e1, e0]
+        wx, wy = [gx, -gx], [gy, -gy]
+        t0, t1, t2 = self._corners
+        for sel, P in tri_terms:
+            index += [t1[sel], t2[sel], t0[sel]]
+            wx += [P[:, 0, 0], P[:, 0, 1], -(P[:, 0, 0] + P[:, 0, 1])]
+            wy += [P[:, 1, 0], P[:, 1, 1], -(P[:, 1, 0] + P[:, 1, 1])]
+        index = np.concatenate(index)
+        grad = np.empty((n, 2))
+        grad[:, 0] = np.bincount(index, np.concatenate(wx), minlength=n)
+        grad[:, 1] = np.bincount(index, np.concatenate(wy), minlength=n)
+        return bd, grad
 
 
 def energy_rescaled(u: Displacement, pot: PairPotential, mode: str = "plain",
@@ -248,46 +419,13 @@ def energy_rescaled(u: Displacement, pot: PairPotential, mode: str = "plain",
     boundary part collects under-covered bonds, and the two together are
     verified against the raw pair sum to 1e-12 relative on every call.
     ``include_boundary=False`` drops the boundary term from the report.
+    Builds a transient :class:`Assembly`; callers evaluating one energy
+    many times should build the assembly once instead.
     """
-    mode = "f" if mode == "F" else mode
-    if mode not in MODES:
-        raise DiscreteEnergyError(f"unknown mode {mode!r}")
-    mesh, eps = u.mesh, u.mesh.spec.eps
-    if not np.all(np.isfinite(u.values)):
-        raise DiscreteEnergyError("displacement contains non-finite entries")
-
-    edge_mask = mesh.edge_set(domain)
-    _, r = _edge_geometry(mesh, u.values, edge_mask)
-    Wr = pot(r)
-    pair_total = eps * float(Wr.sum())
-
-    tri_mask = mesh.triangle_set(domain)
-    _, F = interpolate_gradients(u)
-    Fd = F[tri_mask]
-    bulk = eps * float(cell_energy(Fd, pot, mesh.vecs).sum())
-    weights = classify_edges(mesh, domain)[edge_mask]
-    boundary = eps * float((2.0 * weights * Wr).sum())
-    _check_pair_identity(pair_total, bulk, boundary)
-
-    penalty = 0.0
-    fieldval = 0.0
-    if mode in ("chi", "f", "total-magnetic"):
-        if chi is None:
-            raise DiscreteEnergyError(f"mode {mode!r} needs a penalty definition")
-        penalty = eps * float(chi(Fd).sum())
-    if mode == "f":
-        if model is None:
-            raise DiscreteEnergyError("mode 'f' needs a magnetization model")
-        fvals = field_energy_smooth(Fd, model) if smooth_field else field_energy(Fd, model)
-        fieldval = SQRT3 * eps / 4.0 * float(np.sum(fvals))
-    elif mode == "total-magnetic":
-        if model is None:
-            raise DiscreteEnergyError("mode 'total-magnetic' needs a magnetization model")
-        fieldval = -model.kappa * SQRT3 * eps / 4.0 * float(magnetization_first(Fd).sum())
-
-    return EnergyBreakdown(mode=mode, bulk=bulk,
-                           boundary=boundary if include_boundary else 0.0,
-                           penalty=penalty, field=fieldval)
+    bd = Assembly(u.mesh, pot, mode, chi, model, domain, smooth_field).breakdown(u.values)
+    if not include_boundary:
+        bd.boundary = 0.0
+    return bd
 
 
 def energy_deformation(mesh: TriangleMesh, y_values: np.ndarray, pot: PairPotential,
@@ -323,22 +461,6 @@ def renormalization_sides(u: Displacement, pot: PairPotential, chi: PenaltyChi,
 # analytic gradient
 # ----------------------------------------------------------------------
 
-def _scatter_triangle_gradient(mesh: TriangleMesh, dPhi_dF: np.ndarray,
-                               tri_mask: np.ndarray, coeff: np.ndarray | float,
-                               out: np.ndarray):
-    """Accumulate d Phi(F_triangle) / d u_vertex into the point array."""
-    eps = mesh.spec.eps
-    Minv = _basis_inverse(mesh)
-    # chain rule through F = Id + sqrt(eps)/(sign*eps) * [d1 d2] Minv
-    P = dPhi_dF @ Minv.T  # (M, 2, 2); column c acts on vertex c+1
-    pref = coeff * np.sqrt(eps) / (mesh.tri_sign[tri_mask] * eps)
-    P = P * pref[:, None, None]
-    tri = mesh.triangles[tri_mask]
-    np.add.at(out, tri[:, 1], P[:, :, 0])
-    np.add.at(out, tri[:, 2], P[:, :, 1])
-    np.add.at(out, tri[:, 0], -(P[:, :, 0] + P[:, :, 1]))
-
-
 def gradient(u: Displacement, pot: PairPotential, mode: str = "plain",
              chi: PenaltyChi | None = None,
              model: MagnetizationModel | None = None,
@@ -349,35 +471,8 @@ def gradient(u: Displacement, pot: PairPotential, mode: str = "plain",
     not differentiable (tabulated potentials, 'total-magnetic') are
     rejected.
     """
-    mode = "f" if mode == "F" else mode
-    if mode == "total-magnetic":
-        raise DiscreteEnergyError("no gradient for mode 'total-magnetic'")
-    if not pot.differentiable:
-        raise DiscreteEnergyError("gradient needs a differentiable potential family")
-    mesh, eps = u.mesh, u.mesh.spec.eps
-    out = np.zeros_like(u.values)
-
-    edge_mask = mesh.edge_set(domain)
-    z, r = _edge_geometry(mesh, u.values, edge_mask)
-    coef = np.sqrt(eps) * pot.deriv(r) / np.where(r > 0.0, r, 1.0)
-    gvec = coef[:, None] * z
-    e = mesh.edges[edge_mask]
-    np.add.at(out, e[:, 1], gvec)
-    np.add.at(out, e[:, 0], -gvec)
-
-    if mode in ("chi", "f"):
-        if chi is None:
-            raise DiscreteEnergyError(f"mode {mode!r} needs a penalty definition")
-        tri_mask = mesh.triangle_set(domain)
-        _, F = interpolate_gradients(u)
-        Fd = F[tri_mask]
-        _scatter_triangle_gradient(mesh, chi.grad(Fd), tri_mask, eps, out)
-        if mode == "f":
-            if model is None:
-                raise DiscreteEnergyError("mode 'f' needs a magnetization model")
-            _scatter_triangle_gradient(mesh, _field_energy_smooth_grad(Fd, model),
-                                       tri_mask, SQRT3 * eps / 4.0, out)
-    return out
+    asm = Assembly(u.mesh, pot, mode, chi, model, domain, smooth_field=True)
+    return asm.value_and_grad(u.values)[1]
 
 
 def _field_energy_smooth_grad(F: np.ndarray, model: MagnetizationModel,
@@ -446,8 +541,13 @@ def displacement_to_csv(u: Displacement, path: str):
 
 
 def displacement_from_csv(path: str, mesh: TriangleMesh) -> Displacement:
-    values = np.zeros((mesh.n_points, 2))
-    seen = 0
+    """Read a displacement written by :func:`displacement_to_csv`.
+
+    Every mesh point must appear exactly once, at its own coordinates.
+    """
+    n = mesh.n_points
+    values = np.zeros((n, 2))
+    seen = np.zeros(n, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -455,11 +555,17 @@ def displacement_from_csv(path: str, mesh: TriangleMesh) -> Displacement:
             raise DiscreteEnergyError(f"unexpected displacement header {header}")
         for row in reader:
             i = int(row[0])
+            if not 0 <= i < n:
+                raise DiscreteEnergyError(f"point index {i} outside the mesh's 0..{n - 1}")
+            if seen[i]:
+                raise DiscreteEnergyError(f"point {i} appears twice")
+            seen[i] = True
             p = np.array([float(row[1]), float(row[2])])
             if not np.allclose(p, mesh.points[i], atol=1e-9 * max(1.0, mesh.spec.l)):
                 raise DiscreteEnergyError(f"point {i} does not match the mesh")
             values[i] = [float(row[3]), float(row[4])]
-            seen += 1
-    if seen != mesh.n_points:
-        raise DiscreteEnergyError(f"csv has {seen} rows, mesh has {mesh.n_points} points")
+    if not seen.all():
+        missing = np.flatnonzero(~seen)
+        raise DiscreteEnergyError(
+            f"csv lacks {len(missing)} of the mesh's {n} points, first {missing[0]}")
     return Displacement(mesh, values)

@@ -113,10 +113,6 @@ def cleavage_direction(phi: float) -> CleavageData:
                         unique=bool(ties == 1))
 
 
-# backwards-friendly alias matching the quantity name used in reports
-gamma_of = cleavage_direction
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Parameters of one scaled lattice inside the slab (0, l) x (0, 1).

@@ -22,10 +22,11 @@ from .continuum import (CleavageProblem, ContinuumDisplacement, build_u_cr,
 from .crack_extraction import (angle_between_lines_deg, build_modified,
                                classify_broken, crack_energy_estimate,
                                principal_normal)
-from .discrete_energy import (BoundaryCondition, Displacement, EnergyBreakdown,
-                              apply_bc, bc_cleavage, bc_zero, energy_rescaled,
-                              gradient, gradient_l1_norm, interpolate_gradients,
-                              project_gradient, renormalization_sides)
+from .discrete_energy import (Assembly, BoundaryCondition, Displacement,
+                              EnergyBreakdown, apply_bc, bc_cleavage, bc_zero,
+                              energy_rescaled, gradient_l1_norm,
+                              interpolate_gradients, project_gradient,
+                              renormalization_sides)
 from .lattice import (LatticeSpec, TriangleMesh, build_mesh,
                       cleavage_direction, rotation_matrix)
 from .material import MagnetizationModel, PairPotential, PenaltyChi
@@ -73,6 +74,8 @@ class StartResult:
     grad_norm: float
     converged: bool
     history: list | None = None  # energy after each accepted step
+    evals: int = 0       # energy-and-gradient evaluations of the descent
+    backtracks: int = 0  # line-search trials rejected by the Armijo test
 
 
 @dataclass
@@ -152,37 +155,36 @@ def _lbfgs_direction(g: np.ndarray, s_hist: list, y_hist: list) -> np.ndarray:
     return -q
 
 
-def _descend(u0: Displacement, bc: BoundaryCondition, pot: PairPotential,
-             config: SolveConfig, chi: PenaltyChi | None,
-             model: MagnetizationModel | None):
-    """Projected descent from one start; returns (u, iters, |g|, converged, history)."""
-    mesh = u0.mesh
-    mask_x, mask_y = bc.masks(mesh)
+def _descend(asm: Assembly, tag: str, u0: Displacement, bc: BoundaryCondition,
+             config: SolveConfig) -> tuple[np.ndarray, StartResult]:
+    """Projected descent from one start.
 
-    def f(vals: np.ndarray) -> float:
-        d = Displacement(mesh, vals)
-        return energy_rescaled(d, pot, mode=config.mode, chi=chi, model=model,
-                               domain=config.domain, smooth_field=True).total
-
-    def df(vals: np.ndarray) -> np.ndarray:
-        g = gradient(Displacement(mesh, vals), pot, mode=config.mode, chi=chi,
-                     model=model, domain=config.domain)
-        return project_gradient(g, mask_x, mask_y)
-
+    Returns the final iterate and its record; the record's energy is the
+    descended objective at that iterate.  Every trial point costs one
+    :meth:`Assembly.value_and_grad` call, which also yields the gradient
+    of an accepted point.
+    """
+    mask_x, mask_y = bc.masks(asm.mesh)
     x = apply_bc(u0, bc).values.copy()
-    fx = f(x)
+    fx, g = asm.value_and_grad(x)
     if not math.isfinite(fx):
         raise SolverError("non-finite energy at the starting point")
-    g = df(x)
+    g = project_gradient(g, mask_x, mask_y)
     history = [fx]
+    evals, backtracks = 1, 0
     s_hist: list = []
     y_hist: list = []
     stalled = 0
-    it = 0
+
+    def done(iters: int, converged: bool):
+        return x, StartResult(tag=tag, energy=fx, iters=iters,
+                              grad_norm=float(np.linalg.norm(g)), converged=converged,
+                              history=history, evals=evals, backtracks=backtracks)
+
     for it in range(1, config.max_iters + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= config.grad_tol:
-            return Displacement(mesh, x), it - 1, gnorm, True, history
+            return done(it - 1, True)
         d = _lbfgs_direction(g.ravel(), s_hist, y_hist).reshape(x.shape) \
             if s_hist else -g
         slope = float(np.sum(g * d))
@@ -195,7 +197,8 @@ def _descend(u0: Displacement, bc: BoundaryCondition, pot: PairPotential,
         accepted = False
         for _ in range(config.max_backtracks):
             x_new = x + t * d
-            f_new = f(x_new)
+            f_new, g_new = asm.value_and_grad(x_new)
+            evals += 1
             if math.isnan(f_new):
                 raise SolverError(
                     f"energy became NaN during line search at iteration {it}",
@@ -203,10 +206,11 @@ def _descend(u0: Displacement, bc: BoundaryCondition, pot: PairPotential,
             if f_new <= fx + config.armijo_slope * t * slope:
                 accepted = True
                 break
+            backtracks += 1
             t *= config.armijo_shrink
         if not accepted:
-            return Displacement(mesh, x), it, float(np.linalg.norm(g)), False, history
-        g_new = df(x_new)
+            return done(it, False)
+        g_new = project_gradient(g_new, mask_x, mask_y)
         if config.lbfgs_memory > 0:
             s_vec = (x_new - x).ravel()
             y_vec = (g_new - g).ravel()
@@ -221,8 +225,8 @@ def _descend(u0: Displacement, bc: BoundaryCondition, pot: PairPotential,
         history.append(fx)
         stalled = stalled + 1 if drop <= config.stall_tol * (1.0 + abs(fx)) else 0
         if stalled >= config.stall_iters:
-            return Displacement(mesh, x), it, float(np.linalg.norm(g)), True, history
-    return Displacement(mesh, x), it, float(np.linalg.norm(g)), False, history
+            return done(it, True)
+    return done(config.max_iters, False)
 
 
 def cleaved_stations(problem: CleavageProblem, n: int) -> np.ndarray:
@@ -292,15 +296,19 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
     starts = _initializers(mesh, problem, config)
     if not starts:
         raise SolverError("no starting point; check the multistart list")
+    # one assembly serves every start; the descent differentiates the
+    # smoothed field cutoff, the report below uses the sharp one
+    asm = Assembly(mesh, pot, mode=config.mode, chi=chi, model=model,
+                   domain=config.domain, smooth_field=True)
     results = []
     best = None
     for k, (tag, u0) in enumerate(starts):
-        u, iters, gnorm, conv, history = _descend(u0, bc, pot, config, chi, model)
+        x, rec = _descend(asm, tag, u0, bc, config)
+        u = Displacement(mesh, x)
         bd = energy_rescaled(u, pot, mode=config.mode, chi=chi, model=model,
                              domain=config.domain)
-        results.append(StartResult(tag=tag, energy=bd.total, iters=iters,
-                                   grad_norm=gnorm, converged=conv,
-                                   history=history))
+        rec.energy = bd.total
+        results.append(rec)
         if best is None or bd.total < best[0]:
             best = (bd.total, k, u, bd)
     _, _, u_best, bd_best = best

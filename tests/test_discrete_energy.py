@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
-from fraclat.discrete_energy import (Displacement, DiscreteEnergyError,
+from fraclat import discrete_energy
+from fraclat.discrete_energy import (Assembly, Displacement, DiscreteEnergyError,
                                      apply_bc, bc_affine, bc_cleavage, bc_zero,
                                      displacement_from_csv, displacement_to_csv,
                                      energy_deformation, energy_rescaled,
@@ -12,7 +13,7 @@ from fraclat.discrete_energy import (Displacement, DiscreteEnergyError,
                                      interpolate_gradients, project_gradient,
                                      renormalization_sides, specimen_area)
 from fraclat.lattice import classify_edges
-from fraclat.material import PairPotential
+from fraclat.material import PairPotential, cell_energy
 
 SQRT3 = math.sqrt(3.0)
 
@@ -208,6 +209,172 @@ def test_gradient_l1_norm_affine(mesh16):
 
 
 # ----------------------------------------------------------------------
+# the precomputed assembly
+# ----------------------------------------------------------------------
+
+def flipped(mesh, u):
+    """Number of domain triangles with det F < 0 (the support of chi)."""
+    _, F = interpolate_gradients(u)
+    Fd = F[mesh.tri_in_omega]
+    return int(np.sum(Fd[:, 0, 0] * Fd[:, 1, 1] - Fd[:, 0, 1] * Fd[:, 1, 0] < 0.0))
+
+
+@pytest.fixture(params=["no-flips", "many-flips"])
+def kernel_u(request, mesh16):
+    u = rand_u(mesh16, 0.02, 30) if request.param == "no-flips" else rand_u(mesh16, 1.5, 31)
+    n = flipped(mesh16, u)
+    assert (n == 0) if request.param == "no-flips" else (n > 200)
+    return u
+
+
+def reference_energy(u, pot, mode, chi, model):
+    """Energy assembled straight from the mesh arrays with the batched material laws."""
+    mesh, eps = u.mesh, u.mesh.spec.eps
+    active = mesh.edge_set("omega")
+    e = mesh.edges[active]
+    z = mesh.vecs.as_array()[mesh.edge_dir[active]] \
+        + (u.values[e[:, 1]] - u.values[e[:, 0]]) / math.sqrt(eps)
+    Wr = pot(np.linalg.norm(z, axis=1))
+    _, F = interpolate_gradients(u)
+    Fd = F[mesh.tri_in_omega]
+    total = eps * cell_energy(Fd, pot, mesh.vecs).sum() \
+        + eps * (2.0 * classify_edges(mesh, "omega")[active] * Wr).sum()
+    if mode != "plain":
+        total += eps * chi(Fd).sum()
+    if mode == "f":
+        from fraclat.material import field_energy_smooth
+        total += SQRT3 * eps / 4.0 * field_energy_smooth(Fd, model).sum()
+    return total
+
+
+def reference_gradient(u, pot, mode, chi, model):
+    """Gradient scattered with np.add.at over every domain triangle."""
+    from fraclat.discrete_energy import _basis_inverse, _field_energy_smooth_grad
+    mesh, eps = u.mesh, u.mesh.spec.eps
+    out = np.zeros_like(u.values)
+    active = mesh.edge_set("omega")
+    e = mesh.edges[active]
+    z = mesh.vecs.as_array()[mesh.edge_dir[active]] \
+        + (u.values[e[:, 1]] - u.values[e[:, 0]]) / math.sqrt(eps)
+    r = np.linalg.norm(z, axis=1)
+    gvec = (math.sqrt(eps) * pot.deriv(r) / r)[:, None] * z
+    np.add.at(out, e[:, 1], gvec)
+    np.add.at(out, e[:, 0], -gvec)
+    _, F = interpolate_gradients(u)
+    mask = mesh.tri_in_omega
+    terms = []
+    if mode != "plain":
+        terms.append((chi.grad(F[mask]), eps))
+    if mode == "f":
+        terms.append((_field_energy_smooth_grad(F[mask], model), SQRT3 * eps / 4.0))
+    tri = mesh.triangles[mask]
+    for dPhi, coeff in terms:
+        P = dPhi @ _basis_inverse(mesh).T
+        P = P * (coeff * math.sqrt(eps) / (mesh.tri_sign[mask] * eps))[:, None, None]
+        np.add.at(out, tri[:, 1], P[:, :, 0])
+        np.add.at(out, tri[:, 2], P[:, :, 1])
+        np.add.at(out, tri[:, 0], -(P[:, :, 0] + P[:, :, 1]))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["plain", "chi", "f"])
+def test_assembly_value_is_energy_rescaled_total(mesh16, pot, chi, magmodel, kernel_u, mode):
+    asm = Assembly(mesh16, pot, mode, chi, magmodel, smooth_field=True)
+    value, _ = asm.value_and_grad(kernel_u.values)
+    bd = energy_rescaled(kernel_u, pot, mode=mode, chi=chi, model=magmodel,
+                         smooth_field=True)
+    assert value == bd.total
+    assert asm.breakdown(kernel_u.values) == bd
+    ref = reference_energy(kernel_u, pot, mode, chi, magmodel)
+    assert value == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("mode", ["plain", "chi", "f"])
+def test_assembly_gradient_matches_reference_and_fd(mesh16, pot, chi, magmodel,
+                                                    kernel_u, mode):
+    asm = Assembly(mesh16, pot, mode, chi, magmodel, smooth_field=True)
+    x = kernel_u.values
+    _, g = asm.value_and_grad(x)
+    ref = reference_gradient(kernel_u, pot, mode, chi, magmodel)
+    assert np.abs(g - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+    rng = np.random.default_rng(32)
+    t = 1e-6
+    for _ in range(3):
+        d = rng.standard_normal(x.shape)
+        fd = (asm.value_and_grad(x + t * d)[0] - asm.value_and_grad(x - t * d)[0]) / (2 * t)
+        assert abs(float(np.sum(g * d)) - fd) <= 1e-5 * (1.0 + abs(fd))
+
+
+def test_penalty_on_its_support_equals_the_sum_over_all_triangles(mesh16, pot, chi):
+    u = rand_u(mesh16, 1.5, 33)
+    _, F = interpolate_gradients(u)
+    Fd = F[mesh16.tri_in_omega]
+    vals = chi(Fd)
+    det = Fd[:, 0, 0] * Fd[:, 1, 1] - Fd[:, 0, 1] * Fd[:, 1, 0]
+    assert np.all(vals[det >= 0.0] == 0.0) and np.count_nonzero(vals) > 150
+    bd = Assembly(mesh16, pot, "chi", chi).breakdown(u.values)
+    assert bd.penalty == mesh16.spec.eps * float(vals.sum())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assembly_rejects_non_finite_values(mesh16, pot, chi, bad):
+    asm = Assembly(mesh16, pot, "chi", chi)
+    x = rand_u(mesh16, 0.05, 34).values
+    x[7, 1] = bad
+    with pytest.raises(DiscreteEnergyError, match="non-finite"):
+        asm.value_and_grad(x)
+    with pytest.raises(DiscreteEnergyError, match="non-finite"):
+        asm.breakdown(x)
+
+
+def test_assembly_rejects_wrong_shape_and_missing_gradients(mesh16, pot, chi, magmodel):
+    asm = Assembly(mesh16, pot, "chi", chi)
+    with pytest.raises(DiscreteEnergyError, match="shape"):
+        asm.value_and_grad(np.zeros((mesh16.n_points, 3)))
+    x = np.zeros((mesh16.n_points, 2))
+    for sharp in (Assembly(mesh16, pot, "f", chi, magmodel),
+                  Assembly(mesh16, pot, "total-magnetic", chi, magmodel)):
+        sharp.breakdown(x)
+        with pytest.raises(DiscreteEnergyError):
+            sharp.value_and_grad(x)
+
+
+def test_line_search_trial_checks_the_pair_identity(mesh16, pot_unit, chi, monkeypatch):
+    # corrupt the boundary weights right before the first line-search trial
+    from fraclat.continuum import CleavageProblem
+    from fraclat.solver import SolveConfig, minimize
+    real = Assembly.value_and_grad
+    calls = []
+
+    def corrupting(self, x):
+        calls.append(x)
+        if len(calls) == 2:
+            self._bond_weight = 1.5 * self._bond_weight
+        return real(self, x)
+
+    monkeypatch.setattr(Assembly, "value_and_grad", corrupting)
+    prob = CleavageProblem(alpha=1.0, beta=1.0, l=1.0, phi=0.3, a=0.2)
+    cfg = SolveConfig(max_iters=5, multistart=("elastic",), mode="chi")
+    with pytest.raises(DiscreteEnergyError, match="disagree"):
+        minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
+    assert len(calls) == 2
+
+
+def test_every_kernel_call_checks_the_pair_identity(mesh16, pot, chi, monkeypatch):
+    real = discrete_energy._check_pair_identity
+    checks = []
+    monkeypatch.setattr(discrete_energy, "_check_pair_identity",
+                        lambda *args: checks.append(args) or real(*args))
+    asm = Assembly(mesh16, pot, "chi", chi)
+    x = rand_u(mesh16, 0.05, 35).values
+    asm.value_and_grad(x)
+    asm.breakdown(x)
+    energy_rescaled(Displacement(mesh16, x), pot, mode="chi", chi=chi)
+    gradient(Displacement(mesh16, x), pot, mode="chi", chi=chi)
+    assert len(checks) == 4
+
+
+# ----------------------------------------------------------------------
 # boundary conditions
 # ----------------------------------------------------------------------
 
@@ -277,3 +444,37 @@ def test_displacement_csv_roundtrip(mesh16, tmp_path):
     displacement_to_csv(v, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(u.values, v.values)
+
+
+def write_rows(path, rows):
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+
+
+@pytest.fixture
+def csv_rows(mesh16, tmp_path):
+    path = tmp_path / "disp.csv"
+    displacement_to_csv(rand_u(mesh16, 0.3, 15), str(path))
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def test_displacement_csv_rejects_duplicate_index(mesh16, csv_rows, tmp_path):
+    # a duplicated row must not stand in for a missing one
+    csv_rows[6] = csv_rows[5]
+    write_rows(tmp_path / "dup.csv", csv_rows)
+    with pytest.raises(DiscreteEnergyError, match="appears twice"):
+        displacement_from_csv(str(tmp_path / "dup.csv"), mesh16)
+
+
+def test_displacement_csv_rejects_missing_index(mesh16, csv_rows, tmp_path):
+    del csv_rows[9]
+    write_rows(tmp_path / "missing.csv", csv_rows)
+    with pytest.raises(DiscreteEnergyError, match="lacks 1 .* first 8"):
+        displacement_from_csv(str(tmp_path / "missing.csv"), mesh16)
+
+
+@pytest.mark.parametrize("index", ["-1", "n"])
+def test_displacement_csv_rejects_out_of_range_index(mesh16, csv_rows, tmp_path, index):
+    csv_rows[-1][0] = str(mesh16.n_points) if index == "n" else index
+    write_rows(tmp_path / "range.csv", csv_rows)
+    with pytest.raises(DiscreteEnergyError, match="outside"):
+        displacement_from_csv(str(tmp_path / "range.csv"), mesh16)

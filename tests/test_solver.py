@@ -104,6 +104,26 @@ def test_minimize_monotone_history_and_determinism(mesh16, pot_unit, chi):
         assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(hist, hist[1:]))
 
 
+def test_descent_counts_evaluations_and_backtracks(mesh16, pot_unit, chi, monkeypatch):
+    from fraclat import discrete_energy
+    real = discrete_energy._check_pair_identity
+    checks = []
+    monkeypatch.setattr(discrete_energy, "_check_pair_identity",
+                        lambda *args: checks.append(args) or real(*args))
+    prob = problem_with(0.5)
+    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic", "perturbed"),
+                      rng_seed=3)
+    res = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
+                   problem=prob)
+    for start in res.starts:
+        assert start.evals >= start.iters + 1
+        # one evaluation at the start, then one per trial: accepted or backtracked
+        assert start.evals == len(start.history) + start.backtracks
+    assert sum(start.backtracks for start in res.starts) > 0
+    # every descent evaluation and every reported energy checks the pair identity
+    assert len(checks) == sum(start.evals for start in res.starts) + len(res.starts)
+
+
 def test_minimize_never_worse_than_cleaved_inits(mesh16, pot_unit, chi):
     prob = problem_with(1.5)
     cfg = SolveConfig(max_iters=60, multistart=("cleaved",), n_cleaved=3, rng_seed=0)
