@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -30,11 +31,12 @@ from .crack_extraction import (build_modified, classify_broken,
 from .discrete_energy import (ENERGY_HEADER, bc_cleavage,
                               displacement_from_csv, displacement_to_csv,
                               energy_rescaled, format_float)
-from .lattice import (PHI_MAX, LatticeSpec, build_mesh, cleavage_direction)
+from .lattice import (PHI_MAX, LatticeSpec, TriangleMesh, build_mesh,
+                      cleavage_direction)
 from .material import MagnetizationModel, PairPotential, PenaltyChi
-from .solver import (CONVERGENCE_HEADER, SolveConfig, convergence_study,
-                     magnet_demo, minimize, nonequicoercivity_demo,
-                     recovery_sequence)
+from .solver import (CONVERGENCE_HEADER, SolveConfig, cleaved_stations,
+                     convergence_study, magnet_demo, minimize,
+                     nonequicoercivity_demo, recovery_sequence)
 
 CRACK_HEADER = ["seg_id", "x0", "y0", "x1", "y1", "nu_x", "nu_y", "jump1", "jump2"]
 GAMMA_HEADER = ["phi", "gamma", "vgamma_x", "vgamma_y", "unique", "a_crit"]
@@ -44,10 +46,8 @@ _REQUIRED = object()
 # key -> (parser, default); _REQUIRED defaults must be supplied by the user
 CONFIG_KEYS = {
     "lattice.phi": (float, 0.0),
-    "lattice.eps": (float, 1.0 / 32.0),
     "lattice.l": (float, 1.0),
     "lattice.eta": (float, 0.25),
-    "lattice.margin": (str, "cleavage"),
     "material.family": (str, "exp-well"),
     "material.alpha": (float, _REQUIRED),
     "material.beta": (float, _REQUIRED),
@@ -127,16 +127,19 @@ class RunConfig:
         return out
 
     def eps_list(self) -> list:
+        """The ``solve.eps_list`` ladder: positive numbers or fractions like 1/32."""
         out = []
         for token in str(self.get("solve.eps_list")).split(","):
             token = token.strip()
-            if "/" in token:
-                num, den = token.split("/")
-                out.append(float(num) / float(den))
-            else:
-                out.append(float(token))
-        if not out:
-            raise ConfigError("solve.eps_list is empty")
+            num, slash, den = token.partition("/")
+            try:
+                value = float(num) / float(den) if slash else float(token)
+            except (ValueError, ZeroDivisionError):
+                value = math.nan
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{self.path}: bad entry {token!r} in solve.eps_list; "
+                                  "expected a positive number or a fraction like 1/32")
+            out.append(value)
         return out
 
 
@@ -199,6 +202,10 @@ def _chi(cfg: RunConfig) -> PenaltyChi:
                       cutoff_norm=cfg.get("chi.cutoff"), width=cfg.get("chi.width"))
 
 
+def _model(cfg: RunConfig) -> MagnetizationModel:
+    return MagnetizationModel(kappa=cfg.get("material.kappa"), T=cfg.get("material.T"))
+
+
 def _problem(cfg: RunConfig) -> CleavageProblem:
     return CleavageProblem(alpha=cfg.get("material.alpha"),
                            beta=cfg.get("material.beta"),
@@ -217,9 +224,9 @@ def _solve_config(cfg: RunConfig) -> SolveConfig:
                        domain=cfg.get("solve.domain"))
 
 
-def _spec(cfg: RunConfig, eps: float) -> LatticeSpec:
-    return LatticeSpec(phi=cfg.get("lattice.phi"), eps=eps, l=cfg.get("lattice.l"),
-                       eta=cfg.get("lattice.eta"), margin=cfg.get("lattice.margin"))
+def _mesh(cfg: RunConfig, eps: float) -> TriangleMesh:
+    return build_mesh(LatticeSpec(phi=cfg.get("lattice.phi"), eps=eps,
+                                  l=cfg.get("lattice.l"), eta=cfg.get("lattice.eta")))
 
 
 # ----------------------------------------------------------------------
@@ -242,162 +249,130 @@ def cmd_gamma_scan(args) -> int:
     return 0
 
 
-def cmd_cleavage(args) -> int:
+def _run_config_command(body, args) -> int:
+    """Run one config-driven command body and print the message it returns.
+
+    ``body(cfg, out, args)`` gets the parsed ``--config`` file and the
+    ``OutputSet`` of its ``out.dir``; every file it named through ``out``
+    is deleted when it raises.
+    """
     cfg = RunConfig.parse(args.config)
     out = OutputSet(cfg.get("out.dir"))
     try:
-        problem = _problem(cfg)
-        rows = convergence_study(problem, cfg.eps_list(),
-                                 mode=cfg.get("solve.mode"),
-                                 config=_solve_config(cfg), pot=_potential(cfg),
-                                 chi=_chi(cfg), with_minimize=not args.no_minimize)
-        write_csv(out.path("convergence.csv"), CONVERGENCE_HEADER,
-                  [r.row() for r in rows])
-        write_manifest(out.path("cleavage_manifest.txt"), cfg, {
-            "derived.gamma": problem.gamma,
-            "derived.a_crit": a_crit(problem),
-            "derived.target": min_energy(problem),
-        })
+        message = body(cfg, out, args)
     except Exception:
         out.discard()
         raise
-    print(f"wrote {out.paths[0]}")
+    print(message)
     return 0
 
 
-def cmd_minimize(args) -> int:
-    cfg = RunConfig.parse(args.config)
-    out = OutputSet(cfg.get("out.dir"))
-    try:
-        problem = _problem(cfg)
-        eps = cfg.eps_list()[-1]
-        mesh = build_mesh(_spec(cfg, eps))
-        bc = bc_cleavage(problem.a, problem.l)
-        res = minimize(mesh, bc, _potential(cfg), _solve_config(cfg),
-                       chi=_chi(cfg), problem=problem)
-        displacement_to_csv(res.u, out.path("displacement.csv"))
-        write_csv(out.path("energy.csv"), ENERGY_HEADER, [res.breakdown.row()])
-        write_manifest(out.path("minimize_manifest.txt"), cfg, {
-            "derived.eps": eps,
-            "derived.best_start": res.best_tag,
-            "derived.energy": res.breakdown.total,
-            "derived.a_crit": a_crit(problem),
-        })
-    except Exception:
-        out.discard()
-        raise
-    print(f"wrote {out.paths[0]} (best start: {res.best_tag})")
-    return 0
+def cmd_cleavage(cfg: RunConfig, out: OutputSet, args) -> str:
+    problem = _problem(cfg)
+    rows = convergence_study(problem, cfg.eps_list(), config=_solve_config(cfg),
+                             pot=_potential(cfg), chi=_chi(cfg), model=_model(cfg),
+                             with_minimize=not args.no_minimize)
+    write_csv(out.path("convergence.csv"), CONVERGENCE_HEADER, [r.row() for r in rows])
+    write_manifest(out.path("cleavage_manifest.txt"), cfg, {
+        "derived.gamma": problem.gamma,
+        "derived.a_crit": a_crit(problem),
+        "derived.target": min_energy(problem),
+    })
+    return f"wrote {out.paths[0]}"
 
 
-def cmd_recovery(args) -> int:
-    cfg = RunConfig.parse(args.config)
-    out = OutputSet(cfg.get("out.dir"))
-    try:
-        problem = _problem(cfg)
-        pot, chi = _potential(cfg), _chi(cfg)
-        p = cfg.get("recovery.p")
-        if math.isnan(p):
-            from .solver import cleaved_stations
-            p = float(cleaved_stations(problem, 1)[0])
-        rows = []
-        last_u = None
-        for eps in cfg.eps_list():
-            mesh = build_mesh(_spec(cfg, eps))
-            if cfg.get("recovery.kind") == "elastic":
-                u_cont, target = build_u_el(problem), elastic_branch_energy(problem)
-            else:
-                u_cont, target = build_u_cr(problem, p), crack_branch_energy(problem)
-            u = recovery_sequence(u_cont, mesh)
-            bd = energy_rescaled(u, pot, mode=cfg.get("solve.mode"), chi=chi,
-                                 domain=cfg.get("solve.domain"))
-            rows.append([eps, cfg.get("solve.mode") + "/recovery", bd.total, target,
-                         bd.total - target, 0, float("nan"), float("nan")])
-            last_u = u
-        write_csv(out.path("recovery.csv"), CONVERGENCE_HEADER, rows)
-        displacement_to_csv(last_u, out.path("recovery_displacement.csv"))
-        write_manifest(out.path("recovery_manifest.txt"), cfg, {
-            "derived.p": p, "derived.a_crit": a_crit(problem)})
-    except Exception:
-        out.discard()
-        raise
-    print(f"wrote {out.paths[0]}")
-    return 0
+def cmd_minimize(cfg: RunConfig, out: OutputSet, args) -> str:
+    problem = _problem(cfg)
+    eps = cfg.eps_list()[-1]
+    mesh = _mesh(cfg, eps)
+    bc = bc_cleavage(problem.a, problem.l)
+    res = minimize(mesh, bc, _potential(cfg), _solve_config(cfg), chi=_chi(cfg),
+                   model=_model(cfg), problem=problem)
+    displacement_to_csv(res.u, out.path("displacement.csv"))
+    write_csv(out.path("energy.csv"), ENERGY_HEADER, [res.breakdown.row()])
+    write_manifest(out.path("minimize_manifest.txt"), cfg, {
+        "derived.eps": eps,
+        "derived.best_start": res.best_tag,
+        "derived.energy": res.breakdown.total,
+        "derived.a_crit": a_crit(problem),
+    })
+    return f"wrote {out.paths[0]} (best start: {res.best_tag})"
 
 
-def cmd_crack_extract(args) -> int:
-    cfg = RunConfig.parse(args.config)
-    out = OutputSet(cfg.get("out.dir"))
-    try:
-        eps = cfg.eps_list()[-1]
-        mesh = build_mesh(_spec(cfg, eps))
-        u = displacement_from_csv(args.infile, mesh)
-        classes = classify_broken(u)
-        crack = build_modified(u, classes, variant=args.variant)
-        write_csv(out.path(args.out), CRACK_HEADER, crack.rows())
-        write_manifest(out.path("crack_manifest.txt"), cfg, {
-            "derived.n_broken": classes.count,
-            "derived.crack_energy_est": crack_energy_estimate(
-                crack, cfg.get("material.beta"), mesh.vecs),
-            "derived.total_length": crack.total_length(),
-        })
-    except Exception:
-        out.discard()
-        raise
-    print(f"wrote {out.paths[0]} ({classes.count} broken triangles)")
-    return 0
+def cmd_recovery(cfg: RunConfig, out: OutputSet, args) -> str:
+    problem = _problem(cfg)
+    pot, chi, model = _potential(cfg), _chi(cfg), _model(cfg)
+    mode = cfg.get("solve.mode")
+    p = cfg.get("recovery.p")
+    if math.isnan(p):
+        p = float(cleaved_stations(problem, 1)[0])
+    rows = []
+    last_u = None
+    for eps in cfg.eps_list():
+        mesh = _mesh(cfg, eps)
+        if cfg.get("recovery.kind") == "elastic":
+            u_cont, target = build_u_el(problem), elastic_branch_energy(problem)
+        else:
+            u_cont, target = build_u_cr(problem, p), crack_branch_energy(problem)
+        u = recovery_sequence(u_cont, mesh)
+        bd = energy_rescaled(u, pot, mode=mode, chi=chi, model=model,
+                             domain=cfg.get("solve.domain"))
+        rows.append([eps, mode + "/recovery", bd.total, target,
+                     bd.total - target, 0, float("nan"), float("nan")])
+        last_u = u
+    write_csv(out.path("recovery.csv"), CONVERGENCE_HEADER, rows)
+    displacement_to_csv(last_u, out.path("recovery_displacement.csv"))
+    write_manifest(out.path("recovery_manifest.txt"), cfg, {
+        "derived.p": p, "derived.a_crit": a_crit(problem)})
+    return f"wrote {out.paths[0]}"
 
 
-def cmd_magnet_demo(args) -> int:
-    cfg = RunConfig.parse(args.config)
-    out = OutputSet(cfg.get("out.dir"))
-    try:
-        problem = _problem(cfg)
-        model = MagnetizationModel(kappa=cfg.get("material.kappa"),
-                                   T=cfg.get("material.T"))
-        result = magnet_demo(problem, model, cfg.eps_list(), pot=_potential(cfg),
-                             chi=_chi(cfg), n_random=cfg.get("magnet.n_random"),
-                             seed=cfg.get("solve.seed"),
-                             band_angle=cfg.get("magnet.band_angle"))
-        rows = [r.row() for r in result["elastic_rows"]]
-        for b in result["band_rows"]:
-            rows.append([b["eps"], "f/rotated-band", b["field_minus_plain"],
-                         b["limit"], b["field_minus_plain"] - b["limit"],
-                         0, float("nan"), float("nan")])
-        write_csv(out.path("magnet.csv"), CONVERGENCE_HEADER, rows)
-        write_manifest(out.path("magnet_manifest.txt"), cfg, {
-            "derived.max_identity_gap": max(result["identity_gaps"]),
-        })
-    except Exception:
-        out.discard()
-        raise
-    print(f"wrote {out.paths[0]} (max renormalization gap "
-          f"{max(result['identity_gaps']):.3e})")
-    return 0
+def cmd_crack_extract(cfg: RunConfig, out: OutputSet, args) -> str:
+    eps = cfg.eps_list()[-1]
+    mesh = _mesh(cfg, eps)
+    u = displacement_from_csv(args.infile, mesh)
+    classes = classify_broken(u)
+    crack = build_modified(u, classes, variant=args.variant)
+    write_csv(out.path(args.out), CRACK_HEADER, crack.rows())
+    write_manifest(out.path("crack_manifest.txt"), cfg, {
+        "derived.n_broken": classes.count,
+        "derived.crack_energy_est": crack_energy_estimate(
+            crack, cfg.get("material.beta"), mesh.vecs),
+        "derived.total_length": crack.total_length(),
+    })
+    return f"wrote {out.paths[0]} ({classes.count} broken triangles)"
 
 
-def cmd_noneq_demo(args) -> int:
-    cfg = RunConfig.parse(args.config)
-    out = OutputSet(cfg.get("out.dir"))
-    try:
-        result = nonequicoercivity_demo(cfg.eps_list(), cfg.get("noneq.theta"),
-                                        cfg.get("noneq.p"), cfg.get("noneq.q"),
-                                        l=cfg.get("lattice.l"),
-                                        eta=cfg.get("lattice.eta"),
-                                        pot=_potential(cfg))
-        write_csv(out.path("noneq.csv"),
-                  ["eps", "energy", "grad_l1_total", "grad_l1_band"],
-                  result["rows"])
-        write_manifest(out.path("noneq_manifest.txt"), cfg, {
-            "derived.slope_total": result["slope_total"],
-            "derived.slope_band": result["slope_band"],
-            "derived.energy_ratio": result["energy_ratio"],
-        })
-    except Exception:
-        out.discard()
-        raise
-    print(f"wrote {out.paths[0]} (slope {result['slope_total']:.4f})")
-    return 0
+def cmd_magnet_demo(cfg: RunConfig, out: OutputSet, args) -> str:
+    result = magnet_demo(_problem(cfg), _model(cfg), cfg.eps_list(),
+                         pot=_potential(cfg), chi=_chi(cfg),
+                         n_random=cfg.get("magnet.n_random"),
+                         seed=cfg.get("solve.seed"),
+                         band_angle=cfg.get("magnet.band_angle"))
+    rows = [r.row() for r in result["elastic_rows"]]
+    for b in result["band_rows"]:
+        rows.append([b["eps"], "f/rotated-band", b["field_minus_plain"],
+                     b["limit"], b["field_minus_plain"] - b["limit"],
+                     0, float("nan"), float("nan")])
+    write_csv(out.path("magnet.csv"), CONVERGENCE_HEADER, rows)
+    gap = max(result["identity_gaps"])
+    write_manifest(out.path("magnet_manifest.txt"), cfg, {"derived.max_identity_gap": gap})
+    return f"wrote {out.paths[0]} (max renormalization gap {gap:.3e})"
+
+
+def cmd_noneq_demo(cfg: RunConfig, out: OutputSet, args) -> str:
+    result = nonequicoercivity_demo(cfg.eps_list(), cfg.get("noneq.theta"),
+                                    cfg.get("noneq.p"), cfg.get("noneq.q"),
+                                    l=cfg.get("lattice.l"), eta=cfg.get("lattice.eta"),
+                                    pot=_potential(cfg))
+    write_csv(out.path("noneq.csv"), ["eps", "energy", "grad_l1_total", "grad_l1_band"],
+              result["rows"])
+    write_manifest(out.path("noneq_manifest.txt"), cfg, {
+        "derived.slope_total": result["slope_total"],
+        "derived.slope_band": result["slope_band"],
+        "derived.energy_ratio": result["energy_ratio"],
+    })
+    return f"wrote {out.paths[0]} (slope {result['slope_total']:.4f})"
 
 
 # ----------------------------------------------------------------------
@@ -417,34 +392,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=float, default=1.0)
     p.set_defaults(func=cmd_gamma_scan)
 
-    p = sub.add_parser("cleavage", help="convergence study of the bar problem")
-    p.add_argument("--config", required=True)
+    def config_command(name: str, help_text: str, body):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.set_defaults(func=functools.partial(_run_config_command, body))
+        return p
+
+    p = config_command("cleavage", "convergence study of the bar problem", cmd_cleavage)
     p.add_argument("--no-minimize", action="store_true",
                    help="only evaluate sampled configurations")
-    p.set_defaults(func=cmd_cleavage)
-
-    p = sub.add_parser("minimize", help="best-of-multistart minimization")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_minimize)
-
-    p = sub.add_parser("recovery", help="sample a limit configuration on the lattice")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_recovery)
-
-    p = sub.add_parser("crack-extract", help="extract the crack polyline of a displacement")
+    config_command("minimize", "best-of-multistart minimization", cmd_minimize)
+    config_command("recovery", "sample a limit configuration on the lattice",
+                   cmd_recovery)
+    p = config_command("crack-extract", "extract the crack polyline of a displacement",
+                       cmd_crack_extract)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--out", default="crack.csv")
     p.add_argument("--variant", type=int, default=1)
-    p.set_defaults(func=cmd_crack_extract)
-
-    p = sub.add_parser("magnet-demo", help="field term checks and renormalization identity")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_magnet_demo)
-
-    p = sub.add_parser("noneq-demo", help="rotated-band growth of the gradient mass")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_noneq_demo)
+    config_command("magnet-demo", "field term checks and renormalization identity",
+                   cmd_magnet_demo)
+    config_command("noneq-demo", "rotated-band growth of the gradient mass",
+                   cmd_noneq_demo)
     return parser
 
 

@@ -170,13 +170,26 @@ class ContinuumDisplacement:
         return d
 
 
-def _check_no_overlap(u: ContinuumDisplacement):
-    omega = u.omega
-    total = 0.0
+def _clipped_pieces(u: ContinuumDisplacement):
+    """(piece, area inside the specimen) for every piece that reaches into it."""
     for piece in u.pieces:
-        clipped = clip_polygon_rect(np.asarray(piece.polygon, dtype=float), omega)
+        clipped = clip_polygon_rect(np.asarray(piece.polygon, dtype=float), u.omega)
         if len(clipped) >= 3:
-            total += abs(shoelace_area(clipped))
+            yield piece, abs(shoelace_area(clipped))
+
+
+def _clipped_cracks(u: ContinuumDisplacement):
+    """(segment, clipped end points) for every crack segment inside the specimen."""
+    for seg in u.crack:
+        clipped = clip_segment_rect(seg.p0, seg.p1, u.omega)
+        if clipped is not None:
+            yield seg, clipped[0], clipped[1]
+
+
+def _check_no_overlap(u: ContinuumDisplacement):
+    total = 0.0
+    for _, area in _clipped_pieces(u):
+        total += area
     if total > u.domain_l * (1.0 + 1e-9) + 1e-12:
         raise GeometryError(
             f"pieces overlap: clipped area {total} exceeds the specimen area {u.domain_l}")
@@ -197,21 +210,12 @@ def energy_limit(u: ContinuumDisplacement, alpha: float, beta: float,
     """Exact bulk, surface and total energy of a candidate configuration."""
     _check_no_overlap(u)
     vecs = lattice_vectors(phi)
-    omega = u.omega
     bulk = 0.0
-    for piece in u.pieces:
-        clipped = clip_polygon_rect(np.asarray(piece.polygon, dtype=float), omega)
-        if len(clipped) < 3:
-            continue
-        area = abs(shoelace_area(clipped))
+    for piece, area in _clipped_pieces(u):
         sym = 0.5 * (piece.A + piece.A.T)
         bulk += 4.0 / SQRT3 * 0.5 * float(quadratic_form(sym, alpha)) * area
     surface = 0.0
-    for seg in u.crack:
-        clipped = clip_segment_rect(seg.p0, seg.p1, omega)
-        if clipped is None:
-            continue
-        q0, q1 = clipped
+    for seg, q0, q1 in _clipped_cracks(u):
         surface += float(np.linalg.norm(q1 - q0)) * surface_density(seg.normal, vecs, beta)
     return bulk, surface, bulk + surface
 
@@ -226,11 +230,7 @@ def energy_F_limit(u: ContinuumDisplacement, alpha: float, beta: float,
     """
     bulk, surface, total = energy_limit(u, alpha, beta, phi)
     extra = 0.0
-    for piece in u.pieces:
-        clipped = clip_polygon_rect(np.asarray(piece.polygon, dtype=float), u.omega)
-        if len(clipped) < 3:
-            continue
-        area = abs(shoelace_area(clipped))
+    for piece, area in _clipped_pieces(u):
         w = 0.5 * (piece.A[1, 0] - piece.A[0, 1])
         extra += 0.5 * kappa * w * w * area
     return total + extra
@@ -433,21 +433,12 @@ def slicing_lower_bound(u: ContinuumDisplacement, problem: CleavageProblem) -> f
     """
     vecs = lattice_vectors(problem.phi)
     data = problem.cleavage
-    omega = u.omega
     bulk = 0.0
-    for piece in u.pieces:
-        clipped = clip_polygon_rect(np.asarray(piece.polygon, dtype=float), omega)
-        if len(clipped) < 3:
-            continue
-        area = abs(shoelace_area(clipped))
+    for piece, area in _clipped_pieces(u):
         bulk += problem.alpha / SQRT3 * piece.A[0, 0] ** 2 * area
     jumps = 0.0
     remainder = 0.0
-    for seg in u.crack:
-        clipped = clip_segment_rect(seg.p0, seg.p1, omega)
-        if clipped is None:
-            continue
-        q0, q1 = clipped
+    for seg, q0, q1 in _clipped_cracks(u):
         length = float(np.linalg.norm(q1 - q0))
         jumps += 2.0 * problem.beta / data.gamma * length * abs(seg.normal[0])
         remainder += 2.0 * problem.beta / SQRT3 \

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import surface_density
+from .continuum import _oriented_normal, surface_density
 from .discrete_energy import Displacement, interpolate_gradients
 from .lattice import LatticeVectors, TriangleMesh, perp
 
@@ -181,13 +181,6 @@ _SIDE_VERTICES = ((0, 1), (0, 2), (1, 2))
 _OPPOSITE_VERTEX = (2, 1, 0)
 
 
-def _segment_normal(direction: np.ndarray) -> np.ndarray:
-    n = perp(direction / np.linalg.norm(direction))
-    if n[0] < -1e-12 or (abs(n[0]) <= 1e-12 and n[1] < 0.0):
-        n = -n
-    return n
-
-
 def build_modified(u: Displacement, classes: BrokenClassification,
                    variant: int = 1) -> CrackSet:
     """Replace the interpolant on broken triangles and emit jump segments.
@@ -230,7 +223,7 @@ def build_modified(u: Displacement, classes: BrokenClassification,
                     for k in range(3)}
             others = [k for k in range(3) if k != s]
             p0, p1 = mids[others[0]], mids[others[1]]
-            normal = _segment_normal(p1 - p0)
+            normal = _oriented_normal(p1 - p0)
             jump_y = (Y[corner] - A @ P[corner]) - (Y[far] - A @ P[far])
             side = np.dot(normal, P[corner] - 0.5 * (p0 + p1))
             if side < 0.0:

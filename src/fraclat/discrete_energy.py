@@ -43,8 +43,9 @@ from typing import Callable
 import numpy as np
 
 from .lattice import SQRT3, TriangleMesh, classify_edges
-from .material import (MagnetizationModel, PairPotential, PenaltyChi,
-                       field_energy, field_energy_smooth, magnetization_first)
+from .material import (FIELD_SMOOTH_BAND, MagnetizationModel, PairPotential,
+                       PenaltyChi, _smoothstep_deriv, field_energy,
+                       field_energy_smooth, magnetization_first, smoothstep)
 
 MODES = ("plain", "chi", "f", "total-magnetic")
 
@@ -71,9 +72,6 @@ class Displacement:
     @classmethod
     def zero(cls, mesh: TriangleMesh) -> "Displacement":
         return cls(mesh, np.zeros((mesh.n_points, 2)))
-
-    def copy(self) -> "Displacement":
-        return Displacement(self.mesh, self.values.copy())
 
 
 @dataclass
@@ -269,7 +267,6 @@ class Assembly:
                  chi: PenaltyChi | None = None,
                  model: MagnetizationModel | None = None,
                  domain: str = "omega", smooth_field: bool = False):
-        mode = "f" if mode == "F" else mode
         if mode not in MODES:
             raise DiscreteEnergyError(f"unknown mode {mode!r}")
         if mode != "plain" and chi is None:
@@ -475,11 +472,9 @@ def gradient(u: Displacement, pot: PairPotential, mode: str = "plain",
     return asm.value_and_grad(u.values)[1]
 
 
-def _field_energy_smooth_grad(F: np.ndarray, model: MagnetizationModel,
-                              band: float = 0.1) -> np.ndarray:
+def _field_energy_smooth_grad(F: np.ndarray, model: MagnetizationModel) -> np.ndarray:
     """d/dF of the smoothed field energy; zero beyond the cutoff."""
-    from .material import _smoothstep_deriv, smoothstep
-
+    band = FIELD_SMOOTH_BAND
     F = np.asarray(F, dtype=float)
     out = np.zeros_like(F)
     norm = np.linalg.norm(F, axis=(-2, -1))

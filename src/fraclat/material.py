@@ -24,6 +24,9 @@ SQRT3 = math.sqrt(3.0)
 
 POTENTIAL_FAMILIES = ("exp-well", "shifted-lj", "tabulated")
 
+# the smoothed field energy ramps down to zero over (T - FIELD_SMOOTH_BAND, T)
+FIELD_SMOOTH_BAND = 0.1
+
 
 class MaterialError(ValueError):
     """Invalid material parameters or an unsupported operation."""
@@ -238,9 +241,9 @@ def field_energy(F: np.ndarray, model: MagnetizationModel) -> np.ndarray:
     return _gated_field_energy(F, model, lambda n: (n <= model.T).astype(float))
 
 
-def field_energy_smooth(F: np.ndarray, model: MagnetizationModel,
-                        band: float = 0.1) -> np.ndarray:
-    """Field energy with the sharp cutoff smoothed over (T - band, T)."""
+def field_energy_smooth(F: np.ndarray, model: MagnetizationModel) -> np.ndarray:
+    """Field energy with the sharp cutoff smoothed over (T - FIELD_SMOOTH_BAND, T)."""
+    band = FIELD_SMOOTH_BAND
     return _gated_field_energy(
         F, model, lambda n: 1.0 - smoothstep((n - (model.T - band)) / band))
 

@@ -2,8 +2,8 @@
 
 The landscape is nonconvex (a fully cracked bar and a stretched elastic
 bar are both critical), so no global optimality is claimed: the driver
-runs a projected gradient descent with Armijo backtracking and an
-optional limited-memory quasi-Newton acceleration from a deterministic
+runs a projected gradient descent with Armijo backtracking and
+limited-memory quasi-Newton directions from a deterministic
 family of starting guesses (unloaded, homogeneously stretched, cracked
 at several stations, randomly perturbed) and reports the best local
 minimum next to the sampled-configuration upper bounds.
@@ -12,7 +12,7 @@ minimum next to the sampled-configuration upper bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,17 @@ class SolverError(RuntimeError):
         self.iterate = iterate
 
 
+# fixed line-search, quasi-Newton and initializer constants of the descent
+STEP0 = 1.0            # first trial step of every line search
+ARMIJO_SHRINK = 0.5    # step factor after a rejected trial
+ARMIJO_SLOPE = 1e-4    # sufficient-decrease fraction of the directional slope
+MAX_BACKTRACKS = 40    # trials per line search before the start gives up
+LBFGS_MEMORY = 8       # (s, y) pairs kept by the quasi-Newton direction
+STALL_TOL = 1e-14      # relative energy drop that counts as no progress
+STALL_ITERS = 3        # consecutive stalled steps that end a start as converged
+PERTURB_SCALE = 0.01   # standard deviation of the 'perturbed' start
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     """Deterministic optimizer settings; same config and seed give the
@@ -51,16 +62,8 @@ class SolveConfig:
 
     max_iters: int = 400
     grad_tol: float = 1e-6
-    step0: float = 1.0
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    max_backtracks: int = 40
-    lbfgs_memory: int = 8
-    stall_tol: float = 1e-14
-    stall_iters: int = 3
     multistart: tuple = ("zero", "elastic", "cleaved", "perturbed")
     n_cleaved: int = 9
-    perturb_scale: float = 0.01
     rng_seed: int = 0
     mode: str = "chi"
     domain: str = "omega"
@@ -193,9 +196,9 @@ def _descend(asm: Assembly, tag: str, u0: Displacement, bc: BoundaryCondition,
             y_hist.clear()
             d = -g
             slope = -gnorm ** 2
-        t = config.step0
+        t = STEP0
         accepted = False
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_new = x + t * d
             f_new, g_new = asm.value_and_grad(x_new)
             evals += 1
@@ -203,28 +206,27 @@ def _descend(asm: Assembly, tag: str, u0: Displacement, bc: BoundaryCondition,
                 raise SolverError(
                     f"energy became NaN during line search at iteration {it}",
                     iterate=x_new)
-            if f_new <= fx + config.armijo_slope * t * slope:
+            if f_new <= fx + ARMIJO_SLOPE * t * slope:
                 accepted = True
                 break
             backtracks += 1
-            t *= config.armijo_shrink
+            t *= ARMIJO_SHRINK
         if not accepted:
             return done(it, False)
         g_new = project_gradient(g_new, mask_x, mask_y)
-        if config.lbfgs_memory > 0:
-            s_vec = (x_new - x).ravel()
-            y_vec = (g_new - g).ravel()
-            if float(s_vec @ y_vec) > 1e-14:
-                s_hist.append(s_vec)
-                y_hist.append(y_vec)
-                if len(s_hist) > config.lbfgs_memory:
-                    s_hist.pop(0)
-                    y_hist.pop(0)
+        s_vec = (x_new - x).ravel()
+        y_vec = (g_new - g).ravel()
+        if float(s_vec @ y_vec) > 1e-14:
+            s_hist.append(s_vec)
+            y_hist.append(y_vec)
+            if len(s_hist) > LBFGS_MEMORY:
+                s_hist.pop(0)
+                y_hist.pop(0)
         drop = fx - f_new
         x, fx, g = x_new, f_new, g_new
         history.append(fx)
-        stalled = stalled + 1 if drop <= config.stall_tol * (1.0 + abs(fx)) else 0
-        if stalled >= config.stall_iters:
+        stalled = stalled + 1 if drop <= STALL_TOL * (1.0 + abs(fx)) else 0
+        if stalled >= STALL_ITERS:
             return done(it, True)
     return done(config.max_iters, False)
 
@@ -259,7 +261,7 @@ def _initializers(mesh: TriangleMesh, problem: CleavageProblem | None,
         if tag == "zero":
             out.append(("zero", Displacement.zero(mesh)))
         elif tag == "perturbed":
-            noise = config.perturb_scale * rng.standard_normal((mesh.n_points, 2))
+            noise = PERTURB_SCALE * rng.standard_normal((mesh.n_points, 2))
             out.append(("perturbed", Displacement(mesh, noise)))
         elif tag == "elastic":
             if problem is None:
@@ -334,26 +336,30 @@ def _crack_summary(u: Displacement, beta: float):
 
 def _mesh_for(problem: CleavageProblem, eps: float) -> TriangleMesh:
     return build_mesh(LatticeSpec(phi=problem.phi, eps=eps, l=problem.l,
-                                  eta=problem.eta, margin="cleavage"))
+                                  eta=problem.eta))
 
 
-def convergence_study(problem: CleavageProblem, eps_list, mode: str = "chi",
+def convergence_study(problem: CleavageProblem, eps_list,
                       config: SolveConfig | None = None,
                       pot: PairPotential | None = None,
                       chi: PenaltyChi | None = None,
+                      model: MagnetizationModel | None = None,
                       with_minimize: bool = True) -> list:
     """Track discrete energies along an eps ladder against the limit value.
 
     Per eps the table gets a sampled-crack row, a sampled-elastic row and
-    (optionally) a best-of-multistart minimization row.  The sampled-crack
-    gaps are checked to shrink monotonically up to 10 percent slack.
+    (optionally) a best-of-multistart minimization row, all in
+    ``config.mode``; mode ``f`` needs the field ``model``.  The
+    sampled-crack gaps are checked to shrink monotonically up to 10
+    percent slack.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise SolverError("eps_list must be strictly decreasing")
     pot = pot or PairPotential(alpha=problem.alpha, beta=problem.beta)
     chi = chi or PenaltyChi()
-    config = config or SolveConfig(mode=mode)
+    config = config or SolveConfig()
+    mode = config.mode
     target = min_energy(problem)
     rows = []
     crack_gaps = []
@@ -361,20 +367,22 @@ def convergence_study(problem: CleavageProblem, eps_list, mode: str = "chi",
     for eps in eps_list:
         mesh = _mesh_for(problem, eps)
         u_cr = recovery_sequence(build_u_cr(problem, p_mid), mesh)
-        bd = energy_rescaled(u_cr, pot, mode=mode, chi=chi, domain=config.domain)
+        bd = energy_rescaled(u_cr, pot, mode=mode, chi=chi, model=model,
+                             domain=config.domain)
         n, est, ang, _ = _crack_summary(u_cr, problem.beta)
         rows.append(ConvergenceRow(eps, f"{mode}/recovery-crack", bd.total,
                                    crack_branch_energy(problem), n, est, ang))
         crack_gaps.append(abs(bd.total - crack_branch_energy(problem)))
 
         u_el = recovery_sequence(build_u_el(problem), mesh)
-        bd_el = energy_rescaled(u_el, pot, mode=mode, chi=chi, domain=config.domain)
+        bd_el = energy_rescaled(u_el, pot, mode=mode, chi=chi, model=model,
+                                domain=config.domain)
         rows.append(ConvergenceRow(eps, f"{mode}/recovery-elastic", bd_el.total,
                                    elastic_branch_energy(problem)))
 
         if with_minimize:
             bc = bc_cleavage(problem.a, problem.l)
-            res = minimize(mesh, bc, pot, replace(config, mode=mode), chi=chi,
+            res = minimize(mesh, bc, pot, config, chi=chi, model=model,
                            problem=problem)
             n, est, ang, _ = _crack_summary(res.u, problem.beta)
             rows.append(ConvergenceRow(eps, f"{mode}/minimize", res.breakdown.total,

@@ -1,10 +1,12 @@
 import csv
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from fraclat import cli
 from fraclat.cli import CONFIG_KEYS, ConfigError, RunConfig, main
 
 SQRT3 = math.sqrt(3.0)
@@ -62,8 +64,22 @@ def test_eps_list_fractions(tmp_path):
 
 
 def test_bad_value_reports_key(tmp_path):
-    with pytest.raises(ConfigError, match="lattice.eps"):
-        RunConfig.parse(write_config(tmp_path / "c.cfg", "lattice.eps = fast\n"))
+    with pytest.raises(ConfigError, match="bad value for 'lattice.eta'"):
+        RunConfig.parse(write_config(tmp_path / "c.cfg", "lattice.eta = fast\n"))
+
+
+@pytest.mark.parametrize("key", ["lattice.eps", "lattice.margin"])
+def test_removed_lattice_keys_are_unknown(tmp_path, key):
+    cfg = write_config(tmp_path / "c.cfg", f"material.alpha = 1\n{key} = 0.03125\n")
+    with pytest.raises(ConfigError, match=rf"c\.cfg:2: unknown key '{re.escape(key)}'"):
+        RunConfig.parse(cfg)
+
+
+@pytest.mark.parametrize("text", ["1/16,,1/32", "1/0", "1/2/3", "0", "-1/16", "1/", "nan"])
+def test_eps_list_rejects_bad_entries(tmp_path, text):
+    cfg = RunConfig.parse(write_config(tmp_path / "c.cfg", f"solve.eps_list = {text}\n"))
+    with pytest.raises(ConfigError, match="solve.eps_list"):
+        cfg.eps_list()
 
 
 # ----------------------------------------------------------------------
@@ -147,15 +163,47 @@ def test_recovery_roundtrip_and_crack_extract(tmp_path):
         assert ang < 5.0
 
 
-def test_failure_removes_partial_outputs(tmp_path, capsys):
-    # an increasing ladder trips the convergence assertion after the table
-    # would have been written; nothing must remain on disk
-    bad = BASE.replace("solve.eps_list = 1/16,1/32", "solve.eps_list = 1/64,1/16")
-    cfg = write_config(tmp_path / "c.cfg", bad + f"out.dir = {tmp_path}/out\n")
-    assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 1
-    leftovers = [p for p in (tmp_path / "out").glob("*")] \
-        if (tmp_path / "out").exists() else []
-    assert leftovers == []
+@pytest.mark.parametrize("argv", [["cleavage", "--no-minimize"], ["minimize"], ["recovery"]],
+                         ids=lambda argv: argv[0])
+def test_failure_removes_partial_outputs(tmp_path, monkeypatch, argv):
+    # the manifest is written last: when it fails, the tables already on
+    # disk must go too
+    def fail(path, *args):
+        open(path, "w").close()
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_manifest", fail)
+    cfg = write_config(tmp_path / "c.cfg", BASE.replace("1/16,1/32", "1/8")
+                       + f"solve.max_iters = 5\nout.dir = {tmp_path}/out\n")
+    assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 1
+    assert list((tmp_path / "out").glob("*")) == []
+
+
+def test_mode_f_uses_the_field_model(tmp_path):
+    # with a cutoff this high the cut triangles feel the field
+    text = BASE + "solve.mode = f\nmaterial.kappa = 0.5\nmaterial.T = 1000\n"
+    cfg = write_config(tmp_path / "c.cfg", text + f"out.dir = {tmp_path}/out\n")
+    assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 0
+    assert main(["recovery", "--config", cfg]) == 0
+    _, rows = read_rows(tmp_path / "out" / "recovery.csv")
+    assert [r[1] for r in rows] == ["f/recovery", "f/recovery"]
+
+    from fraclat.continuum import CleavageProblem, build_u_cr
+    from fraclat.discrete_energy import energy_rescaled
+    from fraclat.lattice import LatticeSpec, build_mesh
+    from fraclat.material import MagnetizationModel, PairPotential, PenaltyChi
+    from fraclat.solver import cleaved_stations, recovery_sequence
+    problem = CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=2.0)
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 32.0, l=2.0, eta=0.25))
+    p = float(cleaved_stations(problem, 1)[0])
+    u = recovery_sequence(build_u_cr(problem, p), mesh)
+
+    def f_energy(model):
+        return energy_rescaled(u, PairPotential(), mode="f", chi=PenaltyChi(),
+                               model=model).total
+
+    assert float(rows[-1][2]) == f_energy(MagnetizationModel(kappa=0.5, T=1000.0))
+    assert float(rows[-1][2]) != f_energy(MagnetizationModel())
 
 
 def test_displacement_csv_byte_roundtrip(tmp_path):

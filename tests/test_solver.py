@@ -166,7 +166,7 @@ def test_minimize_unknown_start_tag(mesh16, pot_unit):
 
 def test_convergence_study_rows(pot_unit, chi):
     prob = problem_with(1.5)
-    rows = convergence_study(prob, [1.0 / 16.0, 1.0 / 32.0], mode="chi",
+    rows = convergence_study(prob, [1.0 / 16.0, 1.0 / 32.0],
                              pot=pot_unit, chi=chi, with_minimize=False)
     assert len(rows) == 4
     kinds = {r.mode for r in rows}
