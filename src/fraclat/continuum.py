@@ -382,13 +382,13 @@ def build_u_cr_symmetric(problem: CleavageProblem, h_x2: np.ndarray,
 # sharp surface bounds
 # ----------------------------------------------------------------------
 
-def anisotropy_gap_term(gamma: float, v_gamma: np.ndarray, nu: np.ndarray) -> float:
-    """The nonnegative remainder P(gamma, nu) of the surface density bound."""
+def anisotropy_gap_term(gamma: float, v_gamma: np.ndarray, nu: np.ndarray) -> float | np.ndarray:
+    """Nonnegative remainder P(gamma, nu) of the surface density bound; nu has shape (..., 2)."""
     nu = np.asarray(nu, dtype=float)
     if gamma > SQRT3 / 2.0 + 1e-14:
         return (1.0 - SQRT3 * math.sqrt(max(1.0 - gamma ** 2, 0.0)) / gamma) \
-            * abs(float(v_gamma @ nu))
-    return max(SQRT3 * abs(nu[1]) - abs(nu[0]), 0.0)
+            * np.abs(nu @ v_gamma)
+    return np.maximum(SQRT3 * np.abs(nu[..., 1]) - np.abs(nu[..., 0]), 0.0)
 
 
 def surface_density_bound(phi: float, nu: np.ndarray) -> tuple[float, float, float]:
@@ -415,11 +415,7 @@ def surface_density_margins(phi: float, nus: np.ndarray) -> np.ndarray:
     data = cleavage_direction(phi)
     V = lattice_vectors(phi).as_array()
     lhs = np.abs(nus @ V.T).sum(axis=1)
-    if data.gamma > SQRT3 / 2.0 + 1e-14:
-        coeff = 1.0 - SQRT3 * math.sqrt(max(1.0 - data.gamma ** 2, 0.0)) / data.gamma
-        P = coeff * np.abs(nus @ data.v_gamma)
-    else:
-        P = np.maximum(SQRT3 * np.abs(nus[:, 1]) - np.abs(nus[:, 0]), 0.0)
+    P = anisotropy_gap_term(data.gamma, data.v_gamma, nus)
     rhs = SQRT3 / data.gamma * np.abs(nus[:, 0]) + P
     return lhs - rhs
 

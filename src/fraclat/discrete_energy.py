@@ -36,6 +36,7 @@ total-magnetic
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -43,9 +44,9 @@ from typing import Callable
 import numpy as np
 
 from .lattice import SQRT3, TriangleMesh, classify_edges
-from .material import (FIELD_SMOOTH_BAND, MagnetizationModel, PairPotential,
-                       PenaltyChi, _smoothstep_deriv, field_energy,
-                       field_energy_smooth, magnetization_first, smoothstep)
+from .material import (MagnetizationModel, PairPotential, PenaltyChi, field_energy,
+                       field_energy_smooth, field_energy_smooth_grad,
+                       magnetization_first)
 
 MODES = ("plain", "chi", "f", "total-magnetic")
 
@@ -382,7 +383,7 @@ class Assembly:
                 fieldval = SQRT3 * eps / 4.0 * float(np.sum(fvals))
                 if with_grad:
                     tri_terms.append((slice(None), _chain_to_edges(
-                        _field_energy_smooth_grad(Fd, model), self._minv,
+                        field_energy_smooth_grad(Fd, model), self._minv,
                         self._pref_field)))
         bd = EnergyBreakdown(mode=self.mode, bulk=bulk, boundary=boundary,
                              penalty=penalty, field=fieldval)
@@ -408,21 +409,16 @@ class Assembly:
 def energy_rescaled(u: Displacement, pot: PairPotential, mode: str = "plain",
                     chi: PenaltyChi | None = None,
                     model: MagnetizationModel | None = None,
-                    domain: str = "omega", include_boundary: bool = True,
-                    smooth_field: bool = False) -> EnergyBreakdown:
+                    domain: str = "omega", smooth_field: bool = False) -> EnergyBreakdown:
     """Rescaled energy eps * E(id + sqrt(eps) u) with the selected extras.
 
     The bulk part sums cell energies over the domain's triangles, the
     boundary part collects under-covered bonds, and the two together are
     verified against the raw pair sum to 1e-12 relative on every call.
-    ``include_boundary=False`` drops the boundary term from the report.
     Builds a transient :class:`Assembly`; callers evaluating one energy
     many times should build the assembly once instead.
     """
-    bd = Assembly(u.mesh, pot, mode, chi, model, domain, smooth_field).breakdown(u.values)
-    if not include_boundary:
-        bd.boundary = 0.0
-    return bd
+    return Assembly(u.mesh, pot, mode, chi, model, domain, smooth_field).breakdown(u.values)
 
 
 def energy_deformation(mesh: TriangleMesh, y_values: np.ndarray, pot: PairPotential,
@@ -472,40 +468,6 @@ def gradient(u: Displacement, pot: PairPotential, mode: str = "plain",
     return asm.value_and_grad(u.values)[1]
 
 
-def _field_energy_smooth_grad(F: np.ndarray, model: MagnetizationModel) -> np.ndarray:
-    """d/dF of the smoothed field energy; zero beyond the cutoff."""
-    band = FIELD_SMOOTH_BAND
-    F = np.asarray(F, dtype=float)
-    out = np.zeros_like(F)
-    norm = np.linalg.norm(F, axis=(-2, -1))
-    x = (norm - (model.T - band)) / band
-    ramp = 1.0 - smoothstep(x)
-    open_ = ramp > 0.0
-    if not np.any(open_):
-        return out
-    Fo = F[open_]
-    t = Fo[:, 0, 0] + Fo[:, 1, 1]
-    s = Fo[:, 1, 0] - Fo[:, 0, 1]
-    h = np.hypot(t, s)
-    # the degenerate set h = 0 is a null set; treat the term as flat there
-    hs = np.where(h > 0.0, h, 1.0)
-    m1 = np.where(h > 0.0, t / hs, 1.0)
-    dm1_dt = np.where(h > 0.0, s ** 2 / hs ** 3, 0.0)
-    dm1_ds = np.where(h > 0.0, -t * s / hs ** 3, 0.0)
-    dm1 = np.zeros_like(Fo)
-    dm1[:, 0, 0] = dm1_dt
-    dm1[:, 1, 1] = dm1_dt
-    dm1[:, 1, 0] = dm1_ds
-    dm1[:, 0, 1] = -dm1_ds
-    dramp = -_smoothstep_deriv(x[open_]) / band
-    no = norm[open_]
-    dnorm = Fo / np.where(no > 0.0, no, 1.0)[:, None, None]
-    grad = (-model.kappa * ramp[open_])[:, None, None] * dm1 \
-        + (model.kappa * (1.0 - m1) * dramp)[:, None, None] * dnorm
-    out[open_] = grad
-    return out
-
-
 def project_gradient(g: np.ndarray, mask_x: np.ndarray, mask_y: np.ndarray) -> np.ndarray:
     """Zero the gradient on pinned components (the feasible-set projection)."""
     out = g.copy()
@@ -538,27 +500,35 @@ def displacement_to_csv(u: Displacement, path: str):
 def displacement_from_csv(path: str, mesh: TriangleMesh) -> Displacement:
     """Read a displacement written by :func:`displacement_to_csv`.
 
-    Every mesh point must appear exactly once, at its own coordinates.
+    Every mesh point must appear exactly once, at its own coordinates,
+    with a finite displacement; a malformed row is reported by its line.
     """
     n = mesh.n_points
     values = np.zeros((n, 2))
     seen = np.zeros(n, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != DISPLACEMENT_HEADER:
-            raise DiscreteEnergyError(f"unexpected displacement header {header}")
+            raise DiscreteEnergyError(f"line 1: unexpected displacement header {header}")
         for row in reader:
-            i = int(row[0])
+            line = f"line {reader.line_num}"
+            try:
+                i, x, y, u1, u2 = row
+                i, x, y, u1, u2 = int(i), float(x), float(y), float(u1), float(u2)
+            except ValueError as exc:
+                raise DiscreteEnergyError(f"{line}: malformed row {row}: {exc}") from None
             if not 0 <= i < n:
-                raise DiscreteEnergyError(f"point index {i} outside the mesh's 0..{n - 1}")
+                raise DiscreteEnergyError(
+                    f"{line}: point index {i} outside the mesh's 0..{n - 1}")
             if seen[i]:
-                raise DiscreteEnergyError(f"point {i} appears twice")
+                raise DiscreteEnergyError(f"{line}: point {i} appears twice")
             seen[i] = True
-            p = np.array([float(row[1]), float(row[2])])
-            if not np.allclose(p, mesh.points[i], atol=1e-9 * max(1.0, mesh.spec.l)):
-                raise DiscreteEnergyError(f"point {i} does not match the mesh")
-            values[i] = [float(row[3]), float(row[4])]
+            if not np.allclose([x, y], mesh.points[i], atol=1e-9 * max(1.0, mesh.spec.l)):
+                raise DiscreteEnergyError(f"{line}: point {i} does not match the mesh")
+            if not (math.isfinite(u1) and math.isfinite(u2)):
+                raise DiscreteEnergyError(f"{line}: point {i} has a non-finite displacement")
+            values[i] = [u1, u2]
     if not seen.all():
         missing = np.flatnonzero(~seen)
         raise DiscreteEnergyError(

@@ -18,6 +18,11 @@ Conventions
 * Point membership in a rectangle uses a closed comparison with tolerance
   ``1e-9 * eps`` so that meshes are reproducible across platforms.
 * Points are indexed lexicographically in ``(lam2, lam1)`` (row sweeps).
+* Mesh topology is offset arithmetic on that grid.  The up triangle based
+  at p has corners (p, p+e1, p+e2), the down one (p, p-e1, p-e2), with e1,
+  e2 the unit steps of lam1, lam2.  A bond p -> p+o is a side of two such
+  triangles, its flanks: up at p and down at p+o for o = e1 or e2, up at
+  p-e1 and down at p+e2 for o = e2-e1.  Its incidence counts those present.
 """
 
 from __future__ import annotations
@@ -33,8 +38,13 @@ PHI_MAX = math.pi / 3.0
 # relative tolerance for domain membership near a rectangle boundary
 BOUNDARY_RTOL = 1e-9
 
-# neighbor offsets in integer lattice coordinates, one per bond direction
-_NEIGHBOR_OFFSETS = ((1, 0), (0, 1), (-1, 1))
+# corners of the up and the down triangle based at a lattice point
+_TRIANGLE_CORNERS = (((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1)))
+
+# per bond direction: the neighbor offset and the up and down flank bases
+_BOND_OFFSETS = (((1, 0), ((0, 0), (1, 0))),
+                 ((0, 1), ((0, 0), (0, 1))),
+                 ((-1, 1), ((-1, 0), (0, 1))))
 
 
 class LatticeError(ValueError):
@@ -163,6 +173,15 @@ def _in_rect(points: np.ndarray, rect, tol: float) -> np.ndarray:
             & (points[:, 1] >= y0 - tol) & (points[:, 1] <= y1 + tol))
 
 
+def _shift(grid: np.ndarray, s1: int, s2: int) -> np.ndarray:
+    """``grid`` read at a lattice offset: ``out[i2, i1] = grid[i2 + s2, i1 + s1]``.
+
+    Indices wrap around; the bounding box keeps two empty rows and columns
+    on every side, so a wrapped read of a unit offset finds an empty entry.
+    """
+    return np.roll(grid, (-s2, -s1), axis=(0, 1))
+
+
 def _margin_distance(points: np.ndarray, spec: LatticeSpec) -> np.ndarray:
     """Distance from each point to the margin region (Omega-tilde minus Omega)."""
     x, y = points[:, 0], points[:, 1]
@@ -224,73 +243,51 @@ class TriangleMesh:
 
         l1 = np.arange(lo[0], hi[0] + 1)
         l2 = np.arange(lo[1], hi[1] + 1)
-        # row sweeps: lam2 outer, lam1 inner, so kept points sort by (lam2, lam1)
+        # row sweeps: lam2 outer, lam1 inner, so kept points run in (lam2, lam1) order
         L2, L1 = np.meshgrid(l2, l1, indexing="ij")
         lam_all = np.column_stack([L1.ravel(), L2.ravel()])
         pts_all = (lam_all @ A.T) * eps
         keep = _in_rect(pts_all, spec.omega_tilde, tol)
-        if not np.any(keep):
-            raise LatticeError("no lattice point fits inside the enlarged domain")
 
         self.lam = lam_all[keep]
         self.points = pts_all[keep]
-        n1 = len(l1)
-        flat_index = np.full(len(l1) * len(l2), -1, dtype=np.int64)
-        flat_index[np.flatnonzero(keep)] = np.arange(len(self.lam))
-        grid = flat_index.reshape(len(l2), n1)
+        present = keep.reshape(L1.shape)
+        in_omega = present & _in_rect(pts_all, spec.omega, tol).reshape(L1.shape)
+        self.point_in_omega = in_omega[present]
+        grid = np.zeros(L1.shape, dtype=np.int64)
+        grid[present] = np.arange(len(self.lam))
 
-        def idx_of(shift1: int, shift2: int) -> np.ndarray:
-            """Index grid shifted by (shift1, shift2) in lattice coordinates."""
-            out = np.full_like(grid, -1)
-            src1 = slice(max(shift1, 0), n1 + min(shift1, 0))
-            dst1 = slice(max(-shift1, 0), n1 + min(-shift1, 0))
-            src2 = slice(max(shift2, 0), grid.shape[0] + min(shift2, 0))
-            dst2 = slice(max(-shift2, 0), grid.shape[0] + min(-shift2, 0))
-            out[dst2, dst1] = grid[src2, src1]
-            return out
+        # triangles of each orientation, marked at their base vertex where
+        # all three corners lie in the mesh, resp. in the specimen
+        def bases(mask):
+            return [np.logical_and.reduce([_shift(mask, *c) for c in cs])
+                    for cs in _TRIANGLE_CORNERS]
 
-        base = grid.ravel()
-        up = np.column_stack([base, idx_of(1, 0).ravel(), idx_of(0, 1).ravel()])
-        dn = np.column_stack([base, idx_of(-1, 0).ravel(), idx_of(0, -1).ravel()])
-        up = up[(up >= 0).all(axis=1)]
-        dn = dn[(dn >= 0).all(axis=1)]
-        if len(up) + len(dn) == 0:
+        tri, tri_omega = bases(present), bases(in_omega)
+        if not any(t.any() for t in tri):
             raise LatticeError(
                 f"eps={eps} is too coarse: no triangle fits inside the domain")
-        self.triangles = np.vstack([up, dn])
-        self.tri_sign = np.concatenate([np.ones(len(up)), -np.ones(len(dn))])
+        self.triangles = np.vstack([np.column_stack([_shift(grid, *c)[t] for c in cs])
+                                    for t, cs in zip(tri, _TRIANGLE_CORNERS)])
+        self.tri_sign = np.concatenate([np.full(t.sum(), sign)
+                                        for t, sign in zip(tri, (1.0, -1.0))])
+        self.tri_in_omega = np.concatenate([t_om[t] for t, t_om in zip(tri, tri_omega)])
 
-        self.point_in_omega = _in_rect(self.points, spec.omega, tol)
-        self.tri_in_omega = self.point_in_omega[self.triangles].all(axis=1)
-
-        # nearest-neighbor bonds, one row per unordered pair
-        edge_parts, dir_parts = [], []
-        for d, (s1, s2) in enumerate(_NEIGHBOR_OFFSETS):
-            nb = idx_of(s1, s2).ravel()
-            ok = (base >= 0) & (nb >= 0)
-            edge_parts.append(np.column_stack([base[ok], nb[ok]]))
-            dir_parts.append(np.full(ok.sum(), d, dtype=np.int8))
-        self.edges = np.vstack(edge_parts)
-        self.edge_dir = np.concatenate(dir_parts)
+        # nearest-neighbor bonds, one row per unordered pair; the incidence
+        # of a bond counts which of its two flanking triangles are present
+        edges, dirs, inc_tilde, inc_omega = [], [], [], []
+        for d, (offset, (up_base, down_base)) in enumerate(_BOND_OFFSETS):
+            ok = present & _shift(present, *offset)
+            edges.append(np.column_stack([grid[ok], _shift(grid, *offset)[ok]]))
+            dirs.append(np.full(ok.sum(), d, dtype=np.int8))
+            for (up, down), inc in ((tri, inc_tilde), (tri_omega, inc_omega)):
+                count = _shift(up, *up_base).astype(np.int8) + _shift(down, *down_base)
+                inc.append(count[ok])
+        self.edges = np.vstack(edges)
+        self.edge_dir = np.concatenate(dirs)
+        self.edge_inc_tilde = np.concatenate(inc_tilde)
+        self.edge_inc_omega = np.concatenate(inc_omega)
         self.edge_in_omega = self.point_in_omega[self.edges].all(axis=1)
-
-        # incidence counts via an edge lookup keyed on (min, max) vertex index
-        order = np.sort(self.edges, axis=1)
-        n = len(self.points)
-        keys = order[:, 0] * n + order[:, 1]
-        sort_idx = np.argsort(keys)
-        sorted_keys = keys[sort_idx]
-        tri_edges = np.stack([
-            self.triangles[:, [0, 1]], self.triangles[:, [0, 2]],
-            self.triangles[:, [1, 2]]], axis=1)
-        tri_edges = np.sort(tri_edges, axis=2)
-        tri_keys = tri_edges[:, :, 0] * n + tri_edges[:, :, 1]
-        edge_ids = sort_idx[np.searchsorted(sorted_keys, tri_keys.ravel())]
-        self.edge_inc_tilde = np.zeros(len(self.edges), dtype=np.int8)
-        self.edge_inc_omega = np.zeros(len(self.edges), dtype=np.int8)
-        np.add.at(self.edge_inc_tilde, edge_ids, 1)
-        omega_rep = np.repeat(self.tri_in_omega, 3)
-        np.add.at(self.edge_inc_omega, edge_ids[omega_rep], 1)
 
         self.dirichlet = _margin_distance(self.points, spec) <= eps * (1.0 + BOUNDARY_RTOL)
 

@@ -248,6 +248,40 @@ def field_energy_smooth(F: np.ndarray, model: MagnetizationModel) -> np.ndarray:
         F, model, lambda n: 1.0 - smoothstep((n - (model.T - band)) / band))
 
 
+def field_energy_smooth_grad(F: np.ndarray, model: MagnetizationModel) -> np.ndarray:
+    """d/dF of the smoothed field energy; zero beyond the cutoff."""
+    band = FIELD_SMOOTH_BAND
+    F = np.asarray(F, dtype=float)
+    out = np.zeros_like(F)
+    norm = np.linalg.norm(F, axis=(-2, -1))
+    x = (norm - (model.T - band)) / band
+    ramp = 1.0 - smoothstep(x)
+    open_ = ramp > 0.0
+    if not np.any(open_):
+        return out
+    Fo = F[open_]
+    t = Fo[:, 0, 0] + Fo[:, 1, 1]
+    s = Fo[:, 1, 0] - Fo[:, 0, 1]
+    h = np.hypot(t, s)
+    # the degenerate set h = 0 is a null set; treat the term as flat there
+    hs = np.where(h > 0.0, h, 1.0)
+    m1 = np.where(h > 0.0, t / hs, 1.0)
+    dm1_dt = np.where(h > 0.0, s ** 2 / hs ** 3, 0.0)
+    dm1_ds = np.where(h > 0.0, -t * s / hs ** 3, 0.0)
+    dm1 = np.zeros_like(Fo)
+    dm1[:, 0, 0] = dm1_dt
+    dm1[:, 1, 1] = dm1_dt
+    dm1[:, 1, 0] = dm1_ds
+    dm1[:, 0, 1] = -dm1_ds
+    dramp = -_smoothstep_deriv(x[open_]) / band
+    no = norm[open_]
+    dnorm = Fo / np.where(no > 0.0, no, 1.0)[:, None, None]
+    grad = (-model.kappa * ramp[open_])[:, None, None] * dm1 \
+        + (model.kappa * (1.0 - m1) * dramp)[:, None, None] * dnorm
+    out[open_] = grad
+    return out
+
+
 # ----------------------------------------------------------------------
 # orientation penalty
 # ----------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -56,3 +58,39 @@ def random_orthogonal(rng):
     if rng.random() < 0.5:
         R = R @ np.diag([1.0, -1.0])
     return R
+
+
+def check_topology_against_oracle(mesh):
+    """Compare bonds, triangles and incidences with a brute-force oracle.
+
+    The oracle uses coordinates only: bonds are the point pairs at distance
+    eps, triangles the triples of mutually bonded points, and a bond's
+    incidence counts the triangles (of the domain) having it as a side.
+    """
+    eps, P = mesh.spec.eps, mesh.points
+    near = np.abs(np.linalg.norm(P[:, None] - P[None], axis=-1) - eps) < 1e-6 * eps
+    neighbors = [set(np.flatnonzero(row).tolist()) for row in near]
+    bonds = {(i, j) for i in range(len(P)) for j in neighbors[i] if i < j}
+    tris = {tuple(sorted((i, j, k))) for i, j in bonds for k in neighbors[i] & neighbors[j]}
+
+    edge_keys = [tuple(sorted(e)) for e in mesh.edges.tolist()]
+    tri_keys = [tuple(sorted(t)) for t in mesh.triangles.tolist()]
+    assert len(set(edge_keys)) == len(edge_keys) and set(edge_keys) == bonds
+    assert len(set(tri_keys)) == len(tri_keys) and set(tri_keys) == tris
+    # corner order: t1 - t0 = sign eps v1 and t2 - t0 = sign eps v2
+    T, sign = mesh.triangles, mesh.tri_sign[:, None]
+    for corner, v in ((1, mesh.vecs.v1), (2, mesh.vecs.v2)):
+        assert np.abs(P[T[:, corner]] - P[T[:, 0]] - sign * eps * v).max() < 1e-12
+
+    x0, x1, y0, y1 = mesh.spec.omega
+    tol = 1e-9 * eps
+    in_omega = ((P[:, 0] >= x0 - tol) & (P[:, 0] <= x1 + tol)
+                & (P[:, 1] >= y0 - tol) & (P[:, 1] <= y1 + tol))
+    assert np.array_equal(mesh.point_in_omega, in_omega)
+    for domain, kept in (("omega_tilde", tris),
+                         ("omega", {t for t in tris if in_omega[list(t)].all()})):
+        sides = Counter(side for t in kept for side in combinations(t, 2))
+        assert mesh.edge_incidence(domain).tolist() == [sides[k] for k in edge_keys]
+        assert mesh.triangle_set(domain).tolist() == [k in kept for k in tri_keys]
+        assert mesh.edge_set(domain).tolist() == [
+            domain == "omega_tilde" or bool(in_omega[list(k)].all()) for k in edge_keys]

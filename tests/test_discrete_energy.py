@@ -102,15 +102,6 @@ def test_breakdown_total_is_component_sum(mesh16, pot, chi, magmodel):
     assert bd.total == bd.bulk + bd.boundary + bd.penalty + bd.field
 
 
-def test_include_boundary_flag(mesh16, pot):
-    u = rand_u(mesh16, 0.05, 5)
-    full = energy_rescaled(u, pot)
-    bulk_only = energy_rescaled(u, pot, include_boundary=False)
-    assert bulk_only.boundary == 0.0
-    assert bulk_only.bulk == full.bulk
-    assert full.total > bulk_only.total
-
-
 def test_elastic_guess_energy_stays_bounded(pot_unit):
     # sampled linear stretch keeps order-one energy along the ladder
     from fraclat.lattice import LatticeSpec, build_mesh
@@ -249,7 +240,8 @@ def reference_energy(u, pot, mode, chi, model):
 
 def reference_gradient(u, pot, mode, chi, model):
     """Gradient scattered with np.add.at over every domain triangle."""
-    from fraclat.discrete_energy import _basis_inverse, _field_energy_smooth_grad
+    from fraclat.discrete_energy import _basis_inverse
+    from fraclat.material import field_energy_smooth_grad
     mesh, eps = u.mesh, u.mesh.spec.eps
     out = np.zeros_like(u.values)
     active = mesh.edge_set("omega")
@@ -266,7 +258,7 @@ def reference_gradient(u, pot, mode, chi, model):
     if mode != "plain":
         terms.append((chi.grad(F[mask]), eps))
     if mode == "f":
-        terms.append((_field_energy_smooth_grad(F[mask], model), SQRT3 * eps / 4.0))
+        terms.append((field_energy_smooth_grad(F[mask], model), SQRT3 * eps / 4.0))
     tri = mesh.triangles[mask]
     for dPhi, coeff in terms:
         P = dPhi @ _basis_inverse(mesh).T
@@ -478,3 +470,27 @@ def test_displacement_csv_rejects_out_of_range_index(mesh16, csv_rows, tmp_path,
     write_rows(tmp_path / "range.csv", csv_rows)
     with pytest.raises(DiscreteEnergyError, match="outside"):
         displacement_from_csv(str(tmp_path / "range.csv"), mesh16)
+
+
+@pytest.mark.parametrize("line, edit, match", [
+    (5, lambda r: r[:3] + ["nan", r[4]], "line 5: point 3 has a non-finite"),
+    (8, lambda r: r[:4] + ["-inf"], "line 8: point 6 has a non-finite"),
+    (4, lambda r: r[:4], "line 4: .*expected 5, got 4"),
+    (4, lambda r: r + ["0"], "line 4: .*too many values"),
+    (4, lambda r: [], "line 4: .*expected 5, got 0"),
+    (7, lambda r: r[:2] + ["0.5x"] + r[3:], "line 7: .*to float: '0.5x'"),
+    (7, lambda r: ["five"] + r[1:], "line 7: .*int.*'five'"),
+    (1, lambda r: r[:3], "line 1: unexpected displacement header"),
+])
+def test_displacement_csv_rejects_malformed_rows(mesh16, csv_rows, tmp_path, line, edit,
+                                                 match):
+    csv_rows[line - 1] = edit(csv_rows[line - 1])
+    write_rows(tmp_path / "bad.csv", csv_rows)
+    with pytest.raises(DiscreteEnergyError, match=match):
+        displacement_from_csv(str(tmp_path / "bad.csv"), mesh16)
+
+
+def test_displacement_csv_rejects_an_empty_file(mesh16, tmp_path):
+    (tmp_path / "empty.csv").write_text("")
+    with pytest.raises(DiscreteEnergyError, match="line 1: unexpected displacement header None"):
+        displacement_from_csv(str(tmp_path / "empty.csv"), mesh16)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import check_topology_against_oracle
 from fraclat.lattice import (PHI_MAX, LatticeError, LatticeSpec, build_mesh,
                              classify_edges, cleavage_direction,
                              lattice_vectors, perp, rotation_matrix)
@@ -137,6 +138,14 @@ def test_edge_incidence_structure(mesh16):
             & (mids[:, 1] > y0 + margin) & (mids[:, 1] < y1 - margin))
     assert np.all(inc[deep] == 2)
     assert np.any(inc == 1)
+
+
+@pytest.mark.parametrize("margin", ["cleavage", "uniform"])
+@pytest.mark.parametrize("phi", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("inv_eps", [8, 16])
+def test_topology_matches_distance_oracle(inv_eps, phi, margin):
+    spec = LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=1.0, eta=0.25, margin=margin)
+    check_topology_against_oracle(build_mesh(spec))
 
 
 def test_edge_direction_consistency(mesh16):

@@ -1,4 +1,5 @@
-"""Property tests of the two text formats: config files and displacement CSVs.
+"""Property tests of the mesh topology and of the two text formats: config
+files and displacement CSVs.
 
 Skipped when hypothesis (the ``test`` extra) is not installed.
 """
@@ -14,10 +15,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from conftest import check_topology_against_oracle  # noqa: E402
 from fraclat.cli import CONFIG_KEYS, RunConfig, _fmt  # noqa: E402
 from fraclat.discrete_energy import (Displacement, displacement_from_csv,  # noqa: E402
                                      displacement_to_csv)
-from fraclat.lattice import LatticeSpec, build_mesh  # noqa: E402
+from fraclat.lattice import PHI_MAX, LatticeSpec, build_mesh  # noqa: E402
 
 # printable text that survives the parser: no comment marker, no line
 # break and no surrounding whitespace
@@ -59,3 +61,12 @@ def test_displacement_csv_rewrites_byte_identically(values):
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read()
     assert u.values.tobytes() == values.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(phi=st.floats(0.0, PHI_MAX, exclude_max=True), inv_eps=st.integers(4, 16),
+       l=st.floats(0.6, 2.0), eta=st.floats(0.01, 0.5),
+       margin=st.sampled_from(["cleavage", "uniform"]))
+def test_mesh_topology_matches_distance_oracle(phi, inv_eps, l, eta, margin):
+    spec = LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l, eta=eta, margin=margin)
+    check_topology_against_oracle(build_mesh(spec))
