@@ -102,23 +102,24 @@ def _basis_inverse(mesh: TriangleMesh) -> np.ndarray:
 
 
 def _interpolant_gradients(values: np.ndarray, corners, Minv: np.ndarray,
-                           den: np.ndarray) -> np.ndarray:
+                           den: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Per-triangle gradient of the affine interpolant of point values.
 
     Returns the component-major array ``G[j, i, t]``, the derivative of
     value component i along x_j on triangle t.  ``corners`` holds the
     three vertex index arrays and ``den`` each triangle's orientation
     sign times the length scale.  One matrix product serves all
-    triangles.
+    triangles.  ``ws`` supplies the result and scratch buffers; the empty
+    workspace allocates them.
     """
     t0, t1, t2 = corners
-    D = np.empty((2, 2, len(den)))  # D[k, i]: component i of edge difference k
+    D = _buffer(ws.D, (2, 2, len(den)))  # D[k, i]: component i of edge difference k
     for i in range(2):
         c = np.ascontiguousarray(values[:, i])
-        c0 = c[t0]
-        np.subtract(c[t1], c0, out=D[0, i])
-        np.subtract(c[t2], c0, out=D[1, i])
-    G = (Minv.T @ D.reshape(2, -1)).reshape(D.shape)
+        c0 = np.take(c, t0, out=ws.c0, mode="clip")
+        np.subtract(np.take(c, t1, out=ws.ck, mode="clip"), c0, out=D[0, i])
+        np.subtract(np.take(c, t2, out=ws.ck, mode="clip"), c0, out=D[1, i])
+    G = np.matmul(Minv.T, D.reshape(2, -1), out=ws.G).reshape(D.shape)
     G /= den
     return G
 
@@ -133,7 +134,7 @@ def interpolate_gradients(u: Displacement) -> tuple[np.ndarray, np.ndarray]:
     """
     mesh, eps = u.mesh, u.mesh.spec.eps
     G = _interpolant_gradients(u.values, mesh.triangles.T, _basis_inverse(mesh),
-                               mesh.tri_sign * eps)
+                               mesh.tri_sign * eps, _NO_WORKSPACE)
     grad_u = np.ascontiguousarray(G.transpose(2, 1, 0))
     F = np.eye(2) + np.sqrt(eps) * grad_u
     return grad_u, F
@@ -250,6 +251,71 @@ def _chain_to_edges(dPhi_dF: np.ndarray, Minv: np.ndarray, pref: np.ndarray) -> 
     return P * pref[:, None, None]
 
 
+def _buffer(view, shape) -> np.ndarray:
+    """The workspace ``view``, or a fresh array when there is no workspace."""
+    return np.empty(shape) if view is None else view
+
+
+def _zeros(view, n: int) -> np.ndarray:
+    """The workspace ``view`` cleared, or a fresh zero array."""
+    if view is None:
+        return np.zeros(n)
+    view.fill(0.0)
+    return view
+
+
+class _Workspace:
+    """Buffers that let one :class:`Assembly` evaluate without allocating.
+
+    The evaluation passes every view as an ``out=`` argument.  On the
+    empty workspace (``_Workspace()``) all views are None, so numpy
+    allocates each array as it goes.
+
+    ``xc``, ``z``, ``r`` and the two masks live through a whole
+    evaluation, and the bond half ``[e1, e0]`` of the ``bincount`` index
+    stream is written once.  Everything else shares one float pool that
+    the phases use in turn: the bond phase's scratch; then F (always the
+    first 4M entries) with either the edge differences or the three
+    ``(3, M)`` stretch arrays, whose spent rows also hold the cell sums,
+    det F and the penalty values; last the two gradient weight streams,
+    written over F once the penalty terms hold their own copies.
+
+    Takes into a view use ``mode="clip"`` (every index is in range):
+    under the default mode numpy fills a temporary copy of ``out``.
+    """
+
+    xc = z = r = pos = flip = index = None
+    z0 = rr = wr = wr_bd = None
+    G = D = c0 = ck = a = b = t = cells = det = det2 = chi_vals = None
+    wx = wy = coef = None
+
+    def __init__(self, asm: Assembly | None = None):
+        if asm is None:
+            return
+        n, E, M = asm.mesh.n_points, asm._bond_ends.shape[1], len(asm._den)
+        k = (asm.mode != "plain") + (asm.mode == "f")  # triangle terms with a gradient
+        L = 2 * E + 3 * k * M  # longest index and weight streams
+        self.xc, self.z, self.r = np.empty((2, n)), np.empty((2, E)), np.empty(E)
+        self.pos, self.flip = np.empty(E, dtype=bool), np.empty(M, dtype=bool)
+        self.index = np.empty(L, dtype=np.intp)
+        self.index[:2 * E] = asm._bond_ends[::-1].ravel()
+        pool = np.empty(max(2 * E, 13 * M, 2 * L))
+        self.z0 = pool[:2 * E].reshape(2, E)
+        self.rr = self.wr = pool[:E]
+        self.wr_bd = pool[E:2 * E]
+        self.G = pool[:4 * M].reshape(2, 2 * M)
+        self.D = pool[4 * M:8 * M].reshape(2, 2, M)
+        self.c0, self.ck = pool[8 * M:9 * M], pool[9 * M:10 * M]
+        self.a, self.b, self.t = (pool[j * M:(j + 3) * M].reshape(3, M) for j in (4, 7, 10))
+        self.cells, self.det, self.det2 = self.t
+        self.chi_vals = self.a[0]
+        self.wx, self.wy = pool[:L], pool[L:2 * L]
+        self.coef = self.wx[E:2 * E]  # the -gx slot, written after gx and gy
+
+
+_NO_WORKSPACE = _Workspace()
+
+
 class Assembly:
     """The rescaled energy of one mesh with its index and weight arrays precomputed.
 
@@ -262,6 +328,13 @@ class Assembly:
     identically elsewhere) and scatters gradients with ``np.bincount``.
     ``smooth_field`` selects the smoothed field cutoff in mode ``f``; only
     that form has a gradient.
+
+    The first :meth:`value_and_grad` call allocates a private workspace
+    that every later evaluation, :meth:`breakdown` included, reuses, so a
+    descent allocates no large temporaries after its first step; an
+    assembly that only ever computes breakdowns allocates per call and
+    holds no buffers between calls.  Evaluations of one assembly must not
+    run concurrently.
     """
 
     def __init__(self, mesh: TriangleMesh, pot: PairPotential, mode: str = "plain",
@@ -275,7 +348,8 @@ class Assembly:
         if mode in ("f", "total-magnetic") and model is None:
             raise DiscreteEnergyError(f"mode {mode!r} needs a magnetization model")
         self.mesh, self.pot, self.mode = mesh, pot, mode
-        self.chi, self.model, self.smooth_field = chi, model, smooth_field
+        self.chi, self.model, self.domain = chi, model, domain
+        self.smooth_field = smooth_field
         eps = mesh.spec.eps
         self.eps, self._sqrt_eps = eps, np.sqrt(eps)
 
@@ -290,6 +364,7 @@ class Assembly:
         self._den = mesh.tri_sign[tri_mask] * eps
         self._minv = _basis_inverse(mesh)
         self._vecs = mesh.vecs.as_array()
+        self._ws = _NO_WORKSPACE
 
     # chain-rule factors of the per-triangle terms, coefficient included;
     # only the gradient needs them
@@ -314,6 +389,8 @@ class Assembly:
                                       "assemble with smooth_field=True")
         if not self.pot.differentiable:
             raise DiscreteEnergyError("gradient needs a differentiable potential family")
+        if self._ws is _NO_WORKSPACE:
+            self._ws = _Workspace(self)
         bd, grad = self._evaluate(x, True)
         return bd.total, grad
 
@@ -324,38 +401,44 @@ class Assembly:
             raise DiscreteEnergyError(f"expected values of shape {(n, 2)}, got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise DiscreteEnergyError("displacement contains non-finite entries")
-        eps, pot, chi, model = self.eps, self.pot, self.chi, self.model
-        xc = np.ascontiguousarray(x.T)
+        eps, pot, chi, model, ws = self.eps, self.pot, self.chi, self.model, self._ws
+        xc = _buffer(ws.xc, (2, n))
+        xc[...] = x.T
 
         # bonds: deformed bond vectors z (in units of eps) and stretches r = |z|
         e0, e1 = self._bond_ends
-        z = np.take(xc, e1, axis=1)
-        z -= np.take(xc, e0, axis=1)
+        z = np.take(xc, e1, axis=1, out=ws.z, mode="clip")
+        z -= np.take(xc, e0, axis=1, out=ws.z0, mode="clip")
         z /= self._sqrt_eps
         z += self._bond_dirs
         zx, zy = z
-        r = np.sqrt(zx * zx + zy * zy)
-        Wr = pot(r)
+        r = np.multiply(zx, zx, out=ws.r)
+        r += np.multiply(zy, zy, out=ws.rr)
+        np.sqrt(r, out=r)
+        Wr = pot(r, out=ws.wr)
         pair_total = eps * float(Wr.sum())
-        boundary = eps * float((self._bond_weight * Wr).sum())
+        boundary = eps * float(np.multiply(self._bond_weight, Wr, out=ws.wr_bd).sum())
 
         # triangles: F[j, i] holds the component F_ij on every triangle, and
         # the cell energy is half the pair energy of the sides |F v|
-        F = _interpolant_gradients(xc.T, self._corners, self._minv, self._den)
+        F = _interpolant_gradients(xc.T, self._corners, self._minv, self._den, ws)
         F *= self._sqrt_eps
         F[0, 0] += 1.0
         F[1, 1] += 1.0
         (F00, F10), (F01, F11) = F
         V = self._vecs
-        a = np.multiply.outer(V[:, 0], F00)  # (3, M): F v for each bond direction
-        a += np.multiply.outer(V[:, 1], F01)
-        b = np.multiply.outer(V[:, 0], F10)
-        b += np.multiply.outer(V[:, 1], F11)
+        a = np.multiply.outer(V[:, 0], F00, out=ws.a)  # (3, M): F v for each bond direction
+        a += np.multiply.outer(V[:, 1], F01, out=ws.t)
+        b = np.multiply.outer(V[:, 0], F10, out=ws.b)
+        b += np.multiply.outer(V[:, 1], F11, out=ws.t)
         a *= a
         b *= b
         a += b
-        W = pot(np.sqrt(a, out=a))
-        bulk = eps * float((0.5 * ((W[0] + W[1]) + W[2])).sum())
+        W = pot(np.sqrt(a, out=a), out=ws.b)  # b is spent
+        cells = np.add(W[0], W[1], out=ws.cells)
+        cells += W[2]
+        cells *= 0.5
+        bulk = eps * float(cells.sum())
         _check_pair_identity(pair_total, bulk, boundary)
 
         def matrices(sel):  # (k, 2, 2) deformation gradients of the selection
@@ -364,9 +447,11 @@ class Assembly:
         penalty = fieldval = 0.0
         tri_terms = []  # (triangle selection, d Phi / d edge differences)
         if self.mode != "plain":
-            support = np.flatnonzero(F00 * F11 - F01 * F10 < 0.0)
+            det = np.multiply(F00, F11, out=ws.det)
+            det -= np.multiply(F01, F10, out=ws.det2)
+            support = np.flatnonzero(np.less(det, 0.0, out=ws.flip))
             Fs = matrices(support)
-            chi_vals = np.zeros(len(F00))
+            chi_vals = _zeros(ws.chi_vals, len(det))
             chi_vals[support] = chi(Fs)
             penalty = eps * float(chi_vals.sum())
             if with_grad and len(support):
@@ -390,19 +475,32 @@ class Assembly:
         if not with_grad:
             return bd, None
 
-        coef = self._sqrt_eps * pot.deriv(r) / np.where(r > 0.0, r, 1.0)
-        gx, gy = coef * zx, coef * zy
-        index = [e1, e0]
-        wx, wy = [gx, -gx], [gy, -gy]
+        # gradient, always with a workspace: one bincount per component over
+        # the index stream, whose bond half [e1, e0] is already in place;
+        # F is spent from here on
+        coef = pot.deriv(r, out=ws.coef)
+        coef *= self._sqrt_eps
+        np.divide(coef, r, out=coef, where=np.greater(r, 0.0, out=ws.pos))
+        E = len(r)
+        index, wx, wy = ws.index, ws.wx, ws.wy
+        np.multiply(coef, zx, out=wx[:E])
+        np.multiply(coef, zy, out=wy[:E])
+        np.negative(wx[:E], out=wx[E:2 * E])
+        np.negative(wy[:E], out=wy[E:2 * E])
         t0, t1, t2 = self._corners
+        o = 2 * E
         for sel, P in tri_terms:
-            index += [t1[sel], t2[sel], t0[sel]]
-            wx += [P[:, 0, 0], P[:, 0, 1], -(P[:, 0, 0] + P[:, 0, 1])]
-            wy += [P[:, 1, 0], P[:, 1, 1], -(P[:, 1, 0] + P[:, 1, 1])]
-        index = np.concatenate(index)
+            m = len(P)
+            index[o:o + 3 * m].reshape(3, m)[:] = t1[sel], t2[sel], t0[sel]
+            for i, w in enumerate((wx, wy)):
+                part = w[o:o + 3 * m].reshape(3, m)
+                part[0], part[1] = P[:, i, 0], P[:, i, 1]
+                np.add(part[0], part[1], out=part[2])
+                np.negative(part[2], out=part[2])
+            o += 3 * m
         grad = np.empty((n, 2))
-        grad[:, 0] = np.bincount(index, np.concatenate(wx), minlength=n)
-        grad[:, 1] = np.bincount(index, np.concatenate(wy), minlength=n)
+        grad[:, 0] = np.bincount(index[:o], wx[:o], minlength=n)
+        grad[:, 1] = np.bincount(index[:o], wy[:o], minlength=n)
         return bd, grad
 
 

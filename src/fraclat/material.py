@@ -76,27 +76,51 @@ class PairPotential:
     def differentiable(self) -> bool:
         return self.family in ("exp-well", "shifted-lj")
 
-    def __call__(self, r):
+    def __call__(self, r, out=None):
+        """W(r) elementwise; ``out``, if given, receives the values and is returned."""
         r = np.asarray(r, dtype=float)
+        w = np.empty_like(r) if out is None else out
         if self.family == "exp-well":
             c = self.alpha / (2.0 * self.beta)
-            return -self.beta * np.expm1(-c * (r - 1.0) ** 2)
-        if self.family == "shifted-lj":
+            np.subtract(r, 1.0, out=w)
+            np.square(w, out=w)
+            w *= -c
+            np.expm1(w, out=w)
+            w *= -self.beta
+        elif self.family == "shifted-lj":
             with np.errstate(divide="ignore"):
-                q = np.where(r > 0.0, r, np.inf) ** -6
-            return self.beta * (q - 1.0) ** 2
-        return np.interp(r, self.r_table, self.w_table, right=self.beta)
+                np.power(np.where(r > 0.0, r, np.inf), -6, out=w)
+            w -= 1.0
+            np.square(w, out=w)
+            w *= self.beta
+        else:
+            w[...] = np.interp(r, self.r_table, self.w_table, right=self.beta)
+        return w if w.ndim else w[()]
 
-    def deriv(self, r):
+    def deriv(self, r, out=None):
+        """W'(r) elementwise; ``out``, if given, receives the values and is returned."""
         if not self.differentiable:
             raise MaterialError("tabulated potential has no derivative")
         r = np.asarray(r, dtype=float)
+        w = np.empty_like(r) if out is None else out
         if self.family == "exp-well":
             c = self.alpha / (2.0 * self.beta)
-            return self.alpha * (r - 1.0) * np.exp(-c * (r - 1.0) ** 2)
-        with np.errstate(divide="ignore"):
-            q = np.where(r > 0.0, r, np.inf)
-        return -12.0 * self.beta * q ** -7 * (q ** -6 - 1.0)
+            e = np.subtract(r, 1.0, out=np.empty_like(r))
+            np.square(e, out=e)
+            e *= -c
+            np.exp(e, out=e)
+            np.subtract(r, 1.0, out=w)
+            w *= self.alpha
+            w *= e
+        else:
+            with np.errstate(divide="ignore"):
+                q = np.where(r > 0.0, r, np.inf)
+            e = np.power(q, -6)
+            e -= 1.0
+            np.power(q, -7, out=w)
+            w *= -12.0 * self.beta
+            w *= e
+        return w if w.ndim else w[()]
 
     def tail_infimum(self, r0: float = 2.0) -> float:
         """Infimum of W on [r0, infinity), by coarse scan plus the limit value."""

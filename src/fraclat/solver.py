@@ -12,6 +12,8 @@ minimum next to the sampled-configuration upper bounds.
 from __future__ import annotations
 
 import math
+import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +81,8 @@ class StartResult:
     history: list | None = None  # energy after each accepted step
     evals: int = 0       # energy-and-gradient evaluations of the descent
     backtracks: int = 0  # line-search trials rejected by the Armijo test
+    final_step: float = 0.0  # last accepted line-search step; 0 when none was taken
+    wall_s: float = 0.0      # wall time of the descent
 
 
 @dataclass
@@ -141,18 +145,18 @@ def recovery_sequence(u_cont: ContinuumDisplacement, mesh: TriangleMesh) -> Disp
 # projected descent
 # ----------------------------------------------------------------------
 
-def _lbfgs_direction(g: np.ndarray, s_hist: list, y_hist: list) -> np.ndarray:
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """Two-loop recursion over the kept ``(s, y, rho)`` triples, oldest first."""
     q = g.copy()
     alphas = []
-    for s, y in zip(reversed(s_hist), reversed(y_hist)):
-        rho = 1.0 / float(y @ s)
+    for s, y, rho in reversed(pairs):
         a = rho * float(s @ q)
-        alphas.append((a, rho, s, y))
+        alphas.append(a)
         q -= a * y
-    if y_hist:
-        y = y_hist[-1]
-        q *= float(s_hist[-1] @ y) / float(y @ y)
-    for a, rho, s, y in reversed(alphas):
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= float(s @ y) / float(y @ y)
+    for a, (s, y, rho) in zip(reversed(alphas), pairs):
         b = rho * float(y @ q)
         q += (a - b) * s
     return -q
@@ -167,6 +171,7 @@ def _descend(asm: Assembly, tag: str, u0: Displacement, bc: BoundaryCondition,
     :meth:`Assembly.value_and_grad` call, which also yields the gradient
     of an accepted point.
     """
+    start = time.perf_counter()
     mask_x, mask_y = bc.masks(asm.mesh)
     x = apply_bc(u0, bc).values.copy()
     fx, g = asm.value_and_grad(x)
@@ -174,26 +179,24 @@ def _descend(asm: Assembly, tag: str, u0: Displacement, bc: BoundaryCondition,
         raise SolverError("non-finite energy at the starting point")
     g = project_gradient(g, mask_x, mask_y)
     history = [fx]
-    evals, backtracks = 1, 0
-    s_hist: list = []
-    y_hist: list = []
+    evals, backtracks, step = 1, 0, 0.0
+    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / (y . s)), oldest first
     stalled = 0
 
     def done(iters: int, converged: bool):
         return x, StartResult(tag=tag, energy=fx, iters=iters,
                               grad_norm=float(np.linalg.norm(g)), converged=converged,
-                              history=history, evals=evals, backtracks=backtracks)
+                              history=history, evals=evals, backtracks=backtracks,
+                              final_step=step, wall_s=time.perf_counter() - start)
 
     for it in range(1, config.max_iters + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= config.grad_tol:
             return done(it - 1, True)
-        d = _lbfgs_direction(g.ravel(), s_hist, y_hist).reshape(x.shape) \
-            if s_hist else -g
+        d = _lbfgs_direction(g.ravel(), pairs).reshape(x.shape) if pairs else -g
         slope = float(np.sum(g * d))
         if slope >= 0.0:  # quasi-Newton direction lost descent; reset
-            s_hist.clear()
-            y_hist.clear()
+            pairs.clear()
             d = -g
             slope = -gnorm ** 2
         t = STEP0
@@ -213,15 +216,12 @@ def _descend(asm: Assembly, tag: str, u0: Displacement, bc: BoundaryCondition,
             t *= ARMIJO_SHRINK
         if not accepted:
             return done(it, False)
+        step = t
         g_new = project_gradient(g_new, mask_x, mask_y)
         s_vec = (x_new - x).ravel()
         y_vec = (g_new - g).ravel()
         if float(s_vec @ y_vec) > 1e-14:
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            if len(s_hist) > LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
+            pairs.append((s_vec, y_vec, 1.0 / float(y_vec @ s_vec)))
         drop = fx - f_new
         x, fx, g = x_new, f_new, g_new
         history.append(fx)
@@ -299,16 +299,17 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
     if not starts:
         raise SolverError("no starting point; check the multistart list")
     # one assembly serves every start; the descent differentiates the
-    # smoothed field cutoff, the report below uses the sharp one
+    # smoothed field cutoff, and mode f reports with the sharp one
     asm = Assembly(mesh, pot, mode=config.mode, chi=chi, model=model,
                    domain=config.domain, smooth_field=True)
+    report = asm if config.mode != "f" else Assembly(
+        mesh, pot, mode="f", chi=chi, model=model, domain=config.domain)
     results = []
     best = None
     for k, (tag, u0) in enumerate(starts):
         x, rec = _descend(asm, tag, u0, bc, config)
         u = Displacement(mesh, x)
-        bd = energy_rescaled(u, pot, mode=config.mode, chi=chi, model=model,
-                             domain=config.domain)
+        bd = report.breakdown(x)
         rec.energy = bd.total
         results.append(rec)
         if best is None or bd.total < best[0]:

@@ -366,6 +366,44 @@ def test_every_kernel_call_checks_the_pair_identity(mesh16, pot, chi, monkeypatc
     assert len(checks) == 4
 
 
+@pytest.mark.parametrize("domain", ["omega", "omega_tilde"])
+@pytest.mark.parametrize("mode", ["plain", "chi", "f"])
+def test_workspace_carries_no_state_between_calls(mesh16, pot, chi, magmodel, mode, domain):
+    # many flipped triangles, none, then many again on other triangles
+    configs = [rand_u(mesh16, 1.5, 31), rand_u(mesh16, 0.02, 30), rand_u(mesh16, 1.5, 36)]
+    assert [flipped(mesh16, u) > 200 for u in configs] == [True, False, True]
+
+    def build():
+        return Assembly(mesh16, pot, mode, chi, magmodel, domain, smooth_field=True)
+
+    asm = build()
+    returned = []
+    for u in configs:
+        value, g = asm.value_and_grad(u.values)
+        fresh_value, fresh_g = build().value_and_grad(u.values)
+        assert value == fresh_value and np.array_equal(g, fresh_g)
+        assert asm.breakdown(u.values) == build().breakdown(u.values)
+        returned.append((g, g.copy()))
+    assert all(np.array_equal(g, kept) for g, kept in returned)
+
+
+def test_repeated_evaluation_allocates_little(mesh32, pot, chi):
+    import tracemalloc
+    asm = Assembly(mesh32, pot, "chi", chi)
+    x = rand_u(mesh32, 0.05, 37).values
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            asm.value_and_grad(x)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 0.25 * peaks[0]
+
+
 # ----------------------------------------------------------------------
 # boundary conditions
 # ----------------------------------------------------------------------

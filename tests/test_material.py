@@ -62,6 +62,24 @@ def test_tabulated_rejects_derivative():
         tab.deriv(1.5)
 
 
+@pytest.mark.parametrize("pot", [
+    PairPotential(alpha=1.3, beta=0.8), PairPotential.shifted_lj(beta=0.6),
+    PairPotential(family="tabulated", r_table=np.linspace(0.0, 4.0, 9),
+                  w_table=np.linspace(0.0, 4.0, 9) ** 2)])
+def test_potential_writes_into_out(pot):
+    # r = 0 and a tiny r reach the shifted-lj guard and its overflow
+    r = np.concatenate([[0.0, 1e-300, 1.0],
+                        np.random.default_rng(0).uniform(0.0, 5.0, 500)])
+    methods = [pot.__call__, pot.deriv] if pot.differentiable else [pot.__call__]
+    for f in methods:
+        with np.errstate(over="ignore"):
+            fresh = f(r)
+            out = np.full_like(r, np.nan)
+            assert f(r, out=out) is out
+        assert np.array_equal(out, fresh)
+        assert type(f(1.5)) is type(fresh[0]) and f(1.5) == f(np.array([1.5]))[0]
+
+
 def test_tail_infimum():
     pot = PairPotential(alpha=1.0, beta=1.0)
     assert 0.0 < pot.tail_infimum(2.0) <= pot(2.0)

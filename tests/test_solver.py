@@ -124,6 +124,52 @@ def test_descent_counts_evaluations_and_backtracks(mesh16, pot_unit, chi, monkey
     assert len(checks) == sum(start.evals for start in res.starts) + len(res.starts)
 
 
+def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, chi,
+                                                            monkeypatch):
+    from fraclat import solver
+    from fraclat.discrete_energy import Assembly
+    prob = problem_with(1.5)
+    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic", "cleaved", "perturbed"),
+                      n_cleaved=2, rng_seed=3)
+
+    def run():
+        finals = []
+        descend = solver._descend
+
+        def recording(*args):
+            finals.append(descend(*args))
+            return finals[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_descend", recording)
+            res = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
+                           problem=prob)
+        return res, finals
+
+    reused, reused_finals = run()
+    real = Assembly.value_and_grad
+
+    def on_fresh_assembly(self, x):
+        return real(Assembly(self.mesh, self.pot, self.mode, self.chi, self.model,
+                             self.domain, self.smooth_field), x)
+
+    monkeypatch.setattr(Assembly, "value_and_grad", on_fresh_assembly)
+    fresh, fresh_finals = run()
+    assert [s.tag for s in reused.starts][:2] == ["zero", "elastic"]
+    assert reused.starts[-1].tag == "perturbed"
+    assert sum(s.iters for s in reused.starts) > 0
+    assert sum(s.backtracks for s in reused.starts) > 0
+    for (x1, a), (x2, b) in zip(reused_finals, fresh_finals, strict=True):
+        assert np.array_equal(x1, x2)
+        assert (a.tag, a.energy, a.history, a.iters, a.evals, a.backtracks, a.final_step) \
+            == (b.tag, b.energy, b.history, b.iters, b.evals, b.backtracks, b.final_step)
+    assert reused.breakdown == fresh.breakdown
+    trials = {solver.STEP0 * solver.ARMIJO_SHRINK ** k for k in range(solver.MAX_BACKTRACKS)}
+    for start in reused.starts:
+        assert start.wall_s > 0.0
+        assert start.final_step in trials if len(start.history) > 1 else start.final_step == 0.0
+
+
 def test_minimize_never_worse_than_cleaved_inits(mesh16, pot_unit, chi):
     prob = problem_with(1.5)
     cfg = SolveConfig(max_iters=60, multistart=("cleaved",), n_cleaved=3, rng_seed=0)
