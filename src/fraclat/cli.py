@@ -34,8 +34,8 @@ from .discrete_energy import (ENERGY_HEADER, bc_cleavage,
 from .lattice import (PHI_MAX, LatticeSpec, TriangleMesh, build_mesh,
                       cleavage_direction)
 from .material import MagnetizationModel, PairPotential, PenaltyChi
-from .solver import (CONVERGENCE_HEADER, SolveConfig, cleaved_stations,
-                     convergence_study, magnet_demo, minimize,
+from .solver import (CONVERGENCE_HEADER, ConvergenceRow, SolveConfig,
+                     cleaved_stations, convergence_study, magnet_demo, minimize,
                      nonequicoercivity_demo, recovery_sequence)
 
 CRACK_HEADER = ["seg_id", "x0", "y0", "x1", "y1", "nu_x", "nu_y", "jump1", "jump2"]
@@ -64,7 +64,7 @@ CONFIG_KEYS = {
     "solve.seed": (int, 0),
     "solve.mode": (str, "chi"),
     "solve.domain": (str, "omega"),
-    "solve.multistart": (str, "zero,elastic,cleaved,perturbed"),
+    "solve.multistart": (str, "zero,elastic,cleaved"),
     "solve.n_cleaved": (int, 9),
     "recovery.p": (float, float("nan")),  # nan means l/2
     "recovery.kind": (str, "crack"),
@@ -219,7 +219,6 @@ def _solve_config(cfg: RunConfig) -> SolveConfig:
                        multistart=tuple(s.strip() for s in
                                         cfg.get("solve.multistart").split(",")),
                        n_cleaved=cfg.get("solve.n_cleaved"),
-                       rng_seed=cfg.get("solve.seed"),
                        mode=cfg.get("solve.mode"),
                        domain=cfg.get("solve.domain"))
 
@@ -317,8 +316,7 @@ def cmd_recovery(cfg: RunConfig, out: OutputSet, args) -> str:
         u = recovery_sequence(u_cont, mesh)
         bd = energy_rescaled(u, pot, mode=mode, chi=chi, model=model,
                              domain=cfg.get("solve.domain"))
-        rows.append([eps, mode + "/recovery", bd.total, target,
-                     bd.total - target, 0, float("nan"), float("nan")])
+        rows.append(ConvergenceRow(eps, mode + "/recovery", bd.total, target).row())
         last_u = u
     write_csv(out.path("recovery.csv"), CONVERGENCE_HEADER, rows)
     displacement_to_csv(last_u, out.path("recovery_displacement.csv"))
@@ -351,9 +349,8 @@ def cmd_magnet_demo(cfg: RunConfig, out: OutputSet, args) -> str:
                          band_angle=cfg.get("magnet.band_angle"))
     rows = [r.row() for r in result["elastic_rows"]]
     for b in result["band_rows"]:
-        rows.append([b["eps"], "f/rotated-band", b["field_minus_plain"],
-                     b["limit"], b["field_minus_plain"] - b["limit"],
-                     0, float("nan"), float("nan")])
+        rows.append(ConvergenceRow(b["eps"], "f/rotated-band", b["field_minus_plain"],
+                                   b["limit"]).row())
     write_csv(out.path("magnet.csv"), CONVERGENCE_HEADER, rows)
     gap = max(result["identity_gaps"])
     write_manifest(out.path("magnet_manifest.txt"), cfg, {"derived.max_identity_gap": gap})

@@ -137,7 +137,6 @@ class ContinuumDisplacement:
     pieces: list
     crack: list
     domain_l: float
-    domain_eta: float
     locator: Callable[[np.ndarray], np.ndarray] | None = None
     shifted: Callable[[float], "ContinuumDisplacement"] | None = None
 
@@ -295,7 +294,7 @@ def build_u_el(problem: CleavageProblem, s: float = 0.0) -> ContinuumDisplacemen
     A = np.array([[a, 0.0], [0.0, -a / 3.0]])
     piece = AffinePiece(poly, A, np.array([0.0, s]))
     return ContinuumDisplacement(
-        pieces=[piece], crack=[], domain_l=l, domain_eta=eta,
+        pieces=[piece], crack=[], domain_l=l,
         locator=lambda pts: np.zeros(len(pts), dtype=int),
         shifted=None)
 
@@ -330,7 +329,7 @@ def build_u_cr(problem: CleavageProblem, p: float, s: float = 0.0,
         dp = c * (nu[0] * w[1] - nu[1] * w[0]) / w[1]
         return build_u_cr(problem, p + dp, s, t)
 
-    return ContinuumDisplacement([left, right], [seg], l, eta, locator, shifted)
+    return ContinuumDisplacement([left, right], [seg], l, locator, shifted)
 
 
 def build_u_cr_symmetric(problem: CleavageProblem, h_x2: np.ndarray,
@@ -375,7 +374,7 @@ def build_u_cr_symmetric(problem: CleavageProblem, h_x2: np.ndarray,
     def shifted(c: float) -> ContinuumDisplacement:
         return build_u_cr_symmetric(problem, h_x2, h_values + c, s, t)
 
-    return ContinuumDisplacement([left, right], crack, l, eta, locator, shifted)
+    return ContinuumDisplacement([left, right], crack, l, locator, shifted)
 
 
 # ----------------------------------------------------------------------

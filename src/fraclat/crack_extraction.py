@@ -69,7 +69,6 @@ class BrokenClassification:
 
     records: list
     F: np.ndarray          # deformation gradients on every triangle
-    threshold: float
 
     @property
     def count(self) -> int:
@@ -80,25 +79,25 @@ class BrokenClassification:
         return np.array([r.tri for r in self.records], dtype=int)
 
 
-def classify_broken(u: Displacement, threshold: float = BREAK_THRESHOLD) -> BrokenClassification:
-    """Find triangles with |F| beyond the threshold and count stretched bonds."""
+def classify_broken(u: Displacement) -> BrokenClassification:
+    """Find triangles with |F| beyond ``BREAK_THRESHOLD`` and count stretched bonds."""
     mesh = u.mesh
     _, F = interpolate_gradients(u)
     frob = np.linalg.norm(F, axis=(1, 2))
     V = mesh.vecs.as_array()
     records = []
-    for t in np.flatnonzero(frob > threshold):
+    for t in np.flatnonzero(frob > BREAK_THRESHOLD):
         stretch = np.linalg.norm(F[t] @ V.T, axis=0)
         stretched = stretch >= STRETCH_FACTOR
         m = int(stretched.sum())
         if m < 2:
             raise AssertionError(
-                f"triangle {t} has |F| = {frob[t]} > {threshold} but only {m} "
+                f"triangle {t} has |F| = {frob[t]} > {BREAK_THRESHOLD} but only {m} "
                 "stretched bonds; this contradicts the quartic norm bound")
         intact = int(np.flatnonzero(~stretched)[0]) if m == 2 else None
         records.append(BrokenTriangle(tri=int(t), frobenius=float(frob[t]),
                                       m=m, stretched=stretched, intact=intact))
-    return BrokenClassification(records=records, F=F, threshold=threshold)
+    return BrokenClassification(records=records, F=F)
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +160,6 @@ class CrackSet:
 
     segments: list
     y_grads: np.ndarray     # per-triangle gradient of the modified map
-    total_count: int        # number of broken triangles
     variant: int
     eps: float
 
@@ -230,8 +228,7 @@ def build_modified(u: Displacement, classes: BrokenClassification,
                 jump_y = -jump_y
             segments.append(CrackSegment(p0=p0, p1=p1, normal=normal,
                                          jump=jump_y / sqeps, tri=t, h_index=s))
-    return CrackSet(segments=segments, y_grads=y_grads,
-                    total_count=classes.count, variant=variant, eps=eps)
+    return CrackSet(segments=segments, y_grads=y_grads, variant=variant, eps=eps)
 
 
 def jump_vectors(u: Displacement, classes: BrokenClassification,

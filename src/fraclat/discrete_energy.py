@@ -36,7 +36,7 @@ total-magnetic
 from __future__ import annotations
 
 import csv
-import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -162,8 +162,6 @@ class BoundaryCondition:
 
     g: Callable[[np.ndarray], np.ndarray]
     components: str = "both"
-    lipschitz_bound: float | None = None
-    label: str = "custom"
 
     def masks(self, mesh: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
         base = mesh.dirichlet
@@ -179,28 +177,15 @@ class BoundaryCondition:
             raise DiscreteEnergyError("boundary function must return one 2-vector per point")
         return vals
 
-    def estimate_lipschitz(self, mesh: TriangleMesh) -> float:
-        """Largest difference quotient of g over bonds inside the pinned layer."""
-        vals = self.target(mesh)
-        both = mesh.dirichlet[mesh.edges].all(axis=1)
-        if not np.any(both):
-            return 0.0
-        dv = vals[mesh.edges[both, 1]] - vals[mesh.edges[both, 0]]
-        est = float(np.linalg.norm(dv, axis=1).max() / mesh.spec.eps)
-        if self.lipschitz_bound is not None and est > self.lipschitz_bound * (1 + 1e-9):
-            raise DiscreteEnergyError(
-                f"boundary data exceeds its Lipschitz bound: {est} > {self.lipschitz_bound}")
-        return est
-
 
 def bc_zero() -> BoundaryCondition:
-    return BoundaryCondition(lambda p: np.zeros_like(p), label="zero")
+    return BoundaryCondition(lambda p: np.zeros_like(p))
 
 
 def bc_affine(G: np.ndarray, b: np.ndarray | None = None) -> BoundaryCondition:
     G = np.asarray(G, dtype=float)
     b = np.zeros(2) if b is None else np.asarray(b, dtype=float)
-    return BoundaryCondition(lambda p: p @ G.T + b, label="affine")
+    return BoundaryCondition(lambda p: p @ G.T + b)
 
 
 def bc_cleavage(a: float, l: float) -> BoundaryCondition:
@@ -215,7 +200,7 @@ def bc_cleavage(a: float, l: float) -> BoundaryCondition:
         out[:, 0] = np.where(points[:, 0] > l / 2.0, a * l, 0.0)
         return out
 
-    return BoundaryCondition(g, components="x", label=f"cleavage(a={a:g})")
+    return BoundaryCondition(g, components="x")
 
 
 def apply_bc(u: Displacement, bc: BoundaryCondition) -> Displacement:
@@ -507,7 +492,7 @@ class Assembly:
 def energy_rescaled(u: Displacement, pot: PairPotential, mode: str = "plain",
                     chi: PenaltyChi | None = None,
                     model: MagnetizationModel | None = None,
-                    domain: str = "omega", smooth_field: bool = False) -> EnergyBreakdown:
+                    domain: str = "omega") -> EnergyBreakdown:
     """Rescaled energy eps * E(id + sqrt(eps) u) with the selected extras.
 
     The bulk part sums cell energies over the domain's triangles, the
@@ -516,7 +501,7 @@ def energy_rescaled(u: Displacement, pot: PairPotential, mode: str = "plain",
     Builds a transient :class:`Assembly`; callers evaluating one energy
     many times should build the assembly once instead.
     """
-    return Assembly(u.mesh, pot, mode, chi, model, domain, smooth_field).breakdown(u.values)
+    return Assembly(u.mesh, pot, mode, chi, model, domain).breakdown(u.values)
 
 
 def energy_deformation(mesh: TriangleMesh, y_values: np.ndarray, pot: PairPotential,
@@ -599,11 +584,15 @@ def displacement_from_csv(path: str, mesh: TriangleMesh) -> Displacement:
     """Read a displacement written by :func:`displacement_to_csv`.
 
     Every mesh point must appear exactly once, at its own coordinates,
-    with a finite displacement; a malformed row is reported by its line.
+    with a finite displacement.  The first faulty row in file order is
+    reported by its line, with the first of its faults in the order
+    malformed, index out of range, repeated, off the mesh, non-finite.
+    Rows are parsed one by one up to the first malformed or out-of-range
+    one; the remaining checks run on the parsed rows as arrays.
     """
     n = mesh.n_points
-    values = np.zeros((n, 2))
-    seen = np.zeros(n, dtype=bool)
+    index, data, lines = array("q"), array("d"), array("q")  # flat: no object kept per value
+    stop = None  # the error of a malformed or out-of-range row, which ends parsing
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -615,20 +604,38 @@ def displacement_from_csv(path: str, mesh: TriangleMesh) -> Displacement:
                 i, x, y, u1, u2 = row
                 i, x, y, u1, u2 = int(i), float(x), float(y), float(u1), float(u2)
             except ValueError as exc:
-                raise DiscreteEnergyError(f"{line}: malformed row {row}: {exc}") from None
+                stop = DiscreteEnergyError(f"{line}: malformed row {row}: {exc}")
+                break
             if not 0 <= i < n:
-                raise DiscreteEnergyError(
+                stop = DiscreteEnergyError(
                     f"{line}: point index {i} outside the mesh's 0..{n - 1}")
-            if seen[i]:
-                raise DiscreteEnergyError(f"{line}: point {i} appears twice")
-            seen[i] = True
-            if not np.allclose([x, y], mesh.points[i], atol=1e-9 * max(1.0, mesh.spec.l)):
-                raise DiscreteEnergyError(f"{line}: point {i} does not match the mesh")
-            if not (math.isfinite(u1) and math.isfinite(u2)):
-                raise DiscreteEnergyError(f"{line}: point {i} has a non-finite displacement")
-            values[i] = [u1, u2]
-    if not seen.all():
-        missing = np.flatnonzero(~seen)
+                break
+            index.append(i)
+            data.extend((x, y, u1, u2))
+            lines.append(reader.line_num)
+    idx = np.frombuffer(index, dtype=np.int64)
+    data = np.frombuffer(data).reshape(-1, 4)
+    counts = np.bincount(idx, minlength=n)
+    repeated = np.zeros(len(idx), dtype=bool)
+    if counts.max() > 1:  # sort only when some point repeats
+        order = np.argsort(idx, kind="stable")  # equal indices keep their file order
+        repeated[order[1:]] = idx[order[1:]] == idx[order[:-1]]
+    off_mesh = ~np.isclose(data[:, :2], mesh.points[idx],
+                           atol=1e-9 * max(1.0, mesh.spec.l)).all(axis=1)
+    non_finite = ~np.isfinite(data[:, 2:]).all(axis=1)
+    faulty = np.flatnonzero(repeated | off_mesh | non_finite)
+    if len(faulty):
+        k = faulty[0]
+        fault = ("appears twice" if repeated[k] else
+                 "does not match the mesh" if off_mesh[k] else
+                 "has a non-finite displacement")
+        raise DiscreteEnergyError(f"line {lines[k]}: point {idx[k]} {fault}")
+    if stop is not None:
+        raise stop
+    missing = np.flatnonzero(counts == 0)
+    if len(missing):
         raise DiscreteEnergyError(
             f"csv lacks {len(missing)} of the mesh's {n} points, first {missing[0]}")
+    values = np.empty((n, 2))
+    values[idx] = data[:, 2:]
     return Displacement(mesh, values)

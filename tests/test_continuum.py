@@ -98,7 +98,7 @@ def test_overlapping_pieces_rejected():
     u = ContinuumDisplacement(
         pieces=[AffinePiece(full, np.zeros((2, 2)), np.zeros(2)),
                 AffinePiece(full, np.eye(2), np.zeros(2))],
-        crack=[], domain_l=1.0, domain_eta=0.25)
+        crack=[], domain_l=1.0)
     with pytest.raises(GeometryError):
         energy_limit(u, 1.0, 1.0, 0.0)
 
@@ -216,7 +216,7 @@ def test_field_limit_charges_rotations():
     w = 1.0
     W = np.array([[0.0, -w], [w, 0.0]])
     poly = np.array([[-0.25, 0.0], [1.75, 0.0], [1.75, 1.0], [-0.25, 1.0]])
-    u = ContinuumDisplacement([AffinePiece(poly, W, np.zeros(2))], [], 1.5, 0.25)
+    u = ContinuumDisplacement([AffinePiece(poly, W, np.zeros(2))], [], 1.5)
     _, _, total = energy_limit(u, prob.alpha, prob.beta, prob.phi)
     assert total == pytest.approx(0.0, abs=1e-15)  # antisymmetric strain is free
     kappa = 1.3
@@ -271,7 +271,7 @@ def test_slicing_bound_two_parallel_cracks():
         pieces=[u1.pieces[0], mid, u2.pieces[1]],
         crack=[u1.crack[0],
                CrackLine(seg2.p0, seg2.p1, seg2.normal, seg2.jump)],
-        domain_l=prob.l, domain_eta=prob.eta)
+        domain_l=prob.l)
     bound = slicing_lower_bound(u, prob)
     assert bound >= 4.0 * prob.beta / prob.gamma - 1e-12
     _, _, total = energy_limit(u, prob.alpha, prob.beta, prob.phi)
@@ -319,7 +319,7 @@ def test_straight_crack_direction_scan():
     u = ContinuumDisplacement([left, right],
                               [CrackLine(np.array([p, 0.0]), np.array([top, 1.0]),
                                          nu / np.linalg.norm(nu), np.array([2.0, 0.0]))],
-                              2.0, 0.25)
+                              2.0)
     _, _, total = energy_limit(u, prob.alpha, prob.beta, prob.phi)
     expect = surface_density(nu / np.linalg.norm(nu), lattice_vectors(0.3),
                              1.0) / abs(direction[1])

@@ -162,12 +162,11 @@ def test_gradient_matches_directional_fd(mesh16, pot, chi, magmodel, mode):
     g = gradient(u, pot, mode=mode, chi=chi, model=magmodel)
     rng = np.random.default_rng(9)
     t = 1e-6
+    asm = Assembly(mesh16, pot, mode, chi, magmodel, smooth_field=True)
     for _ in range(3):
         d = rng.standard_normal(u.values.shape)
-        ep = energy_rescaled(Displacement(mesh16, u.values + t * d), pot, mode=mode,
-                             chi=chi, model=magmodel, smooth_field=True).total
-        em = energy_rescaled(Displacement(mesh16, u.values - t * d), pot, mode=mode,
-                             chi=chi, model=magmodel, smooth_field=True).total
+        ep = asm.breakdown(u.values + t * d).total
+        em = asm.breakdown(u.values - t * d).total
         fd = (ep - em) / (2.0 * t)
         an = float(np.sum(g * d))
         assert abs(an - fd) <= 1e-5 * (1.0 + abs(fd))
@@ -273,8 +272,8 @@ def reference_gradient(u, pot, mode, chi, model):
 def test_assembly_value_is_energy_rescaled_total(mesh16, pot, chi, magmodel, kernel_u, mode):
     asm = Assembly(mesh16, pot, mode, chi, magmodel, smooth_field=True)
     value, _ = asm.value_and_grad(kernel_u.values)
-    bd = energy_rescaled(kernel_u, pot, mode=mode, chi=chi, model=magmodel,
-                         smooth_field=True)
+    bd = Assembly(mesh16, pot, mode, chi, magmodel, smooth_field=True).breakdown(
+        kernel_u.values)
     assert value == bd.total
     assert asm.breakdown(kernel_u.values) == bd
     ref = reference_energy(kernel_u, pot, mode, chi, magmodel)
@@ -439,17 +438,6 @@ def test_apply_bc_idempotent(mesh16):
     assert np.array_equal(once.values, twice.values)
 
 
-def test_lipschitz_estimate_and_bound(mesh16):
-    G = np.array([[0.2, 0.0], [0.0, 0.1]])
-    bc = bc_affine(G)
-    est = bc.estimate_lipschitz(mesh16)
-    assert est <= np.linalg.norm(G, 2) + 1e-9
-    bc_tight = bc_affine(G)
-    bc_tight.lipschitz_bound = 1e-3
-    with pytest.raises(DiscreteEnergyError):
-        bc_tight.estimate_lipschitz(mesh16)
-
-
 # ----------------------------------------------------------------------
 # CSV interchange
 # ----------------------------------------------------------------------
@@ -526,6 +514,15 @@ def test_displacement_csv_rejects_malformed_rows(mesh16, csv_rows, tmp_path, lin
     write_rows(tmp_path / "bad.csv", csv_rows)
     with pytest.raises(DiscreteEnergyError, match=match):
         displacement_from_csv(str(tmp_path / "bad.csv"), mesh16)
+
+
+def test_displacement_csv_names_the_first_faulty_row(mesh16, csv_rows, tmp_path):
+    # a non-finite value on line 5 comes before a repeated point on line 9
+    csv_rows[4][3] = "nan"
+    csv_rows[8] = csv_rows[7]
+    write_rows(tmp_path / "two.csv", csv_rows)
+    with pytest.raises(DiscreteEnergyError, match="^line 5: point 3 has a non-finite"):
+        displacement_from_csv(str(tmp_path / "two.csv"), mesh16)
 
 
 def test_displacement_csv_rejects_an_empty_file(mesh16, tmp_path):

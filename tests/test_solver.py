@@ -71,7 +71,7 @@ def test_recovery_without_shift_support_raises(mesh16_phi0):
                     np.zeros(2))
     poly = np.array([[-0.25, 0.0], [1.25, 0.0], [1.25, 1.0], [-0.25, 1.0]])
     u = ContinuumDisplacement([AffinePiece(poly, np.zeros((2, 2)), np.zeros(2))],
-                              [seg], 1.0, 0.25,
+                              [seg], 1.0,
                               locator=lambda p: np.zeros(len(p), dtype=int))
     with pytest.raises(SolverError):
         recovery_sequence(u, mesh16_phi0)
@@ -83,8 +83,7 @@ def test_recovery_without_shift_support_raises(mesh16_phi0):
 
 def test_minimize_zero_load_rest_state(mesh16, pot_unit, chi):
     prob = CleavageProblem(alpha=1.0, beta=1.0, l=1.0, phi=0.3, a=0.0)
-    cfg = SolveConfig(max_iters=100, multistart=("zero", "perturbed"),
-                      rng_seed=0, mode="chi")
+    cfg = SolveConfig(max_iters=100, multistart=("zero",), mode="chi")
     res = minimize(mesh16, bc_cleavage(0.0, 1.0), pot_unit, cfg, chi=chi,
                    problem=prob)
     assert res.breakdown.total <= 1e-10
@@ -92,7 +91,7 @@ def test_minimize_zero_load_rest_state(mesh16, pot_unit, chi):
 
 def test_minimize_monotone_history_and_determinism(mesh16, pot_unit, chi):
     prob = problem_with(0.5)
-    cfg = SolveConfig(max_iters=60, multistart=("elastic", "perturbed"), rng_seed=3)
+    cfg = SolveConfig(max_iters=60, multistart=("elastic",))
     res1 = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
                     problem=prob)
     res2 = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
@@ -111,8 +110,7 @@ def test_descent_counts_evaluations_and_backtracks(mesh16, pot_unit, chi, monkey
     monkeypatch.setattr(discrete_energy, "_check_pair_identity",
                         lambda *args: checks.append(args) or real(*args))
     prob = problem_with(0.5)
-    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic", "perturbed"),
-                      rng_seed=3)
+    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic"))
     res = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
                    problem=prob)
     for start in res.starts:
@@ -129,8 +127,7 @@ def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, c
     from fraclat import solver
     from fraclat.discrete_energy import Assembly
     prob = problem_with(1.5)
-    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic", "cleaved", "perturbed"),
-                      n_cleaved=2, rng_seed=3)
+    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic", "cleaved"), n_cleaved=2)
 
     def run():
         finals = []
@@ -156,7 +153,7 @@ def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, c
     monkeypatch.setattr(Assembly, "value_and_grad", on_fresh_assembly)
     fresh, fresh_finals = run()
     assert [s.tag for s in reused.starts][:2] == ["zero", "elastic"]
-    assert reused.starts[-1].tag == "perturbed"
+    assert reused.starts[-1].tag.startswith("cleaved(p=")
     assert sum(s.iters for s in reused.starts) > 0
     assert sum(s.backtracks for s in reused.starts) > 0
     for (x1, a), (x2, b) in zip(reused_finals, fresh_finals, strict=True):
@@ -172,7 +169,7 @@ def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, c
 
 def test_minimize_never_worse_than_cleaved_inits(mesh16, pot_unit, chi):
     prob = problem_with(1.5)
-    cfg = SolveConfig(max_iters=60, multistart=("cleaved",), n_cleaved=3, rng_seed=0)
+    cfg = SolveConfig(max_iters=60, multistart=("cleaved",), n_cleaved=3)
     res = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
                    problem=prob)
     # initial energies of the cleaved family are upper bounds for the result
@@ -189,7 +186,7 @@ def test_minimize_never_worse_than_cleaved_inits(mesh16, pot_unit, chi):
 def test_minimize_selects_branch(mult, expect_crack, pot_unit, chi):
     prob = problem_with(mult)
     mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / 16.0, l=prob.l, eta=0.25))
-    cfg = SolveConfig(max_iters=150, rng_seed=0)
+    cfg = SolveConfig(max_iters=150)
     res = minimize(mesh, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
                    problem=prob)
     el, cr = elastic_branch_energy(prob), crack_branch_energy(prob)
@@ -200,10 +197,25 @@ def test_minimize_selects_branch(mult, expect_crack, pot_unit, chi):
     assert (n_broken > 0) == expect_crack
 
 
-def test_minimize_unknown_start_tag(mesh16, pot_unit):
-    cfg = SolveConfig(multistart=("nonsense",))
-    with pytest.raises(SolverError):
-        minimize(mesh16, bc_cleavage(0.1, 1.0), pot_unit, cfg)
+def test_minimize_unknown_start_tag(mesh16, pot_unit, chi):
+    prob = problem_with(0.5)
+    for tag in ("nonsense", "perturbed"):
+        cfg = SolveConfig(multistart=(tag,))
+        with pytest.raises(SolverError, match=f"unknown initializer tag '{tag}'"):
+            minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
+                     problem=prob)
+
+
+def test_default_multistart_does_not_depend_on_the_seed(mesh16, pot_unit, chi):
+    prob = problem_with(1.5)
+    runs = [minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit,
+                     SolveConfig(max_iters=60, rng_seed=seed), chi=chi, problem=prob)
+            for seed in (0, 7)]
+    records = [[(s.tag, s.energy, s.iters, s.evals, s.backtracks, s.history)
+                for s in res.starts] for res in runs]
+    assert records[0] == records[1]
+    assert [tag for tag, *_ in records[0]][:2] == ["zero", "elastic"]
+    assert np.array_equal(runs[0].u.values, runs[1].u.values)
 
 
 # ----------------------------------------------------------------------
