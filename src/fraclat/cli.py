@@ -266,11 +266,18 @@ def _run_config_command(body, args) -> int:
     return 0
 
 
+def _warn(message: str):
+    print(f"fraclat: warning: {message}", file=sys.stderr)
+
+
 def cmd_cleavage(cfg: RunConfig, out: OutputSet, args) -> str:
     problem = _problem(cfg)
     rows = convergence_study(problem, cfg.eps_list(), config=_solve_config(cfg),
                              pot=_potential(cfg), chi=_chi(cfg), model=_model(cfg),
                              with_minimize=not args.no_minimize)
+    unconverged = [_fmt(r.eps) for r in rows if not r.converged]
+    if unconverged:
+        _warn(f"the best start did not converge at eps = {', '.join(unconverged)}")
     write_csv(out.path("convergence.csv"), CONVERGENCE_HEADER, [r.row() for r in rows])
     write_manifest(out.path("cleavage_manifest.txt"), cfg, {
         "derived.gamma": problem.gamma,
@@ -287,6 +294,9 @@ def cmd_minimize(cfg: RunConfig, out: OutputSet, args) -> str:
     bc = bc_cleavage(problem.a, problem.l)
     res = minimize(mesh, bc, _potential(cfg), _solve_config(cfg), chi=_chi(cfg),
                    model=_model(cfg), problem=problem)
+    if not res.best.converged:
+        _warn(f"the best start {res.best_tag} did not converge: |g| = "
+              f"{res.best.grad_norm:.3g} after {res.best.iters} iterations")
     displacement_to_csv(res.u, out.path("displacement.csv"))
     write_csv(out.path("energy.csv"), ENERGY_HEADER, [res.breakdown.row()])
     write_manifest(out.path("minimize_manifest.txt"), cfg, {

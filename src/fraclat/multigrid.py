@@ -1,0 +1,260 @@
+"""Preconditioner of the descent: one multigrid cycle on the rest stiffness.
+
+At the rest state every bond has unit stretch, where ``W'(1) = 0``, so the
+Hessian of the rescaled pair energy is the bond stiffness
+
+    K = alpha * sum_b (v_b v_b^T) (x) (e_j - e_i)(e_j - e_i)^T
+
+over the assembly's bonds, with ``alpha = W''(1)``.  It depends only on
+the mesh, the bonds and the boundary condition, not on the load or the
+start.  :class:`StiffnessMultigrid` applies ``M ~ K^-1`` as one symmetric
+multigrid cycle (Briggs, Henson and McCormick, *A Multigrid Tutorial*,
+SIAM 2000):
+
+* Unknowns are the displacement components that the boundary condition
+  leaves free on points touched by at least one bond.  ``SHIFT * I`` is
+  added because a loading may leave a rigid translation free.  ``M`` is
+  0 on every other component, where the projected gradient vanishes.
+* The fine level applies K matrix-free, one ``bincount`` pair per bond
+  direction.
+* The coarse points are the points with even ``(lam1, lam2)``.  A coarse
+  point keeps its value; every other point takes the mean of its two
+  coarse neighbours along one bond offset.  A pinned neighbour is dropped
+  and the other keeps weight 1/2; an absent one (outside the mesh or
+  without bonds) leaves weight 1 to the other.
+* A coarse operator is the Galerkin product ``P^T A P``.  It is again a
+  7-point stencil of 2 x 2 blocks, read off with 14 products, one per
+  displacement component and colour ``(lam1 + 3 lam2) mod 7``: the seven
+  points of any stencil have seven different colours.
+* Each level smooths with damped Jacobi before and after its coarse
+  correction.  The mesh level corrects once and the coarse levels twice
+  (a V-cycle on the mesh over W-cycles below it, which keeps the
+  iteration count nearly flat down to eps = 1/256); the coarsest level
+  is inverted densely, so the level above it corrects once, exactly.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .discrete_energy import Assembly
+
+SHIFT = 1e-6          # added to K on every free component
+JACOBI_OMEGA = 0.6    # damping of the Jacobi sweeps
+JACOBI_SWEEPS = 2     # sweeps before and after each coarse correction
+COARSEST_DOFS = 150   # free components at or below which a level is inverted densely
+COARSE_CYCLES = 2     # cycles on the next level per coarse-level visit (the mesh level makes 1)
+
+# the 7-point stencil, offset o in slot (o1 + 3 o2) mod 7 (its colour shift)
+_STENCIL = np.array([(0, 0), (1, 0), (-1, 1), (0, 1), (0, -1), (1, -1), (-1, 0)])
+# offset from a point to its two coarse parents, by parity lam1 % 2 + 2 (lam2 % 2)
+_PARENT_OFFSET = np.array([(0, 0), (1, 0), (0, 1), (1, -1)])
+
+
+def _locator(coords: np.ndarray):
+    """Function from integer points to their rows in ``coords``, ``len(coords)`` if absent."""
+    n = len(coords)
+    lo = coords.min(axis=0)
+    size = coords.max(axis=0) - lo + 1
+    grid = np.full(size, n, dtype=np.intp)
+    grid[tuple((coords - lo).T)] = np.arange(n)
+
+    def find(points: np.ndarray) -> np.ndarray:
+        q = points - lo
+        inside = np.all((q >= 0) & (q < size), axis=1)
+        rows = np.full(len(q), n, dtype=np.intp)
+        rows[inside] = grid[tuple(q[inside].T)]
+        return rows
+
+    return find
+
+
+class _BondLevel:
+    """K + SHIFT I on the mesh points, applied bond direction by bond direction."""
+
+    def __init__(self, asm: Assembly):
+        mesh = asm.mesh
+        dirs = mesh.edge_dir[mesh.edge_set(asm.domain)]  # the assembly's bonds
+        if np.any(dirs[1:] < dirs[:-1]):
+            raise ValueError("the assembly's bonds are not grouped by direction")
+        cuts = np.searchsorted(dirs, np.arange(4))
+        self.n = mesh.n_points
+        self._ends = [asm._bond_ends[:, cuts[d]:cuts[d + 1]] for d in range(3)]
+        self._vecs = mesh.vecs.as_array()  # (3, 2): v_d in row d
+        self._alpha = asm.pot.alpha
+        counts = np.array([np.bincount(ends.ravel(), minlength=self.n) for ends in self._ends])
+        self.degree = counts.sum(axis=0)
+        self.diag = SHIFT + self._alpha * (counts.T @ self._vecs ** 2)
+
+    def stiffness(self, x: np.ndarray) -> np.ndarray:
+        """K x for ``(N, 2)`` values ``x``, every component included."""
+        p = self._vecs @ x.T  # (3, N): v_d . x at every point
+        s = np.empty_like(p)
+        for d, (e0, e1) in enumerate(self._ends):
+            c = np.take(p[d], e1)
+            c -= np.take(p[d], e0)  # v_d . (x_j - x_i) on the bonds of direction d
+            s[d] = np.bincount(e1, c, minlength=self.n)
+            s[d] -= np.bincount(e0, c, minlength=self.n)
+        return s.T @ (self._alpha * self._vecs)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        out = self.stiffness(x)
+        out += SHIFT * x
+        return out
+
+
+class _StencilLevel:
+    """A coarse operator: per point, 2 x 2 blocks on its 7 stencil neighbours."""
+
+    def __init__(self, neighbors: np.ndarray, blocks: np.ndarray):
+        self.n = len(neighbors)
+        self._neighbors = neighbors.ravel()  # (n, 7) rows; an absent neighbour's block is 0
+        self._blocks = blocks  # (n, 2, 14): column 2 slot + k acts on component k
+        self.diag = blocks[:, [0, 1], [0, 1]]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        near = np.take(x, self._neighbors, axis=0).reshape(self.n, 14)
+        return np.einsum("nrc,nc->nr", self._blocks, near)
+
+
+class _Transfer:
+    """Interpolation P from a coarse level to the level above it, and its transpose."""
+
+    def __init__(self, parents: np.ndarray, weights: np.ndarray, n_coarse: int):
+        self._parents = parents  # (2, n): rows of the coarse level; an absent parent's weight is 0
+        self._weights = weights  # (2, n, 2): weight of each parent per component
+        self.n_coarse = n_coarse
+
+    def prolong(self, xc: np.ndarray) -> np.ndarray:
+        a, b = self._parents
+        wa, wb = self._weights
+        out = wa * np.take(xc, a, axis=0)
+        out += wb * np.take(xc, b, axis=0)
+        return out
+
+    def restrict(self, r: np.ndarray) -> np.ndarray:
+        out = np.empty((self.n_coarse, 2))
+        for k in range(2):
+            out[:, k] = np.bincount(self._parents[0], self._weights[0, :, k] * r[:, k],
+                                    minlength=self.n_coarse)
+            out[:, k] += np.bincount(self._parents[1], self._weights[1, :, k] * r[:, k],
+                                     minlength=self.n_coarse)
+        return out
+
+
+def _coarsen(coords: np.ndarray, present: np.ndarray, active: np.ndarray, level):
+    """The coarse level below ``level``, its transfer, points and free components.
+
+    ``coords`` are the level's integer lattice points, ``present`` marks the
+    ones with bonds and ``active`` the free components.  None when the
+    coarse points would not be fewer and nonempty.
+    """
+    parity = coords & 1
+    rows = np.flatnonzero(present & ~parity.any(axis=1))
+    if not 0 < len(rows) < len(coords):
+        return None
+    coarse, coarse_active = coords[rows] >> 1, active[rows]
+    nc = len(rows)
+    find = _locator(coarse)
+    offset = _PARENT_OFFSET[parity[:, 0] + 2 * parity[:, 1]]
+    parents = np.stack([find((coords + offset) >> 1), find((coords - offset) >> 1)])
+    found = parents < nc
+    parents[~found] = 0
+    weights = (found[:, :, None] & coarse_active[parents] & active) \
+        / np.maximum(found.sum(axis=0), 1)[:, None]
+    transfer = _Transfer(parents, weights, nc)
+
+    neighbors = np.stack([find(coarse + o) for o in _STENCIL], axis=1)
+    absent = neighbors == nc
+    neighbors[absent] = np.nonzero(absent)[0]  # read itself through a zero block
+    colour = (coarse[:, 0] + 3 * coarse[:, 1]) % 7
+    blocks = np.zeros((nc, 2, 14))
+    every = np.arange(nc)
+    for c in range(7):
+        slot = (c - colour) % 7
+        for k in range(2):
+            probe = np.zeros((nc, 2))
+            probe[colour == c, k] = 1.0
+            blocks[every, :, 2 * slot + k] = transfer.restrict(
+                level.apply(transfer.prolong(probe)))
+    return _StencilLevel(neighbors, blocks), transfer, coarse, coarse_active
+
+
+class _DenseInverse:
+    """Exact inverse of a level's operator on its free components."""
+
+    def __init__(self, level, active: np.ndarray):
+        self._free = np.flatnonzero(active.ravel())
+        columns = []
+        for j in self._free:
+            unit = np.zeros(2 * level.n)
+            unit[j] = 1.0
+            columns.append(level.apply(unit.reshape(-1, 2)).ravel()[self._free])
+        inverse = np.linalg.inv(np.reshape(columns, (len(self._free),) * 2))
+        self._inverse = 0.5 * (inverse + inverse.T)
+        self.n = level.n
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.zeros(2 * self.n)
+        x[self._free] = self._inverse @ b.ravel()[self._free]
+        return x.reshape(-1, 2)
+
+
+class StiffnessMultigrid:
+    """``M ~ (K + SHIFT I)^-1`` on the free components of one assembly.
+
+    Built once per assembly and boundary condition; ``M`` is symmetric
+    and positive on the free components and 0 on the others.  Calling it
+    on ``(N, 2)`` values returns a new ``(N, 2)`` array.
+    """
+
+    def __init__(self, asm: Assembly, mask_x: np.ndarray, mask_y: np.ndarray):
+        fine = _BondLevel(asm)
+        self._fine = fine
+        present = fine.degree > 0
+        active = np.column_stack([~mask_x, ~mask_y]) & present[:, None]
+        coords, level = asm.mesh.lam, fine
+        self._levels = []  # (level, omega D^-1, transfer to the level below)
+        while active.sum() > COARSEST_DOFS:
+            step = _coarsen(coords, present, active, level)
+            if step is None:
+                break
+            coarse, transfer, coords, coarse_active = step
+            smooth = np.divide(JACOBI_OMEGA, level.diag, out=np.zeros(active.shape),
+                               where=active)
+            self._levels.append((level, smooth, transfer))
+            level, active = coarse, coarse_active
+            present = np.ones(level.n, dtype=bool)
+        self._coarsest = _DenseInverse(level, active)
+
+    def stiffness(self, x: np.ndarray) -> np.ndarray:
+        """K x on ``(N, 2)`` values, without the shift or the boundary condition."""
+        return self._fine.stiffness(x)
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        return self._cycle(0, b)
+
+    def _cycle(self, depth: int, b: np.ndarray) -> np.ndarray:
+        if depth == len(self._levels):
+            return self._coarsest.solve(b)
+        level, smooth, transfer = self._levels[depth]
+
+        def residual(x):
+            r = level.apply(x)
+            return np.subtract(b, r, out=r)
+
+        def jacobi(x):
+            r = residual(x)
+            r *= smooth
+            return r
+
+        x = smooth * b
+        for _ in range(JACOBI_SWEEPS - 1):
+            x += jacobi(x)
+        # the level above the dense one is corrected exactly by its first pass
+        cycles = COARSE_CYCLES if 0 < depth < len(self._levels) - 1 else 1
+        for _ in range(cycles):
+            x += transfer.prolong(self._cycle(depth + 1, transfer.restrict(residual(x))))
+        for _ in range(JACOBI_SWEEPS):
+            x += jacobi(x)
+        return x

@@ -2,12 +2,19 @@
 
 The landscape is nonconvex (a fully cracked bar and a stretched elastic
 bar are both critical), so no global optimality is claimed: the driver
-runs a projected gradient descent with Armijo backtracking and
-limited-memory quasi-Newton directions from a fixed family of starting
-guesses (unloaded, homogeneously stretched, cracked at several
+runs a projected descent with Armijo backtracking from a fixed family of
+starting guesses (unloaded, homogeneously stretched, cracked at several
 stations) and reports the best local minimum next to the
 sampled-configuration upper bounds.  The family draws no random
-numbers, so a minimization depends only on its inputs.
+numbers, so a minimization depends only on its inputs, and each start is
+built only when its descent begins.
+
+The descent directions are limited-memory quasi-Newton (L-BFGS) ones
+whose initial inverse Hessian is one multigrid cycle on the rest-state
+bond stiffness (:class:`fraclat.multigrid.StiffnessMultigrid`).  That
+stiffness depends only on the mesh and the boundary condition, so one
+preconditioner serves every start of a minimization, and it keeps the
+iteration count of a start nearly flat as eps shrinks.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .discrete_energy import (Assembly, BoundaryCondition, Displacement,
 from .lattice import (LatticeSpec, TriangleMesh, build_mesh,
                       cleavage_direction, rotation_matrix)
 from .material import MagnetizationModel, PairPotential, PenaltyChi
+from .multigrid import StiffnessMultigrid
 
 
 class SolverError(RuntimeError):
@@ -52,7 +60,7 @@ STEP0 = 1.0            # first trial step of every line search
 ARMIJO_SHRINK = 0.5    # step factor after a rejected trial
 ARMIJO_SLOPE = 1e-4    # sufficient-decrease fraction of the directional slope
 MAX_BACKTRACKS = 40    # trials per line search before the start gives up
-LBFGS_MEMORY = 8       # (s, y) pairs kept by the quasi-Newton direction
+LBFGS_MEMORY = 2       # (s, y) pairs kept by the quasi-Newton direction
 STALL_TOL = 1e-14      # relative energy drop that counts as no progress
 STALL_ITERS = 3        # consecutive stalled steps that end a start as converged
 
@@ -89,8 +97,12 @@ class StartResult:
 class MinimizeResult:
     u: Displacement
     breakdown: EnergyBreakdown
-    best_tag: str
+    best: StartResult  # the record of the start that gave ``u``
     starts: list
+
+    @property
+    def best_tag(self) -> str:
+        return self.best.tag
 
 
 @dataclass
@@ -104,6 +116,7 @@ class ConvergenceRow:
     n_broken: int = 0
     crack_energy_est: float = float("nan")
     crack_angle_deg: float = float("nan")
+    converged: bool = True  # False for a minimization whose best start stopped early
 
     @property
     def gap(self) -> float:
@@ -145,26 +158,30 @@ def recovery_sequence(u_cont: ContinuumDisplacement, mesh: TriangleMesh) -> Disp
 # projected descent
 # ----------------------------------------------------------------------
 
-def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
-    """Two-loop recursion over the kept ``(s, y, rho)`` triples, oldest first."""
+def _lbfgs_direction(g: np.ndarray, pairs, precond: StiffnessMultigrid) -> np.ndarray:
+    """Quasi-Newton direction ``-H g`` by the two-loop recursion.
+
+    ``H`` is the limited-memory inverse Hessian built from ``H0 = precond``
+    and the kept ``(s, y, rho)`` triples, oldest first.  The loops update
+    in place, with one scratch array for all the pairs.
+    """
     q = g.copy()
+    scratch = np.empty_like(g)
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
+        a = rho * float(np.vdot(s, q))
         alphas.append(a)
-        q -= a * y
-    if pairs:
-        s, y, _ = pairs[-1]
-        q *= float(s @ y) / float(y @ y)
+        q -= np.multiply(y, a, out=scratch)
+    d = precond(q)
     for a, (s, y, rho) in zip(reversed(alphas), pairs):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return -q
+        b = rho * float(np.vdot(y, d))
+        d += np.multiply(s, a - b, out=scratch)
+    return np.negative(d, out=d)
 
 
-def _descend(asm: Assembly, tag: str, u0: Displacement, bc: BoundaryCondition,
-             config: SolveConfig) -> tuple[np.ndarray, StartResult]:
-    """Projected descent from one start.
+def _descend(asm: Assembly, precond: StiffnessMultigrid, tag: str, u0: Displacement,
+             bc: BoundaryCondition, config: SolveConfig) -> tuple[np.ndarray, StartResult]:
+    """Projected descent from one start, preconditioned by ``precond``.
 
     Returns the final iterate and its record; the record's energy is the
     descended objective at that iterate.  Every trial point costs one
@@ -193,12 +210,12 @@ def _descend(asm: Assembly, tag: str, u0: Displacement, bc: BoundaryCondition,
         gnorm = float(np.linalg.norm(g))
         if gnorm <= config.grad_tol:
             return done(it - 1, True)
-        d = _lbfgs_direction(g.ravel(), pairs).reshape(x.shape) if pairs else -g
-        slope = float(np.sum(g * d))
-        if slope >= 0.0:  # quasi-Newton direction lost descent; reset
+        d = _lbfgs_direction(g, pairs, precond)
+        slope = float(np.vdot(g, d))
+        if slope >= 0.0:  # quasi-Newton direction lost descent; restart from -M g
             pairs.clear()
-            d = -g
-            slope = -gnorm ** 2
+            d = -precond(g)
+            slope = float(np.vdot(g, d))
         t = STEP0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
@@ -218,10 +235,11 @@ def _descend(asm: Assembly, tag: str, u0: Displacement, bc: BoundaryCondition,
             return done(it, False)
         step = t
         g_new = project_gradient(g_new, mask_x, mask_y)
-        s_vec = (x_new - x).ravel()
-        y_vec = (g_new - g).ravel()
-        if float(s_vec @ y_vec) > 1e-14:
-            pairs.append((s_vec, y_vec, 1.0 / float(y_vec @ s_vec)))
+        s_vec = x_new - x
+        y_vec = g_new - g
+        sy = float(np.vdot(s_vec, y_vec))
+        if sy > 1e-14:
+            pairs.append((s_vec, y_vec, 1.0 / sy))
         drop = fx - f_new
         x, fx, g = x_new, f_new, g_new
         history.append(fx)
@@ -252,22 +270,28 @@ def cleaved_stations(problem: CleavageProblem, n: int) -> np.ndarray:
     return lo2 + (hi2 - lo2) * (np.arange(n) + 0.5) / n
 
 
+START_TAGS = ("zero", "elastic", "cleaved")
+
+
 def _initializers(mesh: TriangleMesh, problem: CleavageProblem,
                   config: SolveConfig):
-    """Deterministic family of starting displacements, in a fixed order."""
-    out = []
+    """Deterministic family of starting displacements, in a fixed order.
+
+    Every tag is checked before the first start is built; the starts are
+    then made one at a time, as the returned iterator is advanced.
+    """
+    for tag in config.multistart:
+        if tag not in START_TAGS:
+            raise SolverError(f"unknown initializer tag {tag!r}")
     for tag in config.multistart:
         if tag == "zero":
-            out.append(("zero", Displacement.zero(mesh)))
+            yield "zero", Displacement.zero(mesh)
         elif tag == "elastic":
-            out.append(("elastic", _elastic_ramp(mesh, problem)))
-        elif tag == "cleaved":
+            yield "elastic", _elastic_ramp(mesh, problem)
+        else:
             for p in cleaved_stations(problem, config.n_cleaved):
                 u_cr = build_u_cr(problem, float(p))
-                out.append((f"cleaved(p={p:.6g})", recovery_sequence(u_cr, mesh)))
-        else:
-            raise SolverError(f"unknown initializer tag {tag!r}")
-    return out
+                yield f"cleaved(p={p:.6g})", recovery_sequence(u_cr, mesh)
 
 
 def _elastic_ramp(mesh: TriangleMesh, problem: CleavageProblem) -> Displacement:
@@ -290,28 +314,28 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
 
     ``problem`` places the ``elastic`` ramp and the ``cleaved`` stations.
     """
-    starts = _initializers(mesh, problem, config)
-    if not starts:
-        raise SolverError("no starting point; check the multistart list")
-    # one assembly serves every start; the descent differentiates the
-    # smoothed field cutoff, and mode f reports with the sharp one
+    # one assembly and one preconditioner serve every start; the descent
+    # differentiates the smoothed field cutoff, and mode f reports with the
+    # sharp one
     asm = Assembly(mesh, pot, mode=config.mode, chi=chi, model=model,
                    domain=config.domain, smooth_field=True)
     report = asm if config.mode != "f" else Assembly(
         mesh, pot, mode="f", chi=chi, model=model, domain=config.domain)
+    precond = StiffnessMultigrid(asm, *bc.masks(mesh))
     results = []
     best = None
-    for k, (tag, u0) in enumerate(starts):
-        x, rec = _descend(asm, tag, u0, bc, config)
+    for k, (tag, u0) in enumerate(_initializers(mesh, problem, config)):
+        x, rec = _descend(asm, precond, tag, u0, bc, config)
         u = Displacement(mesh, x)
         bd = report.breakdown(x)
         rec.energy = bd.total
         results.append(rec)
         if best is None or bd.total < best[0]:
             best = (bd.total, k, u, bd)
-    _, _, u_best, bd_best = best
-    return MinimizeResult(u=u_best, breakdown=bd_best,
-                          best_tag=results[best[1]].tag, starts=results)
+    if best is None:
+        raise SolverError("no starting point; check the multistart list")
+    _, k, u_best, bd_best = best
+    return MinimizeResult(u=u_best, breakdown=bd_best, best=results[k], starts=results)
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +406,7 @@ def convergence_study(problem: CleavageProblem, eps_list,
                            problem=problem)
             n, est, ang, _ = _crack_summary(res.u, problem.beta)
             rows.append(ConvergenceRow(eps, f"{mode}/minimize", res.breakdown.total,
-                                       target, n, est, ang))
+                                       target, n, est, ang, res.best.converged))
     check_gap_ladder(crack_gaps, eps_list, pot.beta)
     return rows
 

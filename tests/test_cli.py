@@ -253,6 +253,32 @@ def test_minimize_command_is_byte_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def subcritical_config(tmp_path, extra=""):
+    from fraclat.continuum import CleavageProblem, a_crit
+    a = 0.5 * a_crit(CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=0.0))
+    text = BASE.replace("load.a = 2.0", f"load.a = {a!r}").replace("1/16,1/32", "1/16")
+    return write_config(tmp_path / "c.cfg", text + extra + f"out.dir = {tmp_path}/out\n")
+
+
+@pytest.mark.parametrize("argv", [["minimize"], ["cleavage"]], ids=lambda argv: argv[0])
+def test_unconverged_best_start_is_reported(tmp_path, capsys, argv):
+    # below a_crit the elastic ramp is the best start; one step leaves it unconverged
+    table = {"minimize": "energy.csv", "cleavage": "convergence.csv"}[argv[0]]
+    for max_iters, warned in ((1, True), (300, False)):
+        cfg = subcritical_config(tmp_path, "solve.multistart = elastic\n"
+                                 f"solve.max_iters = {max_iters}\n")
+        assert main(argv + ["--config", cfg]) == 0
+        assert (tmp_path / "out" / table).exists()
+        captured = capsys.readouterr()
+        assert captured.out.startswith("wrote ")
+        if warned:
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("fraclat: warning: the best start")
+            assert "did not converge" in captured.err
+        else:
+            assert captured.err == ""
+
+
 def test_output_set_discard_removes_written_files(tmp_path):
     from fraclat.cli import OutputSet
     out = OutputSet(str(tmp_path / "out"))

@@ -5,9 +5,11 @@ import pytest
 
 from fraclat.continuum import (CleavageProblem, a_crit, build_u_cr, build_u_el,
                                crack_branch_energy, elastic_branch_energy)
-from fraclat.discrete_energy import (Displacement, bc_cleavage, energy_rescaled,
+from fraclat.discrete_energy import (Assembly, Displacement, bc_cleavage, energy_rescaled,
                                      interpolate_gradients)
 from fraclat.lattice import LatticeSpec, build_mesh
+from fraclat.material import PairPotential, PenaltyChi
+from fraclat.multigrid import StiffnessMultigrid
 from fraclat.solver import (SolveConfig, SolverError, convergence_study,
                             fit_loglog_slope, magnet_demo, minimize,
                             nonequicoercivity_demo, recovery_sequence,
@@ -216,6 +218,112 @@ def test_default_multistart_does_not_depend_on_the_seed(mesh16, pot_unit, chi):
     assert records[0] == records[1]
     assert [tag for tag, *_ in records[0]][:2] == ["zero", "elastic"]
     assert np.array_equal(runs[0].u.values, runs[1].u.values)
+
+
+def test_unknown_tag_is_reported_before_any_descent(mesh16, pot_unit, chi, monkeypatch):
+    from fraclat import solver
+    descents = []
+    monkeypatch.setattr(solver, "_descend", lambda *args: descents.append(args))
+    prob = problem_with(0.5)
+    cfg = SolveConfig(multistart=("zero", "elastic", "nonsense"))
+    with pytest.raises(SolverError, match="unknown initializer tag 'nonsense'"):
+        minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
+    assert descents == []
+
+
+@pytest.mark.parametrize("multistart,n_cleaved", [((), 9), (("cleaved",), 0)])
+def test_empty_multistart_has_no_starting_point(mesh16, pot_unit, chi, multistart, n_cleaved):
+    prob = problem_with(0.5)
+    cfg = SolveConfig(multistart=multistart, n_cleaved=n_cleaved)
+    with pytest.raises(SolverError, match="no starting point"):
+        minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
+
+
+def test_starts_are_built_one_at_a_time(mesh16, pot_unit, chi, monkeypatch):
+    from fraclat import solver
+    built, seen = [], []
+    sample, descend = solver.recovery_sequence, solver._descend
+
+    def counting_sample(*args):
+        built.append(args)
+        return sample(*args)
+
+    def recording(asm, precond, tag, *rest):
+        seen.append((tag, len(built)))
+        return descend(asm, precond, tag, *rest)
+
+    monkeypatch.setattr(solver, "recovery_sequence", counting_sample)
+    monkeypatch.setattr(solver, "_descend", recording)
+    prob = problem_with(1.5)
+    cfg = SolveConfig(max_iters=5, multistart=("zero", "cleaved"), n_cleaved=3)
+    minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
+    assert [count for _, count in seen] == [0, 1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# rest-stiffness preconditioner
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("pot", [PairPotential(), PairPotential.shifted_lj()],
+                         ids=lambda pot: pot.family)
+def test_stiffness_is_the_rest_hessian(pot):
+    # K v against a central difference of the plain gradient about the rest state
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0, eta=0.25))
+    asm = Assembly(mesh, pot, mode="plain")
+    none = np.zeros(mesh.n_points, dtype=bool)
+    v = np.random.default_rng(8).standard_normal((mesh.n_points, 2))
+    Kv = StiffnessMultigrid(asm, none, none).stiffness(v)
+    h = 1e-5
+    fd = (asm.value_and_grad(h * v)[1] - asm.value_and_grad(-h * v)[1]) / (2.0 * h)
+    assert np.abs(fd - Kv).max() <= 1e-6 * np.abs(Kv).max()
+
+
+@pytest.fixture(scope="module")
+def multigrid_bar():
+    # the test-07 bar at eps = 1/32: two stencil levels and the dense one below the mesh
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 32.0, l=2.0, eta=0.25))
+    asm = Assembly(mesh, PairPotential(), mode="chi", chi=PenaltyChi(), smooth_field=True)
+    mask_x, mask_y = bc_cleavage(0.5, 2.0).masks(mesh)
+    return mesh, asm, mask_x, StiffnessMultigrid(asm, mask_x, mask_y)
+
+
+def test_preconditioner_is_symmetric_positive_and_zero_when_pinned(multigrid_bar):
+    mesh, asm, mask_x, M = multigrid_bar
+    rng = np.random.default_rng(16)
+    u, w = rng.standard_normal((2, mesh.n_points, 2))
+    Mu, Mw = M(u), M(w)
+    assert abs(np.vdot(u, Mw) - np.vdot(w, Mu)) <= 1e-12 * abs(np.vdot(u, Mw))
+    for v in rng.standard_normal((10, mesh.n_points, 2)):
+        assert np.vdot(v, M(v)) > 0.0
+    assert mask_x.any() and np.all(Mu[mask_x, 0] == 0.0)
+    # points without bonds (the margins outside the specimen) get 0 too
+    bonded = np.zeros(mesh.n_points, dtype=bool)
+    bonded[asm._bond_ends.ravel()] = True
+    assert not bonded.all() and np.all(Mu[~bonded] == 0.0)
+    assert np.any(Mu[~mask_x, 1] != 0.0)
+
+
+def test_coarse_stencils_are_the_galerkin_products(multigrid_bar):
+    # the 7-colour probing reads off P^T A P exactly
+    *_, M = multigrid_bar
+    assert len(M._levels) == 3
+    rng = np.random.default_rng(7)
+    for (level, _, transfer), (coarse, _, _) in zip(M._levels, M._levels[1:]):
+        xc = rng.standard_normal((coarse.n, 2))
+        galerkin = transfer.restrict(level.apply(transfer.prolong(xc)))
+        assert np.abs(coarse.apply(xc) - galerkin).max() <= 1e-12 * np.abs(galerkin).max()
+
+
+@pytest.mark.parametrize("eps", [1.0 / 16.0, 1.0 / 32.0], ids=["1/16", "1/32"])
+@pytest.mark.parametrize("mult", [0.5, 1.5])
+def test_elastic_start_converges_in_few_iterations(eps, mult, pot_unit, chi):
+    prob = problem_with(mult, l=2.0)
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=0.25))
+    cfg = SolveConfig(max_iters=300, multistart=("elastic",))
+    res = minimize(mesh, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
+    start = res.starts[0]
+    assert start.converged and start.grad_norm <= cfg.grad_tol
+    assert start.iters <= 30
 
 
 # ----------------------------------------------------------------------
