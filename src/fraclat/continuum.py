@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import (SQRT3, CleavageData, LatticeVectors, cleavage_direction,
-                      lattice_vectors, perp)
+                      lattice_vectors, perp, row_dots)
 from .material import quadratic_form
 
 _GEOM_TOL = 1e-12
@@ -91,10 +91,14 @@ def clip_segment_rect(p0: np.ndarray, p1: np.ndarray, rect):
 
 def _oriented_normal(direction: np.ndarray) -> np.ndarray:
     """Unit normal with nonnegative first component; ties point along e2."""
-    n = perp(direction / np.linalg.norm(direction))
-    if n[0] < -_GEOM_TOL or (abs(n[0]) <= _GEOM_TOL and n[1] < 0.0):
-        n = -n
-    return n
+    return _oriented_normals(np.asarray(direction, dtype=float)[None])[0]
+
+
+def _oriented_normals(directions: np.ndarray) -> np.ndarray:
+    """:func:`_oriented_normal` of each row of a (k, 2) array."""
+    n = perp(directions / np.sqrt(row_dots(directions, directions))[:, None])
+    flip = (n[:, 0] < -_GEOM_TOL) | ((np.abs(n[:, 0]) <= _GEOM_TOL) & (n[:, 1] < 0.0))
+    return np.where(flip[:, None], -n, n)
 
 
 # ----------------------------------------------------------------------
@@ -200,8 +204,13 @@ def _check_no_overlap(u: ContinuumDisplacement):
 
 def surface_density(nu: np.ndarray, vecs: LatticeVectors, beta: float) -> float:
     """Anisotropic crack density (2 beta / sqrt(3)) * sum_v |v . nu|."""
+    return float(surface_densities(np.asarray(nu, dtype=float)[None], vecs, beta)[0])
+
+
+def surface_densities(nus: np.ndarray, vecs: LatticeVectors, beta: float) -> np.ndarray:
+    """:func:`surface_density` of each row of a (k, 2) array of normals."""
     V = vecs.as_array()
-    return 2.0 * beta / SQRT3 * float(np.abs(V @ np.asarray(nu)).sum())
+    return 2.0 * beta / SQRT3 * np.abs(np.matmul(V, nus[:, :, None])[:, :, 0]).sum(axis=1)
 
 
 def energy_limit(u: ContinuumDisplacement, alpha: float, beta: float,

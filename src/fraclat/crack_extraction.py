@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .continuum import _oriented_normal, surface_density
+from .continuum import _oriented_normals, surface_densities
 from .discrete_energy import Displacement, interpolate_gradients
-from .lattice import LatticeVectors, TriangleMesh, perp
+from .lattice import LatticeVectors, TriangleMesh, perp, row_dots
 
 BREAK_THRESHOLD = 7.0
 STRETCH_FACTOR = 2.0
@@ -65,77 +66,87 @@ class BrokenTriangle:
 
 @dataclass
 class BrokenClassification:
-    """All broken triangles of a configuration plus the gradients used."""
+    """All broken triangles of a configuration plus the gradients used.
 
-    records: list
-    F: np.ndarray          # deformation gradients on every triangle
+    Row j of the per-triangle arrays describes triangle ``tri_indices[j]``;
+    the triangles are in ascending order.
+    """
+
+    tri_indices: np.ndarray  # (k,) the broken triangles
+    frobenius: np.ndarray    # (k,) |F| on them
+    m: np.ndarray            # (k,) number of stretched bonds, 2 or 3
+    stretched: np.ndarray    # (k, 3) bool per bond direction
+    intact: np.ndarray       # (k,) bond kept by the modified map, -1 where m = 3
+    F: np.ndarray            # deformation gradients on every triangle
 
     @property
     def count(self) -> int:
-        return len(self.records)
+        return len(self.tri_indices)
 
-    @property
-    def tri_indices(self) -> np.ndarray:
-        return np.array([r.tri for r in self.records], dtype=int)
+    @cached_property
+    def records(self) -> list:
+        """One :class:`BrokenTriangle` per broken triangle."""
+        return [BrokenTriangle(tri=t, frobenius=f, m=m, stretched=s,
+                               intact=i if m == 2 else None)
+                for t, f, m, s, i in zip(self.tri_indices.tolist(), self.frobenius.tolist(),
+                                         self.m.tolist(), self.stretched,
+                                         self.intact.tolist())]
 
 
 def classify_broken(u: Displacement) -> BrokenClassification:
     """Find triangles with |F| beyond ``BREAK_THRESHOLD`` and count stretched bonds."""
-    mesh = u.mesh
     _, F = interpolate_gradients(u)
     frob = np.linalg.norm(F, axis=(1, 2))
-    V = mesh.vecs.as_array()
-    records = []
-    for t in np.flatnonzero(frob > BREAK_THRESHOLD):
-        stretch = np.linalg.norm(F[t] @ V.T, axis=0)
-        stretched = stretch >= STRETCH_FACTOR
-        m = int(stretched.sum())
-        if m < 2:
-            raise AssertionError(
-                f"triangle {t} has |F| = {frob[t]} > {BREAK_THRESHOLD} but only {m} "
-                "stretched bonds; this contradicts the quartic norm bound")
-        intact = int(np.flatnonzero(~stretched)[0]) if m == 2 else None
-        records.append(BrokenTriangle(tri=int(t), frobenius=float(frob[t]),
-                                      m=m, stretched=stretched, intact=intact))
-    return BrokenClassification(records=records, F=F)
+    tri = np.flatnonzero(frob > BREAK_THRESHOLD)
+    bonds = np.matmul(F[tri], u.mesh.vecs.as_array().T)  # column a: the deformed bond a
+    stretched = np.sqrt((bonds * bonds).sum(axis=1)) >= STRETCH_FACTOR
+    m = stretched.sum(axis=1)
+    few = np.flatnonzero(m < 2)
+    if len(few):
+        t = tri[few[0]]
+        raise AssertionError(
+            f"triangle {t} has |F| = {frob[t]} > {BREAK_THRESHOLD} but only {m[few[0]]} "
+            "stretched bonds; this contradicts the quartic norm bound")
+    intact = np.where(m == 2, np.argmin(stretched, axis=1), -1)
+    return BrokenClassification(tri_indices=tri, frobenius=frob[tri], m=m,
+                                stretched=stretched, intact=intact, F=F)
 
 
 # ----------------------------------------------------------------------
 # the modified interpolation
 # ----------------------------------------------------------------------
 
-def _released_gradient(F: np.ndarray, intact: int, vecs: LatticeVectors) -> np.ndarray:
-    """Constant gradient keeping the intact bond and relaxing the others.
+def _released_gradient(F: np.ndarray, intact: np.ndarray, vecs: LatticeVectors) -> np.ndarray:
+    """Constant gradients keeping the intact bond and relaxing the others.
 
-    Solves ``A v_intact = F v_intact`` with ``|A v| = 1`` for the other
-    two bond directions; among the two reflection-related solutions the
-    one with nonnegative determinant (closer to the rotations) is taken,
-    and in the fully degenerate case ``F v_intact = 0`` the solution
-    closest to the identity.
+    For each of the stacked gradients ``F`` (k, 2, 2) with intact bond
+    ``intact`` (k,), solves ``A v_intact = F v_intact`` with ``|A v| = 1``
+    for the other two bond directions; among the two reflection-related
+    solutions the one with the larger determinant (closer to the
+    rotations) is taken, and in the fully degenerate case
+    ``F v_intact = 0`` the solution closest to the identity.
     """
     V = vecs.as_array()
-    w = F @ V[intact]
-    basis2 = 1 if intact == 0 else 0
-    B = np.column_stack([V[intact], V[basis2]])
-    Binv = np.linalg.inv(B)
-    center = -w if intact == 2 else w
-    d = float(np.linalg.norm(center))
-    if d < 1e-14:
-        rho2 = Binv[1]
-        z = rho2 / np.linalg.norm(rho2)
-        return np.column_stack([w, z]) @ Binv
-    h = math.sqrt(max(1.0 - 0.25 * d * d, 0.0))
-    offsets = (h / d) * perp(center)
-    best = None
-    for sign in (1.0, -1.0):
-        z = 0.5 * center + sign * offsets
-        A = np.column_stack([w, z]) @ Binv
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        if best is None or det > best[0]:
-            best = (det, A)
-    if best[0] < -1e-12:
+    # inverse of the basis (v_intact, v_other), other = the lowest non-intact bond
+    Binv = np.array([np.linalg.inv(np.column_stack([V[i], V[1 if i == 0 else 0]]))
+                     for i in range(3)])[intact]
+    w = np.matmul(F, V[intact][:, :, None])[:, :, 0]
+    center = np.where((intact == 2)[:, None], -w, w)
+    d = np.sqrt(row_dots(center, center))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the degenerate rows
+        h = np.sqrt(np.maximum(1.0 - 0.25 * d * d, 0.0))
+        offsets = (h / d)[:, None] * perp(center)
+        A = [np.matmul(np.stack([w, 0.5 * center + sign * offsets], axis=2), Binv)
+             for sign in (1.0, -1.0)]
+    det = [a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0] for a in A]
+    minus = det[1] > det[0]
+    best = np.where(minus[:, None, None], A[1], A[0])
+    degenerate = d < 1e-14
+    if np.any(~degenerate & (np.where(minus, det[1], det[0]) < -1e-12)):
         raise AssertionError("no orientation-preserving branch found")
-    return best[1]
+    rho2 = Binv[:, 1]
+    z = rho2 / np.sqrt(row_dots(rho2, rho2))[:, None]
+    return np.where(degenerate[:, None, None], np.matmul(np.stack([w, z], axis=2), Binv), best)
 
 
 @dataclass
@@ -156,27 +167,46 @@ class CrackSegment:
 
 @dataclass
 class CrackSet:
-    """Modified interpolation summary: gradients, segments, book-keeping."""
+    """Modified interpolation summary: gradients, segments, book-keeping.
 
-    segments: list
-    y_grads: np.ndarray     # per-triangle gradient of the modified map
+    Row k of the segment arrays is jump segment k; the segments follow the
+    broken triangles in order and, within one triangle, its midsegments.
+    """
+
+    p0: np.ndarray        # (S, 2) segment end points in the reference frame
+    p1: np.ndarray        # (S, 2)
+    normal: np.ndarray    # (S, 2) unit normals, as continuum._oriented_normal gives them
+    jump: np.ndarray      # (S, 2) jump vectors in the displacement scaling
+    tri: np.ndarray       # (S,) host triangles
+    h_index: np.ndarray   # (S,) which midsegment of its host triangle
+    y_grads: np.ndarray   # per-triangle gradient of the modified map
     variant: int
     eps: float
 
+    @cached_property
+    def segments(self) -> list:
+        """One :class:`CrackSegment` per jump segment."""
+        return [CrackSegment(p0=p0, p1=p1, normal=nu, jump=j, tri=t, h_index=h)
+                for p0, p1, nu, j, t, h in zip(self.p0, self.p1, self.normal, self.jump,
+                                               self.tri.tolist(), self.h_index.tolist())]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        d = self.p1 - self.p0
+        return np.sqrt(row_dots(d, d))
+
     def total_length(self) -> float:
-        return float(sum(seg.length for seg in self.segments))
+        return float(sum(self.lengths.tolist()))
 
     def rows(self) -> list:
-        out = []
-        for k, seg in enumerate(self.segments):
-            out.append([k, seg.p0[0], seg.p0[1], seg.p1[0], seg.p1[1],
-                        seg.normal[0], seg.normal[1], seg.jump[0], seg.jump[1]])
-        return out
+        table = np.column_stack([self.p0, self.p1, self.normal, self.jump]).tolist()
+        return [[k, *row] for k, row in enumerate(table)]
 
 
 # side s of a triangle (P0, P1, P2) runs along bond direction s
-_SIDE_VERTICES = ((0, 1), (0, 2), (1, 2))
-_OPPOSITE_VERTEX = (2, 1, 0)
+_SIDE_VERTICES = np.array([(0, 1), (0, 2), (1, 2)])
+_OPPOSITE_VERTEX = np.array([2, 1, 0])
+_OTHER_SIDES = np.array([(1, 2), (0, 2), (0, 1)])
 
 
 def build_modified(u: Displacement, classes: BrokenClassification,
@@ -191,44 +221,42 @@ def build_modified(u: Displacement, classes: BrokenClassification,
     mesh = u.mesh
     eps = mesh.spec.eps
     sqeps = math.sqrt(eps)
-    y_values = mesh.points + sqeps * u.values
-    y_grads = classes.F.copy()
-    segments = []
     vi = variant - 1
+    two = classes.m == 2
+    A = np.tile(np.eye(2), (classes.count, 1, 1))
+    A[two] = _released_gradient(classes.F[classes.tri_indices[two]], classes.intact[two],
+                                mesh.vecs)
+    y_grads = classes.F.copy()
+    y_grads[classes.tri_indices] = A
 
-    for rec in classes.records:
-        t = rec.tri
-        P = mesh.points[mesh.triangles[t]]
-        Y = y_values[mesh.triangles[t]]
-        if rec.m == 2:
-            A = _released_gradient(classes.F[t], rec.intact, mesh.vecs)
-            seg_ids = (rec.intact,)
-        else:
-            A = np.eye(2)
-            seg_ids = tuple(s for s in range(3) if s != vi)
-        y_grads[t] = A
-        for s in seg_ids:
-            # the midsegment parallel to side s cuts off the vertex
-            # opposite that side
-            corner = _OPPOSITE_VERTEX[s]
-            if rec.m == 2:
-                far = _SIDE_VERTICES[s][0]
-            else:
-                # middle piece of the tent holds the vertex opposite the
-                # variant side
-                far = _OPPOSITE_VERTEX[vi]
-            mids = {k: 0.5 * (P[_SIDE_VERTICES[k][0]] + P[_SIDE_VERTICES[k][1]])
-                    for k in range(3)}
-            others = [k for k in range(3) if k != s]
-            p0, p1 = mids[others[0]], mids[others[1]]
-            normal = _oriented_normal(p1 - p0)
-            jump_y = (Y[corner] - A @ P[corner]) - (Y[far] - A @ P[far])
-            side = np.dot(normal, P[corner] - 0.5 * (p0 + p1))
-            if side < 0.0:
-                jump_y = -jump_y
-            segments.append(CrackSegment(p0=p0, p1=p1, normal=normal,
-                                         jump=jump_y / sqeps, tri=t, h_index=s))
-    return CrackSet(segments=segments, y_grads=y_grads, variant=variant, eps=eps)
+    # m = 2: one segment, the midsegment parallel to the intact side; m = 3:
+    # the two midsegments other than the variant one, in order
+    per_tri = np.where(two, 1, 2)
+    rec = np.repeat(np.arange(classes.count), per_tri)
+    nth = np.arange(len(rec)) - (np.cumsum(per_tri) - per_tri)[rec]
+    seg_two = two[rec]
+    s = np.where(seg_two, classes.intact[rec], np.delete(np.arange(3), vi)[nth])
+    # the midsegment parallel to side s cuts off the vertex opposite that
+    # side; the far vertex is the first one of side s (m = 2) or, the
+    # middle piece of the tent, the vertex opposite the variant side (m = 3)
+    corner = _OPPOSITE_VERTEX[s]
+    far = np.where(seg_two, _SIDE_VERTICES[s, 0], _OPPOSITE_VERTEX[vi])
+    tri = classes.tri_indices[rec]
+    verts = mesh.triangles[tri]
+    P = mesh.points[verts]
+    Y = P + sqeps * u.values[verts]
+    mids = 0.5 * (P[:, _SIDE_VERTICES[:, 0]] + P[:, _SIDE_VERTICES[:, 1]])
+    seg = np.arange(len(rec))
+    p0, p1 = mids[seg, _OTHER_SIDES[s, 0]], mids[seg, _OTHER_SIDES[s, 1]]
+    normal = _oriented_normals(p1 - p0)
+    Aseg = A[rec]
+    Pc, Pf = P[seg, corner], P[seg, far]
+    jump_y = ((Y[seg, corner] - np.matmul(Aseg, Pc[:, :, None])[:, :, 0])
+              - (Y[seg, far] - np.matmul(Aseg, Pf[:, :, None])[:, :, 0]))
+    side = row_dots(normal, Pc - 0.5 * (p0 + p1))
+    jump_y = np.where((side < 0.0)[:, None], -jump_y, jump_y)
+    return CrackSet(p0=p0, p1=p1, normal=normal, jump=jump_y / sqeps, tri=tri, h_index=s,
+                    y_grads=y_grads, variant=variant, eps=eps)
 
 
 def jump_vectors(u: Displacement, classes: BrokenClassification,
@@ -239,24 +267,31 @@ def jump_vectors(u: Displacement, classes: BrokenClassification,
     segment, oriented along the segment normal, and verifies the result
     against the geometric jumps stored in the crack set.
     """
-    mesh = u.mesh
-    sqeps = math.sqrt(mesh.spec.eps)
-    V = mesh.vecs.as_array()
-    out = np.zeros((len(crack.segments), 2))
-    for k, seg in enumerate(crack.segments):
-        crossing = [a for a in range(3) if a != seg.h_index]
-        rec = next(r for r in classes.records if r.tri == seg.tri)
-        if rec.m == 3:
-            variant_side = crack.variant - 1
-            crossing = [a for a in crossing if a != variant_side]
-        a = crossing[0]
-        sign = math.copysign(1.0, float(V[a] @ seg.normal))
-        mismatch = (classes.F[seg.tri] - crack.y_grads[seg.tri]) @ V[a]
-        out[k] = sign * sqeps * mismatch
-        if not np.allclose(out[k], seg.jump, atol=1e-10 * (1.0 + np.linalg.norm(seg.jump))):
-            raise CrackError(
-                f"jump mismatch on segment {k}: identity gives {out[k]}, "
-                f"geometry gives {seg.jump}")
+    sqeps = math.sqrt(u.mesh.spec.eps)
+    V = u.mesh.vecs.as_array()
+    unclassified = np.flatnonzero(~np.isin(crack.tri, classes.tri_indices))
+    if len(unclassified):
+        k = unclassified[0]
+        raise CrackError(f"segment {k} lies on triangle {crack.tri[k]}, which is not broken")
+    pos = np.searchsorted(classes.tri_indices, crack.tri)  # its row in the classification
+    # the crossing bond: the lowest side other than the segment's own and,
+    # on an m = 3 triangle, other than the variant side
+    h = crack.h_index
+    a = np.where(classes.m[pos] == 3, 3 - h - (crack.variant - 1), np.where(h == 0, 1, 0))
+    sign = np.copysign(1.0, row_dots(V[a], crack.normal))
+    mismatch = np.matmul(classes.F[crack.tri] - crack.y_grads[crack.tri], V[a][:, :, None])
+    out = (sign * sqeps)[:, None] * mismatch[:, :, 0]
+    # np.allclose per segment, with an absolute tolerance relative to the jump
+    atol = 1e-10 * (1.0 + np.sqrt(row_dots(crack.jump, crack.jump)))
+    with np.errstate(invalid="ignore"):
+        close = ((np.abs(out - crack.jump) <= atol[:, None] + 1e-5 * np.abs(crack.jump))
+                 & np.isfinite(crack.jump)) | (out == crack.jump)
+    bad = np.flatnonzero(~close.all(axis=1))
+    if len(bad):
+        k = bad[0]
+        raise CrackError(
+            f"jump mismatch on segment {k}: identity gives {out[k]}, "
+            f"geometry gives {crack.jump[k]}")
     return out
 
 
@@ -266,17 +301,17 @@ def jump_vectors(u: Displacement, classes: BrokenClassification,
 
 def crack_energy_estimate(crack: CrackSet, beta: float, vecs: LatticeVectors) -> float:
     """Anisotropic surface energy of the extracted polyline."""
-    return float(sum(seg.length * surface_density(seg.normal, vecs, beta)
-                     for seg in crack.segments))
+    return float(sum((crack.lengths * surface_densities(crack.normal, vecs, beta)).tolist()))
 
 
 def principal_normal(crack: CrackSet) -> np.ndarray:
     """Length-weighted dominant normal direction of the extracted segments."""
-    if not crack.segments:
+    if not len(crack.tri):
         raise CrackError("empty crack set has no principal normal")
-    M = np.zeros((2, 2))
-    for seg in crack.segments:
-        M += seg.length * np.outer(seg.normal, seg.normal)
+    n = crack.normal
+    terms = crack.lengths[:, None, None] * (n[:, :, None] * n[:, None, :])
+    # summed in segment order from zero, as a running sum would
+    M = np.add.accumulate(np.concatenate([np.zeros((1, 2, 2)), terms]), axis=0)[-1]
     w, vecs = np.linalg.eigh(M)
     return vecs[:, int(np.argmax(w))]
 

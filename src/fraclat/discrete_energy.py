@@ -36,6 +36,8 @@ total-magnetic
 from __future__ import annotations
 
 import csv
+import itertools
+import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -571,13 +573,92 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g\r\n"  # a displacement row, as format_float gives it
+_CSV_DTYPE = np.dtype([("i", "i8"), ("x", "f8"), ("y", "f8"), ("u1", "f8"), ("u2", "f8")])
+_CSV_BLOCK_ROWS = 4096  # rows formatted or parsed at once: bounds the transient strings
+
+
 def displacement_to_csv(u: Displacement, path: str):
+    """Write one ``index,x,y,u1,u2`` row per mesh point, floats to 17 digits.
+
+    The bytes are those of :mod:`csv` writing :func:`format_float` fields
+    (``\\r\\n`` line ends); rows are formatted a block at a time.
+    """
+    points, values = u.mesh.points, u.values
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DISPLACEMENT_HEADER)
-        for i, (p, v) in enumerate(zip(u.mesh.points, u.values)):
-            writer.writerow([i, format_float(p[0]), format_float(p[1]),
-                             format_float(v[0]), format_float(v[1])])
+        fh.write(",".join(DISPLACEMENT_HEADER) + "\r\n")
+        for start in range(0, len(points), _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, len(points))
+            block = np.empty((stop - start, 5))
+            block[:, 0] = np.arange(start, stop)
+            block[:, 1:3] = points[start:stop]
+            block[:, 3:] = values[start:stop]
+            fh.write((_CSV_ROW * (stop - start)) % tuple(block.ravel().tolist()))
+
+
+def _parse_rows_in_blocks(fh, n: int):
+    """Parse the data rows with numpy's text reader; None where it differs.
+
+    Returns ``(index, data, lines, stop)`` as :func:`_parse_rows_one_by_one`
+    does, or None when numpy refuses a block or skips a line of it, so
+    that the row loop can name the first malformed line.
+    """
+    blocks = []
+    with warnings.catch_warnings():
+        # numpy < 2 parses an integer such as "7.0" through a float, with
+        # a deprecation warning; the row loop rejects it
+        warnings.simplefilter("error", DeprecationWarning)
+        warnings.simplefilter("ignore", UserWarning)  # a block of blank lines has no data
+        while lines := list(itertools.islice(fh, _CSV_BLOCK_ROWS)):
+            try:
+                rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=_CSV_DTYPE,
+                                  ndmin=1)
+            except (ValueError, DeprecationWarning):
+                return None
+            if len(rows) != len(lines):  # numpy skips blank lines, the row loop rejects them
+                return None
+            blocks.append(rows)
+    rows = np.concatenate(blocks) if blocks else np.empty(0, dtype=_CSV_DTYPE)
+    lines = np.arange(2, len(rows) + 2)
+    stop = None
+    outside = np.flatnonzero((rows["i"] < 0) | (rows["i"] >= n))
+    if len(outside):
+        k = outside[0]
+        stop = DiscreteEnergyError(
+            f"line {lines[k]}: point index {rows['i'][k]} outside the mesh's 0..{n - 1}")
+        rows, lines = rows[:k], lines[:k]
+    data = np.column_stack([rows[name] for name in _CSV_DTYPE.names[1:]])
+    return rows["i"], data, lines, stop
+
+
+def _parse_rows_one_by_one(fh, n: int):
+    """Parse the data rows after the header up to the first malformed or
+    out-of-range one.
+
+    Returns the parsed ``(index, data, lines, stop)`` arrays, where
+    ``stop`` is the error of the row that ended parsing, or None.
+    """
+    index, data, lines = array("q"), array("d"), array("q")  # flat: no object kept per value
+    stop = None
+    reader = csv.reader(fh)
+    next(reader)  # the header, already checked
+    for row in reader:
+        line = f"line {reader.line_num}"
+        try:
+            i, x, y, u1, u2 = row
+            i, x, y, u1, u2 = int(i), float(x), float(y), float(u1), float(u2)
+        except ValueError as exc:
+            stop = DiscreteEnergyError(f"{line}: malformed row {row}: {exc}")
+            break
+        if not 0 <= i < n:
+            stop = DiscreteEnergyError(
+                f"{line}: point index {i} outside the mesh's 0..{n - 1}")
+            break
+        index.append(i)
+        data.extend((x, y, u1, u2))
+        lines.append(reader.line_num)
+    return (np.frombuffer(index, dtype=np.int64), np.frombuffer(data).reshape(-1, 4),
+            np.frombuffer(lines, dtype=np.int64), stop)
 
 
 def displacement_from_csv(path: str, mesh: TriangleMesh) -> Displacement:
@@ -587,34 +668,23 @@ def displacement_from_csv(path: str, mesh: TriangleMesh) -> Displacement:
     with a finite displacement.  The first faulty row in file order is
     reported by its line, with the first of its faults in the order
     malformed, index out of range, repeated, off the mesh, non-finite.
-    Rows are parsed one by one up to the first malformed or out-of-range
-    one; the remaining checks run on the parsed rows as arrays.
+    A row is accepted when Python's ``int`` and ``float`` parse its five
+    comma-separated fields; rows after the first malformed or
+    out-of-range one are not read.  numpy's text reader parses the file
+    in blocks; where it refuses a line or skips a blank one, the rows are
+    parsed again one by one, so that the same files are accepted with the
+    same values and the same messages.
     """
     n = mesh.n_points
-    index, data, lines = array("q"), array("d"), array("q")  # flat: no object kept per value
-    stop = None  # the error of a malformed or out-of-range row, which ends parsing
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != DISPLACEMENT_HEADER:
             raise DiscreteEnergyError(f"line 1: unexpected displacement header {header}")
-        for row in reader:
-            line = f"line {reader.line_num}"
-            try:
-                i, x, y, u1, u2 = row
-                i, x, y, u1, u2 = int(i), float(x), float(y), float(u1), float(u2)
-            except ValueError as exc:
-                stop = DiscreteEnergyError(f"{line}: malformed row {row}: {exc}")
-                break
-            if not 0 <= i < n:
-                stop = DiscreteEnergyError(
-                    f"{line}: point index {i} outside the mesh's 0..{n - 1}")
-                break
-            index.append(i)
-            data.extend((x, y, u1, u2))
-            lines.append(reader.line_num)
-    idx = np.frombuffer(index, dtype=np.int64)
-    data = np.frombuffer(data).reshape(-1, 4)
+        parsed = _parse_rows_in_blocks(fh, n)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _parse_rows_one_by_one(fh, n)
+    idx, data, lines, stop = parsed
     counts = np.bincount(idx, minlength=n)
     repeated = np.zeros(len(idx), dtype=bool)
     if counts.max() > 1:  # sort only when some point repeats

@@ -57,8 +57,19 @@ def rotation_matrix(phi: float) -> np.ndarray:
 
 
 def perp(v: np.ndarray) -> np.ndarray:
-    """Counterclockwise 90 degree rotation of a 2-vector."""
-    return np.array([-v[1], v[0]])
+    """Counterclockwise 90 degree rotation of a 2-vector or of each row of a stack."""
+    v = np.asarray(v)
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the matching rows of two (k, 2) arrays.
+
+    A stacked matmul, so each equals ``np.dot`` of its two rows bit for bit
+    (``sqrt(row_dots(x, x))`` is ``np.linalg.norm`` of each row, which
+    ``norm(x, axis=1)`` is not).
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,226 @@
+"""Row-by-row reference implementations of the vectorized crack and CSV code.
+
+Each function is the loop that ``fraclat`` ran before its crack extraction
+and displacement CSV I/O moved onto stacked arrays.  The tests compare the
+package against these bit for bit and message for message.
+"""
+
+import csv
+import math
+
+import numpy as np
+
+from fraclat.crack_extraction import (BREAK_THRESHOLD, STRETCH_FACTOR, BrokenTriangle,
+                                      CrackError, CrackSegment)
+from fraclat.discrete_energy import (DISPLACEMENT_HEADER, Displacement,
+                                     DiscreteEnergyError, format_float,
+                                     interpolate_gradients)
+from fraclat.lattice import SQRT3
+
+_GEOM_TOL = 1e-12
+_SIDE_VERTICES = ((0, 1), (0, 2), (1, 2))
+_OPPOSITE_VERTEX = (2, 1, 0)
+
+
+# ----------------------------------------------------------------------
+# displacement CSV
+# ----------------------------------------------------------------------
+
+def displacement_to_csv(u, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(DISPLACEMENT_HEADER)
+        for i, (p, v) in enumerate(zip(u.mesh.points, u.values)):
+            writer.writerow([i, format_float(p[0]), format_float(p[1]),
+                             format_float(v[0]), format_float(v[1])])
+
+
+def displacement_from_csv(path, mesh):
+    n = mesh.n_points
+    index, data, lines = [], [], []
+    stop = None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != DISPLACEMENT_HEADER:
+            raise DiscreteEnergyError(f"line 1: unexpected displacement header {header}")
+        for row in reader:
+            line = f"line {reader.line_num}"
+            try:
+                i, x, y, u1, u2 = row
+                i, x, y, u1, u2 = int(i), float(x), float(y), float(u1), float(u2)
+            except ValueError as exc:
+                stop = DiscreteEnergyError(f"{line}: malformed row {row}: {exc}")
+                break
+            if not 0 <= i < n:
+                stop = DiscreteEnergyError(
+                    f"{line}: point index {i} outside the mesh's 0..{n - 1}")
+                break
+            index.append(i)
+            data.append((x, y, u1, u2))
+            lines.append(reader.line_num)
+    seen = set()
+    for i, (x, y, u1, u2), line in zip(index, data, lines):
+        if i in seen:
+            raise DiscreteEnergyError(f"line {line}: point {i} appears twice")
+        seen.add(i)
+        if not np.isclose([x, y], mesh.points[i], atol=1e-9 * max(1.0, mesh.spec.l)).all():
+            raise DiscreteEnergyError(f"line {line}: point {i} does not match the mesh")
+        if not (math.isfinite(u1) and math.isfinite(u2)):
+            raise DiscreteEnergyError(f"line {line}: point {i} has a non-finite displacement")
+    if stop is not None:
+        raise stop
+    missing = sorted(set(range(n)) - seen)
+    if missing:
+        raise DiscreteEnergyError(
+            f"csv lacks {len(missing)} of the mesh's {n} points, first {missing[0]}")
+    values = np.empty((n, 2))
+    for i, row in zip(index, data):
+        values[i] = row[2:]
+    return Displacement(mesh, values)
+
+
+# ----------------------------------------------------------------------
+# crack extraction
+# ----------------------------------------------------------------------
+
+def _perp(v):
+    return np.array([-v[1], v[0]])
+
+
+def oriented_normal(direction):
+    n = _perp(direction / np.linalg.norm(direction))
+    if n[0] < -_GEOM_TOL or (abs(n[0]) <= _GEOM_TOL and n[1] < 0.0):
+        n = -n
+    return n
+
+
+def surface_density(nu, vecs, beta):
+    V = vecs.as_array()
+    return 2.0 * beta / SQRT3 * float(np.abs(V @ np.asarray(nu)).sum())
+
+
+def classify_broken(u):
+    """(records, F) of the broken triangles."""
+    _, F = interpolate_gradients(u)
+    frob = np.linalg.norm(F, axis=(1, 2))
+    V = u.mesh.vecs.as_array()
+    records = []
+    for t in np.flatnonzero(frob > BREAK_THRESHOLD):
+        stretch = np.linalg.norm(F[t] @ V.T, axis=0)
+        stretched = stretch >= STRETCH_FACTOR
+        m = int(stretched.sum())
+        if m < 2:
+            raise AssertionError(
+                f"triangle {t} has |F| = {frob[t]} > {BREAK_THRESHOLD} but only {m} "
+                "stretched bonds; this contradicts the quartic norm bound")
+        intact = int(np.flatnonzero(~stretched)[0]) if m == 2 else None
+        records.append(BrokenTriangle(tri=int(t), frobenius=float(frob[t]),
+                                      m=m, stretched=stretched, intact=intact))
+    return records, F
+
+
+def released_gradient(F, intact, vecs):
+    V = vecs.as_array()
+    w = F @ V[intact]
+    basis2 = 1 if intact == 0 else 0
+    B = np.column_stack([V[intact], V[basis2]])
+    Binv = np.linalg.inv(B)
+    center = -w if intact == 2 else w
+    d = float(np.linalg.norm(center))
+    if d < 1e-14:
+        rho2 = Binv[1]
+        z = rho2 / np.linalg.norm(rho2)
+        return np.column_stack([w, z]) @ Binv
+    h = math.sqrt(max(1.0 - 0.25 * d * d, 0.0))
+    offsets = (h / d) * _perp(center)
+    best = None
+    for sign in (1.0, -1.0):
+        z = 0.5 * center + sign * offsets
+        A = np.column_stack([w, z]) @ Binv
+        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        if best is None or det > best[0]:
+            best = (det, A)
+    if best[0] < -1e-12:
+        raise AssertionError("no orientation-preserving branch found")
+    return best[1]
+
+
+def build_modified(u, records, F, variant=1):
+    """(segments, y_grads) of the modified interpolation."""
+    mesh = u.mesh
+    sqeps = math.sqrt(mesh.spec.eps)
+    y_values = mesh.points + sqeps * u.values
+    y_grads = F.copy()
+    segments = []
+    vi = variant - 1
+    for rec in records:
+        t = rec.tri
+        P = mesh.points[mesh.triangles[t]]
+        Y = y_values[mesh.triangles[t]]
+        if rec.m == 2:
+            A = released_gradient(F[t], rec.intact, mesh.vecs)
+            seg_ids = (rec.intact,)
+        else:
+            A = np.eye(2)
+            seg_ids = tuple(s for s in range(3) if s != vi)
+        y_grads[t] = A
+        for s in seg_ids:
+            corner = _OPPOSITE_VERTEX[s]
+            far = _SIDE_VERTICES[s][0] if rec.m == 2 else _OPPOSITE_VERTEX[vi]
+            mids = {k: 0.5 * (P[_SIDE_VERTICES[k][0]] + P[_SIDE_VERTICES[k][1]])
+                    for k in range(3)}
+            others = [k for k in range(3) if k != s]
+            p0, p1 = mids[others[0]], mids[others[1]]
+            normal = oriented_normal(p1 - p0)
+            jump_y = (Y[corner] - A @ P[corner]) - (Y[far] - A @ P[far])
+            side = np.dot(normal, P[corner] - 0.5 * (p0 + p1))
+            if side < 0.0:
+                jump_y = -jump_y
+            segments.append(CrackSegment(p0=p0, p1=p1, normal=normal,
+                                         jump=jump_y / sqeps, tri=t, h_index=s))
+    return segments, y_grads
+
+
+def jump_vectors(u, records, F, segments, y_grads, variant):
+    mesh = u.mesh
+    sqeps = math.sqrt(mesh.spec.eps)
+    V = mesh.vecs.as_array()
+    out = np.zeros((len(segments), 2))
+    for k, seg in enumerate(segments):
+        crossing = [a for a in range(3) if a != seg.h_index]
+        rec = next(r for r in records if r.tri == seg.tri)
+        if rec.m == 3:
+            crossing = [a for a in crossing if a != variant - 1]
+        a = crossing[0]
+        sign = math.copysign(1.0, float(V[a] @ seg.normal))
+        mismatch = (F[seg.tri] - y_grads[seg.tri]) @ V[a]
+        out[k] = sign * sqeps * mismatch
+        if not np.allclose(out[k], seg.jump, atol=1e-10 * (1.0 + np.linalg.norm(seg.jump))):
+            raise CrackError(
+                f"jump mismatch on segment {k}: identity gives {out[k]}, "
+                f"geometry gives {seg.jump}")
+    return out
+
+
+def rows(segments):
+    return [[k, seg.p0[0], seg.p0[1], seg.p1[0], seg.p1[1],
+             seg.normal[0], seg.normal[1], seg.jump[0], seg.jump[1]]
+            for k, seg in enumerate(segments)]
+
+
+def total_length(segments):
+    return float(sum(seg.length for seg in segments))
+
+
+def crack_energy_estimate(segments, beta, vecs):
+    return float(sum(seg.length * surface_density(seg.normal, vecs, beta)
+                     for seg in segments))
+
+
+def principal_normal(segments):
+    M = np.zeros((2, 2))
+    for seg in segments:
+        M += seg.length * np.outer(seg.normal, seg.normal)
+    w, vecs = np.linalg.eigh(M)
+    return vecs[:, int(np.argmax(w))]

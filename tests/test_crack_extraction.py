@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+import oracles
 from fraclat.continuum import CleavageProblem, a_crit, build_u_cr
 from fraclat.crack_extraction import (CrackError, angle_between_lines_deg,
                                       broken_count_bound, build_modified,
@@ -13,7 +15,8 @@ from fraclat.crack_extraction import (CrackError, angle_between_lines_deg,
 from fraclat.discrete_energy import Displacement, energy_rescaled
 from fraclat.lattice import (LatticeSpec, build_mesh, cleavage_direction,
                              lattice_vectors)
-from fraclat.solver import recovery_sequence
+from fraclat.lattice import perp
+from fraclat.solver import cleaved_stations, recovery_sequence
 
 SQRT3 = math.sqrt(3.0)
 
@@ -159,6 +162,107 @@ def test_recovery_jumps_match_opening(mesh32):
     for seg in crack.segments:
         dev = min(np.linalg.norm(seg.jump - opening), np.linalg.norm(seg.jump + opening))
         assert dev <= 2.1 * sq
+
+
+# ----------------------------------------------------------------------
+# bit identity with the row-by-row oracle
+# ----------------------------------------------------------------------
+
+def raises_as_oracle(fn, *args):
+    """Run ``fn``; if it raises, the oracle's exception is the expected one."""
+    try:
+        return fn(*args), None
+    except (AssertionError, CrackError) as exc:
+        return None, exc
+
+
+def assert_crack_matches_oracle(u, variant, beta=1.3):
+    """Classification, modified map, derived figures and jumps as the loops give them."""
+    expected, exc = raises_as_oracle(oracles.classify_broken, u)
+    if exc is not None:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            classify_broken(u)
+        return
+    records, F = expected
+    classes = classify_broken(u)
+    assert classes.F.tobytes() == F.tobytes()
+    assert [(r.tri, r.frobenius, r.m, r.intact, r.stretched.tolist()) for r in classes.records] \
+        == [(r.tri, r.frobenius, r.m, r.intact, r.stretched.tolist()) for r in records]
+    assert classes.tri_indices.tolist() == [r.tri for r in records]
+
+    expected, exc = raises_as_oracle(oracles.build_modified, u, records, F, variant)
+    if exc is not None:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            build_modified(u, classes, variant=variant)
+        return
+    segments, y_grads = expected
+    crack = build_modified(u, classes, variant=variant)
+    assert crack.y_grads.tobytes() == y_grads.tobytes()
+    assert len(crack.segments) == len(segments)
+    for got, want in zip(crack.segments, segments):
+        assert (got.tri, got.h_index) == (want.tri, want.h_index)
+        assert type(got.tri) is int and type(got.h_index) is int
+        for field in ("p0", "p1", "normal", "jump"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.length == want.length
+    rows = crack.rows()
+    assert [type(r[0]) for r in rows] == [int] * len(rows)
+    assert np.array(rows, dtype=float).tobytes() == \
+        np.array(oracles.rows(segments), dtype=float).tobytes()
+    assert crack.total_length() == oracles.total_length(segments)
+    assert crack_energy_estimate(crack, beta, u.mesh.vecs) == \
+        oracles.crack_energy_estimate(segments, beta, u.mesh.vecs)
+    if segments:
+        assert principal_normal(crack).tobytes() == oracles.principal_normal(segments).tobytes()
+
+    expected, exc = raises_as_oracle(oracles.jump_vectors, u, records, F, segments, y_grads,
+                                     variant)
+    if exc is not None:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            jump_vectors(u, classes, crack)
+    else:
+        assert jump_vectors(u, classes, crack).tobytes() == expected.tobytes()
+    return classes
+
+
+@pytest.mark.parametrize("inv_eps", [16, 32, 64, 128])
+@pytest.mark.parametrize("station", [0, 1, 2])
+def test_recovery_crack_matches_oracle(inv_eps, station):
+    prob = supercritical_problem(l=2.0)
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l, eta=0.25))
+    p = cleaved_stations(prob, 3)[station]
+    u = recovery_sequence(build_u_cr(prob, p=float(p)), mesh)
+    classes = assert_crack_matches_oracle(u, variant=1 + station)
+    assert classes.count > 0
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_synthetic_fields_match_oracle(mesh16, mesh16_phi0, variant):
+    classes = assert_crack_matches_oracle(affine_displacement(mesh16, 8.0 * np.eye(2)), variant)
+    assert set(classes.m.tolist()) == {3}
+    classes = assert_crack_matches_oracle(
+        affine_displacement(mesh16_phi0, np.diag([1.5, 20.0])), variant)
+    assert set(classes.m.tolist()) == {2}
+    # random gradients: both branch signs, m = 2 and m = 3 side by side
+    rng = np.random.default_rng(variant)
+    u = Displacement(mesh16, 0.6 * rng.standard_normal((mesh16.n_points, 2)))
+    classes = assert_crack_matches_oracle(u, variant)
+    assert set(classes.m.tolist()) == {2, 3}
+
+
+@pytest.mark.parametrize("intact", [0, 1, 2])
+def test_degenerate_release_matches_oracle(mesh16, intact):
+    # F v_intact = 0 up to rounding: where |F v_intact| < 1e-14 the released
+    # gradient is the solution closest to the identity, elsewhere the
+    # better of the two branches
+    V = mesh16.vecs.as_array()
+    F = 10.0 * np.outer([0.6, 0.8], perp(V[intact]))
+    u = affine_displacement(mesh16, F)
+    classes = assert_crack_matches_oracle(u, variant=1)
+    assert classes.count == mesh16.n_triangles
+    assert set(classes.intact.tolist()) == {intact}
+    degenerate = np.linalg.norm(classes.F @ V[intact], axis=1) < 1e-14
+    assert degenerate.any() and not degenerate.all()
 
 
 # ----------------------------------------------------------------------

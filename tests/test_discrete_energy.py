@@ -529,3 +529,65 @@ def test_displacement_csv_rejects_an_empty_file(mesh16, tmp_path):
     (tmp_path / "empty.csv").write_text("")
     with pytest.raises(DiscreteEnergyError, match="line 1: unexpected displacement header None"):
         displacement_from_csv(str(tmp_path / "empty.csv"), mesh16)
+
+
+def _set_field(line, j, value):
+    fields = line.split(",")
+    fields[j] = value
+    return ",".join(fields)
+
+
+# each takes the file's lines, without line ends, and the number k of one
+# data row; row k sits on line k + 2 and holds point k
+CSV_CORRUPTIONS = {
+    "none": lambda L, k: L,
+    "blank line in the middle": lambda L, k: L[:k + 1] + [""] + L[k + 1:],
+    "blank line at the end": lambda L, k: L + [""],
+    "whitespace line": lambda L, k: L[:k + 1] + ["  "] + L[k + 1:],
+    "7.0 index": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 0, f"{k}.0")] + L[k + 2:],
+    "padded index": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 0, f" {k} ")] + L[k + 2:],
+    "signed index": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 0, f"+{k}")] + L[k + 2:],
+    "underscore index": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 0, "_".join(str(k)))]
+    + L[k + 2:],
+    "underscore value": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 3, "1_0")] + L[k + 2:],
+    "quoted value": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 4, '"0.5"')] + L[k + 2:],
+    "quoted index": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 0, f'"{k}"')] + L[k + 2:],
+    "arabic digit value": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 3, "٧")]
+    + L[k + 2:],
+    "huge index": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 0, "99999999999999999999")]
+    + L[k + 2:],
+    "negative index, then a bad row": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 0, "-1")]
+    + L[k + 2:-1] + ["x"],
+    "extra field": lambda L, k: L[:k + 1] + [L[k + 1] + ",0"] + L[k + 2:],
+    "missing field": lambda L, k: L[:k + 1] + [L[k + 1].rsplit(",", 1)[0]] + L[k + 2:],
+    "infinite value": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 4, "-Infinity")]
+    + L[k + 2:],
+    "off the mesh": lambda L, k: L[:k + 1] + [_set_field(L[k + 1], 1, "9.5")] + L[k + 2:],
+    "repeated row": lambda L, k: L[:k + 1] + [L[k]] + L[k + 2:],
+    "missing row": lambda L, k: L[:k + 1] + L[k + 2:],
+    "header only": lambda L, k: L[:1],
+}
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\n", "\r"])
+@pytest.mark.parametrize("where", ["first block", "later block"])
+@pytest.mark.parametrize("corruption", sorted(CSV_CORRUPTIONS))
+def test_displacement_csv_reads_as_the_row_loop(mesh16, tmp_path, monkeypatch, corruption,
+                                                where, ending):
+    # the same values, or the same message, as the row-by-row oracle
+    import oracles
+    monkeypatch.setattr(discrete_energy, "_CSV_BLOCK_ROWS", 64)  # several blocks
+    path = tmp_path / "disp.csv"
+    displacement_to_csv(rand_u(mesh16, 0.3, 16), str(path))
+    lines = path.read_text().splitlines()
+    k = 5 if where == "first block" else mesh16.n_points - 3
+    path.write_bytes((ending.join(CSV_CORRUPTIONS[corruption](lines, k)) + ending).encode())
+    try:
+        expected = oracles.displacement_from_csv(str(path), mesh16)
+    except DiscreteEnergyError as exc:
+        with pytest.raises(DiscreteEnergyError) as got:
+            displacement_from_csv(str(path), mesh16)
+        assert str(got.value) == str(exc)
+    else:
+        assert displacement_from_csv(str(path), mesh16).values.tobytes() == \
+            expected.values.tobytes()

@@ -6,6 +6,7 @@ Skipped when hypothesis (the ``test`` extra) is not installed.
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+import oracles  # noqa: E402
 from conftest import check_topology_against_oracle  # noqa: E402
+from fraclat import discrete_energy  # noqa: E402
 from fraclat.cli import CONFIG_KEYS, RunConfig, _fmt  # noqa: E402
 from fraclat.discrete_energy import (Displacement, displacement_from_csv,  # noqa: E402
                                      displacement_to_csv)
@@ -61,6 +64,27 @@ def test_displacement_csv_rewrites_byte_identically(values):
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read()
     assert u.values.tobytes() == values.tobytes()
+
+
+# values whose 17-digit text is easy to get wrong
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                                -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16,
+                                123456789.0, 0.1, float("nan"), float("inf"), float("-inf")])
+
+
+@settings(max_examples=25, deadline=None)
+@given(hnp.arrays(np.float64, (MESH8.n_points, 2), elements=st.floats() | _EDGE_FLOATS),
+       st.integers(1, 2 * MESH8.n_points))
+def test_displacement_csv_writes_the_csv_module_bytes(values, block_rows):
+    # the block formatter against the csv.writer row loop, over block sizes
+    u = Displacement(MESH8, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+        with mock.patch.object(discrete_energy, "_CSV_BLOCK_ROWS", block_rows):
+            displacement_to_csv(u, first)
+        oracles.displacement_to_csv(u, second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
 
 
 @settings(max_examples=25, deadline=None)
