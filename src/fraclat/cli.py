@@ -66,7 +66,7 @@ CONFIG_KEYS = {
     "solve.domain": (str, "omega"),
     "solve.multistart": (str, "zero,elastic,cleaved"),
     "solve.n_cleaved": (int, 9),
-    "recovery.p": (float, float("nan")),  # nan means l/2
+    "recovery.p": (float, float("nan")),  # nan means cleaved_stations(problem, 1)[0]
     "recovery.kind": (str, "crack"),
     "noneq.theta": (float, 1.2),
     "noneq.p": (float, 0.125),
@@ -190,11 +190,8 @@ def write_manifest(path: str, config: RunConfig | None, extra: dict):
 # ----------------------------------------------------------------------
 
 def _potential(cfg: RunConfig) -> PairPotential:
-    family = cfg.get("material.family")
-    beta = cfg.get("material.beta")
-    if family == "shifted-lj":
-        return PairPotential.shifted_lj(beta)
-    return PairPotential(family=family, alpha=cfg.get("material.alpha"), beta=beta)
+    return PairPotential(family=cfg.get("material.family"),
+                         alpha=cfg.get("material.alpha"), beta=cfg.get("material.beta"))
 
 
 def _chi(cfg: RunConfig) -> PenaltyChi:

@@ -374,8 +374,6 @@ class Assembly:
         if self.mode == "f" and not self.smooth_field:
             raise DiscreteEnergyError("the sharp field cutoff has no gradient; "
                                       "assemble with smooth_field=True")
-        if not self.pot.differentiable:
-            raise DiscreteEnergyError("gradient needs a differentiable potential family")
         if self._ws is _NO_WORKSPACE:
             self._ws = _Workspace(self)
         bd, grad = self._evaluate(x, True)
@@ -545,9 +543,8 @@ def gradient(u: Displacement, pot: PairPotential, mode: str = "plain",
              domain: str = "omega") -> np.ndarray:
     """Analytic gradient of :func:`energy_rescaled` with respect to u.
 
-    The field term is differentiated in its smoothed form; modes that are
-    not differentiable (tabulated potentials, 'total-magnetic') are
-    rejected.
+    The field term is differentiated in its smoothed form; the mode
+    'total-magnetic', which is not differentiable, is rejected.
     """
     asm = Assembly(u.mesh, pot, mode, chi, model, domain, smooth_field=True)
     return asm.value_and_grad(u.values)[1]

@@ -12,9 +12,8 @@ Conventions
 * The rotation angle ``phi`` lives in ``[0, pi/3)``; larger angles repeat
   the same lattice.
 * The specimen is ``Omega = (0, l) x (0, 1)``.  The enlarged domain used
-  to impose boundary values is either ``(-eta, l+eta) x (0, 1)`` (margin
-  mode ``"cleavage"``, margins only on the vertical sides) or a uniform
-  frame ``(-eta, l+eta) x (-eta, 1+eta)`` (margin mode ``"uniform"``).
+  to impose boundary values is ``(-eta, l+eta) x (0, 1)``, with margins
+  only on the vertical sides.
 * Point membership in a rectangle uses a closed comparison with tolerance
   ``1e-9 * eps`` so that meshes are reproducible across platforms.
 * Points are indexed lexicographically in ``(lam2, lam1)`` (row sweeps).
@@ -143,16 +142,13 @@ class LatticeSpec:
     phi : rotation angle in [0, pi/3).
     eps : lattice spacing, > 0.
     l : slab length, >= 1/sqrt(3) so a single bond line can span the height.
-    eta : width of the Dirichlet margin, > 0.
-    margin : "cleavage" puts margins only on the vertical sides,
-        "uniform" frames the whole slab.
+    eta : width of the Dirichlet margins on the two vertical sides, > 0.
     """
 
     phi: float
     eps: float
     l: float = 1.0
     eta: float = 0.25
-    margin: str = "cleavage"
 
     def __post_init__(self):
         if not 0.0 <= self.phi < PHI_MAX:
@@ -163,8 +159,6 @@ class LatticeSpec:
             raise LatticeError("slab length l must be at least 1/sqrt(3)")
         if self.eta <= 0.0:
             raise LatticeError("margin width eta must be positive")
-        if self.margin not in ("cleavage", "uniform"):
-            raise LatticeError(f"unknown margin mode {self.margin!r}")
 
     @property
     def omega(self) -> tuple[float, float, float, float]:
@@ -173,9 +167,8 @@ class LatticeSpec:
 
     @property
     def omega_tilde(self) -> tuple[float, float, float, float]:
-        if self.margin == "cleavage":
-            return (-self.eta, self.l + self.eta, 0.0, 1.0)
-        return (-self.eta, self.l + self.eta, -self.eta, 1.0 + self.eta)
+        """(xmin, xmax, ymin, ymax) of the specimen with its two margins."""
+        return (-self.eta, self.l + self.eta, 0.0, 1.0)
 
 
 def _in_rect(points: np.ndarray, rect, tol: float) -> np.ndarray:
@@ -202,14 +195,7 @@ def _margin_distance(points: np.ndarray, spec: LatticeSpec) -> np.ndarray:
     d_left = np.hypot(dx_left, dy_strip)
     dx_right = np.maximum.reduce([np.zeros_like(x), spec.l - x, x - spec.l - spec.eta])
     d_right = np.hypot(dx_right, dy_strip)
-    d = np.minimum(d_left, d_right)
-    if spec.margin == "uniform":
-        # horizontal strips complete the frame
-        dy_bot = np.maximum.reduce([np.zeros_like(y), y, -spec.eta - y])
-        dy_top = np.maximum.reduce([np.zeros_like(y), 1.0 - y, y - 1.0 - spec.eta])
-        dx_strip = np.maximum.reduce([np.zeros_like(x), -spec.eta - x, x - spec.l - spec.eta])
-        d = np.minimum.reduce([d, np.hypot(dx_strip, dy_bot), np.hypot(dx_strip, dy_top)])
-    return d
+    return np.minimum(d_left, d_right)
 
 
 class TriangleMesh:

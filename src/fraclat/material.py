@@ -22,7 +22,7 @@ from .lattice import LatticeVectors
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
-POTENTIAL_FAMILIES = ("exp-well", "shifted-lj", "tabulated")
+POTENTIAL_FAMILIES = ("exp-well", "shifted-lj")
 
 # the smoothed field energy ramps down to zero over (T - FIELD_SMOOTH_BAND, T)
 FIELD_SMOOTH_BAND = 0.1
@@ -47,16 +47,11 @@ class PairPotential:
         Smooth everywhere, with independent alpha and beta.  Default.
     shifted-lj
         ``W(r) = beta * (r^-6 - 1)^2``, which forces ``alpha = 72 beta``.
-    tabulated
-        Linear interpolation of user samples; not differentiable, so it
-        is rejected by gradient-based drivers.
     """
 
     family: str = "exp-well"
     alpha: float = 1.0
     beta: float = 1.0
-    r_table: np.ndarray | None = None
-    w_table: np.ndarray | None = None
 
     def __post_init__(self):
         if self.family not in POTENTIAL_FAMILIES:
@@ -65,16 +60,10 @@ class PairPotential:
             raise MaterialError("alpha and beta must be positive")
         if self.family == "shifted-lj" and abs(self.alpha - 72.0 * self.beta) > 1e-12 * self.alpha:
             raise MaterialError("shifted-lj forces alpha = 72 beta; use PairPotential.shifted_lj")
-        if self.family == "tabulated" and (self.r_table is None or self.w_table is None):
-            raise MaterialError("tabulated family needs r_table and w_table")
 
     @classmethod
     def shifted_lj(cls, beta: float = 1.0) -> "PairPotential":
         return cls(family="shifted-lj", alpha=72.0 * beta, beta=beta)
-
-    @property
-    def differentiable(self) -> bool:
-        return self.family in ("exp-well", "shifted-lj")
 
     def __call__(self, r, out=None):
         """W(r) elementwise; ``out``, if given, receives the values and is returned."""
@@ -87,20 +76,16 @@ class PairPotential:
             w *= -c
             np.expm1(w, out=w)
             w *= -self.beta
-        elif self.family == "shifted-lj":
+        else:
             with np.errstate(divide="ignore"):
                 np.power(np.where(r > 0.0, r, np.inf), -6, out=w)
             w -= 1.0
             np.square(w, out=w)
             w *= self.beta
-        else:
-            w[...] = np.interp(r, self.r_table, self.w_table, right=self.beta)
         return w if w.ndim else w[()]
 
     def deriv(self, r, out=None):
         """W'(r) elementwise; ``out``, if given, receives the values and is returned."""
-        if not self.differentiable:
-            raise MaterialError("tabulated potential has no derivative")
         r = np.asarray(r, dtype=float)
         w = np.empty_like(r) if out is None else out
         if self.family == "exp-well":

@@ -62,7 +62,7 @@ ARMIJO_SLOPE = 1e-4    # sufficient-decrease fraction of the directional slope
 MAX_BACKTRACKS = 40    # trials per line search before the start gives up
 LBFGS_MEMORY = 2       # (s, y) pairs kept by the quasi-Newton direction
 STALL_TOL = 1e-14      # relative energy drop that counts as no progress
-STALL_ITERS = 3        # consecutive stalled steps that end a start as converged
+STALL_ITERS = 3        # consecutive stalled steps that end a start
 
 
 @dataclass(frozen=True)
@@ -210,6 +210,8 @@ def _descend(asm: Assembly, precond: StiffnessMultigrid, tag: str, u0: Displacem
         gnorm = float(np.linalg.norm(g))
         if gnorm <= config.grad_tol:
             return done(it - 1, True)
+        if stalled >= STALL_ITERS:  # no progress, and |g| is still above the tolerance
+            return done(it - 1, False)
         d = _lbfgs_direction(g, pairs, precond)
         slope = float(np.vdot(g, d))
         if slope >= 0.0:  # quasi-Newton direction lost descent; restart from -M g
@@ -244,8 +246,6 @@ def _descend(asm: Assembly, precond: StiffnessMultigrid, tag: str, u0: Displacem
         x, fx, g = x_new, f_new, g_new
         history.append(fx)
         stalled = stalled + 1 if drop <= STALL_TOL * (1.0 + abs(fx)) else 0
-        if stalled >= STALL_ITERS:
-            return done(it, True)
     return done(config.max_iters, False)
 
 

@@ -163,6 +163,50 @@ def test_recovery_roundtrip_and_crack_extract(tmp_path):
         assert ang < 5.0
 
 
+def test_recovery_elastic_kind_targets_the_elastic_branch(tmp_path):
+    from fraclat.continuum import CleavageProblem, elastic_branch_energy
+    problem = CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=2.0)
+    outs = []
+    for name in ("run1", "run2"):
+        cfg = write_config(tmp_path / f"{name}.cfg", BASE + "recovery.kind = elastic\n"
+                           f"out.dir = {tmp_path}/{name}\n")
+        assert main(["recovery", "--config", cfg]) == 0
+        _, rows = read_rows(tmp_path / name / "recovery.csv")
+        assert [float(r[3]) for r in rows] == [elastic_branch_energy(problem)] * 2
+        outs.append([(tmp_path / name / f).read_bytes()
+                     for f in ("recovery.csv", "recovery_displacement.csv")])
+    assert outs[0] == outs[1]
+
+
+def test_shifted_lj_runs_with_its_own_alpha(tmp_path):
+    # alpha = 72 beta is the curvature of shifted-lj at r = 1; well below
+    # a_crit the elastic recovery sits near the elastic branch of that alpha
+    from fraclat.continuum import CleavageProblem, a_crit, elastic_branch_energy
+    text = BASE.replace("material.alpha = 1.0", "material.alpha = 72.0").replace(
+        "load.a = 2.0", "load.a = 0.02").replace("1/16,1/32", "1/16")
+    cfg = write_config(tmp_path / "c.cfg", text + "material.family = shifted-lj\n"
+                       f"out.dir = {tmp_path}/out\n")
+    assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 0
+    problem = CleavageProblem(alpha=72.0, beta=1.0, l=2.0, phi=0.3, a=0.02)
+    _, rows = read_rows(tmp_path / "out" / "convergence.csv")
+    elastic = [r for r in rows if r[1] == "chi/recovery-elastic"][0]
+    assert float(elastic[3]) == elastic_branch_energy(problem)
+    assert abs(float(elastic[4])) <= 0.1 * float(elastic[3])
+    manifest = (tmp_path / "out" / "cleavage_manifest.txt").read_text()
+    assert f"derived.a_crit = {cli._fmt(a_crit(problem))}" in manifest
+
+
+@pytest.mark.parametrize("family, message", [
+    ("shifted-lj", "shifted-lj forces alpha = 72 beta"),  # BASE has alpha = beta = 1
+    ("tabulated", "unknown potential family 'tabulated'")], ids=["shifted-lj", "tabulated"])
+def test_potential_family_and_alpha_are_checked(tmp_path, capsys, family, message):
+    cfg = write_config(tmp_path / "c.cfg", BASE + f"material.family = {family}\n"
+                       f"out.dir = {tmp_path}/out\n")
+    assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 1
+    assert message in capsys.readouterr().err
+    assert list((tmp_path / "out").glob("*")) == []
+
+
 @pytest.mark.parametrize("argv", [["cleavage", "--no-minimize"], ["minimize"], ["recovery"]],
                          ids=lambda argv: argv[0])
 def test_failure_removes_partial_outputs(tmp_path, monkeypatch, argv):

@@ -172,15 +172,6 @@ def test_gradient_matches_directional_fd(mesh16, pot, chi, magmodel, mode):
         assert abs(an - fd) <= 1e-5 * (1.0 + abs(fd))
 
 
-def test_gradient_rejects_nondifferentiable(mesh16):
-    r = np.linspace(0.0, 10.0, 50)
-    base = PairPotential(alpha=1.0, beta=1.0)
-    tab = PairPotential(family="tabulated", alpha=1.0, beta=1.0,
-                        r_table=r, w_table=base(r))
-    with pytest.raises(DiscreteEnergyError):
-        gradient(Displacement.zero(mesh16), tab)
-
-
 def test_projected_gradient_masks(mesh16, pot):
     u = rand_u(mesh16, 0.05, 10)
     bc = bc_cleavage(0.5, mesh16.spec.l)
@@ -441,17 +432,6 @@ def test_apply_bc_idempotent(mesh16):
 # ----------------------------------------------------------------------
 # CSV interchange
 # ----------------------------------------------------------------------
-
-def test_uniform_margin_assembly(pot):
-    # the frame-margin variant assembles and evaluates like the strip one
-    from fraclat.lattice import LatticeSpec, build_mesh
-    mesh = build_mesh(LatticeSpec(phi=0.2, eps=1.0 / 8.0, l=1.0, eta=0.3,
-                                  margin="uniform"))
-    assert mesh.dirichlet.sum() > 0
-    u = rand_u(mesh, 0.05, 21)
-    bd = energy_rescaled(u, pot, domain="omega")
-    assert np.isfinite(bd.total) and bd.total > 0.0
-
 
 def test_displacement_csv_roundtrip(mesh16, tmp_path):
     u = rand_u(mesh16, 0.3, 14)

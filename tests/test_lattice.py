@@ -91,8 +91,6 @@ def test_spec_validation():
         LatticeSpec(phi=0.0, eps=0.1, l=0.2)  # too short
     with pytest.raises(LatticeError):
         LatticeSpec(phi=0.0, eps=0.1, eta=0.0)
-    with pytest.raises(LatticeError):
-        LatticeSpec(phi=0.0, eps=0.1, margin="wrong")
 
 
 def test_empty_mesh_error():
@@ -140,11 +138,10 @@ def test_edge_incidence_structure(mesh16):
     assert np.any(inc == 1)
 
 
-@pytest.mark.parametrize("margin", ["cleavage", "uniform"])
 @pytest.mark.parametrize("phi", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("inv_eps", [8, 16])
-def test_topology_matches_distance_oracle(inv_eps, phi, margin):
-    spec = LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=1.0, eta=0.25, margin=margin)
+def test_topology_matches_distance_oracle(inv_eps, phi):
+    spec = LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=1.0, eta=0.25)
     check_topology_against_oracle(build_mesh(spec))
 
 
@@ -155,15 +152,11 @@ def test_edge_direction_consistency(mesh16):
     assert np.abs(d - expect).max() < 1e-12
 
 
-@pytest.mark.parametrize("margin", ["cleavage", "uniform"])
-def test_dirichlet_mask_direct_distance(margin):
-    spec = LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0, eta=0.3, margin=margin)
+def test_dirichlet_mask_direct_distance():
+    spec = LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0, eta=0.3)
     mesh = build_mesh(spec)
     # brute-force point-to-rectangle distance over the margin strips
     strips = [(-spec.eta, 0.0, 0.0, 1.0), (spec.l, spec.l + spec.eta, 0.0, 1.0)]
-    if margin == "uniform":
-        strips += [(-spec.eta, spec.l + spec.eta, -spec.eta, 0.0),
-                   (-spec.eta, spec.l + spec.eta, 1.0, 1.0 + spec.eta)]
     for p, flag in zip(mesh.points, mesh.dirichlet):
         d = np.inf
         for (a, b, c, e) in strips:

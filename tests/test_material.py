@@ -52,26 +52,13 @@ def test_potential_deriv_matches_fd():
         assert pot.deriv(r) == pytest.approx(fd, abs=1e-8)
 
 
-def test_tabulated_rejects_derivative():
-    r = np.linspace(0.0, 10.0, 100)
-    pot = PairPotential(alpha=1.0, beta=1.0)
-    tab = PairPotential(family="tabulated", alpha=1.0, beta=1.0,
-                        r_table=r, w_table=pot(r))
-    assert not tab.differentiable
-    with pytest.raises(MaterialError):
-        tab.deriv(1.5)
-
-
 @pytest.mark.parametrize("pot", [
-    PairPotential(alpha=1.3, beta=0.8), PairPotential.shifted_lj(beta=0.6),
-    PairPotential(family="tabulated", r_table=np.linspace(0.0, 4.0, 9),
-                  w_table=np.linspace(0.0, 4.0, 9) ** 2)])
+    PairPotential(alpha=1.3, beta=0.8), PairPotential.shifted_lj(beta=0.6)])
 def test_potential_writes_into_out(pot):
     # r = 0 and a tiny r reach the shifted-lj guard and its overflow
     r = np.concatenate([[0.0, 1e-300, 1.0],
                         np.random.default_rng(0).uniform(0.0, 5.0, 500)])
-    methods = [pot.__call__, pot.deriv] if pot.differentiable else [pot.__call__]
-    for f in methods:
+    for f in (pot.__call__, pot.deriv):
         with np.errstate(over="ignore"):
             fresh = f(r)
             out = np.full_like(r, np.nan)

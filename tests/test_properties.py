@@ -89,8 +89,7 @@ def test_displacement_csv_writes_the_csv_module_bytes(values, block_rows):
 
 @settings(max_examples=25, deadline=None)
 @given(phi=st.floats(0.0, PHI_MAX, exclude_max=True), inv_eps=st.integers(4, 16),
-       l=st.floats(0.6, 2.0), eta=st.floats(0.01, 0.5),
-       margin=st.sampled_from(["cleavage", "uniform"]))
-def test_mesh_topology_matches_distance_oracle(phi, inv_eps, l, eta, margin):
-    spec = LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l, eta=eta, margin=margin)
+       l=st.floats(0.6, 2.0), eta=st.floats(0.01, 0.5))
+def test_mesh_topology_matches_distance_oracle(phi, inv_eps, l, eta):
+    spec = LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l, eta=eta)
     check_topology_against_oracle(build_mesh(spec))

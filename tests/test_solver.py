@@ -169,6 +169,34 @@ def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, c
         assert start.final_step in trials if len(start.history) > 1 else start.final_step == 0.0
 
 
+def test_stalled_start_is_not_converged(mesh16, pot_unit, chi):
+    # below a_crit the elastic start reaches the rounding floor of the
+    # energy at |g| ~ 5e-9: its last steps drop it by less than STALL_TOL
+    from fraclat import solver
+    prob = problem_with(0.5)
+    cfg = SolveConfig(max_iters=400, grad_tol=1e-10, multistart=("elastic",))
+    res = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
+                   problem=prob)
+    start = res.starts[0]
+    tail = start.history[-solver.STALL_ITERS - 1:]
+    assert all(a - b <= solver.STALL_TOL * (1.0 + abs(b)) for a, b in zip(tail, tail[1:]))
+    assert start.iters < cfg.max_iters and start.grad_norm > cfg.grad_tol
+    assert not start.converged and not res.best.converged
+
+
+def test_mode_f_minimize_reports_the_sharp_cutoff(mesh16, pot_unit, chi, magmodel):
+    # the descent differentiates the smoothed field; the report uses the sharp one
+    prob = problem_with(1.5)
+    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic"), mode="f")
+    res = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
+                   model=magmodel, problem=prob)
+    sharp = energy_rescaled(res.u, pot_unit, mode="f", chi=chi, model=magmodel)
+    assert res.breakdown == sharp and res.best.energy == sharp.total
+    # the elastic start ends with triangles inside the smoothing band
+    elastic = res.starts[1]
+    assert elastic.tag == "elastic" and elastic.energy != elastic.history[-1]
+
+
 def test_minimize_never_worse_than_cleaved_inits(mesh16, pot_unit, chi):
     prob = problem_with(1.5)
     cfg = SolveConfig(max_iters=60, multistart=("cleaved",), n_cleaved=3)
