@@ -178,6 +178,24 @@ def test_recovery_elastic_kind_targets_the_elastic_branch(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_recovery_p_defaults_to_the_first_cleaved_station(tmp_path):
+    # the default station is cleaved_stations(problem, 1)[0], not l/2
+    from fraclat.continuum import CleavageProblem
+    from fraclat.solver import cleaved_stations
+    problem = CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=2.0)
+    station = float(cleaved_stations(problem, 1)[0])
+    assert station != problem.l / 2.0
+    outs = {}
+    for name, extra in (("default", ""), ("station", f"recovery.p = {station!r}\n"),
+                        ("middle", "recovery.p = 1.0\n")):
+        cfg = write_config(tmp_path / f"{name}.cfg",
+                           BASE + extra + f"out.dir = {tmp_path}/{name}\n")
+        assert main(["recovery", "--config", cfg]) == 0
+        outs[name] = (tmp_path / name / "recovery_displacement.csv").read_bytes()
+    assert outs["default"] == outs["station"]
+    assert outs["default"] != outs["middle"]
+
+
 def test_shifted_lj_runs_with_its_own_alpha(tmp_path):
     # alpha = 72 beta is the curvature of shifted-lj at r = 1; well below
     # a_crit the elastic recovery sits near the elastic branch of that alpha

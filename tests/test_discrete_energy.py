@@ -13,7 +13,7 @@ from fraclat.discrete_energy import (Assembly, Displacement, DiscreteEnergyError
                                      interpolate_gradients, project_gradient,
                                      renormalization_sides, specimen_area)
 from fraclat.lattice import classify_edges
-from fraclat.material import PairPotential, cell_energy
+from fraclat.material import POTENTIAL_FAMILIES, PairPotential, cell_energy
 
 SQRT3 = math.sqrt(3.0)
 
@@ -170,6 +170,23 @@ def test_gradient_matches_directional_fd(mesh16, pot, chi, magmodel, mode):
         fd = (ep - em) / (2.0 * t)
         an = float(np.sum(g * d))
         assert abs(an - fd) <= 1e-5 * (1.0 + abs(fd))
+
+
+@pytest.mark.parametrize("family", POTENTIAL_FAMILIES)
+def test_gradient_of_every_family_matches_fd(mesh16, family):
+    # beta = 1/72 gives shifted-lj the unit curvature of the exp-well case
+    beta = 1.0 / 72.0
+    pot = PairPotential(family=family, alpha=72.0 * beta, beta=beta)
+    u = rand_u(mesh16, 0.05, 11)
+    g = gradient(u, pot)
+    asm = Assembly(mesh16, pot, "plain", None, None, smooth_field=True)
+    rng = np.random.default_rng(12)
+    t = 1e-6
+    for _ in range(3):
+        d = rng.standard_normal(u.values.shape)
+        fd = (asm.breakdown(u.values + t * d).total
+              - asm.breakdown(u.values - t * d).total) / (2.0 * t)
+        assert abs(float(np.sum(g * d)) - fd) <= 1e-5 * (1.0 + abs(fd))
 
 
 def test_projected_gradient_masks(mesh16, pot):

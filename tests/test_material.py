@@ -5,7 +5,8 @@ import pytest
 
 from conftest import random_orthogonal, random_rotation
 from fraclat.lattice import lattice_vectors, rotation_matrix
-from fraclat.material import (MagnetizationModel, MaterialError, PairPotential,
+from fraclat.material import (POTENTIAL_FAMILIES, MagnetizationModel, MaterialError,
+                              PairPotential,
                               cell_energy, coercivity_ratio_cell,
                               coercivity_ratio_field, field_energy,
                               field_energy_smooth, magnetization,
@@ -50,6 +51,20 @@ def test_potential_deriv_matches_fd():
     for r in (0.5, 0.9, 1.0, 1.4, 3.0):
         fd = (pot(r + 1e-6) - pot(r - 1e-6)) / 2e-6
         assert pot.deriv(r) == pytest.approx(fd, abs=1e-8)
+
+
+@pytest.mark.parametrize("family", POTENTIAL_FAMILIES)
+def test_every_family_is_differentiable(family):
+    beta = 0.6
+    pot = PairPotential(family=family, alpha=72.0 * beta, beta=beta)
+    for r in (0.7, 0.95, 1.0, 1.2, 2.5):
+        fd = (pot(r + 1e-6) - pot(r - 1e-6)) / 2e-6
+        assert pot.deriv(r) == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+
+def test_unknown_family_rejected():
+    with pytest.raises(MaterialError, match="unknown potential family 'tabulated'"):
+        PairPotential(family="tabulated")
 
 
 @pytest.mark.parametrize("pot", [
