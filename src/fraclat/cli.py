@@ -176,8 +176,8 @@ def write_csv(path: str, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def write_manifest(path: str, config: RunConfig | None, extra: dict):
-    items = dict(config.resolved()) if config is not None else {}
+def write_manifest(path: str, config: RunConfig, extra: dict):
+    items = dict(config.resolved())
     items.update(extra)
     items["fraclat.version"] = __version__
     with open(path, "w") as fh:

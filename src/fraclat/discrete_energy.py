@@ -313,8 +313,8 @@ class Assembly:
     sum plus the boundary term to 1e-12 relative, evaluates the
     orientation penalty only on triangles with det F < 0 (it vanishes
     identically elsewhere) and scatters gradients with ``np.bincount``.
-    ``smooth_field`` selects the smoothed field cutoff in mode ``f``; only
-    that form has a gradient.
+    In mode ``f`` :meth:`breakdown` evaluates the sharp field cutoff and
+    :meth:`value_and_grad` the smoothed one, the only form with a gradient.
 
     The first :meth:`value_and_grad` call allocates a private workspace
     that every later evaluation, :meth:`breakdown` included, reuses, so a
@@ -327,7 +327,7 @@ class Assembly:
     def __init__(self, mesh: TriangleMesh, pot: PairPotential, mode: str = "plain",
                  chi: PenaltyChi | None = None,
                  model: MagnetizationModel | None = None,
-                 domain: str = "omega", smooth_field: bool = False):
+                 domain: str = "omega"):
         if mode not in MODES:
             raise DiscreteEnergyError(f"unknown mode {mode!r}")
         if mode != "plain" and chi is None:
@@ -336,7 +336,6 @@ class Assembly:
             raise DiscreteEnergyError(f"mode {mode!r} needs a magnetization model")
         self.mesh, self.pot, self.mode = mesh, pot, mode
         self.chi, self.model, self.domain = chi, model, domain
-        self.smooth_field = smooth_field
         eps = mesh.spec.eps
         self.eps, self._sqrt_eps = eps, np.sqrt(eps)
 
@@ -371,9 +370,6 @@ class Assembly:
         """Total energy of ``x`` and its gradient with respect to ``x``."""
         if self.mode == "total-magnetic":
             raise DiscreteEnergyError("no gradient for mode 'total-magnetic'")
-        if self.mode == "f" and not self.smooth_field:
-            raise DiscreteEnergyError("the sharp field cutoff has no gradient; "
-                                      "assemble with smooth_field=True")
         if self._ws is _NO_WORKSPACE:
             self._ws = _Workspace(self)
         bd, grad = self._evaluate(x, True)
@@ -448,7 +444,7 @@ class Assembly:
                 fieldval = -model.kappa * SQRT3 * eps / 4.0 \
                     * float(magnetization_first(Fd).sum())
             else:
-                fvals = field_energy_smooth(Fd, model) if self.smooth_field \
+                fvals = field_energy_smooth(Fd, model) if with_grad \
                     else field_energy(Fd, model)
                 fieldval = SQRT3 * eps / 4.0 * float(np.sum(fvals))
                 if with_grad:
@@ -546,8 +542,7 @@ def gradient(u: Displacement, pot: PairPotential, mode: str = "plain",
     The field term is differentiated in its smoothed form; the mode
     'total-magnetic', which is not differentiable, is rejected.
     """
-    asm = Assembly(u.mesh, pot, mode, chi, model, domain, smooth_field=True)
-    return asm.value_and_grad(u.values)[1]
+    return Assembly(u.mesh, pot, mode, chi, model, domain).value_and_grad(u.values)[1]
 
 
 def project_gradient(g: np.ndarray, mask_x: np.ndarray, mask_y: np.ndarray) -> np.ndarray:

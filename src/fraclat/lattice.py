@@ -186,18 +186,6 @@ def _shift(grid: np.ndarray, s1: int, s2: int) -> np.ndarray:
     return np.roll(grid, (-s2, -s1), axis=(0, 1))
 
 
-def _margin_distance(points: np.ndarray, spec: LatticeSpec) -> np.ndarray:
-    """Distance from each point to the margin region (Omega-tilde minus Omega)."""
-    x, y = points[:, 0], points[:, 1]
-    # distance to the two vertical margin strips
-    dx_left = np.maximum.reduce([np.zeros_like(x), x, -spec.eta - x])
-    dy_strip = np.maximum.reduce([np.zeros_like(y), -y, y - 1.0])
-    d_left = np.hypot(dx_left, dy_strip)
-    dx_right = np.maximum.reduce([np.zeros_like(x), spec.l - x, x - spec.l - spec.eta])
-    d_right = np.hypot(dx_right, dy_strip)
-    return np.minimum(d_left, d_right)
-
-
 class TriangleMesh:
     """Immutable triangle mesh of the scaled lattice clipped to Omega-tilde.
 
@@ -286,7 +274,10 @@ class TriangleMesh:
         self.edge_inc_omega = np.concatenate(inc_omega)
         self.edge_in_omega = self.point_in_omega[self.edges].all(axis=1)
 
-        self.dirichlet = _margin_distance(self.points, spec) <= eps * (1.0 + BOUNDARY_RTOL)
+        # the margin strips span the bar's height, so the distance to them
+        # is the horizontal distance to the bar's ends
+        x = self.points[:, 0]
+        self.dirichlet = np.minimum(x, spec.l - x) <= eps * (1.0 + BOUNDARY_RTOL)
 
         for arr in (self.points, self.lam, self.triangles, self.tri_sign,
                     self.tri_in_omega, self.edges, self.edge_dir,

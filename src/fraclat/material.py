@@ -59,7 +59,8 @@ class PairPotential:
         if self.alpha <= 0.0 or self.beta <= 0.0:
             raise MaterialError("alpha and beta must be positive")
         if self.family == "shifted-lj" and abs(self.alpha - 72.0 * self.beta) > 1e-12 * self.alpha:
-            raise MaterialError("shifted-lj forces alpha = 72 beta; use PairPotential.shifted_lj")
+            raise MaterialError(f"shifted-lj forces alpha = 72 beta, got alpha = {self.alpha}, "
+                                f"beta = {self.beta}")
 
     @classmethod
     def shifted_lj(cls, beta: float = 1.0) -> "PairPotential":

@@ -190,7 +190,7 @@ def _descend(asm: Assembly, precond: StiffnessMultigrid, tag: str, u0: Displacem
     """
     start = time.perf_counter()
     mask_x, mask_y = bc.masks(asm.mesh)
-    x = apply_bc(u0, bc).values.copy()
+    x = apply_bc(u0, bc).values
     fx, g = asm.value_and_grad(x)
     if not math.isfinite(fx):
         raise SolverError("non-finite energy at the starting point")
@@ -314,20 +314,16 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
 
     ``problem`` places the ``elastic`` ramp and the ``cleaved`` stations.
     """
-    # one assembly and one preconditioner serve every start; the descent
-    # differentiates the smoothed field cutoff, and mode f reports with the
-    # sharp one
-    asm = Assembly(mesh, pot, mode=config.mode, chi=chi, model=model,
-                   domain=config.domain, smooth_field=True)
-    report = asm if config.mode != "f" else Assembly(
-        mesh, pot, mode="f", chi=chi, model=model, domain=config.domain)
+    # one assembly and one preconditioner serve every start; in mode f the
+    # descent differentiates the smoothed field cutoff and the report is sharp
+    asm = Assembly(mesh, pot, mode=config.mode, chi=chi, model=model, domain=config.domain)
     precond = StiffnessMultigrid(asm, *bc.masks(mesh))
     results = []
     best = None
     for k, (tag, u0) in enumerate(_initializers(mesh, problem, config)):
         x, rec = _descend(asm, precond, tag, u0, bc, config)
         u = Displacement(mesh, x)
-        bd = report.breakdown(x)
+        bd = asm.breakdown(x)
         rec.energy = bd.total
         results.append(rec)
         if best is None or bd.total < best[0]:

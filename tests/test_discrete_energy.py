@@ -156,17 +156,27 @@ def test_gradient_zero_at_rest(mesh16, pot):
     assert np.abs(g).max() < 1e-14
 
 
+def in_field_band(u, model):
+    """Number of domain triangles with |F| in (T - FIELD_SMOOTH_BAND, T]."""
+    from fraclat.material import FIELD_SMOOTH_BAND
+    _, F = interpolate_gradients(u)
+    norm = np.linalg.norm(F[u.mesh.tri_in_omega], axis=(1, 2))
+    return int(np.sum((norm > model.T - FIELD_SMOOTH_BAND) & (norm <= model.T)))
+
+
 @pytest.mark.parametrize("mode", ["plain", "chi", "f"])
 def test_gradient_matches_directional_fd(mesh16, pot, chi, magmodel, mode):
     u = rand_u(mesh16, 0.08, 8)
+    # the smoothed and the sharp field cutoffs differ on this field
+    assert in_field_band(u, magmodel) > 0
     g = gradient(u, pot, mode=mode, chi=chi, model=magmodel)
     rng = np.random.default_rng(9)
     t = 1e-6
-    asm = Assembly(mesh16, pot, mode, chi, magmodel, smooth_field=True)
+    asm = Assembly(mesh16, pot, mode, chi, magmodel)
     for _ in range(3):
         d = rng.standard_normal(u.values.shape)
-        ep = asm.breakdown(u.values + t * d).total
-        em = asm.breakdown(u.values - t * d).total
+        ep = asm.value_and_grad(u.values + t * d)[0]
+        em = asm.value_and_grad(u.values - t * d)[0]
         fd = (ep - em) / (2.0 * t)
         an = float(np.sum(g * d))
         assert abs(an - fd) <= 1e-5 * (1.0 + abs(fd))
@@ -179,7 +189,7 @@ def test_gradient_of_every_family_matches_fd(mesh16, family):
     pot = PairPotential(family=family, alpha=72.0 * beta, beta=beta)
     u = rand_u(mesh16, 0.05, 11)
     g = gradient(u, pot)
-    asm = Assembly(mesh16, pot, "plain", None, None, smooth_field=True)
+    asm = Assembly(mesh16, pot, "plain", None, None)
     rng = np.random.default_rng(12)
     t = 1e-6
     for _ in range(3):
@@ -278,10 +288,11 @@ def reference_gradient(u, pot, mode, chi, model):
 
 @pytest.mark.parametrize("mode", ["plain", "chi", "f"])
 def test_assembly_value_is_energy_rescaled_total(mesh16, pot, chi, magmodel, kernel_u, mode):
-    asm = Assembly(mesh16, pot, mode, chi, magmodel, smooth_field=True)
+    # no triangle lies in the field's smoothing band, where the two cutoffs differ
+    assert in_field_band(kernel_u, magmodel) == 0
+    asm = Assembly(mesh16, pot, mode, chi, magmodel)
     value, _ = asm.value_and_grad(kernel_u.values)
-    bd = Assembly(mesh16, pot, mode, chi, magmodel, smooth_field=True).breakdown(
-        kernel_u.values)
+    bd = Assembly(mesh16, pot, mode, chi, magmodel).breakdown(kernel_u.values)
     assert value == bd.total
     assert asm.breakdown(kernel_u.values) == bd
     ref = reference_energy(kernel_u, pot, mode, chi, magmodel)
@@ -291,7 +302,7 @@ def test_assembly_value_is_energy_rescaled_total(mesh16, pot, chi, magmodel, ker
 @pytest.mark.parametrize("mode", ["plain", "chi", "f"])
 def test_assembly_gradient_matches_reference_and_fd(mesh16, pot, chi, magmodel,
                                                     kernel_u, mode):
-    asm = Assembly(mesh16, pot, mode, chi, magmodel, smooth_field=True)
+    asm = Assembly(mesh16, pot, mode, chi, magmodel)
     x = kernel_u.values
     _, g = asm.value_and_grad(x)
     ref = reference_gradient(kernel_u, pot, mode, chi, magmodel)
@@ -331,11 +342,38 @@ def test_assembly_rejects_wrong_shape_and_missing_gradients(mesh16, pot, chi, ma
     with pytest.raises(DiscreteEnergyError, match="shape"):
         asm.value_and_grad(np.zeros((mesh16.n_points, 3)))
     x = np.zeros((mesh16.n_points, 2))
-    for sharp in (Assembly(mesh16, pot, "f", chi, magmodel),
-                  Assembly(mesh16, pot, "total-magnetic", chi, magmodel)):
-        sharp.breakdown(x)
-        with pytest.raises(DiscreteEnergyError):
-            sharp.value_and_grad(x)
+    total = Assembly(mesh16, pot, "total-magnetic", chi, magmodel)
+    total.breakdown(x)
+    with pytest.raises(DiscreteEnergyError):
+        total.value_and_grad(x)
+
+
+def test_the_call_picks_the_field_cutoff(mesh16, pot, pot_unit, chi, magmodel, monkeypatch):
+    # value_and_grad evaluates the smoothed cutoff, breakdown the sharp one
+    u = rand_u(mesh16, 0.08, 8)
+    assert in_field_band(u, magmodel) > 0
+    asm = Assembly(mesh16, pot, "f", chi, magmodel)
+    value = asm.value_and_grad(u.values)[0]
+    assert value == pytest.approx(reference_energy(u, pot, "f", chi, magmodel), rel=1e-13)
+    sharp = asm.breakdown(u.values)
+    assert sharp == energy_rescaled(u, pot, mode="f", chi=chi, model=magmodel)
+    assert sharp.total != value
+    # so a mode-f minimize descends and reports through one assembly
+    from fraclat.continuum import CleavageProblem
+    from fraclat.solver import SolveConfig, minimize
+    real = Assembly.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Assembly, "__init__", counting)
+    prob = CleavageProblem(alpha=1.0, beta=1.0, l=1.0, phi=0.3, a=0.2)
+    cfg = SolveConfig(max_iters=5, multistart=("zero", "elastic"), mode="f")
+    minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, model=magmodel,
+             problem=prob)
+    assert len(built) == 1
 
 
 def test_line_search_trial_checks_the_pair_identity(mesh16, pot_unit, chi, monkeypatch):
@@ -381,7 +419,7 @@ def test_workspace_carries_no_state_between_calls(mesh16, pot, chi, magmodel, mo
     assert [flipped(mesh16, u) > 200 for u in configs] == [True, False, True]
 
     def build():
-        return Assembly(mesh16, pot, mode, chi, magmodel, domain, smooth_field=True)
+        return Assembly(mesh16, pot, mode, chi, magmodel, domain)
 
     asm = build()
     returned = []

@@ -150,7 +150,7 @@ def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, c
 
     def on_fresh_assembly(self, x):
         return real(Assembly(self.mesh, self.pot, self.mode, self.chi, self.model,
-                             self.domain, self.smooth_field), x)
+                             self.domain), x)
 
     monkeypatch.setattr(Assembly, "value_and_grad", on_fresh_assembly)
     fresh, fresh_finals = run()
@@ -310,7 +310,7 @@ def test_stiffness_is_the_rest_hessian(pot):
 def multigrid_bar():
     # the test-07 bar at eps = 1/32: two stencil levels and the dense one below the mesh
     mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 32.0, l=2.0, eta=0.25))
-    asm = Assembly(mesh, PairPotential(), mode="chi", chi=PenaltyChi(), smooth_field=True)
+    asm = Assembly(mesh, PairPotential(), mode="chi", chi=PenaltyChi())
     mask_x, mask_y = bc_cleavage(0.5, 2.0).masks(mesh)
     return mesh, asm, mask_x, StiffnessMultigrid(asm, mask_x, mask_y)
 
