@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .continuum import _oriented_normals, surface_densities
-from .discrete_energy import Displacement, interpolate_gradients
+from .discrete_energy import Displacement, frobenius_norms, interpolate_gradients
 from .lattice import LatticeVectors, TriangleMesh, perp, row_dots
 
 BREAK_THRESHOLD = 7.0
@@ -96,7 +96,7 @@ class BrokenClassification:
 def classify_broken(u: Displacement) -> BrokenClassification:
     """Find triangles with |F| beyond ``BREAK_THRESHOLD`` and count stretched bonds."""
     _, F = interpolate_gradients(u)
-    frob = np.linalg.norm(F, axis=(1, 2))
+    frob = frobenius_norms(F)
     tri = np.flatnonzero(frob > BREAK_THRESHOLD)
     bonds = np.matmul(F[tri], u.mesh.vecs.as_array().T)  # column a: the deformed bond a
     stretched = np.sqrt((bonds * bonds).sum(axis=1)) >= STRETCH_FACTOR

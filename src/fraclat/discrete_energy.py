@@ -138,16 +138,33 @@ def interpolate_gradients(u: Displacement) -> tuple[np.ndarray, np.ndarray]:
     G = _interpolant_gradients(u.values, mesh.triangles.T, _basis_inverse(mesh),
                                mesh.tri_sign * eps, _NO_WORKSPACE)
     grad_u = np.ascontiguousarray(G.transpose(2, 1, 0))
-    F = np.eye(2) + np.sqrt(eps) * grad_u
+    F = np.sqrt(eps) * grad_u
+    F += np.eye(2)
     return grad_u, F
 
 
-def gradient_l1_norm(u: Displacement, domain: str = "omega") -> float:
-    """Area-weighted L1 norm of the displacement gradient over the domain."""
-    grad_u, _ = interpolate_gradients(u)
-    mask = u.mesh.triangle_set(domain)
-    frob = np.linalg.norm(grad_u[mask], axis=(1, 2))
-    return float(u.mesh.triangle_area * frob.sum())
+def frobenius_norms(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (k, 2, 2) stack.
+
+    The squares are summed in row-major order, as ``np.linalg.norm(M,
+    axis=(1, 2))`` sums them for a contiguous stack, so the two agree bit
+    for bit, in about half the time.
+    """
+    out = np.multiply(M[:, 0, 0], M[:, 0, 0])
+    out += np.multiply(M[:, 0, 1], M[:, 0, 1])
+    out += np.multiply(M[:, 1, 0], M[:, 1, 0])
+    out += np.multiply(M[:, 1, 1], M[:, 1, 1])
+    return np.sqrt(out, out=out)
+
+
+def gradient_l1_norm(mesh: TriangleMesh, grad_norms: np.ndarray, mask: np.ndarray) -> float:
+    """Area-weighted L1 norm of the displacement gradient over the triangles in mask.
+
+    ``grad_norms`` holds |grad u| per triangle, the :func:`frobenius_norms`
+    of ``interpolate_gradients(u)[0]``, so one interpolation serves
+    several masks.
+    """
+    return float(mesh.triangle_area * grad_norms[mask].sum())
 
 
 # ----------------------------------------------------------------------
@@ -339,17 +356,19 @@ class Assembly:
         eps = mesh.spec.eps
         self.eps, self._sqrt_eps = eps, np.sqrt(eps)
 
+        # compress and take along the long axis build each array in its final
+        # layout, with no row-major selection to transpose and copy
+        self._vecs = mesh.vecs.as_array()
         edge_mask = mesh.edge_set(domain)
-        self._bond_ends = np.ascontiguousarray(mesh.edges[edge_mask].T)  # (2, E)
-        self._bond_dirs = np.ascontiguousarray(
-            mesh.vecs.as_array()[mesh.edge_dir[edge_mask]].T)  # (2, E)
-        self._bond_weight = 2.0 * classify_edges(mesh, domain)[edge_mask]
+        self._bond_ends = np.compress(edge_mask, mesh.edges.T, axis=1)  # (2, E)
+        self._bond_dirs = np.take(self._vecs.T, np.compress(edge_mask, mesh.edge_dir),
+                                  axis=1)  # (2, E)
+        self._bond_weight = 2.0 * np.compress(edge_mask, classify_edges(mesh, domain))
 
         tri_mask = mesh.triangle_set(domain)
-        self._corners = np.ascontiguousarray(mesh.triangles[tri_mask].T)  # (3, M)
-        self._den = mesh.tri_sign[tri_mask] * eps
+        self._corners = np.compress(tri_mask, mesh.triangles.T, axis=1)  # (3, M)
+        self._den = np.compress(tri_mask, mesh.tri_sign) * eps
         self._minv = _basis_inverse(mesh)
-        self._vecs = mesh.vecs.as_array()
         self._ws = _NO_WORKSPACE
 
     # chain-rule factors of the per-triangle terms, coefficient included;
@@ -494,8 +513,10 @@ def energy_rescaled(u: Displacement, pot: PairPotential, mode: str = "plain",
     The bulk part sums cell energies over the domain's triangles, the
     boundary part collects under-covered bonds, and the two together are
     verified against the raw pair sum to 1e-12 relative on every call.
-    Builds a transient :class:`Assembly`; callers evaluating one energy
-    many times should build the assembly once instead.
+    Builds a transient :class:`Assembly` and evaluates it once.  Code that
+    evaluates several configurations on one mesh can instead build the
+    assembly once and call :meth:`Assembly.breakdown` on each, with the
+    same result bit for bit, as :func:`fraclat.solver.magnet_demo` does.
     """
     return Assembly(u.mesh, pot, mode, chi, model, domain).breakdown(u.values)
 

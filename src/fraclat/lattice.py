@@ -40,6 +40,9 @@ BOUNDARY_RTOL = 1e-9
 # corners of the up and the down triangle based at a lattice point
 _TRIANGLE_CORNERS = (((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1)))
 
+# boundary-term weight per ordered pair of a bond flanked by 0, 1 or 2 triangles
+_EDGE_WEIGHTS = np.array([0.5, 0.25, 0.0])
+
 # per bond direction: the neighbor offset and the up and down flank bases
 _BOND_OFFSETS = (((1, 0), ((0, 0), (1, 0))),
                  ((0, 1), ((0, 0), (0, 1))),
@@ -338,6 +341,4 @@ def classify_edges(mesh: TriangleMesh, domain: str = "omega_tilde") -> np.ndarra
     an unordered bond the boundary term is therefore twice the weight.
     Bonds outside the requested domain get weight 0.
     """
-    inc = mesh.edge_incidence(domain)
-    w = np.choose(inc, [0.5, 0.25, 0.0])
-    return np.where(mesh.edge_set(domain), w, 0.0)
+    return np.take(_EDGE_WEIGHTS, mesh.edge_incidence(domain)) * mesh.edge_set(domain)

@@ -34,9 +34,9 @@ from .crack_extraction import (angle_between_lines_deg, build_modified,
                                principal_normal)
 from .discrete_energy import (Assembly, BoundaryCondition, Displacement,
                               EnergyBreakdown, apply_bc, bc_cleavage, bc_zero,
-                              energy_rescaled, gradient_l1_norm,
-                              interpolate_gradients, project_gradient,
-                              renormalization_sides)
+                              energy_rescaled, frobenius_norms,
+                              gradient_l1_norm, interpolate_gradients,
+                              project_gradient, renormalization_sides)
 from .lattice import (LatticeSpec, TriangleMesh, build_mesh,
                       cleavage_direction, rotation_matrix)
 from .material import MagnetizationModel, PairPotential, PenaltyChi
@@ -339,15 +339,19 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
 # ----------------------------------------------------------------------
 
 def _crack_summary(u: Displacement, beta: float):
-    """(count, estimated crack energy, angle to the cleavage normal, crack set)."""
+    """(count, estimated crack energy, angle to the cleavage normal).
+
+    The crack set itself is not returned: it holds all-triangle arrays,
+    which would stay alive through the rung's next energy evaluation.
+    """
     classes = classify_broken(u)
     if classes.count == 0:
-        return 0, float("nan"), float("nan"), None
+        return 0, float("nan"), float("nan")
     crack = build_modified(u, classes)
     est = crack_energy_estimate(crack, beta, u.mesh.vecs)
     ref = cleavage_direction(u.mesh.spec.phi)
     angle = angle_between_lines_deg(principal_normal(crack), ref.v_gamma_perp)
-    return classes.count, est, angle, crack
+    return classes.count, est, angle
 
 
 def _mesh_for(problem: CleavageProblem, eps: float) -> TriangleMesh:
@@ -385,7 +389,7 @@ def convergence_study(problem: CleavageProblem, eps_list,
         u_cr = recovery_sequence(build_u_cr(problem, p_mid), mesh)
         bd = energy_rescaled(u_cr, pot, mode=mode, chi=chi, model=model,
                              domain=config.domain)
-        n, est, ang, _ = _crack_summary(u_cr, problem.beta)
+        n, est, ang = _crack_summary(u_cr, problem.beta)
         rows.append(ConvergenceRow(eps, f"{mode}/recovery-crack", bd.total,
                                    crack_branch_energy(problem), n, est, ang))
         crack_gaps.append(abs(bd.total - crack_branch_energy(problem)))
@@ -400,7 +404,7 @@ def convergence_study(problem: CleavageProblem, eps_list,
             bc = bc_cleavage(problem.a, problem.l)
             res = minimize(mesh, bc, pot, config, chi=chi, model=model,
                            problem=problem)
-            n, est, ang, _ = _crack_summary(res.u, problem.beta)
+            n, est, ang = _crack_summary(res.u, problem.beta)
             rows.append(ConvergenceRow(eps, f"{mode}/minimize", res.breakdown.total,
                                        target, n, est, ang, res.best.converged))
     check_gap_ladder(crack_gaps, eps_list, pot.beta)
@@ -471,8 +475,9 @@ def nonequicoercivity_demo(eps_list, theta: float, p: float, q: float,
         mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=l, eta=eta))
         u = three_piece_rotation(mesh, theta, p, q)
         bd = energy_rescaled(u, pot, mode="plain", domain="omega")
-        rows.append((eps, bd.total, gradient_l1_norm(u, "omega"),
-                     _band_l1(u, p, q)))
+        grad_norms = frobenius_norms(interpolate_gradients(u)[0])
+        rows.append((eps, bd.total, gradient_l1_norm(mesh, grad_norms, mesh.tri_in_omega),
+                     gradient_l1_norm(mesh, grad_norms, _band_triangles(mesh, p, q))))
     eps_arr = [r[0] for r in rows]
     slope_total = fit_loglog_slope(eps_arr, [r[2] for r in rows])
     slope_band = fit_loglog_slope(eps_arr, [r[3] for r in rows])
@@ -481,14 +486,10 @@ def nonequicoercivity_demo(eps_list, theta: float, p: float, q: float,
             "energy_ratio": max(energies) / min(energies)}
 
 
-def _band_l1(u: Displacement, p: float, q: float) -> float:
-    """L1 gradient mass restricted to triangles fully inside the band."""
-    grad_u, _ = interpolate_gradients(u)
-    mesh = u.mesh
+def _band_triangles(mesh: TriangleMesh, p: float, q: float) -> np.ndarray:
+    """Mask of the specimen's triangles fully inside the band p <= x1 <= q."""
     x1 = mesh.points[mesh.triangles][:, :, 0]
-    inside = (x1 >= p).all(axis=1) & (x1 <= q).all(axis=1) & mesh.tri_in_omega
-    frob = np.linalg.norm(grad_u[inside], axis=(1, 2))
-    return float(mesh.triangle_area * frob.sum())
+    return (x1 >= p).all(axis=1) & (x1 <= q).all(axis=1) & mesh.tri_in_omega
 
 
 def rotated_band_displacement(mesh: TriangleMesh, w: float, p: float,
@@ -532,14 +533,17 @@ def magnet_demo(problem: CleavageProblem, model: MagnetizationModel, eps_list,
     band_rows = []
     for eps in eps_list:
         mesh = _mesh_for(problem, eps)
+        asm = Assembly(mesh, pot, mode="f", chi=chi, model=model)
         u_el = recovery_sequence(build_u_el(problem), mesh)
-        f_el = energy_rescaled(u_el, pot, mode="f", chi=chi, model=model).total
+        f_el = asm.breakdown(u_el.values).total
         el_rows.append(ConvergenceRow(eps, "f/recovery-elastic", f_el,
                                       elastic_branch_energy(problem)))
         p, q = 0.3 * problem.l, 0.7 * problem.l
         u_band = rotated_band_displacement(mesh, band_angle, p, q)
-        f_band = energy_rescaled(u_band, pot, mode="f", chi=chi, model=model).total
-        e_band = energy_rescaled(u_band, pot, mode="chi", chi=chi).total
+        bd = asm.breakdown(u_band.values)
+        f_band = bd.total
+        # the chi-mode energy is the same breakdown without its field term
+        e_band = EnergyBreakdown("chi", bd.bulk, bd.boundary, bd.penalty).total
         band_area = (q - p) * 1.0
         band_rows.append({"eps": eps, "field_minus_plain": f_band - e_band,
                           "limit": 0.5 * model.kappa * band_angle ** 2 * band_area})
@@ -555,7 +559,7 @@ def _random_admissible(mesh: TriangleMesh, model: MagnetizationModel,
     for _ in range(60):
         _, F = interpolate_gradients(u)
         det = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-        norm = np.linalg.norm(F, axis=(1, 2))
+        norm = frobenius_norms(F)
         if norm.max() <= 0.95 * model.T and det.min() > 0.2:
             return u
         u = Displacement(mesh, 0.5 * u.values)

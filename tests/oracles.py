@@ -102,7 +102,8 @@ def surface_density(nu, vecs, beta):
 
 def classify_broken(u):
     """(records, F) of the broken triangles."""
-    _, F = interpolate_gradients(u)
+    grad_u, _ = interpolate_gradients(u)
+    F = np.eye(2) + np.sqrt(u.mesh.spec.eps) * grad_u
     frob = np.linalg.norm(F, axis=(1, 2))
     V = u.mesh.vecs.as_array()
     records = []

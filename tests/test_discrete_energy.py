@@ -9,10 +9,10 @@ from fraclat.discrete_energy import (Assembly, Displacement, DiscreteEnergyError
                                      apply_bc, bc_affine, bc_cleavage, bc_zero,
                                      displacement_from_csv, displacement_to_csv,
                                      energy_deformation, energy_rescaled,
-                                     gradient, gradient_l1_norm,
+                                     frobenius_norms, gradient, gradient_l1_norm,
                                      interpolate_gradients, project_gradient,
                                      renormalization_sides, specimen_area)
-from fraclat.lattice import classify_edges
+from fraclat.lattice import LatticeSpec, build_mesh, classify_edges
 from fraclat.material import POTENTIAL_FAMILIES, PairPotential, cell_energy
 
 SQRT3 = math.sqrt(3.0)
@@ -39,6 +39,19 @@ def test_affine_reproduction(mesh16):
     u = Displacement(mesh16, mesh16.points @ G.T)
     gu, _ = interpolate_gradients(u)
     assert np.abs(gu - G).max() < 1e-12
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.02, 1.5, 40.0])
+def test_gradients_and_norms_match_the_matrix_forms(mesh16, scale):
+    # zero and small fields have exact zeros in grad_u, where an identity
+    # added on the diagonal alone would leave -0.0 off it
+    u = rand_u(mesh16, scale, 12)
+    grad_u, F = interpolate_gradients(u)
+    F_ref = np.eye(2) + np.sqrt(mesh16.spec.eps) * grad_u
+    assert F.shape == (mesh16.n_triangles, 2, 2)
+    assert F.tobytes() == F_ref.tobytes()
+    for M in (grad_u, F_ref):
+        assert frobenius_norms(M).tobytes() == np.linalg.norm(M, axis=(1, 2)).tobytes()
 
 
 def test_displacement_shape_check(mesh16):
@@ -211,7 +224,8 @@ def test_projected_gradient_masks(mesh16, pot):
 def test_gradient_l1_norm_affine(mesh16):
     G = np.array([[0.3, 0.1], [-0.2, 0.5]])
     u = Displacement(mesh16, mesh16.points @ G.T)
-    val = gradient_l1_norm(u, "omega")
+    grad_norms = frobenius_norms(interpolate_gradients(u)[0])
+    val = gradient_l1_norm(mesh16, grad_norms, mesh16.tri_in_omega)
     area = specimen_area(mesh16, "omega")
     assert val == pytest.approx(np.linalg.norm(G) * area, rel=1e-10)
 
@@ -284,6 +298,30 @@ def reference_gradient(u, pot, mode, chi, model):
         np.add.at(out, tri[:, 2], P[:, :, 1])
         np.add.at(out, tri[:, 0], -(P[:, :, 0] + P[:, :, 1]))
     return out
+
+
+def assert_same_array(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("inv_eps", [8, 17, 64])
+@pytest.mark.parametrize("phi", [0.0, 0.3])
+def test_assembly_arrays_equal_the_masked_forms(pot, chi, phi, inv_eps):
+    mesh = build_mesh(LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=1.0, eta=0.25))
+    V = mesh.vecs.as_array()
+    for domain in ("omega", "omega_tilde"):
+        bonds, tris = mesh.edge_set(domain), mesh.triangle_set(domain)
+        weights = np.where(bonds, np.choose(mesh.edge_incidence(domain), [0.5, 0.25, 0.0]),
+                           0.0)
+        assert_same_array(classify_edges(mesh, domain), weights)
+        asm = Assembly(mesh, pot, "chi", chi, domain=domain)
+        assert_same_array(asm._bond_ends, np.ascontiguousarray(mesh.edges[bonds].T))
+        assert_same_array(asm._bond_dirs, np.ascontiguousarray(V[mesh.edge_dir[bonds]].T))
+        assert_same_array(asm._bond_weight, 2.0 * weights[bonds])
+        assert_same_array(asm._corners, np.ascontiguousarray(mesh.triangles[tris].T))
+        assert_same_array(asm._den, mesh.tri_sign[tris] * mesh.spec.eps)
 
 
 @pytest.mark.parametrize("mode", ["plain", "chi", "f"])

@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from fraclat import discrete_energy, solver
 from fraclat.continuum import (CleavageProblem, a_crit, build_u_cr, build_u_el,
                                crack_branch_energy, elastic_branch_energy)
 from fraclat.discrete_energy import (Assembly, Displacement, bc_cleavage, energy_rescaled,
@@ -10,10 +12,11 @@ from fraclat.discrete_energy import (Assembly, Displacement, bc_cleavage, energy
 from fraclat.lattice import LatticeSpec, build_mesh
 from fraclat.material import PairPotential, PenaltyChi
 from fraclat.multigrid import StiffnessMultigrid
-from fraclat.solver import (SolveConfig, SolverError, convergence_study,
-                            fit_loglog_slope, magnet_demo, minimize,
-                            nonequicoercivity_demo, recovery_sequence,
-                            rotated_band_displacement, three_piece_rotation)
+from fraclat.solver import (ConvergenceRow, SolveConfig, SolverError, _crack_summary,
+                            cleaved_stations, convergence_study, fit_loglog_slope,
+                            magnet_demo, minimize, nonequicoercivity_demo,
+                            recovery_sequence, rotated_band_displacement,
+                            three_piece_rotation)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -372,6 +375,55 @@ def test_convergence_study_rows(pot_unit, chi):
         assert r.crack_angle_deg < 1.0
 
 
+@pytest.mark.parametrize("mode, domain", [("chi", "omega"), ("f", "omega_tilde")])
+def test_convergence_study_rows_are_the_per_sample_evaluations(pot_unit, chi, magmodel,
+                                                               monkeypatch, mode, domain):
+    prob = problem_with(1.5)
+    ladder = [1.0 / 16.0, 1.0 / 32.0]
+    p = float(cleaved_stations(prob, 1)[0])
+    expected = []
+    for eps in ladder:
+        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=prob.eta))
+        u_cr = recovery_sequence(build_u_cr(prob, p), mesh)
+        u_el = recovery_sequence(build_u_el(prob), mesh)
+        n, est, ang = _crack_summary(u_cr, prob.beta)
+        expected += [
+            ConvergenceRow(eps, f"{mode}/recovery-crack", energy_rescaled(
+                u_cr, pot_unit, mode, chi, magmodel, domain).total,
+                crack_branch_energy(prob), n, est, ang).row(),
+            ConvergenceRow(eps, f"{mode}/recovery-elastic", energy_rescaled(
+                u_el, pot_unit, mode, chi, magmodel, domain).total,
+                elastic_branch_energy(prob)).row()]
+
+    # no assembly lives through the crack classification, and no crack set
+    # (all-triangle arrays) through an energy evaluation
+    assemblies, cracks = weakref.WeakSet(), []  # a CrackSet is not hashable
+    init, build = Assembly.__init__, solver.build_modified
+
+    def tracked_init(self, *args, **kwargs):
+        assert all(ref() is None for ref in cracks)
+        assemblies.add(self)
+        init(self, *args, **kwargs)
+
+    def tracked_build(*args):
+        crack = build(*args)
+        cracks.append(weakref.ref(crack))
+        return crack
+
+    def summary(u, beta):
+        assert len(assemblies) == 0
+        return _crack_summary(u, beta)
+
+    monkeypatch.setattr(Assembly, "__init__", tracked_init)
+    monkeypatch.setattr(solver, "build_modified", tracked_build)
+    monkeypatch.setattr(solver, "_crack_summary", summary)
+    rows = convergence_study(prob, ladder, config=SolveConfig(mode=mode, domain=domain),
+                             pot=pot_unit, chi=chi, model=magmodel, with_minimize=False)
+    # repr keeps every bit and makes nan equal to nan
+    assert [list(map(repr, r.row())) for r in rows] == [list(map(repr, r)) for r in expected]
+    assert any(r[5] > 0 for r in expected)
+
+
 def test_gap_ladder_guard():
     from fraclat.solver import check_gap_ladder
     # shrinking gaps pass
@@ -423,6 +475,25 @@ def test_nonequicoercivity_rates(pot_unit):
     assert masses[0] < masses[1] < masses[2]
 
 
+def test_nonequicoercivity_rows_are_the_gradient_masses(pot_unit, monkeypatch):
+    calls, interpolate = [], discrete_energy.interpolate_gradients
+    for module in (discrete_energy, solver):
+        monkeypatch.setattr(module, "interpolate_gradients",
+                            lambda u: calls.append(u) or interpolate(u))
+    ladder, theta, p, q = [1.0 / 16.0, 1.0 / 32.0], 1.2, 0.125, 0.875
+    res = nonequicoercivity_demo(ladder, theta=theta, p=p, q=q, pot=pot_unit)
+    assert len(calls) == len(ladder)  # one interpolation per rung
+    for eps, row in zip(ladder, res["rows"]):
+        mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0, eta=0.25))
+        u = three_piece_rotation(mesh, theta, p, q)
+        grad_u, _ = interpolate(u)
+        x1 = mesh.points[mesh.triangles][:, :, 0]
+        band = (x1 >= p).all(axis=1) & (x1 <= q).all(axis=1) & mesh.tri_in_omega
+        masses = [float(mesh.triangle_area * np.linalg.norm(grad_u[m], axis=(1, 2)).sum())
+                  for m in (mesh.tri_in_omega, band)]
+        assert row == (eps, energy_rescaled(u, pot_unit).total, *masses)
+
+
 def test_nonequicoercivity_validates_cuts(pot_unit):
     with pytest.raises(SolverError):
         nonequicoercivity_demo([1.0 / 16.0], theta=1.0, p=0.7, q=0.3, pot=pot_unit)
@@ -439,6 +510,26 @@ def test_magnet_demo_checks(pot_unit, chi, magmodel):
     rels = [abs(b["field_minus_plain"] - b["limit"]) / b["limit"] for b in band]
     assert rels[-1] < 0.10
     assert rels[0] > rels[-1]
+
+
+def test_magnet_demo_rows_are_the_per_mode_energies(pot_unit, chi, magmodel, monkeypatch):
+    prob = CleavageProblem(alpha=1.0, beta=1.0, l=1.0, phi=0.3, a=0.4)
+    ladder, angle = [1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0], 0.4
+    built, init = [], Assembly.__init__
+    monkeypatch.setattr(Assembly, "__init__",
+                        lambda self, *a, **k: init(self, *a, **k) or built.append(self.mode))
+    res = magnet_demo(prob, magmodel, ladder, pot=pot_unit, chi=chi, n_random=0,
+                      band_angle=angle)
+    assert built == ["f"] * len(ladder)  # one mode-f assembly per rung
+    monkeypatch.undo()
+    for eps, el, band in zip(ladder, res["elastic_rows"], res["band_rows"]):
+        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=prob.eta))
+        u_el = recovery_sequence(build_u_el(prob), mesh)
+        assert el.energy == energy_rescaled(u_el, pot_unit, "f", chi, magmodel).total
+        u = rotated_band_displacement(mesh, angle, 0.3 * prob.l, 0.7 * prob.l)
+        f = energy_rescaled(u, pot_unit, "f", chi, magmodel).total
+        e = energy_rescaled(u, pot_unit, "chi", chi).total
+        assert band["field_minus_plain"] == f - e
 
 
 def test_rotated_band_probes_quadratic_field_term(pot_unit, chi, magmodel):
