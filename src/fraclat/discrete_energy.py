@@ -103,27 +103,20 @@ def _basis_inverse(mesh: TriangleMesh) -> np.ndarray:
     return np.linalg.inv(np.column_stack([mesh.vecs.v1, mesh.vecs.v2]))
 
 
-def _interpolant_gradients(values: np.ndarray, corners, Minv: np.ndarray,
-                           den: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Per-triangle gradient of the affine interpolant of point values.
+def _edge_differences(values: np.ndarray, corners, D: np.ndarray,
+                      c0: np.ndarray | None = None, ck: np.ndarray | None = None):
+    """Write ``D[k, i]``, component i of each triangle's edge difference k.
 
-    Returns the component-major array ``G[j, i, t]``, the derivative of
-    value component i along x_j on triangle t.  ``corners`` holds the
-    three vertex index arrays and ``den`` each triangle's orientation
-    sign times the length scale.  One matrix product serves all
-    triangles.  ``ws`` supplies the result and scratch buffers; the empty
-    workspace allocates them.
+    Edge k runs from the first corner to corner k + 1; ``corners`` holds
+    the three vertex index arrays.  ``D`` may be any (2, 2, M) view; the
+    take buffers ``c0`` and ``ck`` (M,) are allocated when not given.
     """
     t0, t1, t2 = corners
-    D = _buffer(ws.D, (2, 2, len(den)))  # D[k, i]: component i of edge difference k
     for i in range(2):
         c = np.ascontiguousarray(values[:, i])
-        c0 = np.take(c, t0, out=ws.c0, mode="clip")
-        np.subtract(np.take(c, t1, out=ws.ck, mode="clip"), c0, out=D[0, i])
-        np.subtract(np.take(c, t2, out=ws.ck, mode="clip"), c0, out=D[1, i])
-    G = np.matmul(Minv.T, D.reshape(2, -1), out=ws.G).reshape(D.shape)
-    G /= den
-    return G
+        first = np.take(c, t0, out=c0, mode="clip")
+        np.subtract(np.take(c, t1, out=ck, mode="clip"), first, out=D[0, i])
+        np.subtract(np.take(c, t2, out=ck, mode="clip"), first, out=D[1, i])
 
 
 def interpolate_gradients(u: Displacement) -> tuple[np.ndarray, np.ndarray]:
@@ -132,12 +125,18 @@ def interpolate_gradients(u: Displacement) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(grad_u, F)`` with ``F = Id + sqrt(eps) grad_u``, both of
     shape (n_triangles, 2, 2).  The affine interpolant reproduces the
     point values exactly, so affine inputs give an exact constant
-    gradient.
+    gradient.  One matrix product serves all triangles, and it writes
+    grad_u in its final layout.
     """
     mesh, eps = u.mesh, u.mesh.spec.eps
-    G = _interpolant_gradients(u.values, mesh.triangles.T, _basis_inverse(mesh),
-                               mesh.tri_sign * eps, _NO_WORKSPACE)
-    grad_u = np.ascontiguousarray(G.transpose(2, 1, 0))
+    D = np.empty((mesh.n_triangles, 2, 2))  # D[t, i, k]
+    # one contiguous index array per corner: np.take copies a strided index
+    # array on every call
+    _edge_differences(u.values, [np.ascontiguousarray(mesh.triangles[:, k]) for k in range(3)],
+                      D.transpose(2, 1, 0))
+    grad_u = np.matmul(D.reshape(-1, 2), _basis_inverse(mesh)).reshape(D.shape)
+    del D  # freed before F is allocated
+    grad_u /= (mesh.tri_sign * eps)[:, None, None]
     F = np.sqrt(eps) * grad_u
     F += np.eye(2)
     return grad_u, F
@@ -255,55 +254,41 @@ def _chain_to_edges(dPhi_dF: np.ndarray, Minv: np.ndarray, pref: np.ndarray) -> 
     return P * pref[:, None, None]
 
 
-def _buffer(view, shape) -> np.ndarray:
-    """The workspace ``view``, or a fresh array when there is no workspace."""
-    return np.empty(shape) if view is None else view
-
-
-def _zeros(view, n: int) -> np.ndarray:
-    """The workspace ``view`` cleared, or a fresh zero array."""
-    if view is None:
-        return np.zeros(n)
-    view.fill(0.0)
-    return view
-
-
 class _Workspace:
     """Buffers that let one :class:`Assembly` evaluate without allocating.
 
-    The evaluation passes every view as an ``out=`` argument.  On the
-    empty workspace (``_Workspace()``) all views are None, so numpy
-    allocates each array as it goes.
+    The evaluation passes every view as an ``out=`` argument.  A
+    breakdown-sized workspace (``with_grad=False``) holds what an energy
+    evaluation writes; a gradient-sized one adds the ``bincount`` index
+    and weight streams and the positive-stretch mask.
 
-    ``xc``, ``z``, ``r`` and the two masks live through a whole
-    evaluation, and the bond half ``[e1, e0]`` of the ``bincount`` index
-    stream is written once.  Everything else shares one float pool that
-    the phases use in turn: the bond phase's scratch; then F (always the
-    first 4M entries) with either the edge differences or the three
-    ``(3, M)`` stretch arrays, whose spent rows also hold the cell sums,
-    det F and the penalty values; last the two gradient weight streams,
-    written over F once the penalty terms hold their own copies.
+    ``xc``, ``z``, ``r`` and the masks live through a whole evaluation,
+    and the bond half ``[e1, e0]`` of the index stream is written once.
+    Everything else shares one float pool that the phases use in turn: the
+    bond phase's scratch; then F (always the first 4M entries) with either
+    the edge differences or the three ``(3, M)`` stretch arrays, whose
+    spent rows also hold the cell sums, det F and the penalty values; last
+    the two gradient weight streams, written over F once the penalty terms
+    hold their own copies.
 
     Takes into a view use ``mode="clip"`` (every index is in range):
     under the default mode numpy fills a temporary copy of ``out``.
     """
 
-    xc = z = r = pos = flip = index = None
-    z0 = rr = wr = wr_bd = None
-    G = D = c0 = ck = a = b = t = cells = det = det2 = chi_vals = None
-    wx = wy = coef = None
-
-    def __init__(self, asm: Assembly | None = None):
-        if asm is None:
-            return
+    def __init__(self, asm: Assembly, with_grad: bool):
         n, E, M = asm.mesh.n_points, asm._bond_ends.shape[1], len(asm._den)
-        k = (asm.mode != "plain") + (asm.mode == "f")  # triangle terms with a gradient
-        L = 2 * E + 3 * k * M  # longest index and weight streams
+        self.with_grad = with_grad
         self.xc, self.z, self.r = np.empty((2, n)), np.empty((2, E)), np.empty(E)
-        self.pos, self.flip = np.empty(E, dtype=bool), np.empty(M, dtype=bool)
-        self.index = np.empty(L, dtype=np.intp)
-        self.index[:2 * E] = asm._bond_ends[::-1].ravel()
-        pool = np.empty(max(2 * E, 13 * M, 2 * L))
+        self.flip = np.empty(M, dtype=bool)
+        size = max(2 * E, 13 * M)
+        if with_grad:
+            k = (asm.mode != "plain") + (asm.mode == "f")  # triangle terms with a gradient
+            L = 2 * E + 3 * k * M  # longest index and weight streams
+            self.pos = np.empty(E, dtype=bool)
+            self.index = np.empty(L, dtype=np.intp)
+            self.index[:2 * E] = asm._bond_ends[::-1].ravel()
+            size = max(size, 2 * L)
+        pool = np.empty(size)
         self.z0 = pool[:2 * E].reshape(2, E)
         self.rr = self.wr = pool[:E]
         self.wr_bd = pool[E:2 * E]
@@ -313,11 +298,9 @@ class _Workspace:
         self.a, self.b, self.t = (pool[j * M:(j + 3) * M].reshape(3, M) for j in (4, 7, 10))
         self.cells, self.det, self.det2 = self.t
         self.chi_vals = self.a[0]
-        self.wx, self.wy = pool[:L], pool[L:2 * L]
-        self.coef = self.wx[E:2 * E]  # the -gx slot, written after gx and gy
-
-
-_NO_WORKSPACE = _Workspace()
+        if with_grad:
+            self.wx, self.wy = pool[:L], pool[L:2 * L]
+            self.coef = self.wx[E:2 * E]  # the -gx slot, written after gx and gy
 
 
 class Assembly:
@@ -333,12 +316,12 @@ class Assembly:
     In mode ``f`` :meth:`breakdown` evaluates the sharp field cutoff and
     :meth:`value_and_grad` the smoothed one, the only form with a gradient.
 
-    The first :meth:`value_and_grad` call allocates a private workspace
-    that every later evaluation, :meth:`breakdown` included, reuses, so a
-    descent allocates no large temporaries after its first step; an
-    assembly that only ever computes breakdowns allocates per call and
-    holds no buffers between calls.  Evaluations of one assembly must not
-    run concurrently.
+    The first evaluation allocates a private workspace that every later
+    evaluation reuses, so a descent allocates no large temporaries after
+    its first step.  A :meth:`breakdown` sizes it for the energy alone;
+    the first :meth:`value_and_grad` replaces that with one that also
+    holds the gradient streams.  Evaluations of one assembly must not run
+    concurrently.
     """
 
     def __init__(self, mesh: TriangleMesh, pot: PairPotential, mode: str = "plain",
@@ -369,7 +352,7 @@ class Assembly:
         self._corners = np.compress(tri_mask, mesh.triangles.T, axis=1)  # (3, M)
         self._den = np.compress(tri_mask, mesh.tri_sign) * eps
         self._minv = _basis_inverse(mesh)
-        self._ws = _NO_WORKSPACE
+        self._ws = None  # sized by the first evaluation
 
     # chain-rule factors of the per-triangle terms, coefficient included;
     # only the gradient needs them
@@ -389,10 +372,15 @@ class Assembly:
         """Total energy of ``x`` and its gradient with respect to ``x``."""
         if self.mode == "total-magnetic":
             raise DiscreteEnergyError("no gradient for mode 'total-magnetic'")
-        if self._ws is _NO_WORKSPACE:
-            self._ws = _Workspace(self)
         bd, grad = self._evaluate(x, True)
         return bd.total, grad
+
+    def _workspace(self, with_grad: bool) -> _Workspace:
+        """The workspace, sized for at least what this evaluation computes."""
+        if self._ws is None or (with_grad and not self._ws.with_grad):
+            self._ws = None  # release a breakdown-sized workspace before its successor
+            self._ws = _Workspace(self, with_grad)
+        return self._ws
 
     def _evaluate(self, x: np.ndarray, with_grad: bool):
         n = self.mesh.n_points
@@ -401,8 +389,9 @@ class Assembly:
             raise DiscreteEnergyError(f"expected values of shape {(n, 2)}, got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise DiscreteEnergyError("displacement contains non-finite entries")
-        eps, pot, chi, model, ws = self.eps, self.pot, self.chi, self.model, self._ws
-        xc = _buffer(ws.xc, (2, n))
+        eps, pot, chi, model = self.eps, self.pot, self.chi, self.model
+        ws = self._workspace(with_grad)
+        xc = ws.xc
         xc[...] = x.T
 
         # bonds: deformed bond vectors z (in units of eps) and stretches r = |z|
@@ -421,7 +410,9 @@ class Assembly:
 
         # triangles: F[j, i] holds the component F_ij on every triangle, and
         # the cell energy is half the pair energy of the sides |F v|
-        F = _interpolant_gradients(xc.T, self._corners, self._minv, self._den, ws)
+        _edge_differences(xc.T, self._corners, ws.D, ws.c0, ws.ck)
+        F = np.matmul(self._minv.T, ws.D.reshape(2, -1), out=ws.G).reshape(ws.D.shape)
+        F /= self._den
         F *= self._sqrt_eps
         F[0, 0] += 1.0
         F[1, 1] += 1.0
@@ -451,7 +442,8 @@ class Assembly:
             det -= np.multiply(F01, F10, out=ws.det2)
             support = np.flatnonzero(np.less(det, 0.0, out=ws.flip))
             Fs = matrices(support)
-            chi_vals = _zeros(ws.chi_vals, len(det))
+            chi_vals = ws.chi_vals
+            chi_vals.fill(0.0)
             chi_vals[support] = chi(Fs)
             penalty = eps * float(chi_vals.sum())
             if with_grad and len(support):
@@ -475,9 +467,8 @@ class Assembly:
         if not with_grad:
             return bd, None
 
-        # gradient, always with a workspace: one bincount per component over
-        # the index stream, whose bond half [e1, e0] is already in place;
-        # F is spent from here on
+        # gradient: one bincount per component over the index stream, whose
+        # bond half [e1, e0] is already in place; F is spent from here on
         coef = pot.deriv(r, out=ws.coef)
         coef *= self._sqrt_eps
         np.divide(coef, r, out=coef, where=np.greater(r, 0.0, out=ws.pos))

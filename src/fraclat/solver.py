@@ -142,16 +142,38 @@ def recovery_sequence(u_cont: ContinuumDisplacement, mesh: TriangleMesh) -> Disp
     whole crack is first translated by eps/17 along its normal, a fixed
     deterministic offset that clears the lattice.
     """
-    if u_cont.crack:
-        d = u_cont.crack_point_distance(mesh.points)
-        if d.min() < 1e-12:
-            if u_cont.shifted is None:
-                raise SolverError("a lattice point sits on the crack and the "
-                                  "configuration cannot be translated")
-            u_cont = u_cont.shifted(mesh.spec.eps / 17.0)
-            if u_cont.crack_point_distance(mesh.points).min() < 1e-12:
-                raise SolverError("crack still touches the lattice after translation")
+    if u_cont.crack and _touches_crack(u_cont, mesh.points):
+        if u_cont.shifted is None:
+            raise SolverError("a lattice point sits on the crack and the "
+                              "configuration cannot be translated")
+        u_cont = u_cont.shifted(mesh.spec.eps / 17.0)
+        if _touches_crack(u_cont, mesh.points):
+            raise SolverError("crack still touches the lattice after translation")
     return Displacement(mesh, u_cont.eval(mesh.points))
+
+
+_CRACK_TOUCH = 1e-12  # distance below which a lattice point sits on the crack
+_LINE_BAND = 1e-9     # half-width of the band around a crack line that is checked
+
+
+def _touches_crack(u_cont: ContinuumDisplacement, points: np.ndarray) -> bool:
+    """Whether ``u_cont.crack_point_distance(points).min() < _CRACK_TOUCH``.
+
+    The distance to a segment's line never exceeds the distance to the
+    segment, so only the points within ``_LINE_BAND`` of some segment's
+    line can touch the crack; the segment distance is computed for those
+    alone.
+    """
+    near = np.zeros(len(points), dtype=bool)
+    for seg in u_cont.crack:
+        t = seg.p1 - seg.p0
+        n = np.array([-t[1], t[0]]) / math.hypot(t[0], t[1])
+        offset = points @ n
+        offset -= float(seg.p0 @ n)
+        near |= np.abs(offset, out=offset) < _LINE_BAND
+    if not near.any():
+        return False
+    return bool(u_cont.crack_point_distance(points[near]).min() < _CRACK_TOUCH)
 
 
 # ----------------------------------------------------------------------
@@ -314,24 +336,31 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
 
     ``problem`` places the ``elastic`` ramp and the ``cleaved`` stations.
     """
-    # one assembly and one preconditioner serve every start; in mode f the
-    # descent differentiates the smoothed field cutoff and the report is sharp
+    # one assembly and one preconditioner serve every start.  In modes plain
+    # and chi a start's record already holds the energy of its final
+    # iterate, and only the winner is broken down; in mode f the descent
+    # differentiates the smoothed field cutoff and each start reports the
+    # sharp one
     asm = Assembly(mesh, pot, mode=config.mode, chi=chi, model=model, domain=config.domain)
     precond = StiffnessMultigrid(asm, *bc.masks(mesh))
     results = []
     best = None
     for k, (tag, u0) in enumerate(_initializers(mesh, problem, config)):
         x, rec = _descend(asm, precond, tag, u0, bc, config)
-        u = Displacement(mesh, x)
-        bd = asm.breakdown(x)
-        rec.energy = bd.total
+        bd = None
+        if config.mode == "f":
+            bd = asm.breakdown(x)
+            rec.energy = bd.total
         results.append(rec)
-        if best is None or bd.total < best[0]:
-            best = (bd.total, k, u, bd)
+        if best is None or rec.energy < results[best[0]].energy:
+            best = (k, x, bd)
     if best is None:
         raise SolverError("no starting point; check the multistart list")
-    _, k, u_best, bd_best = best
-    return MinimizeResult(u=u_best, breakdown=bd_best, best=results[k], starts=results)
+    k, x, bd = best
+    if bd is None:
+        bd = asm.breakdown(x)
+    return MinimizeResult(u=Displacement(mesh, x), breakdown=bd, best=results[k],
+                          starts=results)
 
 
 # ----------------------------------------------------------------------

@@ -470,6 +470,27 @@ def test_workspace_carries_no_state_between_calls(mesh16, pot, chi, magmodel, mo
     assert all(np.array_equal(g, kept) for g, kept in returned)
 
 
+@pytest.mark.parametrize("domain", ["omega", "omega_tilde"])
+@pytest.mark.parametrize("mode", ["plain", "chi", "f"])
+def test_gradient_after_a_breakdown_equals_a_fresh_gradient(mesh16, pot, chi, magmodel,
+                                                           mode, domain):
+    # the breakdown sizes the workspace for the energy alone; the gradient
+    # call that follows needs the larger one
+    u = rand_u(mesh16, 1.5, 31)
+    assert flipped(mesh16, u) > 200
+
+    def build():
+        return Assembly(mesh16, pot, mode, chi, magmodel, domain)
+
+    asm = build()
+    assert asm.breakdown(u.values) == build().breakdown(u.values)
+    value, g = asm.value_and_grad(u.values)
+    fresh_value, fresh_g = build().value_and_grad(u.values)
+    assert value == fresh_value and np.array_equal(g, fresh_g)
+    if mode != "f":  # mode f differentiates the smoothed field cutoff
+        assert asm.breakdown(u.values).total == value
+
+
 def test_repeated_evaluation_allocates_little(mesh32, pot, chi):
     import tracemalloc
     asm = Assembly(mesh32, pot, "chi", chi)

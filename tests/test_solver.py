@@ -82,6 +82,46 @@ def test_recovery_without_shift_support_raises(mesh16_phi0):
         recovery_sequence(u, mesh16_phi0)
 
 
+def crack_touches_reference(u_cont, mesh):
+    return bool(u_cont.crack_point_distance(mesh.points).min() < 1e-12)
+
+
+@pytest.mark.parametrize("inv_eps", [16, 32, 64, 128])
+def test_crack_touch_check_agrees_with_the_distance_on_every_station(inv_eps):
+    prob = problem_with(1.5, l=2.0)
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l, eta=0.25))
+    stations = cleaved_stations(prob, 9)
+    assert len(stations) == 9
+    for p in stations:
+        u_cont = build_u_cr(prob, float(p))
+        assert solver._touches_crack(u_cont, mesh.points) \
+            == crack_touches_reference(u_cont, mesh)
+
+
+def test_crack_touch_check_agrees_on_a_crack_through_lattice_points():
+    from fraclat.continuum import ContinuumDisplacement, CrackLine, build_u_cr_symmetric
+    prob = problem_with(1.5, phi=0.0)
+    eps = 1.0 / 16.0
+    mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0, eta=0.25))
+    # a straight crack and a two-segment graph crack, each through lattice points
+    for u_cont in (build_u_cr(prob, p=0.25),
+                   build_u_cr_symmetric(prob, [0.0, 0.5, 1.0], [0.5, 0.5, 0.5 + eps / 2.0])):
+        assert crack_touches_reference(u_cont, mesh)
+        assert solver._touches_crack(u_cont, mesh.points)
+        shifted = u_cont.shifted(eps / 17.0)
+        assert not crack_touches_reference(shifted, mesh)
+        assert not solver._touches_crack(shifted, mesh.points)
+        assert np.array_equal(recovery_sequence(u_cont, mesh).values,
+                              shifted.eval(mesh.points))
+    # a segment whose line, but not the segment itself, runs through a lattice point
+    pt, d = mesh.points[mesh.n_points // 2], np.array([math.cos(1.0), math.sin(1.0)])
+    seg = CrackLine(pt + 0.1 * d, pt + 0.3 * d, np.array([-d[1], d[0]]), np.zeros(2))
+    u_cont = ContinuumDisplacement([], [seg], 1.0)
+    assert u_cont.crack_point_distance(pt[None]).min() > 0.09
+    assert not crack_touches_reference(u_cont, mesh)
+    assert not solver._touches_crack(u_cont, mesh.points)
+
+
 # ----------------------------------------------------------------------
 # minimization
 # ----------------------------------------------------------------------
@@ -123,8 +163,9 @@ def test_descent_counts_evaluations_and_backtracks(mesh16, pot_unit, chi, monkey
         # one evaluation at the start, then one per trial: accepted or backtracked
         assert start.evals == len(start.history) + start.backtracks
     assert sum(start.backtracks for start in res.starts) > 0
-    # every descent evaluation and every reported energy checks the pair identity
-    assert len(checks) == sum(start.evals for start in res.starts) + len(res.starts)
+    # every descent evaluation checks the pair identity, and so does the one
+    # breakdown of the winning start
+    assert len(checks) == sum(start.evals for start in res.starts) + 1
 
 
 def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, chi,
@@ -185,6 +226,42 @@ def test_stalled_start_is_not_converged(mesh16, pot_unit, chi):
     assert all(a - b <= solver.STALL_TOL * (1.0 + abs(b)) for a, b in zip(tail, tail[1:]))
     assert start.iters < cfg.max_iters and start.grad_norm > cfg.grad_tol
     assert not start.converged and not res.best.converged
+
+
+@pytest.mark.parametrize("mode", ["plain", "chi", "f"])
+def test_each_start_reports_the_breakdown_of_its_final_iterate(mesh16, pot_unit, chi,
+                                                              magmodel, mode, monkeypatch):
+    finals, descend = [], solver._descend
+
+    def recording(asm, *args):
+        x, rec = descend(asm, *args)
+        finals.append((asm, x, rec))
+        return x, rec
+
+    monkeypatch.setattr(solver, "_descend", recording)
+    prob = problem_with(1.5)
+    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic", "cleaved"), n_cleaved=2,
+                      mode=mode)
+    res = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
+                   model=magmodel, problem=prob)
+    assert [rec for _, _, rec in finals] == res.starts
+    for asm, x, rec in finals:
+        assert rec.energy == asm.breakdown(x).total
+    energies = [rec.energy for rec in res.starts]
+    k = energies.index(min(energies))
+    asm, x, rec = finals[k]
+    assert res.best is rec and np.array_equal(res.u.values, x)
+    assert res.breakdown == asm.breakdown(x)
+
+
+def test_the_first_of_tied_starts_wins(mesh16, pot_unit, chi):
+    prob = problem_with(1.5)
+    cfg = SolveConfig(max_iters=40, multistart=("elastic", "elastic"))
+    res = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
+                   problem=prob)
+    first, second = res.starts
+    assert first.energy == second.energy and first is not second
+    assert res.best is first
 
 
 def test_mode_f_minimize_reports_the_sharp_cutoff(mesh16, pot_unit, chi, magmodel):
