@@ -153,10 +153,14 @@ class ContinuumDisplacement:
             raise GeometryError("this configuration has no point locator")
         idx = self.locator(np.asarray(points, dtype=float))
         out = np.zeros((len(points), 2))
+        # each piece is evaluated on every point and written where it
+        # applies, which is cheaper than gathering and scattering its points
         for k, piece in enumerate(self.pieces):
             sel = idx == k
             if np.any(sel):
-                out[sel] = points[sel] @ piece.A.T + piece.b
+                vals = points @ piece.A.T
+                vals += piece.b
+                np.copyto(out, vals, where=sel[:, None])
         return out
 
     def crack_point_distance(self, points: np.ndarray) -> np.ndarray:

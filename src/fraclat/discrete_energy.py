@@ -507,7 +507,8 @@ def energy_rescaled(u: Displacement, pot: PairPotential, mode: str = "plain",
     Builds a transient :class:`Assembly` and evaluates it once.  Code that
     evaluates several configurations on one mesh can instead build the
     assembly once and call :meth:`Assembly.breakdown` on each, with the
-    same result bit for bit, as :func:`fraclat.solver.magnet_demo` does.
+    same result bit for bit, as :func:`fraclat.solver.magnet_demo` and
+    :func:`fraclat.solver.convergence_study` do.
     """
     return Assembly(u.mesh, pot, mode, chi, model, domain).breakdown(u.values)
 

@@ -22,6 +22,12 @@ Conventions
   e2 the unit steps of lam1, lam2.  A bond p -> p+o is a side of two such
   triangles, its flanks: up at p and down at p+o for o = e1 or e2, up at
   p-e1 and down at p+e2 for o = e2-e1.  Its incidence counts those present.
+* Every such read is a slice of a padded grid.  The integer bounding box
+  keeps two empty rows and columns on every side, so all points lie in its
+  interior, two cells from the edge, and the interior read at a unit
+  offset is a view of the box shifted by one cell.  The triangle marks
+  span one cell more than the interior, so that a bond's flank can be
+  read at a unit offset too.
 """
 
 from __future__ import annotations
@@ -180,13 +186,15 @@ def _in_rect(points: np.ndarray, rect, tol: float) -> np.ndarray:
             & (points[:, 1] >= y0 - tol) & (points[:, 1] <= y1 + tol))
 
 
-def _shift(grid: np.ndarray, s1: int, s2: int) -> np.ndarray:
-    """``grid`` read at a lattice offset: ``out[i2, i1] = grid[i2 + s2, i1 + s1]``.
+def _window(grid: np.ndarray, s1: int, s2: int, margin: int = 2) -> np.ndarray:
+    """View of ``grid`` read at a lattice offset, away from its edges.
 
-    Indices wrap around; the bounding box keeps two empty rows and columns
-    on every side, so a wrapped read of a unit offset finds an empty entry.
+    ``out[i2, i1] = grid[margin + i2 + s2, margin + i1 + s1]`` for every
+    cell at least ``margin`` from the edge.  With unit offsets the read
+    stays inside ``grid``.
     """
-    return np.roll(grid, (-s2, -s1), axis=(0, 1))
+    H, W = grid.shape
+    return grid[margin + s2:H - margin + s2, margin + s1:W - margin + s1]
 
 
 class TriangleMesh:
@@ -211,6 +219,10 @@ class TriangleMesh:
     edge_in_omega : (E,) bool, both endpoints inside the specimen.
     point_in_omega : (N,) bool.
     dirichlet : (N,) bool, point lies within eps of the margin region.
+
+    The topology is read from slices of the integer bounding box, which
+    keeps two empty rows and columns on every side (see the module notes);
+    the float box is held only until the kept points are taken.
     """
 
     def __init__(self, spec: LatticeSpec):
@@ -222,7 +234,8 @@ class TriangleMesh:
         A = np.column_stack([self.vecs.v1, self.vecs.v2])
         Ainv = np.linalg.inv(A)
 
-        # integer bounding box of Omega-tilde pulled back through the lattice map
+        # integer bounding box of Omega-tilde pulled back through the lattice
+        # map, with two empty rows and columns on every side
         x0, x1, y0, y1 = spec.omega_tilde
         corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
         lam_corners = corners @ Ainv.T / eps
@@ -231,51 +244,68 @@ class TriangleMesh:
 
         l1 = np.arange(lo[0], hi[0] + 1)
         l2 = np.arange(lo[1], hi[1] + 1)
+        shape = (len(l2), len(l1))
         # row sweeps: lam2 outer, lam1 inner, so kept points run in (lam2, lam1) order
-        L2, L1 = np.meshgrid(l2, l1, indexing="ij")
-        lam_all = np.column_stack([L1.ravel(), L2.ravel()])
-        pts_all = (lam_all @ A.T) * eps
+        lam_all = np.empty(shape + (2,), dtype=l1.dtype)
+        lam_all[:, :, 0] = l1
+        lam_all[:, :, 1] = l2[:, None]
+        lam_all = lam_all.reshape(-1, 2)
+        pts_all = lam_all @ A.T
+        pts_all *= eps
         keep = _in_rect(pts_all, spec.omega_tilde, tol)
-
-        self.lam = lam_all[keep]
-        self.points = pts_all[keep]
-        present = keep.reshape(L1.shape)
-        in_omega = present & _in_rect(pts_all, spec.omega, tol).reshape(L1.shape)
+        box_in_omega = _in_rect(pts_all, spec.omega, tol)
+        self.lam = np.compress(keep, lam_all, axis=0)
+        self.points = np.compress(keep, pts_all, axis=0)
+        del lam_all, pts_all
+        present = keep.reshape(shape)
+        in_omega = present & box_in_omega.reshape(shape)
         self.point_in_omega = in_omega[present]
-        grid = np.zeros(L1.shape, dtype=np.int64)
+        grid = np.zeros(shape, dtype=np.int64)
         grid[present] = np.arange(len(self.lam))
 
         # triangles of each orientation, marked at their base vertex where
-        # all three corners lie in the mesh, resp. in the specimen
+        # all three corners lie in the mesh, resp. in the specimen; the marks
+        # cover one cell beyond the interior, where the bond flanks read them
         def bases(mask):
-            return [np.logical_and.reduce([_shift(mask, *c) for c in cs])
+            return [np.logical_and.reduce([_window(mask, *c, margin=1) for c in cs])
                     for cs in _TRIANGLE_CORNERS]
 
         tri, tri_omega = bases(present), bases(in_omega)
-        if not any(t.any() for t in tri):
+        tri_base = [_window(t, 0, 0, margin=1) for t in tri]
+        n_tri = [int(np.count_nonzero(t)) for t in tri_base]
+        if sum(n_tri) == 0:
             raise LatticeError(
                 f"eps={eps} is too coarse: no triangle fits inside the domain")
-        self.triangles = np.vstack([np.column_stack([_shift(grid, *c)[t] for c in cs])
-                                    for t, cs in zip(tri, _TRIANGLE_CORNERS)])
-        self.tri_sign = np.concatenate([np.full(t.sum(), sign)
-                                        for t, sign in zip(tri, (1.0, -1.0))])
-        self.tri_in_omega = np.concatenate([t_om[t] for t, t_om in zip(tri, tri_omega)])
+        self.triangles = np.empty((sum(n_tri), 3), dtype=grid.dtype)
+        for rows, t, cs in zip(np.split(self.triangles, n_tri[:1]), tri_base,
+                               _TRIANGLE_CORNERS):
+            for k, c in enumerate(cs):
+                rows[:, k] = _window(grid, *c)[t]
+        self.tri_sign = np.concatenate([np.full(n, sign)
+                                        for n, sign in zip(n_tri, (1.0, -1.0))])
+        self.tri_in_omega = np.concatenate([_window(t_om, 0, 0, margin=1)[t]
+                                            for t, t_om in zip(tri_base, tri_omega)])
 
         # nearest-neighbor bonds, one row per unordered pair; the incidence
         # of a bond counts which of its two flanking triangles are present
-        edges, dirs, inc_tilde, inc_omega = [], [], [], []
-        for d, (offset, (up_base, down_base)) in enumerate(_BOND_OFFSETS):
-            ok = present & _shift(present, *offset)
-            edges.append(np.column_stack([grid[ok], _shift(grid, *offset)[ok]]))
-            dirs.append(np.full(ok.sum(), d, dtype=np.int8))
+        present_in, omega_in, grid_in = (_window(g, 0, 0) for g in (present, in_omega, grid))
+        oks = [present_in & _window(present, *offset) for offset, _ in _BOND_OFFSETS]
+        n_edge = [int(np.count_nonzero(ok)) for ok in oks]
+        self.edges = np.empty((sum(n_edge), 2), dtype=grid.dtype)
+        dirs, inc_tilde, inc_omega, edge_in_omega = [], [], [], []
+        for d, (rows, ok, (offset, (up_base, down_base))) in enumerate(
+                zip(np.split(self.edges, np.cumsum(n_edge[:2])), oks, _BOND_OFFSETS)):
+            rows[:, 0] = grid_in[ok]
+            rows[:, 1] = _window(grid, *offset)[ok]
+            dirs.append(np.full(len(rows), d, dtype=np.int8))
             for (up, down), inc in ((tri, inc_tilde), (tri_omega, inc_omega)):
-                count = _shift(up, *up_base).astype(np.int8) + _shift(down, *down_base)
-                inc.append(count[ok])
-        self.edges = np.vstack(edges)
+                inc.append(_window(up, *up_base, margin=1)[ok].astype(np.int8)
+                           + _window(down, *down_base, margin=1)[ok])
+            edge_in_omega.append((omega_in & _window(in_omega, *offset))[ok])
         self.edge_dir = np.concatenate(dirs)
         self.edge_inc_tilde = np.concatenate(inc_tilde)
         self.edge_inc_omega = np.concatenate(inc_omega)
-        self.edge_in_omega = self.point_in_omega[self.edges].all(axis=1)
+        self.edge_in_omega = np.concatenate(edge_in_omega)
 
         # the margin strips span the bar's height, so the distance to them
         # is the horizontal distance to the bar's ends

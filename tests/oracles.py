@@ -1,8 +1,10 @@
-"""Row-by-row reference implementations of the vectorized crack and CSV code.
+"""Reference implementations of the vectorized mesh, sampling, crack and CSV code.
 
-Each function is the loop that ``fraclat`` ran before its crack extraction
-and displacement CSV I/O moved onto stacked arrays.  The tests compare the
-package against these bit for bit and message for message.
+Each function is the form that ``fraclat`` ran before its mesh topology
+moved onto grid slices, its continuum sampling onto whole-array pieces,
+and its crack extraction and displacement CSV I/O onto stacked arrays.
+The tests compare the package against these bit for bit and message for
+message.
 """
 
 import csv
@@ -15,11 +17,95 @@ from fraclat.crack_extraction import (BREAK_THRESHOLD, STRETCH_FACTOR, BrokenTri
 from fraclat.discrete_energy import (DISPLACEMENT_HEADER, Displacement,
                                      DiscreteEnergyError, format_float,
                                      interpolate_gradients)
-from fraclat.lattice import SQRT3
+from fraclat.lattice import BOUNDARY_RTOL, SQRT3, _in_rect, lattice_vectors
 
 _GEOM_TOL = 1e-12
 _SIDE_VERTICES = ((0, 1), (0, 2), (1, 2))
 _OPPOSITE_VERTEX = (2, 1, 0)
+
+
+# ----------------------------------------------------------------------
+# mesh topology and continuum sampling
+# ----------------------------------------------------------------------
+
+MESH_ARRAYS = ("points", "lam", "triangles", "tri_sign", "tri_in_omega", "edges",
+               "edge_dir", "edge_inc_tilde", "edge_inc_omega", "edge_in_omega",
+               "point_in_omega", "dirichlet")
+
+_TRIANGLE_CORNERS = (((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1)))
+_BOND_OFFSETS = (((1, 0), ((0, 0), (1, 0))),
+                 ((0, 1), ((0, 0), (0, 1))),
+                 ((-1, 1), ((-1, 0), (0, 1))))
+
+
+def _shift(grid, s1, s2):
+    """``out[i2, i1] = grid[i2 + s2, i1 + s1]``, wrapping around."""
+    return np.roll(grid, (-s2, -s1), axis=(0, 1))
+
+
+def mesh_arrays(spec):
+    """The arrays of ``TriangleMesh(spec)`` by name, from whole-box rolls."""
+    vecs = lattice_vectors(spec.phi)
+    eps = spec.eps
+    tol = BOUNDARY_RTOL * eps
+    A = np.column_stack([vecs.v1, vecs.v2])
+    Ainv = np.linalg.inv(A)
+    x0, x1, y0, y1 = spec.omega_tilde
+    corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
+    lam_corners = corners @ Ainv.T / eps
+    lo = np.floor(lam_corners.min(axis=0)).astype(int) - 2
+    hi = np.ceil(lam_corners.max(axis=0)).astype(int) + 2
+    L2, L1 = np.meshgrid(np.arange(lo[1], hi[1] + 1), np.arange(lo[0], hi[0] + 1),
+                         indexing="ij")
+    lam_all = np.column_stack([L1.ravel(), L2.ravel()])
+    pts_all = (lam_all @ A.T) * eps
+    keep = _in_rect(pts_all, spec.omega_tilde, tol)
+    out = {"lam": lam_all[keep], "points": pts_all[keep]}
+    present = keep.reshape(L1.shape)
+    in_omega = present & _in_rect(pts_all, spec.omega, tol).reshape(L1.shape)
+    out["point_in_omega"] = in_omega[present]
+    grid = np.zeros(L1.shape, dtype=np.int64)
+    grid[present] = np.arange(len(out["lam"]))
+
+    def bases(mask):
+        return [np.logical_and.reduce([_shift(mask, *c) for c in cs])
+                for cs in _TRIANGLE_CORNERS]
+
+    tri, tri_omega = bases(present), bases(in_omega)
+    out["triangles"] = np.vstack([np.column_stack([_shift(grid, *c)[t] for c in cs])
+                                  for t, cs in zip(tri, _TRIANGLE_CORNERS)])
+    out["tri_sign"] = np.concatenate([np.full(t.sum(), sign)
+                                      for t, sign in zip(tri, (1.0, -1.0))])
+    out["tri_in_omega"] = np.concatenate([t_om[t] for t, t_om in zip(tri, tri_omega)])
+    edges, dirs, inc_tilde, inc_omega = [], [], [], []
+    for d, (offset, (up_base, down_base)) in enumerate(_BOND_OFFSETS):
+        ok = present & _shift(present, *offset)
+        edges.append(np.column_stack([grid[ok], _shift(grid, *offset)[ok]]))
+        dirs.append(np.full(ok.sum(), d, dtype=np.int8))
+        for (up, down), inc in ((tri, inc_tilde), (tri_omega, inc_omega)):
+            count = _shift(up, *up_base).astype(np.int8) + _shift(down, *down_base)
+            inc.append(count[ok])
+    out["edges"] = np.vstack(edges)
+    out["edge_dir"] = np.concatenate(dirs)
+    out["edge_inc_tilde"] = np.concatenate(inc_tilde)
+    out["edge_inc_omega"] = np.concatenate(inc_omega)
+    out["edge_in_omega"] = out["point_in_omega"][out["edges"]].all(axis=1)
+    x = out["points"][:, 0]
+    out["dirichlet"] = np.minimum(x, spec.l - x) <= eps * (1.0 + BOUNDARY_RTOL)
+    for arr in out.values():
+        arr.setflags(write=False)
+    return out
+
+
+def continuum_eval(u_cont, points):
+    """``u_cont.eval(points)``, gathering and scattering each piece's points."""
+    idx = u_cont.locator(np.asarray(points, dtype=float))
+    out = np.zeros((len(points), 2))
+    for k, piece in enumerate(u_cont.pieces):
+        sel = idx == k
+        if np.any(sel):
+            out[sel] = points[sel] @ piece.A.T + piece.b
+    return out
 
 
 # ----------------------------------------------------------------------

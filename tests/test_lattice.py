@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import check_topology_against_oracle
 from fraclat.lattice import (PHI_MAX, LatticeError, LatticeSpec, build_mesh,
                              classify_edges, cleavage_direction,
@@ -143,6 +144,24 @@ def test_edge_incidence_structure(mesh16):
 def test_topology_matches_distance_oracle(inv_eps, phi):
     spec = LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=1.0, eta=0.25)
     check_topology_against_oracle(build_mesh(spec))
+
+
+_ORACLE_SPECS = [LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l, eta=eta)
+                 for inv_eps in (4, 8, 17, 64)
+                 for phi in (0.0, 1e-9, 0.3, math.pi / 6.0, 1.04)
+                 for l, eta in ((2.0, 0.25), (1.0, 0.3), (0.6, 0.1))]
+_ORACLE_SPECS.append(LatticeSpec(phi=0.3, eps=1.0 / 256.0, l=2.0, eta=0.25))
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS,
+                         ids=lambda s: f"1/{round(1 / s.eps)}-phi{s.phi:.3g}-l{s.l}")
+def test_mesh_arrays_equal_the_rolled_box_oracle(spec):
+    mesh, expected = build_mesh(spec), oracles.mesh_arrays(spec)
+    for name in oracles.MESH_ARRAYS:
+        got, want = getattr(mesh, name), expected[name]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
 
 
 def test_edge_direction_consistency(mesh16):

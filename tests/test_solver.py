@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+import oracles
 from fraclat import discrete_energy, solver
 from fraclat.continuum import (CleavageProblem, a_crit, build_u_cr, build_u_el,
                                crack_branch_energy, elastic_branch_energy)
@@ -120,6 +121,24 @@ def test_crack_touch_check_agrees_on_a_crack_through_lattice_points():
     assert u_cont.crack_point_distance(pt[None]).min() > 0.09
     assert not crack_touches_reference(u_cont, mesh)
     assert not solver._touches_crack(u_cont, mesh.points)
+
+
+def test_sampling_equals_the_gather_scatter_oracle():
+    prob = problem_with(1.5, l=2.0)
+    configs = [build_u_el(prob)]
+    configs += [build_u_cr(prob, float(p), s=0.1, t=-0.2) for p in cleaved_stations(prob, 9)]
+    configs.append(build_u_cr(prob, float(cleaved_stations(prob, 1)[0])).shifted(1.0 / 272.0))
+    rng = np.random.default_rng(3)
+    point_sets = [build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l,
+                                         eta=prob.eta)).points
+                  for inv_eps in (16, 32, 64, 128)]
+    point_sets += [rng.uniform([-prob.eta, 0.0], [prob.l + prob.eta, 1.0], size=(k, 2))
+                   for k in (1, 7, 1000)]
+    for u_cont in configs:
+        for points in point_sets:
+            got, want = u_cont.eval(points), oracles.continuum_eval(u_cont, points)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -472,15 +491,23 @@ def test_convergence_study_rows_are_the_per_sample_evaluations(pot_unit, chi, ma
                 u_el, pot_unit, mode, chi, magmodel, domain).total,
                 elastic_branch_energy(prob)).row()]
 
-    # no assembly lives through the crack classification, and no crack set
-    # (all-triangle arrays) through an energy evaluation
+    # one assembly per rung; no assembly lives while a sample is built or
+    # through the crack classification, and no crack set (all-triangle
+    # arrays) through an energy evaluation
     assemblies, cracks = weakref.WeakSet(), []  # a CrackSet is not hashable
+    inits = []
     init, build = Assembly.__init__, solver.build_modified
+    sample = solver.recovery_sequence
 
     def tracked_init(self, *args, **kwargs):
         assert all(ref() is None for ref in cracks)
         assemblies.add(self)
+        inits.append(args[0].spec.eps)
         init(self, *args, **kwargs)
+
+    def tracked_sample(u_cont, mesh):
+        assert len(assemblies) == 0
+        return sample(u_cont, mesh)
 
     def tracked_build(*args):
         crack = build(*args)
@@ -494,8 +521,10 @@ def test_convergence_study_rows_are_the_per_sample_evaluations(pot_unit, chi, ma
     monkeypatch.setattr(Assembly, "__init__", tracked_init)
     monkeypatch.setattr(solver, "build_modified", tracked_build)
     monkeypatch.setattr(solver, "_crack_summary", summary)
+    monkeypatch.setattr(solver, "recovery_sequence", tracked_sample)
     rows = convergence_study(prob, ladder, config=SolveConfig(mode=mode, domain=domain),
                              pot=pot_unit, chi=chi, model=magmodel, with_minimize=False)
+    assert inits == ladder
     # repr keeps every bit and makes nan equal to nan
     assert [list(map(repr, r.row())) for r in rows] == [list(map(repr, r)) for r in expected]
     assert any(r[5] > 0 for r in expected)
