@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import (SQRT3, CleavageData, LatticeVectors, cleavage_direction,
-                      lattice_vectors, perp, row_dots)
+                      lattice_vectors, perp, require_finite, row_dots)
 from .material import quadratic_form
 
 _GEOM_TOL = 1e-12
@@ -264,6 +264,8 @@ class CleavageProblem:
     eta: float = 0.25
 
     def __post_init__(self):
+        require_finite(GeometryError, alpha=self.alpha, beta=self.beta, l=self.l,
+                       phi=self.phi, a=self.a, eta=self.eta)
         if self.l < 1.0 / SQRT3 - 1e-12:
             raise GeometryError("bar length l must be at least 1/sqrt(3)")
         if self.a < 0.0:

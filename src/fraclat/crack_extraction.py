@@ -17,6 +17,10 @@ discontinuous map with a controlled constant gradient:
 The jump vector on each midsegment is the gradient mismatch applied to
 the crossing bond, which reproduces the opening of the underlying
 displacement up to order sqrt(eps).
+
+:func:`build_modified` keeps the modified gradients of the broken
+triangles alone; elsewhere the modified map's gradient is the F that
+:func:`classify_broken` keeps, as :func:`interpolate_gradients` returns it.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from functools import cached_property
 import numpy as np
 
 from .continuum import _oriented_normals, surface_densities
-from .discrete_energy import Displacement, frobenius_norms, interpolate_gradients
+from .discrete_energy import Displacement, contiguous_rows, interpolate_gradients
 from .lattice import LatticeVectors, TriangleMesh, perp, row_dots
+from .material import frobenius_norms
 
 BREAK_THRESHOLD = 7.0
 STRETCH_FACTOR = 2.0
@@ -54,17 +59,6 @@ def symmetric_quartic_sum(H: np.ndarray, vecs: LatticeVectors) -> tuple[float, f
 
 
 @dataclass
-class BrokenTriangle:
-    """Classification record of one broken triangle."""
-
-    tri: int
-    frobenius: float
-    m: int
-    stretched: np.ndarray  # bool per bond direction
-    intact: int | None     # bond index kept by the modified map (m = 2)
-
-
-@dataclass
 class BrokenClassification:
     """All broken triangles of a configuration plus the gradients used.
 
@@ -77,20 +71,11 @@ class BrokenClassification:
     m: np.ndarray            # (k,) number of stretched bonds, 2 or 3
     stretched: np.ndarray    # (k, 3) bool per bond direction
     intact: np.ndarray       # (k,) bond kept by the modified map, -1 where m = 3
-    F: np.ndarray            # deformation gradients on every triangle
+    F: np.ndarray            # (M, 2, 2) deformation gradients on every triangle
 
     @property
     def count(self) -> int:
         return len(self.tri_indices)
-
-    @cached_property
-    def records(self) -> list:
-        """One :class:`BrokenTriangle` per broken triangle."""
-        return [BrokenTriangle(tri=t, frobenius=f, m=m, stretched=s,
-                               intact=i if m == 2 else None)
-                for t, f, m, s, i in zip(self.tri_indices.tolist(), self.frobenius.tolist(),
-                                         self.m.tolist(), self.stretched,
-                                         self.intact.tolist())]
 
 
 def classify_broken(u: Displacement) -> BrokenClassification:
@@ -98,7 +83,8 @@ def classify_broken(u: Displacement) -> BrokenClassification:
     _, F = interpolate_gradients(u)
     frob = frobenius_norms(F)
     tri = np.flatnonzero(frob > BREAK_THRESHOLD)
-    bonds = np.matmul(F[tri], u.mesh.vecs.as_array().T)  # column a: the deformed bond a
+    # column a of each matrix: the deformed bond a
+    bonds = np.matmul(contiguous_rows(F, tri), u.mesh.vecs.as_array().T)
     stretched = np.sqrt((bonds * bonds).sum(axis=1)) >= STRETCH_FACTOR
     m = stretched.sum(axis=1)
     few = np.flatnonzero(m < 2)
@@ -171,6 +157,7 @@ class CrackSet:
 
     Row k of the segment arrays is jump segment k; the segments follow the
     broken triangles in order and, within one triangle, its midsegments.
+    Off the broken triangles the modified map's gradient is ``classes.F``.
     """
 
     p0: np.ndarray        # (S, 2) segment end points in the reference frame
@@ -179,7 +166,7 @@ class CrackSet:
     jump: np.ndarray      # (S, 2) jump vectors in the displacement scaling
     tri: np.ndarray       # (S,) host triangles
     h_index: np.ndarray   # (S,) which midsegment of its host triangle
-    y_grads: np.ndarray   # per-triangle gradient of the modified map
+    grads: np.ndarray     # (k, 2, 2) gradient of the modified map on each broken triangle
     variant: int
     eps: float
 
@@ -224,10 +211,8 @@ def build_modified(u: Displacement, classes: BrokenClassification,
     vi = variant - 1
     two = classes.m == 2
     A = np.tile(np.eye(2), (classes.count, 1, 1))
-    A[two] = _released_gradient(classes.F[classes.tri_indices[two]], classes.intact[two],
-                                mesh.vecs)
-    y_grads = classes.F.copy()
-    y_grads[classes.tri_indices] = A
+    A[two] = _released_gradient(contiguous_rows(classes.F, classes.tri_indices[two]),
+                                classes.intact[two], mesh.vecs)
 
     # m = 2: one segment, the midsegment parallel to the intact side; m = 3:
     # the two midsegments other than the variant one, in order
@@ -256,7 +241,7 @@ def build_modified(u: Displacement, classes: BrokenClassification,
     side = row_dots(normal, Pc - 0.5 * (p0 + p1))
     jump_y = np.where((side < 0.0)[:, None], -jump_y, jump_y)
     return CrackSet(p0=p0, p1=p1, normal=normal, jump=jump_y / sqeps, tri=tri, h_index=s,
-                    y_grads=y_grads, variant=variant, eps=eps)
+                    grads=A, variant=variant, eps=eps)
 
 
 def jump_vectors(u: Displacement, classes: BrokenClassification,
@@ -279,7 +264,8 @@ def jump_vectors(u: Displacement, classes: BrokenClassification,
     h = crack.h_index
     a = np.where(classes.m[pos] == 3, 3 - h - (crack.variant - 1), np.where(h == 0, 1, 0))
     sign = np.copysign(1.0, row_dots(V[a], crack.normal))
-    mismatch = np.matmul(classes.F[crack.tri] - crack.y_grads[crack.tri], V[a][:, :, None])
+    mismatch = np.matmul(contiguous_rows(classes.F, crack.tri) - crack.grads[pos],
+                         V[a][:, :, None])
     out = (sign * sqeps)[:, None] * mismatch[:, :, 0]
     # np.allclose per segment, with an absolute tolerance relative to the jump
     atol = 1e-10 * (1.0 + np.sqrt(row_dots(crack.jump, crack.jump)))
@@ -340,6 +326,8 @@ def spring_crossing_count(p0: np.ndarray, p1: np.ndarray, mesh: TriangleMesh,
     the line), in which case the caller should translate the segment by a
     small fraction of eps along its normal first.
     """
+    if direction not in (0, 1, 2):
+        raise CrackError(f"bond direction must be 0, 1 or 2, got {direction}")
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     d = p1 - p0

@@ -12,7 +12,10 @@ cross-checked on every evaluation.
 
 :class:`Assembly` holds the index and weight arrays of one energy on one
 mesh and evaluates it, with its gradient, on raw displacement arrays;
-:func:`energy_rescaled` and :func:`gradient` build one per call.
+:func:`energy_rescaled` and :func:`gradient` build one per call.  One
+kernel, :func:`_grad_u`, forms the per-triangle displacement gradient for
+both the assembly and :func:`interpolate_gradients`, component-major,
+into buffers its caller provides.
 
 Energy modes
 ------------
@@ -103,12 +106,14 @@ def _basis_inverse(mesh: TriangleMesh) -> np.ndarray:
     return np.linalg.inv(np.column_stack([mesh.vecs.v1, mesh.vecs.v2]))
 
 
-def _edge_differences(values: np.ndarray, corners, D: np.ndarray,
-                      c0: np.ndarray | None = None, ck: np.ndarray | None = None):
-    """Write ``D[k, i]``, component i of each triangle's edge difference k.
+def _grad_u(values: np.ndarray, corners, minv: np.ndarray, den: np.ndarray, D: np.ndarray,
+            G: np.ndarray, c0: np.ndarray | None = None, ck: np.ndarray | None = None):
+    """Write component-major grad u, ``G[j, i, t] = d u_i / d x_j`` on triangle t.
 
-    Edge k runs from the first corner to corner k + 1; ``corners`` holds
-    the three vertex index arrays.  ``D`` may be any (2, 2, M) view; the
+    ``corners`` holds the M triangles' three vertex index arrays and ``den``
+    their orientation sign times eps.  ``D[k, i]`` receives component i of
+    the edge from the first corner to corner k + 1, then ``G = minv.T @ D /
+    den``.  ``D`` and ``G`` are distinct contiguous (2, 2, M) buffers; the
     take buffers ``c0`` and ``ck`` (M,) are allocated when not given.
     """
     t0, t1, t2 = corners
@@ -117,43 +122,35 @@ def _edge_differences(values: np.ndarray, corners, D: np.ndarray,
         first = np.take(c, t0, out=c0, mode="clip")
         np.subtract(np.take(c, t1, out=ck, mode="clip"), first, out=D[0, i])
         np.subtract(np.take(c, t2, out=ck, mode="clip"), first, out=D[1, i])
+    np.matmul(minv.T, D.reshape(2, -1), out=G.reshape(2, -1))
+    G /= den
 
 
 def interpolate_gradients(u: Displacement) -> tuple[np.ndarray, np.ndarray]:
     """Per-triangle displacement gradient and deformation gradient.
 
     Returns ``(grad_u, F)`` with ``F = Id + sqrt(eps) grad_u``, both of
-    shape (n_triangles, 2, 2).  The affine interpolant reproduces the
-    point values exactly, so affine inputs give an exact constant
-    gradient.  One matrix product serves all triangles, and it writes
-    grad_u in its final layout.
+    shape (n_triangles, 2, 2): views, not copies, of the component-major
+    arrays of :func:`_grad_u`, so ``F[t]`` is triangle t's matrix but the
+    stack is not contiguous.  Affine inputs give an exact constant gradient.
     """
     mesh, eps = u.mesh, u.mesh.spec.eps
-    D = np.empty((mesh.n_triangles, 2, 2))  # D[t, i, k]
+    D, G = np.empty((2, 2, mesh.n_triangles)), np.empty((2, 2, mesh.n_triangles))
     # one contiguous index array per corner: np.take copies a strided index
-    # array on every call
-    _edge_differences(u.values, [np.ascontiguousarray(mesh.triangles[:, k]) for k in range(3)],
-                      D.transpose(2, 1, 0))
-    grad_u = np.matmul(D.reshape(-1, 2), _basis_inverse(mesh)).reshape(D.shape)
-    del D  # freed before F is allocated
-    grad_u /= (mesh.tri_sign * eps)[:, None, None]
-    F = np.sqrt(eps) * grad_u
-    F += np.eye(2)
-    return grad_u, F
+    # array on every call; two rows of G take the corner values until the
+    # product overwrites them
+    _grad_u(u.values, [np.ascontiguousarray(mesh.triangles[:, k]) for k in range(3)],
+            _basis_inverse(mesh), mesh.tri_sign * eps, D, G, G[0, 0], G[0, 1])
+    # F is written over the spent edge differences; adding the whole
+    # identity turns an off-diagonal -0.0 into +0.0
+    F = np.multiply(G, np.sqrt(eps), out=D)
+    F += np.eye(2)[:, :, None]
+    return G.transpose(2, 1, 0), F.transpose(2, 1, 0)
 
 
-def frobenius_norms(M: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a (k, 2, 2) stack.
-
-    The squares are summed in row-major order, as ``np.linalg.norm(M,
-    axis=(1, 2))`` sums them for a contiguous stack, so the two agree bit
-    for bit, in about half the time.
-    """
-    out = np.multiply(M[:, 0, 0], M[:, 0, 0])
-    out += np.multiply(M[:, 0, 1], M[:, 0, 1])
-    out += np.multiply(M[:, 1, 0], M[:, 1, 0])
-    out += np.multiply(M[:, 1, 1], M[:, 1, 1])
-    return np.sqrt(out, out=out)
+def contiguous_rows(F: np.ndarray, sel) -> np.ndarray:
+    """``F[sel]`` as a contiguous stack: matmul rounds a strided one differently."""
+    return np.ascontiguousarray(F[sel])
 
 
 def gradient_l1_norm(mesh: TriangleMesh, grad_norms: np.ndarray, mask: np.ndarray) -> float:
@@ -292,7 +289,7 @@ class _Workspace:
         self.z0 = pool[:2 * E].reshape(2, E)
         self.rr = self.wr = pool[:E]
         self.wr_bd = pool[E:2 * E]
-        self.G = pool[:4 * M].reshape(2, 2 * M)
+        self.G = pool[:4 * M].reshape(2, 2, M)
         self.D = pool[4 * M:8 * M].reshape(2, 2, M)
         self.c0, self.ck = pool[8 * M:9 * M], pool[9 * M:10 * M]
         self.a, self.b, self.t = (pool[j * M:(j + 3) * M].reshape(3, M) for j in (4, 7, 10))
@@ -410,9 +407,8 @@ class Assembly:
 
         # triangles: F[j, i] holds the component F_ij on every triangle, and
         # the cell energy is half the pair energy of the sides |F v|
-        _edge_differences(xc.T, self._corners, ws.D, ws.c0, ws.ck)
-        F = np.matmul(self._minv.T, ws.D.reshape(2, -1), out=ws.G).reshape(ws.D.shape)
-        F /= self._den
+        _grad_u(xc.T, self._corners, self._minv, self._den, ws.D, ws.G, ws.c0, ws.ck)
+        F = ws.G
         F *= self._sqrt_eps
         F[0, 0] += 1.0
         F[1, 1] += 1.0
@@ -432,16 +428,13 @@ class Assembly:
         bulk = eps * float(cells.sum())
         _check_pair_identity(pair_total, bulk, boundary)
 
-        def matrices(sel):  # (k, 2, 2) deformation gradients of the selection
-            return np.ascontiguousarray(F[:, :, sel].transpose(2, 1, 0))
-
         penalty = fieldval = 0.0
         tri_terms = []  # (triangle selection, d Phi / d edge differences)
         if self.mode != "plain":
             det = np.multiply(F00, F11, out=ws.det)
             det -= np.multiply(F01, F10, out=ws.det2)
             support = np.flatnonzero(np.less(det, 0.0, out=ws.flip))
-            Fs = matrices(support)
+            Fs = contiguous_rows(F.transpose(2, 1, 0), support)
             chi_vals = ws.chi_vals
             chi_vals.fill(0.0)
             chi_vals[support] = chi(Fs)
@@ -450,7 +443,7 @@ class Assembly:
                 tri_terms.append((support, _chain_to_edges(
                     chi.grad(Fs), self._minv, self._pref_chi[support])))
         if self.mode in ("f", "total-magnetic"):
-            Fd = matrices(slice(None))
+            Fd = contiguous_rows(F.transpose(2, 1, 0), slice(None))
             if self.mode == "total-magnetic":
                 fieldval = -model.kappa * SQRT3 * eps / 4.0 \
                     * float(magnetization_first(Fd).sum())

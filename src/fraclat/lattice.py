@@ -59,6 +59,13 @@ class LatticeError(ValueError):
     """Invalid lattice parameters or a degenerate mesh."""
 
 
+def require_finite(error: type[Exception], **values: float):
+    """Raise ``error`` naming the first of ``values`` that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
+
+
 def rotation_matrix(phi: float) -> np.ndarray:
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[c, -s], [s, c]])
@@ -160,6 +167,7 @@ class LatticeSpec:
     eta: float = 0.25
 
     def __post_init__(self):
+        require_finite(LatticeError, phi=self.phi, eps=self.eps, l=self.l, eta=self.eta)
         if not 0.0 <= self.phi < PHI_MAX:
             raise LatticeError(f"phi must lie in [0, pi/3), got {self.phi}")
         if self.eps <= 0.0:

@@ -34,12 +34,11 @@ from .crack_extraction import (angle_between_lines_deg, build_modified,
                                principal_normal)
 from .discrete_energy import (Assembly, BoundaryCondition, Displacement,
                               EnergyBreakdown, apply_bc, bc_cleavage, bc_zero,
-                              energy_rescaled, frobenius_norms,
-                              gradient_l1_norm, interpolate_gradients,
+                              energy_rescaled, gradient_l1_norm, interpolate_gradients,
                               project_gradient, renormalization_sides)
 from .lattice import (LatticeSpec, TriangleMesh, build_mesh,
                       cleavage_direction, rotation_matrix)
-from .material import MagnetizationModel, PairPotential, PenaltyChi
+from .material import MagnetizationModel, PairPotential, PenaltyChi, frobenius_norms
 from .multigrid import StiffnessMultigrid
 
 
@@ -370,7 +369,7 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
 def _crack_summary(u: Displacement, beta: float):
     """(count, estimated crack energy, angle to the cleavage normal).
 
-    The crack set itself is not returned: it holds all-triangle arrays,
+    The classification is not returned: it holds F on every triangle,
     which would stay alive through the rung's next energy evaluation.
     """
     classes = classify_broken(u)

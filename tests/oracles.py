@@ -2,22 +2,22 @@
 
 Each function is the form that ``fraclat`` ran before its mesh topology
 moved onto grid slices, its continuum sampling onto whole-array pieces,
-and its crack extraction and displacement CSV I/O onto stacked arrays.
-The tests compare the package against these bit for bit and message for
-message.
+its displacement gradients onto one component-major kernel, and its crack
+extraction and displacement CSV I/O onto stacked arrays.  The tests
+compare the package against these bit for bit and message for message.
 """
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from fraclat.crack_extraction import (BREAK_THRESHOLD, STRETCH_FACTOR, BrokenTriangle,
-                                      CrackError, CrackSegment)
+from fraclat.crack_extraction import (BREAK_THRESHOLD, STRETCH_FACTOR, CrackError,
+                                      CrackSegment)
 from fraclat.discrete_energy import (DISPLACEMENT_HEADER, Displacement,
-                                     DiscreteEnergyError, format_float,
-                                     interpolate_gradients)
-from fraclat.lattice import BOUNDARY_RTOL, SQRT3, _in_rect, lattice_vectors
+                                     DiscreteEnergyError, format_float)
+from fraclat.lattice import BOUNDARY_RTOL, SQRT3, LatticeSpec, _in_rect, lattice_vectors
 
 _GEOM_TOL = 1e-12
 _SIDE_VERTICES = ((0, 1), (0, 2), (1, 2))
@@ -36,6 +36,19 @@ _TRIANGLE_CORNERS = (((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1)))
 _BOND_OFFSETS = (((1, 0), ((0, 0), (1, 0))),
                  ((0, 1), ((0, 0), (0, 1))),
                  ((-1, 1), ((-1, 0), (0, 1))))
+
+
+# the mesh specs of the bit-identity tests: rotations on and off the lattice
+# axes, odd 1/eps, short and long bars, and the ladder's finest rung
+MESH_SPECS = [LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l, eta=eta)
+              for inv_eps in (4, 8, 17, 64)
+              for phi in (0.0, 1e-9, 0.3, math.pi / 6.0, 1.04)
+              for l, eta in ((2.0, 0.25), (1.0, 0.3), (0.6, 0.1))]
+MESH_SPECS.append(LatticeSpec(phi=0.3, eps=1.0 / 256.0, l=2.0, eta=0.25))
+
+
+def spec_id(spec):
+    return f"1/{round(1 / spec.eps)}-phi{spec.phi:.3g}-l{spec.l}"
 
 
 def _shift(grid, s1, s2):
@@ -167,8 +180,38 @@ def displacement_from_csv(path, mesh):
 
 
 # ----------------------------------------------------------------------
+# interpolation
+# ----------------------------------------------------------------------
+
+def interpolate_gradients(u):
+    """(grad_u, F) per triangle: row-major ``D (2M, 2) @ Minv``, then ``Id + sqrt(eps) grad_u``."""
+    mesh, eps = u.mesh, u.mesh.spec.eps
+    P = u.values[mesh.triangles]  # (M, 3, 2) corner values
+    D = np.empty((mesh.n_triangles, 2, 2))  # D[t, i, k]: component i of edge k
+    D[:, :, 0] = P[:, 1] - P[:, 0]
+    D[:, :, 1] = P[:, 2] - P[:, 0]
+    Minv = np.linalg.inv(np.column_stack([mesh.vecs.v1, mesh.vecs.v2]))
+    grad_u = np.matmul(D.reshape(-1, 2), Minv).reshape(D.shape)
+    grad_u /= (mesh.tri_sign * eps)[:, None, None]
+    F = np.sqrt(eps) * grad_u
+    F += np.eye(2)
+    return grad_u, F
+
+
+# ----------------------------------------------------------------------
 # crack extraction
 # ----------------------------------------------------------------------
+
+@dataclass
+class BrokenTriangle:
+    """Classification record of one broken triangle."""
+
+    tri: int
+    frobenius: float
+    m: int
+    stretched: np.ndarray  # bool per bond direction
+    intact: int | None     # bond index kept by the modified map (m = 2)
+
 
 def _perp(v):
     return np.array([-v[1], v[0]])
@@ -188,8 +231,7 @@ def surface_density(nu, vecs, beta):
 
 def classify_broken(u):
     """(records, F) of the broken triangles."""
-    grad_u, _ = interpolate_gradients(u)
-    F = np.eye(2) + np.sqrt(u.mesh.spec.eps) * grad_u
+    _, F = interpolate_gradients(u)
     frob = np.linalg.norm(F, axis=(1, 2))
     V = u.mesh.vecs.as_array()
     records = []

@@ -187,12 +187,12 @@ def test_recovery_p_defaults_to_the_first_cleaved_station(tmp_path):
     assert station != problem.l / 2.0
     outs = {}
     for name, extra in (("default", ""), ("station", f"recovery.p = {station!r}\n"),
-                        ("middle", "recovery.p = 1.0\n")):
+                        ("nan", "recovery.p = nan\n"), ("middle", "recovery.p = 1.0\n")):
         cfg = write_config(tmp_path / f"{name}.cfg",
                            BASE + extra + f"out.dir = {tmp_path}/{name}\n")
         assert main(["recovery", "--config", cfg]) == 0
         outs[name] = (tmp_path / name / "recovery_displacement.csv").read_bytes()
-    assert outs["default"] == outs["station"]
+    assert outs["default"] == outs["station"] == outs["nan"]
     assert outs["default"] != outs["middle"]
 
 
@@ -225,6 +225,17 @@ def test_potential_family_and_alpha_are_checked(tmp_path, capsys, family, messag
     # the message names the config values, not a Python constructor
     assert message in err and "PairPotential.shifted_lj" not in err
     assert list((tmp_path / "out").glob("*")) == []
+
+
+@pytest.mark.parametrize("key", ["material.alpha", "material.beta", "lattice.l",
+                                 "lattice.eta", "load.a", "chi.width", "material.T"])
+def test_non_finite_parameter_exits_before_any_output(tmp_path, capsys, key):
+    # a nan alpha once ran to a convergence.csv of nan energies: every
+    # comparison with nan is false, so no range check stopped it
+    cfg = write_config(tmp_path / "c.cfg", BASE + f"{key} = nan\nout.dir = {tmp_path}/out\n")
+    assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 1
+    assert f"{key.split('.')[1]} must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "convergence.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [["cleavage", "--no-minimize"], ["minimize"], ["recovery"]],

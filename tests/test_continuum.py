@@ -343,3 +343,12 @@ def test_problem_validation():
         CleavageProblem(alpha=1.0, beta=1.0, l=1.0, phi=0.0, a=-1.0)
     with pytest.raises(GeometryError):
         CleavageProblem(alpha=-1.0, beta=1.0, l=1.0, phi=0.0, a=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta", "l", "phi", "a", "eta"])
+def test_problem_rejects_a_non_finite_field(field, value):
+    kwargs = {"alpha": 1.0, "beta": 1.0, "l": 1.0, "phi": 0.3, "a": 1.0, "eta": 0.25,
+              field: value}
+    with pytest.raises(GeometryError, match=f"^{field} must be finite, got {value}$"):
+        CleavageProblem(**kwargs)

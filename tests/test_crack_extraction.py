@@ -26,6 +26,13 @@ def supercritical_problem(phi=0.3, l=2.0):
     return CleavageProblem(alpha=1.0, beta=1.0, l=l, phi=phi, a=1.5 * a_crit(base))
 
 
+def modified_gradients(classes, crack):
+    """The modified map's gradient on every triangle: ``F`` off the broken set."""
+    out = np.array(classes.F)
+    out[classes.tri_indices] = crack.grads
+    return out
+
+
 def affine_displacement(mesh, F):
     """Displacement whose interpolated deformation gradient is exactly F."""
     G = (F - np.eye(2)) / math.sqrt(mesh.spec.eps)
@@ -56,8 +63,8 @@ def test_classify_uniform_blowup_all_broken(mesh16):
     u = affine_displacement(mesh16, 8.0 * np.eye(2))
     classes = classify_broken(u)
     assert classes.count == mesh16.n_triangles
-    assert all(r.m == 3 for r in classes.records)
-    assert all(abs(r.frobenius - 8.0 * math.sqrt(2.0)) < 1e-9 for r in classes.records)
+    assert set(classes.m.tolist()) == {3}
+    assert np.abs(classes.frobenius - 8.0 * math.sqrt(2.0)).max() < 1e-9
 
 
 def test_classify_m2_with_intact_bond(mesh16_phi0):
@@ -66,7 +73,7 @@ def test_classify_m2_with_intact_bond(mesh16_phi0):
     u = affine_displacement(mesh16_phi0, F)
     classes = classify_broken(u)
     assert classes.count == mesh16_phi0.n_triangles
-    assert all(r.m == 2 and r.intact == 0 for r in classes.records)
+    assert set(classes.m.tolist()) == {2} and set(classes.intact.tolist()) == {0}
 
 
 def test_broken_below_threshold_needs_two_stretched(mesh16):
@@ -75,7 +82,7 @@ def test_broken_below_threshold_needs_two_stretched(mesh16):
     u = affine_displacement(mesh16, np.diag([7.2, 0.5]))
     classes = classify_broken(u)
     assert classes.count == mesh16.n_triangles
-    assert all(r.m >= 2 for r in classes.records)
+    assert classes.m.min() >= 2
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +94,8 @@ def test_modified_identity_on_fully_broken(mesh16):
     classes = classify_broken(u)
     for variant in (1, 2, 3):
         crack = build_modified(u, classes, variant=variant)
-        assert np.abs(crack.y_grads - np.eye(2)).max() < 1e-12
+        assert crack.grads.shape == (mesh16.n_triangles, 2, 2)
+        assert np.abs(crack.grads - np.eye(2)).max() < 1e-12
         # two midsegments per triangle
         assert len(crack.segments) == 2 * mesh16.n_triangles
         assert all(abs(s.length - mesh16.spec.eps / 2.0) < 1e-12
@@ -102,8 +110,7 @@ def test_modified_m2_bond_lengths(mesh16_phi0):
     classes = classify_broken(u)
     crack = build_modified(u, classes)
     V = mesh16_phi0.vecs.as_array()
-    for t in classes.tri_indices[:20]:
-        A = crack.y_grads[t]
+    for A in crack.grads[:20]:
         assert np.linalg.norm(A @ V[0]) == pytest.approx(1.5, rel=1e-12)
         assert np.linalg.norm(A @ V[1]) == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.norm(A @ V[2]) == pytest.approx(1.0, rel=1e-12)
@@ -116,11 +123,11 @@ def test_modified_keeps_intact_triangles(mesh32):
     u = recovery_sequence(build_u_cr(prob, p=0.45), mesh)
     classes = classify_broken(u)
     crack = build_modified(u, classes)
-    broken = np.zeros(mesh.n_triangles, dtype=bool)
-    broken[classes.tri_indices] = True
-    assert np.abs(crack.y_grads[~broken] - classes.F[~broken]).max() == 0.0
+    # the crack set holds the broken rows alone, off them the map keeps F
+    assert crack.grads.shape == (classes.count, 2, 2)
+    assert 0 < classes.count < mesh.n_triangles
     # bounded gradient after release
-    assert np.linalg.norm(crack.y_grads, axis=(1, 2)).max() <= 7.0 + 1e-9
+    assert np.linalg.norm(modified_gradients(classes, crack), axis=(1, 2)).max() <= 7.0 + 1e-9
 
 
 def test_jump_identity_cross_check(mesh32):
@@ -147,7 +154,7 @@ def test_recovery_broken_set_equals_crossed_set():
         assert set(classes.tri_indices.tolist()) == set(crossed.tolist())
         # the released gradients stay order-one in the displacement scaling
         crack = build_modified(u, classes)
-        dev = np.linalg.norm(crack.y_grads - np.eye(2), axis=(1, 2))
+        dev = np.linalg.norm(modified_gradients(classes, crack) - np.eye(2), axis=(1, 2))
         assert dev.max() / math.sqrt(eps) <= 30.0
 
 
@@ -186,9 +193,11 @@ def assert_crack_matches_oracle(u, variant, beta=1.3):
     records, F = expected
     classes = classify_broken(u)
     assert classes.F.tobytes() == F.tobytes()
-    assert [(r.tri, r.frobenius, r.m, r.intact, r.stretched.tolist()) for r in classes.records] \
-        == [(r.tri, r.frobenius, r.m, r.intact, r.stretched.tolist()) for r in records]
     assert classes.tri_indices.tolist() == [r.tri for r in records]
+    assert classes.frobenius.tolist() == [r.frobenius for r in records]
+    assert classes.m.tolist() == [r.m for r in records]
+    assert classes.intact.tolist() == [-1 if r.intact is None else r.intact for r in records]
+    assert classes.stretched.tolist() == [r.stretched.tolist() for r in records]
 
     expected, exc = raises_as_oracle(oracles.build_modified, u, records, F, variant)
     if exc is not None:
@@ -197,7 +206,8 @@ def assert_crack_matches_oracle(u, variant, beta=1.3):
         return
     segments, y_grads = expected
     crack = build_modified(u, classes, variant=variant)
-    assert crack.y_grads.tobytes() == y_grads.tobytes()
+    assert crack.grads.tobytes() == y_grads[classes.tri_indices].tobytes()
+    assert modified_gradients(classes, crack).tobytes() == y_grads.tobytes()
     assert len(crack.segments) == len(segments)
     for got, want in zip(crack.segments, segments):
         assert (got.tri, got.h_index) == (want.tri, want.h_index)
@@ -359,6 +369,12 @@ def test_count_scaling_all_directions():
     ref = targets.max()
     for d in range(3):
         assert abs(scaled[d] - targets[d]) <= 0.08 * ref
+
+
+@pytest.mark.parametrize("direction", [3, -1, 7])
+def test_count_rejects_an_unknown_direction(mesh16, direction):
+    with pytest.raises(CrackError, match=f"bond direction must be 0, 1 or 2, got {direction}"):
+        spring_crossing_count(np.array([0.43, 0.0]), np.array([0.43, 1.0]), mesh16, direction)
 
 
 def test_count_error_on_lattice_point():

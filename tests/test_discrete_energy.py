@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_rotation
 from fraclat import discrete_energy
 from fraclat.discrete_energy import (Assembly, Displacement, DiscreteEnergyError,
                                      apply_bc, bc_affine, bc_cleavage, bc_zero,
                                      displacement_from_csv, displacement_to_csv,
                                      energy_deformation, energy_rescaled,
-                                     frobenius_norms, gradient, gradient_l1_norm,
+                                     gradient, gradient_l1_norm,
                                      interpolate_gradients, project_gradient,
                                      renormalization_sides, specimen_area)
 from fraclat.lattice import LatticeSpec, build_mesh, classify_edges
-from fraclat.material import POTENTIAL_FAMILIES, PairPotential, cell_energy
+from fraclat.material import POTENTIAL_FAMILIES, PairPotential, cell_energy, frobenius_norms
 
 SQRT3 = math.sqrt(3.0)
 
@@ -50,8 +51,32 @@ def test_gradients_and_norms_match_the_matrix_forms(mesh16, scale):
     F_ref = np.eye(2) + np.sqrt(mesh16.spec.eps) * grad_u
     assert F.shape == (mesh16.n_triangles, 2, 2)
     assert F.tobytes() == F_ref.tobytes()
-    for M in (grad_u, F_ref):
-        assert frobenius_norms(M).tobytes() == np.linalg.norm(M, axis=(1, 2)).tobytes()
+    # one matrix, a stack and a stack of stacks, each contiguous
+    for M in (np.ascontiguousarray(grad_u), F_ref):
+        for stack in (M[7], M, M[:40].reshape(5, 8, 2, 2)):
+            want = np.linalg.norm(stack, axis=(-2, -1))
+            assert np.shape(frobenius_norms(stack)) == np.shape(want)
+            assert np.asarray(frobenius_norms(stack)).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("spec", oracles.MESH_SPECS, ids=oracles.spec_id)
+def test_gradients_equal_the_row_major_oracle(spec):
+    # zero, small, order-one and breaking fields, and one with a zero
+    # component: exact zeros in grad_u keep their sign through the kernel
+    mesh = build_mesh(spec)
+    rng = np.random.default_rng(round(1 / spec.eps))
+    noise = rng.standard_normal((mesh.n_points, 2))
+    one_component = noise.copy()
+    one_component[:, 1] = 0.0
+    for values in (np.zeros_like(noise), 0.02 * noise, 1.5 * noise, 40.0 * noise,
+                   one_component):
+        u = Displacement(mesh, values)
+        got, want = interpolate_gradients(u), oracles.interpolate_gradients(u)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (mesh.n_triangles, 2, 2)
+            assert g.tobytes() == w.tobytes()
+            # a view of the component-major array, not a transposed copy
+            assert g.transpose(2, 1, 0).flags.c_contiguous
 
 
 def test_displacement_shape_check(mesh16):

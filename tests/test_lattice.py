@@ -94,6 +94,14 @@ def test_spec_validation():
         LatticeSpec(phi=0.0, eps=0.1, eta=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["phi", "eps", "l", "eta"])
+def test_spec_rejects_a_non_finite_field(field, value):
+    kwargs = {"phi": 0.3, "eps": 0.125, "l": 1.0, "eta": 0.25, field: value}
+    with pytest.raises(LatticeError, match=f"^{field} must be finite, got {value}$"):
+        LatticeSpec(**kwargs)
+
+
 def test_empty_mesh_error():
     with pytest.raises(LatticeError):
         build_mesh(LatticeSpec(phi=0.2, eps=50.0, l=1.0, eta=0.1))
@@ -146,15 +154,7 @@ def test_topology_matches_distance_oracle(inv_eps, phi):
     check_topology_against_oracle(build_mesh(spec))
 
 
-_ORACLE_SPECS = [LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l, eta=eta)
-                 for inv_eps in (4, 8, 17, 64)
-                 for phi in (0.0, 1e-9, 0.3, math.pi / 6.0, 1.04)
-                 for l, eta in ((2.0, 0.25), (1.0, 0.3), (0.6, 0.1))]
-_ORACLE_SPECS.append(LatticeSpec(phi=0.3, eps=1.0 / 256.0, l=2.0, eta=0.25))
-
-
-@pytest.mark.parametrize("spec", _ORACLE_SPECS,
-                         ids=lambda s: f"1/{round(1 / s.eps)}-phi{s.phi:.3g}-l{s.l}")
+@pytest.mark.parametrize("spec", oracles.MESH_SPECS, ids=oracles.spec_id)
 def test_mesh_arrays_equal_the_rolled_box_oracle(spec):
     mesh, expected = build_mesh(spec), oracles.mesh_arrays(spec)
     for name in oracles.MESH_ARRAYS:

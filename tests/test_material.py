@@ -6,7 +6,7 @@ import pytest
 from conftest import random_orthogonal, random_rotation
 from fraclat.lattice import lattice_vectors, rotation_matrix
 from fraclat.material import (POTENTIAL_FAMILIES, MagnetizationModel, MaterialError,
-                              PairPotential,
+                              PairPotential, PenaltyChi,
                               cell_energy, coercivity_ratio_cell,
                               coercivity_ratio_field, field_energy,
                               field_energy_smooth, magnetization,
@@ -242,6 +242,23 @@ def test_field_energy_smooth_matches_sharp_inside(magmodel):
 def test_model_requires_cutoff_above_sqrt2():
     with pytest.raises(MaterialError):
         MagnetizationModel(kappa=1.0, T=1.2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("cls, field", [
+    (PairPotential, "alpha"), (PairPotential, "beta"),
+    (PenaltyChi, "c_chi"), (PenaltyChi, "delta_det"), (PenaltyChi, "cutoff_norm"),
+    (PenaltyChi, "width"), (MagnetizationModel, "kappa"), (MagnetizationModel, "T")],
+    ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_parameters_reject_a_non_finite_field(cls, field, value):
+    with pytest.raises(MaterialError, match=f"^{field} must be finite, got {value}$"):
+        cls(**{field: value})
+
+
+def test_shifted_lj_rejects_a_non_finite_alpha():
+    # |nan - 72 beta| > tol is false, so the pair check alone lets nan pass
+    with pytest.raises(MaterialError, match="^alpha must be finite, got nan$"):
+        PairPotential(family="shifted-lj", alpha=math.nan, beta=1.0)
 
 
 def test_hessian_form_values_and_fd_oracle():

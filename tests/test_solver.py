@@ -595,7 +595,10 @@ def test_nonequicoercivity_rows_are_the_gradient_masses(pot_unit, monkeypatch):
         grad_u, _ = interpolate(u)
         x1 = mesh.points[mesh.triangles][:, :, 0]
         band = (x1 >= p).all(axis=1) & (x1 <= q).all(axis=1) & mesh.tri_in_omega
-        masses = [float(mesh.triangle_area * np.linalg.norm(grad_u[m], axis=(1, 2)).sum())
+        # np.linalg.norm sums a stack's squares in its memory order, and the
+        # package's norms sum them row by row, as it does on a contiguous stack
+        masses = [float(mesh.triangle_area
+                        * np.linalg.norm(np.ascontiguousarray(grad_u[m]), axis=(1, 2)).sum())
                   for m in (mesh.tri_in_omega, band)]
         assert row == (eps, energy_rescaled(u, pot_unit).total, *masses)
 
