@@ -144,14 +144,14 @@ class RunConfig:
 
 
 class OutputSet:
-    """Tracks files written by a command and removes them on failure."""
+    """Tracks files written by a command, removed on failure; makes the directory on demand."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.paths = []
-        os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name: str) -> str:
+        os.makedirs(self.out_dir, exist_ok=True)
         p = os.path.join(self.out_dir, name)
         self.paths.append(p)
         return p
@@ -309,6 +309,9 @@ def cmd_recovery(cfg: RunConfig, out: OutputSet, args) -> str:
     problem = _problem(cfg)
     pot, chi, model = _potential(cfg), _chi(cfg), _model(cfg)
     mode = cfg.get("solve.mode")
+    kind = cfg.get("recovery.kind")
+    if kind not in ("crack", "elastic"):
+        raise ConfigError(f"{cfg.path}: recovery.kind must be 'crack' or 'elastic', got {kind!r}")
     p = cfg.get("recovery.p")
     if math.isnan(p):
         p = float(cleaved_stations(problem, 1)[0])
@@ -316,7 +319,7 @@ def cmd_recovery(cfg: RunConfig, out: OutputSet, args) -> str:
     last_u = None
     for eps in cfg.eps_list():
         mesh = _mesh(cfg, eps)
-        if cfg.get("recovery.kind") == "elastic":
+        if kind == "elastic":
             u_cont, target = build_u_el(problem), elastic_branch_energy(problem)
         else:
             u_cont, target = build_u_cr(problem, p), crack_branch_energy(problem)
@@ -349,9 +352,11 @@ def cmd_crack_extract(cfg: RunConfig, out: OutputSet, args) -> str:
 
 
 def cmd_magnet_demo(cfg: RunConfig, out: OutputSet, args) -> str:
+    n_random = cfg.get("magnet.n_random")
+    if n_random < 1:  # the manifest reports the largest gap over the random fields
+        raise ConfigError(f"{cfg.path}: magnet.n_random must be at least 1, got {n_random}")
     result = magnet_demo(_problem(cfg), _model(cfg), cfg.eps_list(),
-                         pot=_potential(cfg), chi=_chi(cfg),
-                         n_random=cfg.get("magnet.n_random"),
+                         pot=_potential(cfg), chi=_chi(cfg), n_random=n_random,
                          seed=cfg.get("solve.seed"),
                          band_angle=cfg.get("magnet.band_angle"))
     rows = [r.row() for r in result["elastic_rows"]]

@@ -1,11 +1,12 @@
 """Crack geometry extracted from heavily deformed triangles.
 
-A triangle whose deformation gradient exceeds Frobenius norm 7 must have
-at least two of its three bonds stretched beyond factor 2 (a consequence
-of the quartic identity ``sum_v <v, H v>^2 = (3/8)(2 tr(H^2) + (tr H)^2)``
-for symmetric H).  Such triangles are classified by the number m of
-stretched bonds and the affine interpolant is replaced there by a
-discontinuous map with a controlled constant gradient:
+A triangle is broken when at least two of its three sides are stretched
+by ``STRETCH_FACTOR`` = 2 or more; F is formed on those alone.  Every
+triangle with the paper's |F| > 7 is among them: ``sum_v |F v|^2 =
+(3/2)|F|^2`` puts one side past 4.9 and, as ``v3 = v2 - v1``, another
+past 2.9.  Broken triangles are classified by the number m of stretched
+sides and the affine interpolant is replaced there by a discontinuous
+map with a controlled constant gradient:
 
 * m = 2: the gradient keeps the image of the intact bond and returns the
   two stretched bonds to unit length, choosing the branch closer to a
@@ -19,8 +20,8 @@ the crossing bond, which reproduces the opening of the underlying
 displacement up to order sqrt(eps).
 
 :func:`build_modified` keeps the modified gradients of the broken
-triangles alone; elsewhere the modified map's gradient is the F that
-:func:`classify_broken` keeps, as :func:`interpolate_gradients` returns it.
+triangles alone; elsewhere the modified map's gradient is the
+interpolant's F, as :func:`interpolate_gradients` returns it.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ from functools import cached_property
 import numpy as np
 
 from .continuum import _oriented_normals, surface_densities
-from .discrete_energy import Displacement, contiguous_rows, interpolate_gradients
+from .discrete_energy import Displacement, corner_differences, interpolate_gradients
 from .lattice import LatticeVectors, TriangleMesh, perp, row_dots
-from .material import frobenius_norms
 
-BREAK_THRESHOLD = 7.0
 STRETCH_FACTOR = 2.0
 
 
@@ -60,18 +59,17 @@ def symmetric_quartic_sum(H: np.ndarray, vecs: LatticeVectors) -> tuple[float, f
 
 @dataclass
 class BrokenClassification:
-    """All broken triangles of a configuration plus the gradients used.
+    """All broken triangles of a configuration and their deformation gradients.
 
     Row j of the per-triangle arrays describes triangle ``tri_indices[j]``;
     the triangles are in ascending order.
     """
 
     tri_indices: np.ndarray  # (k,) the broken triangles
-    frobenius: np.ndarray    # (k,) |F| on them
-    m: np.ndarray            # (k,) number of stretched bonds, 2 or 3
+    m: np.ndarray            # (k,) number of stretched sides, 2 or 3
     stretched: np.ndarray    # (k, 3) bool per bond direction
     intact: np.ndarray       # (k,) bond kept by the modified map, -1 where m = 3
-    F: np.ndarray            # (M, 2, 2) deformation gradients on every triangle
+    F: np.ndarray            # (k, 2, 2) contiguous deformation gradients on them
 
     @property
     def count(self) -> int:
@@ -79,23 +77,24 @@ class BrokenClassification:
 
 
 def classify_broken(u: Displacement) -> BrokenClassification:
-    """Find triangles with |F| beyond ``BREAK_THRESHOLD`` and count stretched bonds."""
-    _, F = interpolate_gradients(u)
-    frob = frobenius_norms(F)
-    tri = np.flatnonzero(frob > BREAK_THRESHOLD)
-    # column a of each matrix: the deformed bond a
-    bonds = np.matmul(contiguous_rows(F, tri), u.mesh.vecs.as_array().T)
-    stretched = np.sqrt((bonds * bonds).sum(axis=1)) >= STRETCH_FACTOR
-    m = stretched.sum(axis=1)
-    few = np.flatnonzero(m < 2)
-    if len(few):
-        t = tri[few[0]]
-        raise AssertionError(
-            f"triangle {t} has |F| = {frob[t]} > {BREAK_THRESHOLD} but only {m[few[0]]} "
-            "stretched bonds; this contradicts the quartic norm bound")
+    """The triangles with two or three sides stretched by ``STRETCH_FACTOR`` or more."""
+    mesh = u.mesh
+    # side d's image is v_d + D_d / (sign sqrt(eps)) with D_2 = D_1 - D_0;
+    # the slot of D_2 takes the corner values until it is written
+    sides = np.empty((3, 2, mesh.n_triangles))
+    corner_differences(u.values, [np.ascontiguousarray(mesh.triangles[:, k]) for k in range(3)],
+                       sides, sides[2, 0], sides[2, 1])
+    np.subtract(sides[1], sides[0], out=sides[2])
+    sides /= mesh.tri_sign * math.sqrt(mesh.spec.eps)
+    sides += mesh.vecs.as_array()[:, :, None]
+    sides *= sides
+    stretched = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0]) >= STRETCH_FACTOR ** 2
+    m = stretched.sum(axis=0)
+    tri = np.flatnonzero(m >= 2)
+    stretched, m = stretched[:, tri].T, m[tri]
     intact = np.where(m == 2, np.argmin(stretched, axis=1), -1)
-    return BrokenClassification(tri_indices=tri, frobenius=frob[tri], m=m,
-                                stretched=stretched, intact=intact, F=F)
+    F = np.ascontiguousarray(interpolate_gradients(u, tri)[1])
+    return BrokenClassification(tri_indices=tri, m=m, stretched=stretched, intact=intact, F=F)
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +156,7 @@ class CrackSet:
 
     Row k of the segment arrays is jump segment k; the segments follow the
     broken triangles in order and, within one triangle, its midsegments.
-    Off the broken triangles the modified map's gradient is ``classes.F``.
+    Off the broken triangles the modified map's gradient is ``interpolate_gradients(u)[1]``.
     """
 
     p0: np.ndarray        # (S, 2) segment end points in the reference frame
@@ -211,8 +210,7 @@ def build_modified(u: Displacement, classes: BrokenClassification,
     vi = variant - 1
     two = classes.m == 2
     A = np.tile(np.eye(2), (classes.count, 1, 1))
-    A[two] = _released_gradient(contiguous_rows(classes.F, classes.tri_indices[two]),
-                                classes.intact[two], mesh.vecs)
+    A[two] = _released_gradient(classes.F[two], classes.intact[two], mesh.vecs)
 
     # m = 2: one segment, the midsegment parallel to the intact side; m = 3:
     # the two midsegments other than the variant one, in order
@@ -264,8 +262,7 @@ def jump_vectors(u: Displacement, classes: BrokenClassification,
     h = crack.h_index
     a = np.where(classes.m[pos] == 3, 3 - h - (crack.variant - 1), np.where(h == 0, 1, 0))
     sign = np.copysign(1.0, row_dots(V[a], crack.normal))
-    mismatch = np.matmul(contiguous_rows(classes.F, crack.tri) - crack.grads[pos],
-                         V[a][:, :, None])
+    mismatch = np.matmul(classes.F[pos] - crack.grads[pos], V[a][:, :, None])
     out = (sign * sqeps)[:, None] * mismatch[:, :, 0]
     # np.allclose per segment, with an absolute tolerance relative to the jump
     atol = 1e-10 * (1.0 + np.sqrt(row_dots(crack.jump, crack.jump)))

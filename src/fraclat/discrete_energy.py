@@ -106,15 +106,12 @@ def _basis_inverse(mesh: TriangleMesh) -> np.ndarray:
     return np.linalg.inv(np.column_stack([mesh.vecs.v1, mesh.vecs.v2]))
 
 
-def _grad_u(values: np.ndarray, corners, minv: np.ndarray, den: np.ndarray, D: np.ndarray,
-            G: np.ndarray, c0: np.ndarray | None = None, ck: np.ndarray | None = None):
-    """Write component-major grad u, ``G[j, i, t] = d u_i / d x_j`` on triangle t.
+def corner_differences(values: np.ndarray, corners, D: np.ndarray,
+                       c0: np.ndarray | None = None, ck: np.ndarray | None = None):
+    """Write ``D[k, i]``, component i of the edge from corner 0 to corner k + 1, k = 0, 1.
 
-    ``corners`` holds the M triangles' three vertex index arrays and ``den``
-    their orientation sign times eps.  ``D[k, i]`` receives component i of
-    the edge from the first corner to corner k + 1, then ``G = minv.T @ D /
-    den``.  ``D`` and ``G`` are distinct contiguous (2, 2, M) buffers; the
-    take buffers ``c0`` and ``ck`` (M,) are allocated when not given.
+    ``corners`` holds the M triangles' three vertex index arrays; the take
+    buffers ``c0`` and ``ck`` (M,) are allocated when not given.
     """
     t0, t1, t2 = corners
     for i in range(2):
@@ -122,35 +119,42 @@ def _grad_u(values: np.ndarray, corners, minv: np.ndarray, den: np.ndarray, D: n
         first = np.take(c, t0, out=c0, mode="clip")
         np.subtract(np.take(c, t1, out=ck, mode="clip"), first, out=D[0, i])
         np.subtract(np.take(c, t2, out=ck, mode="clip"), first, out=D[1, i])
+
+
+def _grad_u(values: np.ndarray, corners, minv: np.ndarray, den: np.ndarray, D: np.ndarray,
+            G: np.ndarray, c0: np.ndarray | None = None, ck: np.ndarray | None = None):
+    """Write component-major grad u, ``G[j, i, t] = d u_i / d x_j`` on triangle t.
+
+    ``G = minv.T @ D / den`` with ``den`` the orientation signs times eps;
+    ``D`` and ``G`` are distinct contiguous (2, 2, M) buffers.
+    """
+    corner_differences(values, corners, D, c0, ck)
     np.matmul(minv.T, D.reshape(2, -1), out=G.reshape(2, -1))
     G /= den
 
 
-def interpolate_gradients(u: Displacement) -> tuple[np.ndarray, np.ndarray]:
+def interpolate_gradients(u: Displacement, tri=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Per-triangle displacement gradient and deformation gradient.
 
     Returns ``(grad_u, F)`` with ``F = Id + sqrt(eps) grad_u``, both of
     shape (n_triangles, 2, 2): views, not copies, of the component-major
     arrays of :func:`_grad_u`, so ``F[t]`` is triangle t's matrix but the
     stack is not contiguous.  Affine inputs give an exact constant gradient.
+    An index array ``tri`` keeps rows ``tri`` alone, with the same bits.
     """
     mesh, eps = u.mesh, u.mesh.spec.eps
-    D, G = np.empty((2, 2, mesh.n_triangles)), np.empty((2, 2, mesh.n_triangles))
+    triangles = mesh.triangles[tri]
+    D, G = np.empty((2, 2, len(triangles))), np.empty((2, 2, len(triangles)))
     # one contiguous index array per corner: np.take copies a strided index
     # array on every call; two rows of G take the corner values until the
     # product overwrites them
-    _grad_u(u.values, [np.ascontiguousarray(mesh.triangles[:, k]) for k in range(3)],
-            _basis_inverse(mesh), mesh.tri_sign * eps, D, G, G[0, 0], G[0, 1])
+    _grad_u(u.values, [np.ascontiguousarray(triangles[:, k]) for k in range(3)],
+            _basis_inverse(mesh), mesh.tri_sign[tri] * eps, D, G, G[0, 0], G[0, 1])
     # F is written over the spent edge differences; adding the whole
     # identity turns an off-diagonal -0.0 into +0.0
     F = np.multiply(G, np.sqrt(eps), out=D)
     F += np.eye(2)[:, :, None]
     return G.transpose(2, 1, 0), F.transpose(2, 1, 0)
-
-
-def contiguous_rows(F: np.ndarray, sel) -> np.ndarray:
-    """``F[sel]`` as a contiguous stack: matmul rounds a strided one differently."""
-    return np.ascontiguousarray(F[sel])
 
 
 def gradient_l1_norm(mesh: TriangleMesh, grad_norms: np.ndarray, mask: np.ndarray) -> float:
@@ -434,7 +438,8 @@ class Assembly:
             det = np.multiply(F00, F11, out=ws.det)
             det -= np.multiply(F01, F10, out=ws.det2)
             support = np.flatnonzero(np.less(det, 0.0, out=ws.flip))
-            Fs = contiguous_rows(F.transpose(2, 1, 0), support)
+            # contiguous stacks: matmul rounds a strided one differently
+            Fs = np.ascontiguousarray(F.transpose(2, 1, 0)[support])
             chi_vals = ws.chi_vals
             chi_vals.fill(0.0)
             chi_vals[support] = chi(Fs)
@@ -443,7 +448,7 @@ class Assembly:
                 tri_terms.append((support, _chain_to_edges(
                     chi.grad(Fs), self._minv, self._pref_chi[support])))
         if self.mode in ("f", "total-magnetic"):
-            Fd = contiguous_rows(F.transpose(2, 1, 0), slice(None))
+            Fd = np.ascontiguousarray(F.transpose(2, 1, 0))
             if self.mode == "total-magnetic":
                 fieldval = -model.kappa * SQRT3 * eps / 4.0 \
                     * float(magnetization_first(Fd).sum())

@@ -369,8 +369,8 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
 def _crack_summary(u: Displacement, beta: float):
     """(count, estimated crack energy, angle to the cleavage normal).
 
-    The classification is not returned: it holds F on every triangle,
-    which would stay alive through the rung's next energy evaluation.
+    The count is of the broken triangles, those with at least two sides
+    stretched by a factor 2 or more; F is formed on them alone.
     """
     classes = classify_broken(u)
     if classes.count == 0:

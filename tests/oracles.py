@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fraclat.crack_extraction import (BREAK_THRESHOLD, STRETCH_FACTOR, CrackError,
-                                      CrackSegment)
+from fraclat.crack_extraction import STRETCH_FACTOR, CrackError, CrackSegment
 from fraclat.discrete_energy import (DISPLACEMENT_HEADER, Displacement,
                                      DiscreteEnergyError, format_float)
 from fraclat.lattice import BOUNDARY_RTOL, SQRT3, LatticeSpec, _in_rect, lattice_vectors
@@ -207,7 +206,6 @@ class BrokenTriangle:
     """Classification record of one broken triangle."""
 
     tri: int
-    frobenius: float
     m: int
     stretched: np.ndarray  # bool per bond direction
     intact: int | None     # bond index kept by the modified map (m = 2)
@@ -229,23 +227,34 @@ def surface_density(nu, vecs, beta):
     return 2.0 * beta / SQRT3 * float(np.abs(V @ np.asarray(nu)).sum())
 
 
+def side_stretches(u):
+    """(M, 3) stretch of each triangle side, ``|v_d + D_d / (sign sqrt(eps))|``.
+
+    ``D_0`` and ``D_1`` run from the first corner to the second and third,
+    and ``D_2 = D_1 - D_0`` from the second to the third.
+    """
+    mesh = u.mesh
+    P = u.values[mesh.triangles]  # (M, 3, 2) corner values
+    D = np.empty((mesh.n_triangles, 3, 2))
+    D[:, 0] = P[:, 1] - P[:, 0]
+    D[:, 1] = P[:, 2] - P[:, 0]
+    D[:, 2] = D[:, 1] - D[:, 0]
+    images = D / (mesh.tri_sign * math.sqrt(mesh.spec.eps))[:, None, None]
+    images += mesh.vecs.as_array()
+    return np.sqrt(images[:, :, 0] * images[:, :, 0] + images[:, :, 1] * images[:, :, 1])
+
+
 def classify_broken(u):
-    """(records, F) of the broken triangles."""
+    """(records, F) of the triangles with two or three sides stretched by 2 or more."""
     _, F = interpolate_gradients(u)
-    frob = np.linalg.norm(F, axis=(1, 2))
-    V = u.mesh.vecs.as_array()
     records = []
-    for t in np.flatnonzero(frob > BREAK_THRESHOLD):
-        stretch = np.linalg.norm(F[t] @ V.T, axis=0)
-        stretched = stretch >= STRETCH_FACTOR
-        m = int(stretched.sum())
+    for t, stretched in enumerate((side_stretches(u) >= STRETCH_FACTOR).tolist()):
+        m = sum(stretched)
         if m < 2:
-            raise AssertionError(
-                f"triangle {t} has |F| = {frob[t]} > {BREAK_THRESHOLD} but only {m} "
-                "stretched bonds; this contradicts the quartic norm bound")
-        intact = int(np.flatnonzero(~stretched)[0]) if m == 2 else None
-        records.append(BrokenTriangle(tri=int(t), frobenius=float(frob[t]),
-                                      m=m, stretched=stretched, intact=intact))
+            continue
+        intact = stretched.index(False) if m == 2 else None
+        records.append(BrokenTriangle(tri=t, m=m, stretched=np.array(stretched),
+                                      intact=intact))
     return records, F
 
 

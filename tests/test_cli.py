@@ -238,6 +238,36 @@ def test_non_finite_parameter_exits_before_any_output(tmp_path, capsys, key):
     assert not (tmp_path / "out" / "convergence.csv").exists()
 
 
+def test_rejected_config_leaves_no_output_directory(tmp_path, capsys):
+    text = BASE.replace("material.alpha = 1.0", "material.alpha = nan")
+    cfg = write_config(tmp_path / "c.cfg", text + f"out.dir = {tmp_path}/out\n")
+    assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 1
+    assert "alpha must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_recovery_kind_is_rejected(tmp_path, capsys):
+    # any kind but 'elastic' once sampled the crack and exited 0
+    cfg = write_config(tmp_path / "c.cfg", BASE + "recovery.kind = elastc\n"
+                       f"out.dir = {tmp_path}/out\n")
+    assert main(["recovery", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "recovery.kind must be 'crack' or 'elastic', got 'elastc'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_random", [0, -2])
+def test_magnet_n_random_below_one_is_rejected(tmp_path, capsys, n_random):
+    # the manifest's largest identity gap needs at least one random field
+    cfg = write_config(tmp_path / "c.cfg", "material.alpha = 1.0\nmaterial.beta = 1.0\n"
+                       f"solve.eps_list = 1/8\nmagnet.n_random = {n_random}\n"
+                       f"out.dir = {tmp_path}/out\n")
+    assert main(["magnet-demo", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"magnet.n_random must be at least 1, got {n_random}" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["cleavage", "--no-minimize"], ["minimize"], ["recovery"]],
                          ids=lambda argv: argv[0])
 def test_failure_removes_partial_outputs(tmp_path, monkeypatch, argv):

@@ -12,23 +12,24 @@ from fraclat.crack_extraction import (CrackError, angle_between_lines_deg,
                                       jump_vectors, principal_normal,
                                       spring_crossing_count,
                                       symmetric_quartic_sum)
-from fraclat.discrete_energy import Displacement, energy_rescaled
+from fraclat.discrete_energy import Displacement, energy_rescaled, interpolate_gradients
 from fraclat.lattice import (LatticeSpec, build_mesh, cleavage_direction,
                              lattice_vectors)
 from fraclat.lattice import perp
+from fraclat.material import frobenius_norms
 from fraclat.solver import cleaved_stations, recovery_sequence
 
 SQRT3 = math.sqrt(3.0)
 
 
-def supercritical_problem(phi=0.3, l=2.0):
-    base = CleavageProblem(alpha=1.0, beta=1.0, l=l, phi=phi, a=0.0)
-    return CleavageProblem(alpha=1.0, beta=1.0, l=l, phi=phi, a=1.5 * a_crit(base))
+def supercritical_problem(phi=0.3, l=2.0, alpha=1.0):
+    base = CleavageProblem(alpha=alpha, beta=1.0, l=l, phi=phi, a=0.0)
+    return CleavageProblem(alpha=alpha, beta=1.0, l=l, phi=phi, a=1.5 * a_crit(base))
 
 
-def modified_gradients(classes, crack):
-    """The modified map's gradient on every triangle: ``F`` off the broken set."""
-    out = np.array(classes.F)
+def modified_gradients(u, classes, crack):
+    """The modified map's gradient on every triangle: the interpolant's F off the broken set."""
+    out = np.array(interpolate_gradients(u)[1])
     out[classes.tri_indices] = crack.grads
     return out
 
@@ -64,7 +65,7 @@ def test_classify_uniform_blowup_all_broken(mesh16):
     classes = classify_broken(u)
     assert classes.count == mesh16.n_triangles
     assert set(classes.m.tolist()) == {3}
-    assert np.abs(classes.frobenius - 8.0 * math.sqrt(2.0)).max() < 1e-9
+    assert np.abs(frobenius_norms(classes.F) - 8.0 * math.sqrt(2.0)).max() < 1e-9
 
 
 def test_classify_m2_with_intact_bond(mesh16_phi0):
@@ -76,9 +77,21 @@ def test_classify_m2_with_intact_bond(mesh16_phi0):
     assert set(classes.m.tolist()) == {2} and set(classes.intact.tolist()) == {0}
 
 
+@pytest.mark.parametrize("scale", [0.3, 0.6, 1.5])
+def test_every_triangle_past_norm_7_is_broken(mesh16, mesh32, scale):
+    # sum_d |F v_d|^2 = (3/2)|F|^2, so |F| > 7 leaves a side longer than 4.9
+    # and, by v3 = v2 - v1, a second one longer than 2.9
+    for seed, mesh in enumerate((mesh16, mesh32)):
+        rng = np.random.default_rng(seed)
+        u = Displacement(mesh, scale * rng.standard_normal((mesh.n_points, 2)))
+        past_7 = np.flatnonzero(frobenius_norms(interpolate_gradients(u)[1]) > 7.0)
+        assert len(past_7) > 0
+        assert np.isin(past_7, classify_broken(u).tri_indices).all()
+
+
 def test_broken_below_threshold_needs_two_stretched(mesh16):
-    # |F| slightly above the threshold still has at least two bonds >= 2;
-    # the classifier would raise otherwise
+    # |F| slightly above 7, the paper's proof device, has at least two
+    # sides stretched by 2 or more
     u = affine_displacement(mesh16, np.diag([7.2, 0.5]))
     classes = classify_broken(u)
     assert classes.count == mesh16.n_triangles
@@ -127,7 +140,7 @@ def test_modified_keeps_intact_triangles(mesh32):
     assert crack.grads.shape == (classes.count, 2, 2)
     assert 0 < classes.count < mesh.n_triangles
     # bounded gradient after release
-    assert np.linalg.norm(modified_gradients(classes, crack), axis=(1, 2)).max() <= 7.0 + 1e-9
+    assert np.linalg.norm(modified_gradients(u, classes, crack), axis=(1, 2)).max() <= 7.0 + 1e-9
 
 
 def test_jump_identity_cross_check(mesh32):
@@ -140,12 +153,22 @@ def test_jump_identity_cross_check(mesh32):
 
 
 def test_recovery_broken_set_equals_crossed_set():
-    prob = supercritical_problem(l=1.0)
-    for eps in (1.0 / 16.0, 1.0 / 32.0):
+    # exp-well on the l = 1 bar, and shifted-lj (alpha = 72 beta) on the
+    # l = 2 bar at its first cleaved station: its smaller a_crit keeps |F|
+    # of the sampled crack under 7 up to 1/64, yet two sides of each cut
+    # triangle are stretched past 2
+    exp_well = supercritical_problem(l=1.0)
+    lj = supercritical_problem(alpha=72.0)
+    p_lj = float(cleaved_stations(lj, 1)[0])
+    cases = [(exp_well, 0.45, 16, None), (exp_well, 0.45, 32, None),
+             (lj, p_lj, 16, 31), (lj, p_lj, 32, 64), (lj, p_lj, 64, 129), (lj, p_lj, 128, 261)]
+    for prob, p, inv_eps, count in cases:
+        eps = 1.0 / inv_eps
         mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=0.25))
-        u_cont = build_u_cr(prob, p=0.45)
+        u_cont = build_u_cr(prob, p=p)
         u = recovery_sequence(u_cont, mesh)
         classes = classify_broken(u)
+        assert count is None or classes.count == count
         # oracle: triangles whose vertices straddle the crack line
         seg = u_cont.crack[0]
         side = np.sign((mesh.points - seg.p0) @ seg.normal)
@@ -154,7 +177,7 @@ def test_recovery_broken_set_equals_crossed_set():
         assert set(classes.tri_indices.tolist()) == set(crossed.tolist())
         # the released gradients stay order-one in the displacement scaling
         crack = build_modified(u, classes)
-        dev = np.linalg.norm(modified_gradients(classes, crack) - np.eye(2), axis=(1, 2))
+        dev = np.linalg.norm(modified_gradients(u, classes, crack) - np.eye(2), axis=(1, 2))
         assert dev.max() / math.sqrt(eps) <= 30.0
 
 
@@ -192,9 +215,9 @@ def assert_crack_matches_oracle(u, variant, beta=1.3):
         return
     records, F = expected
     classes = classify_broken(u)
-    assert classes.F.tobytes() == F.tobytes()
     assert classes.tri_indices.tolist() == [r.tri for r in records]
-    assert classes.frobenius.tolist() == [r.frobenius for r in records]
+    assert classes.F.flags.c_contiguous
+    assert classes.F.tobytes() == F[classes.tri_indices].tobytes()
     assert classes.m.tolist() == [r.m for r in records]
     assert classes.intact.tolist() == [-1 if r.intact is None else r.intact for r in records]
     assert classes.stretched.tolist() == [r.stretched.tolist() for r in records]
@@ -207,7 +230,7 @@ def assert_crack_matches_oracle(u, variant, beta=1.3):
     segments, y_grads = expected
     crack = build_modified(u, classes, variant=variant)
     assert crack.grads.tobytes() == y_grads[classes.tri_indices].tobytes()
-    assert modified_gradients(classes, crack).tobytes() == y_grads.tobytes()
+    assert modified_gradients(u, classes, crack).tobytes() == y_grads.tobytes()
     assert len(crack.segments) == len(segments)
     for got, want in zip(crack.segments, segments):
         assert (got.tri, got.h_index) == (want.tri, want.h_index)

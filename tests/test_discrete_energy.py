@@ -79,6 +79,27 @@ def test_gradients_equal_the_row_major_oracle(spec):
             assert g.transpose(2, 1, 0).flags.c_contiguous
 
 
+@pytest.mark.parametrize("spec", oracles.MESH_SPECS, ids=oracles.spec_id)
+def test_selected_rows_equal_the_whole_mesh_rows(spec):
+    # the crack classification forms F on its broken triangles alone: the
+    # rows of any selection, short ones included, keep the whole mesh's bits
+    mesh = build_mesh(spec)
+    M = mesh.n_triangles
+    rng = np.random.default_rng(round(1 / spec.eps))
+    noise = rng.standard_normal((mesh.n_points, 2))
+    selections = [np.arange(0), np.array([M - 1]), np.array([0, M - 1]),
+                  np.sort(rng.choice(M, size=min(5, M), replace=False)),
+                  np.sort(rng.choice(M, size=M // 3, replace=False)),
+                  rng.permutation(M)]
+    for values in (np.zeros_like(noise), 0.02 * noise, 1.5 * noise, 40.0 * noise):
+        u = Displacement(mesh, values)
+        whole = interpolate_gradients(u)
+        for tri in selections:
+            for g, w in zip(interpolate_gradients(u, tri), whole):
+                assert g.shape == (len(tri), 2, 2)
+                assert g.tobytes() == w[tri].tobytes()
+
+
 def test_displacement_shape_check(mesh16):
     with pytest.raises(DiscreteEnergyError):
         Displacement(mesh16, np.zeros((3, 2)))
