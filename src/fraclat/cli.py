@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Experiments are configured by a flat plain-text file with one
-``key = value`` assignment per line and ``#`` comments.  Unknown keys are
-rejected with the offending line number; omitted keys fall back to the
-defaults listed in ``CONFIG_KEYS`` (a handful of physical inputs such as
-``material.alpha`` have no default and must be given).  Every command
-writes its CSV tables plus a manifest echoing the fully resolved
-configuration with 17 significant digits, so a table can be reproduced
-from its manifest alone.  Partial outputs are deleted when a command
-fails, and any failure exits nonzero.
+``key = value`` assignment per line and ``#`` comments.  Unknown and
+repeated keys are rejected with their line numbers; omitted keys fall
+back to the defaults listed in ``CONFIG_KEYS`` (a handful of physical
+inputs such as ``material.alpha`` have no default and must be given).
+Every command writes its CSV tables plus a manifest echoing the fully
+resolved configuration with 17 significant digits, so a table can be
+reproduced from its manifest alone.  Partial outputs are deleted when a
+command fails, and any failure exits nonzero.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ CONFIG_KEYS = {
     "solve.grad_tol": (float, 1e-6),
     "solve.seed": (int, 0),
     "solve.mode": (str, "chi"),
-    "solve.domain": (str, "omega"),
     "solve.multistart": (str, "zero,elastic,cleaved"),
     "solve.n_cleaved": (int, 9),
     "recovery.p": (float, float("nan")),  # nan means cleaved_stations(problem, 1)[0]
@@ -88,7 +87,7 @@ class RunConfig:
 
     @classmethod
     def parse(cls, path: str) -> "RunConfig":
-        values = {}
+        values, first_line = {}, {}
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -100,6 +99,10 @@ class RunConfig:
                 key, val = key.strip(), val.strip()
                 if key not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+                if key in first_line:
+                    raise ConfigError(f"{path}:{lineno}: key '{key}' repeats "
+                                      f"line {first_line[key]}")
+                first_line[key] = lineno
                 parser = CONFIG_KEYS[key][0]
                 try:
                     values[key] = parser(val)
@@ -147,6 +150,14 @@ class OutputSet:
     """Tracks files written by a command, removed on failure; makes the directory on demand."""
 
     def __init__(self, out_dir: str):
+        # fail before the command runs, creating nothing, when the nearest
+        # existing ancestor of out_dir is not a writable directory
+        base = os.path.abspath(out_dir)
+        while not os.path.exists(base):
+            base = os.path.dirname(base)
+        if not (os.path.isdir(base) and os.access(base, os.W_OK | os.X_OK)):
+            raise ConfigError(f"out.dir {out_dir!r} is unusable: "
+                              f"{base} is not a writable directory")
         self.out_dir = out_dir
         self.paths = []
 
@@ -216,8 +227,7 @@ def _solve_config(cfg: RunConfig) -> SolveConfig:
                        multistart=tuple(s.strip() for s in
                                         cfg.get("solve.multistart").split(",")),
                        n_cleaved=cfg.get("solve.n_cleaved"),
-                       mode=cfg.get("solve.mode"),
-                       domain=cfg.get("solve.domain"))
+                       mode=cfg.get("solve.mode"))
 
 
 def _mesh(cfg: RunConfig, eps: float) -> TriangleMesh:
@@ -324,8 +334,7 @@ def cmd_recovery(cfg: RunConfig, out: OutputSet, args) -> str:
         else:
             u_cont, target = build_u_cr(problem, p), crack_branch_energy(problem)
         u = recovery_sequence(u_cont, mesh)
-        bd = energy_rescaled(u, pot, mode=mode, chi=chi, model=model,
-                             domain=cfg.get("solve.domain"))
+        bd = energy_rescaled(u, pot, mode=mode, chi=chi, model=model)
         rows.append(ConvergenceRow(eps, mode + "/recovery", bd.total, target).row())
         last_u = u
     write_csv(out.path("recovery.csv"), CONVERGENCE_HEADER, rows)

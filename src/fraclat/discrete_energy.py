@@ -307,13 +307,15 @@ class _Workspace:
 class Assembly:
     """The rescaled energy of one mesh with its index and weight arrays precomputed.
 
-    Built once per (mesh, potential, mode, penalty, field model, domain)
-    and evaluated on raw ``(N, 2)`` displacement arrays.  Every
-    evaluation computes the bond stretches and the per-triangle
-    deformation gradients once, checks the raw pair sum against the cell
-    sum plus the boundary term to 1e-12 relative, evaluates the
-    orientation penalty only on triangles with det F < 0 (it vanishes
-    identically elsewhere) and scatters gradients with ``np.bincount``.
+    Built once per (mesh, potential, mode, penalty, field model) and
+    evaluated on raw ``(N, 2)`` displacement arrays.  The energy lives on
+    the specimen: its bonds have both ends in Omega and its triangles lie
+    inside Omega.  Every evaluation computes the bond stretches and the
+    per-triangle deformation gradients once, checks the raw pair sum
+    against the cell sum plus the boundary term to 1e-12 relative,
+    evaluates the orientation penalty only on triangles with det F < 0 (it
+    vanishes identically elsewhere) and scatters gradients with
+    ``np.bincount``.
     In mode ``f`` :meth:`breakdown` evaluates the sharp field cutoff and
     :meth:`value_and_grad` the smoothed one, the only form with a gradient.
 
@@ -327,8 +329,7 @@ class Assembly:
 
     def __init__(self, mesh: TriangleMesh, pot: PairPotential, mode: str = "plain",
                  chi: PenaltyChi | None = None,
-                 model: MagnetizationModel | None = None,
-                 domain: str = "omega"):
+                 model: MagnetizationModel | None = None):
         if mode not in MODES:
             raise DiscreteEnergyError(f"unknown mode {mode!r}")
         if mode != "plain" and chi is None:
@@ -336,20 +337,20 @@ class Assembly:
         if mode in ("f", "total-magnetic") and model is None:
             raise DiscreteEnergyError(f"mode {mode!r} needs a magnetization model")
         self.mesh, self.pot, self.mode = mesh, pot, mode
-        self.chi, self.model, self.domain = chi, model, domain
+        self.chi, self.model = chi, model
         eps = mesh.spec.eps
         self.eps, self._sqrt_eps = eps, np.sqrt(eps)
 
         # compress and take along the long axis build each array in its final
         # layout, with no row-major selection to transpose and copy
         self._vecs = mesh.vecs.as_array()
-        edge_mask = mesh.edge_set(domain)
+        edge_mask = mesh.edge_in_omega
         self._bond_ends = np.compress(edge_mask, mesh.edges.T, axis=1)  # (2, E)
         self._bond_dirs = np.take(self._vecs.T, np.compress(edge_mask, mesh.edge_dir),
                                   axis=1)  # (2, E)
-        self._bond_weight = 2.0 * np.compress(edge_mask, classify_edges(mesh, domain))
+        self._bond_weight = 2.0 * np.compress(edge_mask, classify_edges(mesh))
 
-        tri_mask = mesh.triangle_set(domain)
+        tri_mask = mesh.tri_in_omega
         self._corners = np.compress(tri_mask, mesh.triangles.T, axis=1)  # (3, M)
         self._den = np.compress(tri_mask, mesh.tri_sign) * eps
         self._minv = _basis_inverse(mesh)
@@ -495,48 +496,46 @@ class Assembly:
 
 def energy_rescaled(u: Displacement, pot: PairPotential, mode: str = "plain",
                     chi: PenaltyChi | None = None,
-                    model: MagnetizationModel | None = None,
-                    domain: str = "omega") -> EnergyBreakdown:
+                    model: MagnetizationModel | None = None) -> EnergyBreakdown:
     """Rescaled energy eps * E(id + sqrt(eps) u) with the selected extras.
 
-    The bulk part sums cell energies over the domain's triangles, the
-    boundary part collects under-covered bonds, and the two together are
-    verified against the raw pair sum to 1e-12 relative on every call.
-    Builds a transient :class:`Assembly` and evaluates it once.  Code that
+    The energy lives on the specimen Omega; the margins only carry the
+    Dirichlet data.  The bulk part sums cell energies over the triangles
+    inside Omega, the boundary part collects its under-covered bonds, and
+    the two together are verified against the raw pair sum to 1e-12
+    relative on every call.  Builds a transient :class:`Assembly` and evaluates it once.  Code that
     evaluates several configurations on one mesh can instead build the
     assembly once and call :meth:`Assembly.breakdown` on each, with the
     same result bit for bit, as :func:`fraclat.solver.magnet_demo` and
     :func:`fraclat.solver.convergence_study` do.
     """
-    return Assembly(u.mesh, pot, mode, chi, model, domain).breakdown(u.values)
+    return Assembly(u.mesh, pot, mode, chi, model).breakdown(u.values)
 
 
-def energy_deformation(mesh: TriangleMesh, y_values: np.ndarray, pot: PairPotential,
-                       domain: str = "omega") -> EnergyBreakdown:
+def energy_deformation(mesh: TriangleMesh, y_values: np.ndarray,
+                       pot: PairPotential) -> EnergyBreakdown:
     """Unrescaled pair energy of a raw deformation y, with the same split."""
     eps = mesh.spec.eps
     u = Displacement(mesh, (y_values - mesh.points) / np.sqrt(eps))
-    bd = energy_rescaled(u, pot, mode="plain", domain=domain)
+    bd = energy_rescaled(u, pot, mode="plain")
     return EnergyBreakdown(mode="plain", bulk=bd.bulk / eps, boundary=bd.boundary / eps)
 
 
-def specimen_area(mesh: TriangleMesh, domain: str = "omega") -> float:
-    """Total area of the domain's triangles (the triangulated specimen)."""
-    return mesh.triangle_area * float(mesh.triangle_set(domain).sum())
+def specimen_area(mesh: TriangleMesh) -> float:
+    """Total area of the triangles inside Omega (the triangulated specimen)."""
+    return mesh.triangle_area * float(mesh.tri_in_omega.sum())
 
 
 def renormalization_sides(u: Displacement, pot: PairPotential, chi: PenaltyChi,
-                          model: MagnetizationModel,
-                          domain: str = "omega") -> tuple[float, float]:
+                          model: MagnetizationModel) -> tuple[float, float]:
     """Both sides of the magnet renormalization identity.
 
     Returns ``(field_total, magnetic_total - kappa |Omega_eps| / eps)``;
     the two agree exactly whenever every triangle satisfies |F| <= T.
     """
-    lhs = energy_rescaled(u, pot, mode="f", chi=chi, model=model, domain=domain).total
-    tot = energy_rescaled(u, pot, mode="total-magnetic", chi=chi, model=model,
-                          domain=domain).total
-    area = specimen_area(u.mesh, domain)
+    lhs = energy_rescaled(u, pot, mode="f", chi=chi, model=model).total
+    tot = energy_rescaled(u, pot, mode="total-magnetic", chi=chi, model=model).total
+    area = specimen_area(u.mesh)
     return lhs, tot + model.kappa / u.mesh.spec.eps * area
 
 
@@ -546,14 +545,13 @@ def renormalization_sides(u: Displacement, pot: PairPotential, chi: PenaltyChi,
 
 def gradient(u: Displacement, pot: PairPotential, mode: str = "plain",
              chi: PenaltyChi | None = None,
-             model: MagnetizationModel | None = None,
-             domain: str = "omega") -> np.ndarray:
+             model: MagnetizationModel | None = None) -> np.ndarray:
     """Analytic gradient of :func:`energy_rescaled` with respect to u.
 
     The field term is differentiated in its smoothed form; the mode
     'total-magnetic', which is not differentiable, is rejected.
     """
-    return Assembly(u.mesh, pot, mode, chi, model, domain).value_and_grad(u.values)[1]
+    return Assembly(u.mesh, pot, mode, chi, model).value_and_grad(u.values)[1]
 
 
 def project_gradient(g: np.ndarray, mask_x: np.ndarray, mask_y: np.ndarray) -> np.ndarray:

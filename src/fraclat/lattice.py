@@ -13,7 +13,8 @@ Conventions
   the same lattice.
 * The specimen is ``Omega = (0, l) x (0, 1)``.  The enlarged domain used
   to impose boundary values is ``(-eta, l+eta) x (0, 1)``, with margins
-  only on the vertical sides.
+  only on the vertical sides.  Energies live on the specimen; the margins
+  carry only the Dirichlet data.
 * Point membership in a rectangle uses a closed comparison with tolerance
   ``1e-9 * eps`` so that meshes are reproducible across platforms.
 * Points are indexed lexicographically in ``(lam2, lam1)`` (row sweeps).
@@ -21,7 +22,8 @@ Conventions
   at p has corners (p, p+e1, p+e2), the down one (p, p-e1, p-e2), with e1,
   e2 the unit steps of lam1, lam2.  A bond p -> p+o is a side of two such
   triangles, its flanks: up at p and down at p+o for o = e1 or e2, up at
-  p-e1 and down at p+e2 for o = e2-e1.  Its incidence counts those present.
+  p-e1 and down at p+e2 for o = e2-e1.  Its incidence counts those inside
+  the specimen.
 * Every such read is a slice of a padded grid.  The integer bounding box
   keeps two empty rows and columns on every side, so all points lie in its
   interior, two cells from the edge, and the interior read at a unit
@@ -221,8 +223,7 @@ class TriangleMesh:
     edges : (E, 2) int, one row per unordered nearest-neighbor bond;
         ``points[b] - points[a] = eps * v_d`` with direction ``edge_dir``.
     edge_dir : (E,) int in {0, 1, 2}.
-    edge_inc_tilde / edge_inc_omega : (E,) int, number of mesh triangles
-        (of the full mesh, resp. of the in-specimen subset) having the
+    edge_inc_omega : (E,) int, number of in-specimen triangles having the
         bond as a side.
     edge_in_omega : (E,) bool, both endpoints inside the specimen.
     point_in_omega : (N,) bool.
@@ -273,7 +274,8 @@ class TriangleMesh:
 
         # triangles of each orientation, marked at their base vertex where
         # all three corners lie in the mesh, resp. in the specimen; the marks
-        # cover one cell beyond the interior, where the bond flanks read them
+        # cover one cell beyond the interior, where the bond flanks read the
+        # specimen marks
         def bases(mask):
             return [np.logical_and.reduce([_window(mask, *c, margin=1) for c in cs])
                     for cs in _TRIANGLE_CORNERS]
@@ -295,23 +297,22 @@ class TriangleMesh:
                                             for t, t_om in zip(tri_base, tri_omega)])
 
         # nearest-neighbor bonds, one row per unordered pair; the incidence
-        # of a bond counts which of its two flanking triangles are present
+        # of a bond counts which of its two flanking triangles lie in the specimen
         present_in, omega_in, grid_in = (_window(g, 0, 0) for g in (present, in_omega, grid))
         oks = [present_in & _window(present, *offset) for offset, _ in _BOND_OFFSETS]
         n_edge = [int(np.count_nonzero(ok)) for ok in oks]
         self.edges = np.empty((sum(n_edge), 2), dtype=grid.dtype)
-        dirs, inc_tilde, inc_omega, edge_in_omega = [], [], [], []
+        up, down = tri_omega
+        dirs, inc_omega, edge_in_omega = [], [], []
         for d, (rows, ok, (offset, (up_base, down_base))) in enumerate(
                 zip(np.split(self.edges, np.cumsum(n_edge[:2])), oks, _BOND_OFFSETS)):
             rows[:, 0] = grid_in[ok]
             rows[:, 1] = _window(grid, *offset)[ok]
             dirs.append(np.full(len(rows), d, dtype=np.int8))
-            for (up, down), inc in ((tri, inc_tilde), (tri_omega, inc_omega)):
-                inc.append(_window(up, *up_base, margin=1)[ok].astype(np.int8)
-                           + _window(down, *down_base, margin=1)[ok])
+            inc_omega.append(_window(up, *up_base, margin=1)[ok].astype(np.int8)
+                             + _window(down, *down_base, margin=1)[ok])
             edge_in_omega.append((omega_in & _window(in_omega, *offset))[ok])
         self.edge_dir = np.concatenate(dirs)
-        self.edge_inc_tilde = np.concatenate(inc_tilde)
         self.edge_inc_omega = np.concatenate(inc_omega)
         self.edge_in_omega = np.concatenate(edge_in_omega)
 
@@ -321,8 +322,7 @@ class TriangleMesh:
         self.dirichlet = np.minimum(x, spec.l - x) <= eps * (1.0 + BOUNDARY_RTOL)
 
         for arr in (self.points, self.lam, self.triangles, self.tri_sign,
-                    self.tri_in_omega, self.edges, self.edge_dir,
-                    self.edge_inc_tilde, self.edge_inc_omega,
+                    self.tri_in_omega, self.edges, self.edge_dir, self.edge_inc_omega,
                     self.edge_in_omega, self.point_in_omega, self.dirichlet):
             arr.setflags(write=False)
 
@@ -343,32 +343,13 @@ class TriangleMesh:
     def triangle_area(self) -> float:
         return SQRT3 * self.spec.eps ** 2 / 4.0
 
-    def triangle_set(self, domain: str) -> np.ndarray:
-        """Boolean mask of triangles belonging to the requested domain."""
-        if domain == "omega":
-            return self.tri_in_omega
-        if domain == "omega_tilde":
-            return np.ones(self.n_triangles, dtype=bool)
-        raise LatticeError(f"unknown domain {domain!r}")
-
-    def edge_set(self, domain: str) -> np.ndarray:
-        """Boolean mask of bonds whose both endpoints lie in the domain."""
-        if domain == "omega":
-            return self.edge_in_omega
-        if domain == "omega_tilde":
-            return np.ones(self.n_edges, dtype=bool)
-        raise LatticeError(f"unknown domain {domain!r}")
-
-    def edge_incidence(self, domain: str) -> np.ndarray:
-        return self.edge_inc_omega if domain == "omega" else self.edge_inc_tilde
-
 
 def build_mesh(spec: LatticeSpec) -> TriangleMesh:
     """Construct the triangle mesh for a lattice specification."""
     return TriangleMesh(spec)
 
 
-def classify_edges(mesh: TriangleMesh, domain: str = "omega_tilde") -> np.ndarray:
+def classify_edges(mesh: TriangleMesh) -> np.ndarray:
     """Boundary-term weight of each bond: 0, 1/4 or 1/2.
 
     The weight is stated per ordered pair, matching the double-counting
@@ -377,6 +358,7 @@ def classify_edges(mesh: TriangleMesh, domain: str = "omega_tilde") -> np.ndarra
     on the side of exactly one triangle carries 1/4 W per ordered pair,
     and a stray bond belonging to no triangle carries 1/2 W.  Summed over
     an unordered bond the boundary term is therefore twice the weight.
-    Bonds outside the requested domain get weight 0.
+    Triangles count when they lie inside the specimen; bonds with an end
+    outside it get weight 0.
     """
-    return np.take(_EDGE_WEIGHTS, mesh.edge_incidence(domain)) * mesh.edge_set(domain)
+    return np.take(_EDGE_WEIGHTS, mesh.edge_inc_omega) * mesh.edge_in_omega

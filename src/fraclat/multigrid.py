@@ -74,7 +74,7 @@ class _BondLevel:
 
     def __init__(self, asm: Assembly):
         mesh = asm.mesh
-        dirs = mesh.edge_dir[mesh.edge_set(asm.domain)]  # the assembly's bonds
+        dirs = mesh.edge_dir[mesh.edge_in_omega]  # the assembly's bonds
         if np.any(dirs[1:] < dirs[:-1]):
             raise ValueError("the assembly's bonds are not grouped by direction")
         cuts = np.searchsorted(dirs, np.arange(4))

@@ -75,7 +75,12 @@ class SolveConfig:
     n_cleaved: int = 9
     rng_seed: int = 0  # read by nothing; kept while the benchmark still sets it
     mode: str = "chi"
-    domain: str = "omega"
+
+    def __post_init__(self):
+        for name in ("max_iters", "grad_tol", "n_cleaved"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # false for nan too
+                raise SolverError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -340,7 +345,7 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
     # iterate, and only the winner is broken down; in mode f the descent
     # differentiates the smoothed field cutoff and each start reports the
     # sharp one
-    asm = Assembly(mesh, pot, mode=config.mode, chi=chi, model=model, domain=config.domain)
+    asm = Assembly(mesh, pot, mode=config.mode, chi=chi, model=model)
     precond = StiffnessMultigrid(asm, *bc.masks(mesh))
     results = []
     best = None
@@ -419,7 +424,7 @@ def convergence_study(problem: CleavageProblem, eps_list,
         # while the assembly's workspace is alive, which keeps the peak down
         u_cr = recovery_sequence(build_u_cr(problem, p_mid), mesh)
         u_el = recovery_sequence(build_u_el(problem), mesh)
-        asm = Assembly(mesh, pot, mode=mode, chi=chi, model=model, domain=config.domain)
+        asm = Assembly(mesh, pot, mode=mode, chi=chi, model=model)
         e_cr = asm.breakdown(u_cr.values).total
         e_el = asm.breakdown(u_el.values).total
         del asm
@@ -504,7 +509,7 @@ def nonequicoercivity_demo(eps_list, theta: float, p: float, q: float,
     for eps in eps_list:
         mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=l, eta=eta))
         u = three_piece_rotation(mesh, theta, p, q)
-        bd = energy_rescaled(u, pot, mode="plain", domain="omega")
+        bd = energy_rescaled(u, pot, mode="plain")
         grad_norms = frobenius_norms(interpolate_gradients(u)[0])
         rows.append((eps, bd.total, gradient_l1_norm(mesh, grad_norms, mesh.tri_in_omega),
                      gradient_l1_norm(mesh, grad_norms, _band_triangles(mesh, p, q))))

@@ -65,7 +65,7 @@ def check_topology_against_oracle(mesh):
 
     The oracle uses coordinates only: bonds are the point pairs at distance
     eps, triangles the triples of mutually bonded points, and a bond's
-    incidence counts the triangles (of the domain) having it as a side.
+    incidence counts the triangles inside the specimen having it as a side.
     """
     eps, P = mesh.spec.eps, mesh.points
     near = np.abs(np.linalg.norm(P[:, None] - P[None], axis=-1) - eps) < 1e-6 * eps
@@ -87,10 +87,8 @@ def check_topology_against_oracle(mesh):
     in_omega = ((P[:, 0] >= x0 - tol) & (P[:, 0] <= x1 + tol)
                 & (P[:, 1] >= y0 - tol) & (P[:, 1] <= y1 + tol))
     assert np.array_equal(mesh.point_in_omega, in_omega)
-    for domain, kept in (("omega_tilde", tris),
-                         ("omega", {t for t in tris if in_omega[list(t)].all()})):
-        sides = Counter(side for t in kept for side in combinations(t, 2))
-        assert mesh.edge_incidence(domain).tolist() == [sides[k] for k in edge_keys]
-        assert mesh.triangle_set(domain).tolist() == [k in kept for k in tri_keys]
-        assert mesh.edge_set(domain).tolist() == [
-            domain == "omega_tilde" or bool(in_omega[list(k)].all()) for k in edge_keys]
+    kept = {t for t in tris if in_omega[list(t)].all()}
+    sides = Counter(side for t in kept for side in combinations(t, 2))
+    assert mesh.edge_inc_omega.tolist() == [sides[k] for k in edge_keys]
+    assert mesh.tri_in_omega.tolist() == [k in kept for k in tri_keys]
+    assert mesh.edge_in_omega.tolist() == [bool(in_omega[list(k)].all()) for k in edge_keys]

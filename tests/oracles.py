@@ -28,8 +28,7 @@ _OPPOSITE_VERTEX = (2, 1, 0)
 # ----------------------------------------------------------------------
 
 MESH_ARRAYS = ("points", "lam", "triangles", "tri_sign", "tri_in_omega", "edges",
-               "edge_dir", "edge_inc_tilde", "edge_inc_omega", "edge_in_omega",
-               "point_in_omega", "dirichlet")
+               "edge_dir", "edge_inc_omega", "edge_in_omega", "point_in_omega", "dirichlet")
 
 _TRIANGLE_CORNERS = (((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1)))
 _BOND_OFFSETS = (((1, 0), ((0, 0), (1, 0))),
@@ -89,17 +88,16 @@ def mesh_arrays(spec):
     out["tri_sign"] = np.concatenate([np.full(t.sum(), sign)
                                       for t, sign in zip(tri, (1.0, -1.0))])
     out["tri_in_omega"] = np.concatenate([t_om[t] for t, t_om in zip(tri, tri_omega)])
-    edges, dirs, inc_tilde, inc_omega = [], [], [], []
+    edges, dirs, inc_omega = [], [], []
+    up, down = tri_omega
     for d, (offset, (up_base, down_base)) in enumerate(_BOND_OFFSETS):
         ok = present & _shift(present, *offset)
         edges.append(np.column_stack([grid[ok], _shift(grid, *offset)[ok]]))
         dirs.append(np.full(ok.sum(), d, dtype=np.int8))
-        for (up, down), inc in ((tri, inc_tilde), (tri_omega, inc_omega)):
-            count = _shift(up, *up_base).astype(np.int8) + _shift(down, *down_base)
-            inc.append(count[ok])
+        count = _shift(up, *up_base).astype(np.int8) + _shift(down, *down_base)
+        inc_omega.append(count[ok])
     out["edges"] = np.vstack(edges)
     out["edge_dir"] = np.concatenate(dirs)
-    out["edge_inc_tilde"] = np.concatenate(inc_tilde)
     out["edge_inc_omega"] = np.concatenate(inc_omega)
     out["edge_in_omega"] = out["point_in_omega"][out["edges"]].all(axis=1)
     x = out["points"][:, 0]

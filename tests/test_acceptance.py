@@ -157,7 +157,7 @@ def test_06_recovery_sequence_convergence():
     for eps in LADDER:
         mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=0.25))
         u = recovery_sequence(build_u_cr(prob, p), mesh)
-        total = energy_rescaled(u, pot, mode="chi", chi=chi, domain="omega").total
+        total = energy_rescaled(u, pot, mode="chi", chi=chi).total
         gaps.append(abs(total - target) / target)
     # monotone in the weak sense: the crossed-bond count is an integer, so
     # exact ties across a halving are generic; the ladder must never climb

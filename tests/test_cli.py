@@ -75,6 +75,22 @@ def test_removed_lattice_keys_are_unknown(tmp_path, key):
         RunConfig.parse(cfg)
 
 
+def test_repeated_key_names_both_lines(tmp_path):
+    # the last assignment once won silently
+    cfg = write_config(tmp_path / "c.cfg", "load.a = 3\nmaterial.alpha = 1\nload.a = 0.5\n")
+    with pytest.raises(ConfigError, match=r"c\.cfg:3: key 'load\.a' repeats line 1$"):
+        RunConfig.parse(cfg)
+
+
+def test_solve_domain_is_an_unknown_key(tmp_path, capsys):
+    # the energy always lives on the specimen
+    cfg = write_config(tmp_path / "c.cfg", BASE + "solve.domain = omega\n"
+                       f"out.dir = {tmp_path}/out\n")
+    assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 1
+    assert "c.cfg:8: unknown key 'solve.domain'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", ["1/16,,1/32", "1/0", "1/2/3", "0", "-1/16", "1/", "nan"])
 def test_eps_list_rejects_bad_entries(tmp_path, text):
     cfg = RunConfig.parse(write_config(tmp_path / "c.cfg", f"solve.eps_list = {text}\n"))
@@ -232,7 +248,8 @@ def test_potential_family_and_alpha_are_checked(tmp_path, capsys, family, messag
 def test_non_finite_parameter_exits_before_any_output(tmp_path, capsys, key):
     # a nan alpha once ran to a convergence.csv of nan energies: every
     # comparison with nan is false, so no range check stopped it
-    cfg = write_config(tmp_path / "c.cfg", BASE + f"{key} = nan\nout.dir = {tmp_path}/out\n")
+    base = re.sub(rf"^{re.escape(key)} = .*\n", "", BASE, flags=re.M)  # a key is set once
+    cfg = write_config(tmp_path / "c.cfg", base + f"{key} = nan\nout.dir = {tmp_path}/out\n")
     assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 1
     assert f"{key.split('.')[1]} must be finite, got nan" in capsys.readouterr().err
     assert not (tmp_path / "out" / "convergence.csv").exists()
@@ -244,6 +261,29 @@ def test_rejected_config_leaves_no_output_directory(tmp_path, capsys):
     assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 1
     assert "alpha must be finite, got nan" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_max_iters_exits_before_any_output(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", BASE + "solve.max_iters = -3\n"
+                       f"out.dir = {tmp_path}/out\n")
+    assert main(["cleavage", "--config", cfg]) == 1
+    assert "max_iters must be finite and >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_dir_under_a_file_fails_before_the_study(tmp_path, capsys, monkeypatch):
+    # it once failed only on the first write, after the whole ladder had run;
+    # a directory that is not writable is refused the same way, which a
+    # test run as root cannot show
+    studies = []
+    monkeypatch.setattr(cli, "convergence_study", lambda *args, **kw: studies.append(args))
+    (tmp_path / "afile").write_text("")
+    cfg = write_config(tmp_path / "c.cfg", BASE + f"out.dir = {tmp_path}/afile/sub\n")
+    assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 1
+    assert f"{tmp_path}/afile is not a writable directory" in capsys.readouterr().err
+    assert studies == []
+    assert sorted(os.listdir(tmp_path)) == ["afile", "c.cfg"]
+    assert (tmp_path / "afile").read_text() == ""
 
 
 def test_unknown_recovery_kind_is_rejected(tmp_path, capsys):

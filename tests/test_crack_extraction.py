@@ -331,7 +331,7 @@ def test_broken_count_energy_bound(mesh32, pot_unit):
     prob = supercritical_problem(l=1.0)
     u = recovery_sequence(build_u_cr(prob, p=0.45), mesh32)
     classes = classify_broken(u)
-    total = energy_rescaled(u, pot_unit, domain="omega_tilde").total
+    total = energy_rescaled(u, pot_unit).total
     bound = broken_count_bound(total, mesh32.spec.eps, pot_unit)
     assert classes.count <= bound
 

@@ -128,23 +128,19 @@ def test_pair_sum_equals_triangle_plus_boundary(mesh16, pot):
     # independent oracle: recompute the raw pair sum straight from the bonds
     u = rand_u(mesh16, 0.05, 2)
     eps = mesh16.spec.eps
-    for domain in ("omega", "omega_tilde"):
-        bd = energy_rescaled(u, pot, domain=domain)
-        active = mesh16.edge_set(domain)
-        e = mesh16.edges[active]
-        y = mesh16.points + math.sqrt(eps) * u.values
-        r = np.linalg.norm(y[e[:, 1]] - y[e[:, 0]], axis=1) / eps
-        pair = eps * pot(r).sum()
-        assert bd.bulk + bd.boundary == pytest.approx(pair, rel=1e-11)
+    bd = energy_rescaled(u, pot)
+    e = mesh16.edges[mesh16.edge_in_omega]
+    y = mesh16.points + math.sqrt(eps) * u.values
+    r = np.linalg.norm(y[e[:, 1]] - y[e[:, 0]], axis=1) / eps
+    pair = eps * pot(r).sum()
+    assert bd.bulk + bd.boundary == pytest.approx(pair, rel=1e-11)
 
 
 def test_boundary_weights_complete_the_pair_sum(mesh16, pot):
     # per bond: incidence/2 (cell share) + 2x classify weight = 1
-    for domain in ("omega", "omega_tilde"):
-        inc = mesh16.edge_incidence(domain)
-        w = classify_edges(mesh16, domain)
-        active = mesh16.edge_set(domain)
-        assert np.all(np.abs(inc[active] / 2.0 + 2.0 * w[active] - 1.0) < 1e-15)
+    inc, w = mesh16.edge_inc_omega, classify_edges(mesh16)
+    active = mesh16.edge_in_omega
+    assert np.all(np.abs(inc[active] / 2.0 + 2.0 * w[active] - 1.0) < 1e-15)
 
 
 def test_translation_invariance(mesh16, pot):
@@ -216,7 +212,7 @@ def test_gradient_zero_at_rest(mesh16, pot):
 
 
 def in_field_band(u, model):
-    """Number of domain triangles with |F| in (T - FIELD_SMOOTH_BAND, T]."""
+    """Number of specimen triangles with |F| in (T - FIELD_SMOOTH_BAND, T]."""
     from fraclat.material import FIELD_SMOOTH_BAND
     _, F = interpolate_gradients(u)
     norm = np.linalg.norm(F[u.mesh.tri_in_omega], axis=(1, 2))
@@ -272,7 +268,7 @@ def test_gradient_l1_norm_affine(mesh16):
     u = Displacement(mesh16, mesh16.points @ G.T)
     grad_norms = frobenius_norms(interpolate_gradients(u)[0])
     val = gradient_l1_norm(mesh16, grad_norms, mesh16.tri_in_omega)
-    area = specimen_area(mesh16, "omega")
+    area = specimen_area(mesh16)
     assert val == pytest.approx(np.linalg.norm(G) * area, rel=1e-10)
 
 
@@ -281,7 +277,7 @@ def test_gradient_l1_norm_affine(mesh16):
 # ----------------------------------------------------------------------
 
 def flipped(mesh, u):
-    """Number of domain triangles with det F < 0 (the support of chi)."""
+    """Number of specimen triangles with det F < 0 (the support of chi)."""
     _, F = interpolate_gradients(u)
     Fd = F[mesh.tri_in_omega]
     return int(np.sum(Fd[:, 0, 0] * Fd[:, 1, 1] - Fd[:, 0, 1] * Fd[:, 1, 0] < 0.0))
@@ -298,7 +294,7 @@ def kernel_u(request, mesh16):
 def reference_energy(u, pot, mode, chi, model):
     """Energy assembled straight from the mesh arrays with the batched material laws."""
     mesh, eps = u.mesh, u.mesh.spec.eps
-    active = mesh.edge_set("omega")
+    active = mesh.edge_in_omega
     e = mesh.edges[active]
     z = mesh.vecs.as_array()[mesh.edge_dir[active]] \
         + (u.values[e[:, 1]] - u.values[e[:, 0]]) / math.sqrt(eps)
@@ -306,7 +302,7 @@ def reference_energy(u, pot, mode, chi, model):
     _, F = interpolate_gradients(u)
     Fd = F[mesh.tri_in_omega]
     total = eps * cell_energy(Fd, pot, mesh.vecs).sum() \
-        + eps * (2.0 * classify_edges(mesh, "omega")[active] * Wr).sum()
+        + eps * (2.0 * classify_edges(mesh)[active] * Wr).sum()
     if mode != "plain":
         total += eps * chi(Fd).sum()
     if mode == "f":
@@ -316,12 +312,12 @@ def reference_energy(u, pot, mode, chi, model):
 
 
 def reference_gradient(u, pot, mode, chi, model):
-    """Gradient scattered with np.add.at over every domain triangle."""
+    """Gradient scattered with np.add.at over every specimen triangle."""
     from fraclat.discrete_energy import _basis_inverse
     from fraclat.material import field_energy_smooth_grad
     mesh, eps = u.mesh, u.mesh.spec.eps
     out = np.zeros_like(u.values)
-    active = mesh.edge_set("omega")
+    active = mesh.edge_in_omega
     e = mesh.edges[active]
     z = mesh.vecs.as_array()[mesh.edge_dir[active]] \
         + (u.values[e[:, 1]] - u.values[e[:, 0]]) / math.sqrt(eps)
@@ -357,17 +353,15 @@ def assert_same_array(got, want):
 def test_assembly_arrays_equal_the_masked_forms(pot, chi, phi, inv_eps):
     mesh = build_mesh(LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=1.0, eta=0.25))
     V = mesh.vecs.as_array()
-    for domain in ("omega", "omega_tilde"):
-        bonds, tris = mesh.edge_set(domain), mesh.triangle_set(domain)
-        weights = np.where(bonds, np.choose(mesh.edge_incidence(domain), [0.5, 0.25, 0.0]),
-                           0.0)
-        assert_same_array(classify_edges(mesh, domain), weights)
-        asm = Assembly(mesh, pot, "chi", chi, domain=domain)
-        assert_same_array(asm._bond_ends, np.ascontiguousarray(mesh.edges[bonds].T))
-        assert_same_array(asm._bond_dirs, np.ascontiguousarray(V[mesh.edge_dir[bonds]].T))
-        assert_same_array(asm._bond_weight, 2.0 * weights[bonds])
-        assert_same_array(asm._corners, np.ascontiguousarray(mesh.triangles[tris].T))
-        assert_same_array(asm._den, mesh.tri_sign[tris] * mesh.spec.eps)
+    bonds, tris = mesh.edge_in_omega, mesh.tri_in_omega
+    weights = np.where(bonds, np.choose(mesh.edge_inc_omega, [0.5, 0.25, 0.0]), 0.0)
+    assert_same_array(classify_edges(mesh), weights)
+    asm = Assembly(mesh, pot, "chi", chi)
+    assert_same_array(asm._bond_ends, np.ascontiguousarray(mesh.edges[bonds].T))
+    assert_same_array(asm._bond_dirs, np.ascontiguousarray(V[mesh.edge_dir[bonds]].T))
+    assert_same_array(asm._bond_weight, 2.0 * weights[bonds])
+    assert_same_array(asm._corners, np.ascontiguousarray(mesh.triangles[tris].T))
+    assert_same_array(asm._den, mesh.tri_sign[tris] * mesh.spec.eps)
 
 
 @pytest.mark.parametrize("mode", ["plain", "chi", "f"])
@@ -495,15 +489,14 @@ def test_every_kernel_call_checks_the_pair_identity(mesh16, pot, chi, monkeypatc
     assert len(checks) == 4
 
 
-@pytest.mark.parametrize("domain", ["omega", "omega_tilde"])
 @pytest.mark.parametrize("mode", ["plain", "chi", "f"])
-def test_workspace_carries_no_state_between_calls(mesh16, pot, chi, magmodel, mode, domain):
+def test_workspace_carries_no_state_between_calls(mesh16, pot, chi, magmodel, mode):
     # many flipped triangles, none, then many again on other triangles
     configs = [rand_u(mesh16, 1.5, 31), rand_u(mesh16, 0.02, 30), rand_u(mesh16, 1.5, 36)]
     assert [flipped(mesh16, u) > 200 for u in configs] == [True, False, True]
 
     def build():
-        return Assembly(mesh16, pot, mode, chi, magmodel, domain)
+        return Assembly(mesh16, pot, mode, chi, magmodel)
 
     asm = build()
     returned = []
@@ -516,17 +509,15 @@ def test_workspace_carries_no_state_between_calls(mesh16, pot, chi, magmodel, mo
     assert all(np.array_equal(g, kept) for g, kept in returned)
 
 
-@pytest.mark.parametrize("domain", ["omega", "omega_tilde"])
 @pytest.mark.parametrize("mode", ["plain", "chi", "f"])
-def test_gradient_after_a_breakdown_equals_a_fresh_gradient(mesh16, pot, chi, magmodel,
-                                                           mode, domain):
+def test_gradient_after_a_breakdown_equals_a_fresh_gradient(mesh16, pot, chi, magmodel, mode):
     # the breakdown sizes the workspace for the energy alone; the gradient
     # call that follows needs the larger one
     u = rand_u(mesh16, 1.5, 31)
     assert flipped(mesh16, u) > 200
 
     def build():
-        return Assembly(mesh16, pot, mode, chi, magmodel, domain)
+        return Assembly(mesh16, pot, mode, chi, magmodel)
 
     asm = build()
     assert asm.breakdown(u.values) == build().breakdown(u.values)

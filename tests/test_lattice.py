@@ -135,10 +135,10 @@ def test_area_covering():
 
 
 def test_edge_incidence_structure(mesh16):
-    inc = mesh16.edge_inc_tilde
+    inc = mesh16.edge_inc_omega
     assert set(np.unique(inc)).issubset({0, 1, 2})
-    # deep-interior bonds always belong to two triangles
-    x0, x1, y0, y1 = mesh16.spec.omega_tilde
+    # bonds deep inside the specimen always belong to two specimen triangles
+    x0, x1, y0, y1 = mesh16.spec.omega
     mids = 0.5 * (mesh16.points[mesh16.edges[:, 0]] + mesh16.points[mesh16.edges[:, 1]])
     margin = 2.0 * mesh16.spec.eps
     deep = ((mids[:, 0] > x0 + margin) & (mids[:, 0] < x1 - margin)
@@ -201,15 +201,13 @@ def test_point_order_row_major(mesh16):
 
 
 def test_classify_edges_weights(mesh16):
-    w = classify_edges(mesh16, "omega_tilde")
-    inc = mesh16.edge_inc_tilde
-    assert np.all(w[inc == 2] == 0.0)
-    assert np.all(w[inc == 1] == 0.25)
-    assert np.all(w[inc == 0] == 0.5)
-    # restricting to the specimen zeroes bonds sticking into the margin
-    w_om = classify_edges(mesh16, "omega")
-    outside = ~mesh16.edge_in_omega
-    assert np.all(w_om[outside] == 0.0)
+    w = classify_edges(mesh16)
+    inc, inside = mesh16.edge_inc_omega, mesh16.edge_in_omega
+    assert np.all(w[inside & (inc == 2)] == 0.0)
+    assert np.all(w[inside & (inc == 1)] == 0.25)
+    assert np.all(w[inside & (inc == 0)] == 0.5)
+    # bonds sticking into the margin carry no weight
+    assert np.all(w[~inside] == 0.0)
 
 
 def test_rotation_matrix_orthogonal():

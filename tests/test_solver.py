@@ -37,7 +37,7 @@ def test_recovery_elastic_reproduces_gradient(mesh32, pot_unit):
     gu, _ = interpolate_gradients(u)
     G = np.array([[prob.a, 0.0], [0.0, -prob.a / 3.0]])
     assert np.abs(gu - G).max() < 1e-11
-    total = energy_rescaled(u, pot_unit, domain="omega").total
+    total = energy_rescaled(u, pot_unit).total
     assert total == pytest.approx(elastic_branch_energy(prob), rel=0.07)
 
 
@@ -48,7 +48,7 @@ def test_recovery_crack_gap_shrinks(pot_unit, chi):
     for eps in (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0):
         mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=0.25))
         u = recovery_sequence(build_u_cr(prob, p=0.45), mesh)
-        total = energy_rescaled(u, pot_unit, mode="chi", chi=chi, domain="omega").total
+        total = energy_rescaled(u, pot_unit, mode="chi", chi=chi).total
         gaps.append(abs(total - target) / target)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] < 0.05
@@ -212,8 +212,7 @@ def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, c
     real = Assembly.value_and_grad
 
     def on_fresh_assembly(self, x):
-        return real(Assembly(self.mesh, self.pot, self.mode, self.chi, self.model,
-                             self.domain), x)
+        return real(Assembly(self.mesh, self.pot, self.mode, self.chi, self.model), x)
 
     monkeypatch.setattr(Assembly, "value_and_grad", on_fresh_assembly)
     fresh, fresh_finals = run()
@@ -307,7 +306,7 @@ def test_minimize_never_worse_than_cleaved_inits(mesh16, pot_unit, chi):
         u0 = recovery_sequence(build_u_cr(prob, float(p)), mesh16)
         from fraclat.discrete_energy import apply_bc
         u0 = apply_bc(u0, bc_cleavage(prob.a, prob.l))
-        e0 = energy_rescaled(u0, pot_unit, mode="chi", chi=chi, domain="omega").total
+        e0 = energy_rescaled(u0, pot_unit, mode="chi", chi=chi).total
         assert res.breakdown.total <= e0 + 1e-12
 
 
@@ -364,6 +363,22 @@ def test_empty_multistart_has_no_starting_point(mesh16, pot_unit, chi, multistar
     cfg = SolveConfig(multistart=multistart, n_cleaved=n_cleaved)
     with pytest.raises(SolverError, match="no starting point"):
         minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", -3), ("grad_tol", -1e-6), ("grad_tol", math.nan), ("grad_tol", math.inf),
+    ("n_cleaved", -2)])
+def test_solve_config_rejects_bad_values(field, value):
+    # each was once accepted: max_iters = -3 reported every start with
+    # iters = -3, grad_tol = nan ran every start unconverged to max_iters
+    # and n_cleaved = -2 dropped the cleaved starts
+    with pytest.raises(SolverError, match=rf"^{field} must be finite and >= 0, got {value}$"):
+        SolveConfig(**{field: value})
+
+
+def test_solve_config_accepts_zero_iterations_and_no_cleaved_starts():
+    cfg = SolveConfig(max_iters=0, grad_tol=0.0, n_cleaved=0)
+    assert (cfg.max_iters, cfg.grad_tol, cfg.n_cleaved) == (0, 0.0, 0)
 
 
 def test_starts_are_built_one_at_a_time(mesh16, pot_unit, chi, monkeypatch):
@@ -471,9 +486,9 @@ def test_convergence_study_rows(pot_unit, chi):
         assert r.crack_angle_deg < 1.0
 
 
-@pytest.mark.parametrize("mode, domain", [("chi", "omega"), ("f", "omega_tilde")])
+@pytest.mark.parametrize("mode", ["chi", "f"])
 def test_convergence_study_rows_are_the_per_sample_evaluations(pot_unit, chi, magmodel,
-                                                               monkeypatch, mode, domain):
+                                                               monkeypatch, mode):
     prob = problem_with(1.5)
     ladder = [1.0 / 16.0, 1.0 / 32.0]
     p = float(cleaved_stations(prob, 1)[0])
@@ -485,10 +500,10 @@ def test_convergence_study_rows_are_the_per_sample_evaluations(pot_unit, chi, ma
         n, est, ang = _crack_summary(u_cr, prob.beta)
         expected += [
             ConvergenceRow(eps, f"{mode}/recovery-crack", energy_rescaled(
-                u_cr, pot_unit, mode, chi, magmodel, domain).total,
+                u_cr, pot_unit, mode, chi, magmodel).total,
                 crack_branch_energy(prob), n, est, ang).row(),
             ConvergenceRow(eps, f"{mode}/recovery-elastic", energy_rescaled(
-                u_el, pot_unit, mode, chi, magmodel, domain).total,
+                u_el, pot_unit, mode, chi, magmodel).total,
                 elastic_branch_energy(prob)).row()]
 
     # one assembly per rung; no assembly lives while a sample is built or
@@ -522,7 +537,7 @@ def test_convergence_study_rows_are_the_per_sample_evaluations(pot_unit, chi, ma
     monkeypatch.setattr(solver, "build_modified", tracked_build)
     monkeypatch.setattr(solver, "_crack_summary", summary)
     monkeypatch.setattr(solver, "recovery_sequence", tracked_sample)
-    rows = convergence_study(prob, ladder, config=SolveConfig(mode=mode, domain=domain),
+    rows = convergence_study(prob, ladder, config=SolveConfig(mode=mode),
                              pot=pot_unit, chi=chi, model=magmodel, with_minimize=False)
     assert inits == ladder
     # repr keeps every bit and makes nan equal to nan
