@@ -82,8 +82,9 @@ def classify_broken(u: Displacement) -> BrokenClassification:
     # side d's image is v_d + D_d / (sign sqrt(eps)) with D_2 = D_1 - D_0;
     # the slot of D_2 takes the corner values until it is written
     sides = np.empty((3, 2, mesh.n_triangles))
-    corner_differences(u.values, [np.ascontiguousarray(mesh.triangles[:, k]) for k in range(3)],
-                       sides, sides[2, 0], sides[2, 1])
+    corner_differences(np.ascontiguousarray(u.values.T),
+                       [np.ascontiguousarray(mesh.triangles[:, k]) for k in range(3)],
+                       sides[:2], sides[2])
     np.subtract(sides[1], sides[0], out=sides[2])
     sides /= mesh.tri_sign * math.sqrt(mesh.spec.eps)
     sides += mesh.vecs.as_array()[:, :, None]

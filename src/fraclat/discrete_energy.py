@@ -49,13 +49,18 @@ from typing import Callable
 import numpy as np
 
 from .lattice import SQRT3, TriangleMesh, classify_edges
-from .material import (MagnetizationModel, PairPotential, PenaltyChi, field_energy,
-                       field_energy_smooth, field_energy_smooth_grad,
+from .material import (MagnetizationModel, PairPotential, PenaltyChi, field_energy_rows,
                        magnetization_first)
 
 MODES = ("plain", "chi", "f", "total-magnetic")
 
 _CONSISTENCY_RTOL = 1e-12
+
+# bonds or triangles per block of the energy kernel.  A scratch row is then
+# 64 KiB, under glibc's default mmap threshold of 128 KiB, and at eps = 1/64
+# on the l = 2 bar a gradient workspace, streams included, is 3.5 MB: less
+# than the 3.7 MB of the one full-length pool it replaced
+BLOCK = 1 << 13
 
 
 class DiscreteEnergyError(RuntimeError):
@@ -106,29 +111,30 @@ def _basis_inverse(mesh: TriangleMesh) -> np.ndarray:
     return np.linalg.inv(np.column_stack([mesh.vecs.v1, mesh.vecs.v2]))
 
 
-def corner_differences(values: np.ndarray, corners, D: np.ndarray,
-                       c0: np.ndarray | None = None, ck: np.ndarray | None = None):
+def corner_differences(xc: np.ndarray, corners, D: np.ndarray, c0: np.ndarray | None = None):
     """Write ``D[k, i]``, component i of the edge from corner 0 to corner k + 1, k = 0, 1.
 
-    ``corners`` holds the M triangles' three vertex index arrays; the take
-    buffers ``c0`` and ``ck`` (M,) are allocated when not given.
+    ``xc`` holds the point values component-major, (2, N), and ``corners``
+    the M triangles' three vertex index arrays; each corner's two
+    components are taken at once.  The take buffer ``c0`` (2, M) is
+    allocated when not given.
     """
     t0, t1, t2 = corners
-    for i in range(2):
-        c = np.ascontiguousarray(values[:, i])
-        first = np.take(c, t0, out=c0, mode="clip")
-        np.subtract(np.take(c, t1, out=ck, mode="clip"), first, out=D[0, i])
-        np.subtract(np.take(c, t2, out=ck, mode="clip"), first, out=D[1, i])
+    first = xc.take(t0, axis=1, out=c0, mode="clip")
+    xc.take(t1, axis=1, out=D[0], mode="clip")
+    xc.take(t2, axis=1, out=D[1], mode="clip")
+    D -= first
 
 
-def _grad_u(values: np.ndarray, corners, minv: np.ndarray, den: np.ndarray, D: np.ndarray,
-            G: np.ndarray, c0: np.ndarray | None = None, ck: np.ndarray | None = None):
+def _grad_u(xc: np.ndarray, corners, minv: np.ndarray, den: np.ndarray, D: np.ndarray,
+            G: np.ndarray, c0: np.ndarray | None = None):
     """Write component-major grad u, ``G[j, i, t] = d u_i / d x_j`` on triangle t.
 
-    ``G = minv.T @ D / den`` with ``den`` the orientation signs times eps;
-    ``D`` and ``G`` are distinct contiguous (2, 2, M) buffers.
+    ``xc`` and ``c0`` are as in :func:`corner_differences`.  ``G = minv.T @
+    D / den`` with ``den`` the orientation signs times eps; ``D`` and ``G``
+    are distinct contiguous (2, 2, M) buffers.
     """
-    corner_differences(values, corners, D, c0, ck)
+    corner_differences(xc, corners, D, c0)
     np.matmul(minv.T, D.reshape(2, -1), out=G.reshape(2, -1))
     G /= den
 
@@ -146,10 +152,11 @@ def interpolate_gradients(u: Displacement, tri=slice(None)) -> tuple[np.ndarray,
     triangles = mesh.triangles[tri]
     D, G = np.empty((2, 2, len(triangles))), np.empty((2, 2, len(triangles)))
     # one contiguous index array per corner: np.take copies a strided index
-    # array on every call; two rows of G take the corner values until the
-    # product overwrites them
-    _grad_u(u.values, [np.ascontiguousarray(triangles[:, k]) for k in range(3)],
-            _basis_inverse(mesh), mesh.tri_sign[tri] * eps, D, G, G[0, 0], G[0, 1])
+    # array on every call; the first row of G takes the corner values until
+    # the product overwrites it
+    _grad_u(np.ascontiguousarray(u.values.T),
+            [np.ascontiguousarray(triangles[:, k]) for k in range(3)],
+            _basis_inverse(mesh), mesh.tri_sign[tri] * eps, D, G, G[0])
     # F is written over the spent edge differences; adding the whole
     # identity turns an off-diagonal -0.0 into +0.0
     F = np.multiply(G, np.sqrt(eps), out=D)
@@ -244,64 +251,115 @@ def _check_pair_identity(pair_total: float, bulk: float, boundary: float):
             f"{pair_total} vs {bulk} + {boundary}")
 
 
-def _chain_to_edges(dPhi_dF: np.ndarray, Minv: np.ndarray, pref: np.ndarray) -> np.ndarray:
+def _chain_to_edges(dPhi_dF: np.ndarray, Minv: np.ndarray, pref: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """d Phi(F) / d(edge differences); column c acts on vertex c+1.
 
     Chain rule through ``F = Id + sqrt(eps) / (sign eps) [d1 d2] Minv``;
     the per-triangle factor ``pref`` is that derivative times the
-    coefficient of the term.
+    coefficient of the term.  ``out``, if given, is a contiguous buffer
+    shaped like ``dPhi_dF`` that receives the result.
     """
-    P = (dPhi_dF.reshape(-1, 2) @ Minv.T).reshape(dPhi_dF.shape)
-    return P * pref[:, None, None]
+    P = np.matmul(dPhi_dF.reshape(-1, 2), Minv.T,
+                  out=None if out is None else out.reshape(-1, 2)).reshape(dPhi_dF.shape)
+    P *= pref[:, None, None]
+    return P
+
+
+def _put_term(weights, P: np.ndarray, at: int, stride: int):
+    """Write one triangle term into the weight streams.
+
+    The rows from ``at``, ``at + stride`` and ``at + 2 stride`` on take the
+    derivatives with respect to corners 1, 2 and 0 of the ``len(P)``
+    triangles; corner 0 takes minus the sum of the other two.
+    """
+    k = len(P)
+    for i, w in enumerate(weights):
+        p1, p2, p0 = (w[at + j * stride:at + j * stride + k] for j in range(3))
+        np.copyto(p1, P[:, i, 0])
+        np.copyto(p2, P[:, i, 1])
+        np.add(p1, p2, out=p0)
+        np.negative(p0, out=p0)
 
 
 class _Workspace:
     """Buffers that let one :class:`Assembly` evaluate without allocating.
 
-    The evaluation passes every view as an ``out=`` argument.  A
-    breakdown-sized workspace (``with_grad=False``) holds what an energy
-    evaluation writes; a gradient-sized one adds the ``bincount`` index
-    and weight streams and the positive-stretch mask.
+    The kernel walks the bonds, then the triangles, in blocks of at most
+    ``BLOCK`` and passes every view as an ``out=`` argument.  Only what is
+    summed or scattered is full-length:
 
-    ``xc``, ``z``, ``r`` and the masks live through a whole evaluation,
-    and the bond half ``[e1, e0]`` of the index stream is written once.
-    Everything else shares one float pool that the phases use in turn: the
-    bond phase's scratch; then F (always the first 4M entries) with either
-    the edge differences or the three ``(3, M)`` stretch arrays, whose
-    spent rows also hold the cell sums, det F and the penalty values; last
-    the two gradient weight streams, written over F once the penalty terms
-    hold their own copies.
+    * ``wr``, the per-bond W, scaled in place by the boundary weights once
+      the pair sum is taken;
+    * ``cells``, ``chi_vals`` and ``field_vals``, one value per triangle
+      (zero off the penalty's support);
+    * with a gradient, the ``bincount`` index and weight streams.
+
+    Everything else is one block of ``block`` bonds or triangles long:
+    the bond vectors ``z``, their take buffer ``z0`` and the stretches
+    ``r``; the edge differences ``D``, the deformation gradients ``G``
+    (whose first two rows also take the corner values), the stretch arrays
+    ``a``, ``b`` and ``t`` (whose spent rows hold det F) and the two masks:
+    22 rows of floats.  The field modes add a row-major (k, 2, 2)
+    ``stack``, F for the magnetization or d Phi / dF for the chain rule,
+    and mode ``f`` its product ``P`` and the ``field`` and ``field_masks``
+    work rows of :func:`~fraclat.material.field_energy_rows`.  The buffers
+    are flat or row-major, so that the views of a short last block are
+    contiguous.
+
+    A stream reads ``[bond e1 | bond e0 | penalty (3 cap) | field (3 M)]``,
+    each triangle term in three parts for corners 1, 2 and 0.  The penalty
+    region has room for ``cap`` triangles and the field region exists only
+    in mode ``f``.  The index stream's bond and field parts are written
+    once.  The penalty support is known only after the last block, so a
+    region it does not fill keeps zero weights: adding +0.0 leaves every
+    ``bincount`` sum as it is.  :meth:`reserve` adds the streams on the
+    first gradient and grows them when the support outgrows ``cap``.
 
     Takes into a view use ``mode="clip"`` (every index is in range):
     under the default mode numpy fills a temporary copy of ``out``.
     """
 
-    def __init__(self, asm: Assembly, with_grad: bool):
+    def __init__(self, asm: Assembly):
         n, E, M = asm.mesh.n_points, asm._bond_ends.shape[1], len(asm._den)
-        self.with_grad = with_grad
-        self.xc, self.z, self.r = np.empty((2, n)), np.empty((2, E)), np.empty(E)
-        self.flip = np.empty(M, dtype=bool)
-        size = max(2 * E, 13 * M)
-        if with_grad:
-            k = (asm.mode != "plain") + (asm.mode == "f")  # triangle terms with a gradient
-            L = 2 * E + 3 * k * M  # longest index and weight streams
-            self.pos = np.empty(E, dtype=bool)
-            self.index = np.empty(L, dtype=np.intp)
-            self.index[:2 * E] = asm._bond_ends[::-1].ravel()
-            size = max(size, 2 * L)
-        pool = np.empty(size)
-        self.z0 = pool[:2 * E].reshape(2, E)
-        self.rr = self.wr = pool[:E]
-        self.wr_bd = pool[E:2 * E]
-        self.G = pool[:4 * M].reshape(2, 2, M)
-        self.D = pool[4 * M:8 * M].reshape(2, 2, M)
-        self.c0, self.ck = pool[8 * M:9 * M], pool[9 * M:10 * M]
-        self.a, self.b, self.t = (pool[j * M:(j + 3) * M].reshape(3, M) for j in (4, 7, 10))
-        self.cells, self.det, self.det2 = self.t
-        self.chi_vals = self.a[0]
-        if with_grad:
-            self.wx, self.wy = pool[:L], pool[L:2 * L]
-            self.coef = self.wx[E:2 * E]  # the -gx slot, written after gx and gy
+        self.block = B = min(BLOCK, max(E, M, 1))
+        self.xc = np.empty((2, n))
+        self.wr, self.cells = np.empty(E), np.empty(M)
+        self.chi_vals = np.empty(M) if asm.mode != "plain" else None
+        self.field_vals = np.empty(M) if asm.mode in ("f", "total-magnetic") else None
+        self.z, self.z0, self.r = np.empty(2 * B), np.empty(2 * B), np.empty(B)
+        self.pos, self.flip = np.empty(B, dtype=bool), np.empty(B, dtype=bool)
+        self.D, self.G = np.empty(4 * B), np.empty(4 * B)
+        self.a, self.b, self.t = np.empty(3 * B), np.empty(3 * B), np.empty(3 * B)
+        if asm.mode in ("f", "total-magnetic"):
+            self.stack = np.empty(4 * B)
+        if asm.mode == "f":
+            self.P = np.empty(4 * B)
+            self.field, self.field_masks = np.empty((11, B)), np.empty((4, B), dtype=bool)
+        self.cap = 0
+        self.index = self.wx = self.wy = None
+
+    def reserve(self, asm: Assembly, m: int):
+        """Give the streams room for ``m`` penalty triangles.
+
+        Growing keeps the bond and field weights already written.
+        """
+        if self.index is not None and m <= self.cap:
+            return
+        E = asm._bond_ends.shape[1]
+        cap = m if self.index is None else max(m, 2 * self.cap)
+        field = slice(2 * E + 3 * cap, None)  # empty but in mode f
+        L = field.start + (3 * len(asm._den) if asm.mode == "f" else 0)
+        index = np.zeros(L, dtype=np.intp)
+        index[:2 * E] = asm._bond_ends[::-1].ravel()
+        if asm.mode == "f":
+            index[field] = asm._corners[[1, 2, 0]].ravel()
+        wx, wy = np.empty(L), np.empty(L)
+        if self.index is not None:
+            for new, old in ((wx, self.wx), (wy, self.wy)):
+                new[:2 * E] = old[:2 * E]
+                new[field] = old[2 * E + 3 * self.cap:]
+        self.cap, self.index, self.wx, self.wy = cap, index, wx, wy
 
 
 class Assembly:
@@ -310,7 +368,9 @@ class Assembly:
     Built once per (mesh, potential, mode, penalty, field model) and
     evaluated on raw ``(N, 2)`` displacement arrays.  The energy lives on
     the specimen: its bonds have both ends in Omega and its triangles lie
-    inside Omega.  Every evaluation computes the bond stretches and the
+    inside Omega.  The bonds are grouped by lattice direction, which the
+    constructor checks, so each bond's lattice vector is that of its
+    group.  Every evaluation computes the bond stretches and the
     per-triangle deformation gradients once, checks the raw pair sum
     against the cell sum plus the boundary term to 1e-12 relative,
     evaluates the orientation penalty only on triangles with det F < 0 (it
@@ -319,12 +379,15 @@ class Assembly:
     In mode ``f`` :meth:`breakdown` evaluates the sharp field cutoff and
     :meth:`value_and_grad` the smoothed one, the only form with a gradient.
 
-    The first evaluation allocates a private workspace that every later
+    One kernel serves both methods.  It walks the bonds and then the
+    triangles in blocks of ``BLOCK``; only the per-bond and per-triangle
+    values that are summed, and the gradient's ``bincount`` streams, are
+    full-length, and each sum and each ``bincount`` runs once over its
+    whole array, so the block length changes no bit of the result.  The
+    first evaluation allocates a private workspace that every later
     evaluation reuses, so a descent allocates no large temporaries after
-    its first step.  A :meth:`breakdown` sizes it for the energy alone;
-    the first :meth:`value_and_grad` replaces that with one that also
-    holds the gradient streams.  Evaluations of one assembly must not run
-    concurrently.
+    its first step; the first :meth:`value_and_grad` adds the streams to
+    it.  Evaluations of one assembly must not run concurrently.
     """
 
     def __init__(self, mesh: TriangleMesh, pot: PairPotential, mode: str = "plain",
@@ -346,15 +409,18 @@ class Assembly:
         self._vecs = mesh.vecs.as_array()
         edge_mask = mesh.edge_in_omega
         self._bond_ends = np.compress(edge_mask, mesh.edges.T, axis=1)  # (2, E)
-        self._bond_dirs = np.take(self._vecs.T, np.compress(edge_mask, mesh.edge_dir),
-                                  axis=1)  # (2, E)
+        dirs = np.compress(edge_mask, mesh.edge_dir)
+        if np.any(dirs[1:] < dirs[:-1]):
+            raise DiscreteEnergyError("the specimen's bonds are not grouped by direction")
+        cuts = np.searchsorted(dirs, np.arange(4))
+        self._bond_groups = [slice(cuts[d], cuts[d + 1]) for d in range(3)]  # by direction
         self._bond_weight = 2.0 * np.compress(edge_mask, classify_edges(mesh))
 
         tri_mask = mesh.tri_in_omega
         self._corners = np.compress(tri_mask, mesh.triangles.T, axis=1)  # (3, M)
         self._den = np.compress(tri_mask, mesh.tri_sign) * eps
         self._minv = _basis_inverse(mesh)
-        self._ws = None  # sized by the first evaluation
+        self._ws = None  # made by the first evaluation
 
     # chain-rule factors of the per-triangle terms, coefficient included;
     # only the gradient needs them
@@ -377,13 +443,6 @@ class Assembly:
         bd, grad = self._evaluate(x, True)
         return bd.total, grad
 
-    def _workspace(self, with_grad: bool) -> _Workspace:
-        """The workspace, sized for at least what this evaluation computes."""
-        if self._ws is None or (with_grad and not self._ws.with_grad):
-            self._ws = None  # release a breakdown-sized workspace before its successor
-            self._ws = _Workspace(self, with_grad)
-        return self._ws
-
     def _evaluate(self, x: np.ndarray, with_grad: bool):
         n = self.mesh.n_points
         x = np.asarray(x, dtype=float)
@@ -391,107 +450,143 @@ class Assembly:
             raise DiscreteEnergyError(f"expected values of shape {(n, 2)}, got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise DiscreteEnergyError("displacement contains non-finite entries")
-        eps, pot, chi, model = self.eps, self.pot, self.chi, self.model
-        ws = self._workspace(with_grad)
+        eps, pot = self.eps, self.pot
+        if self._ws is None:
+            self._ws = _Workspace(self)
+        ws = self._ws
+        if with_grad:
+            ws.reserve(self, 0)
         xc = ws.xc
         xc[...] = x.T
 
         # bonds: deformed bond vectors z (in units of eps) and stretches r = |z|
         e0, e1 = self._bond_ends
-        z = np.take(xc, e1, axis=1, out=ws.z, mode="clip")
-        z -= np.take(xc, e0, axis=1, out=ws.z0, mode="clip")
-        z /= self._sqrt_eps
-        z += self._bond_dirs
-        zx, zy = z
-        r = np.multiply(zx, zx, out=ws.r)
-        r += np.multiply(zy, zy, out=ws.rr)
-        np.sqrt(r, out=r)
-        Wr = pot(r, out=ws.wr)
-        pair_total = eps * float(Wr.sum())
-        boundary = eps * float(np.multiply(self._bond_weight, Wr, out=ws.wr_bd).sum())
+        E, B = len(e0), ws.block
+        for lo in range(0, E, B):
+            blk = slice(lo, min(lo + B, E))
+            k = blk.stop - lo
+            z, z0, r = ws.z[:2 * k].reshape(2, k), ws.z0[:2 * k].reshape(2, k), ws.r[:k]
+            xc.take(e1[blk], axis=1, out=z, mode="clip")
+            z -= xc.take(e0[blk], axis=1, out=z0, mode="clip")
+            z /= self._sqrt_eps
+            for d, group in enumerate(self._bond_groups):  # add each bond's lattice vector
+                part = slice(max(group.start, lo) - lo, min(group.stop, blk.stop) - lo)
+                if part.start < part.stop:
+                    z[:, part] += self._vecs[d][:, None]
+            zx, zy = z
+            np.multiply(zx, zx, out=r)
+            r += np.multiply(zy, zy, out=z0[0])
+            np.sqrt(r, out=r)
+            pot(r, out=ws.wr[blk])
+            if with_grad:
+                # the -gx slot holds the coefficient until the gx part is written
+                gx, gy = ws.wx[blk], ws.wy[blk]
+                coef = pot.deriv(r, out=ws.wx[E + lo:E + blk.stop])
+                coef *= self._sqrt_eps
+                np.divide(coef, r, out=coef, where=np.greater(r, 0.0, out=ws.pos[:k]))
+                np.multiply(coef, zx, out=gx)
+                np.multiply(coef, zy, out=gy)
+                np.negative(gx, out=ws.wx[E + lo:E + blk.stop])
+                np.negative(gy, out=ws.wy[E + lo:E + blk.stop])
+        pair_total = eps * float(ws.wr.sum())
+        ws.wr *= self._bond_weight
+        boundary = eps * float(ws.wr.sum())
 
-        # triangles: F[j, i] holds the component F_ij on every triangle, and
-        # the cell energy is half the pair energy of the sides |F v|
-        _grad_u(xc.T, self._corners, self._minv, self._den, ws.D, ws.G, ws.c0, ws.ck)
-        F = ws.G
-        F *= self._sqrt_eps
-        F[0, 0] += 1.0
-        F[1, 1] += 1.0
-        (F00, F10), (F01, F11) = F
-        V = self._vecs
-        a = np.multiply.outer(V[:, 0], F00, out=ws.a)  # (3, M): F v for each bond direction
-        a += np.multiply.outer(V[:, 1], F01, out=ws.t)
-        b = np.multiply.outer(V[:, 0], F10, out=ws.b)
-        b += np.multiply.outer(V[:, 1], F11, out=ws.t)
-        a *= a
-        b *= b
-        a += b
-        W = pot(np.sqrt(a, out=a), out=ws.b)  # b is spent
-        cells = np.add(W[0], W[1], out=ws.cells)
-        cells += W[2]
-        cells *= 0.5
-        bulk = eps * float(cells.sum())
+        # triangles: F[j, i] holds the component F_ij on every triangle of a
+        # block, and the cell energy is half the pair energy of the sides |F v|
+        chi_terms = []  # (triangle indices, d Phi / d edge differences)
+        M = len(self._den)
+        for lo in range(0, M, B):
+            self._triangle_block(ws, slice(lo, min(lo + B, M)), with_grad, chi_terms)
+        bulk = eps * float(ws.cells.sum())
         _check_pair_identity(pair_total, bulk, boundary)
-
         penalty = fieldval = 0.0
-        tri_terms = []  # (triangle selection, d Phi / d edge differences)
         if self.mode != "plain":
-            det = np.multiply(F00, F11, out=ws.det)
-            det -= np.multiply(F01, F10, out=ws.det2)
-            support = np.flatnonzero(np.less(det, 0.0, out=ws.flip))
-            # contiguous stacks: matmul rounds a strided one differently
-            Fs = np.ascontiguousarray(F.transpose(2, 1, 0)[support])
-            chi_vals = ws.chi_vals
-            chi_vals.fill(0.0)
-            chi_vals[support] = chi(Fs)
-            penalty = eps * float(chi_vals.sum())
-            if with_grad and len(support):
-                tri_terms.append((support, _chain_to_edges(
-                    chi.grad(Fs), self._minv, self._pref_chi[support])))
-        if self.mode in ("f", "total-magnetic"):
-            Fd = np.ascontiguousarray(F.transpose(2, 1, 0))
-            if self.mode == "total-magnetic":
-                fieldval = -model.kappa * SQRT3 * eps / 4.0 \
-                    * float(magnetization_first(Fd).sum())
-            else:
-                fvals = field_energy_smooth(Fd, model) if with_grad \
-                    else field_energy(Fd, model)
-                fieldval = SQRT3 * eps / 4.0 * float(np.sum(fvals))
-                if with_grad:
-                    tri_terms.append((slice(None), _chain_to_edges(
-                        field_energy_smooth_grad(Fd, model), self._minv,
-                        self._pref_field)))
+            penalty = eps * float(ws.chi_vals.sum())
+        if self.mode == "total-magnetic":
+            fieldval = -self.model.kappa * SQRT3 * eps / 4.0 * float(ws.field_vals.sum())
+        elif self.mode == "f":
+            fieldval = SQRT3 * eps / 4.0 * float(np.sum(ws.field_vals))
         bd = EnergyBreakdown(mode=self.mode, bulk=bulk, boundary=boundary,
                              penalty=penalty, field=fieldval)
         if not with_grad:
             return bd, None
 
-        # gradient: one bincount per component over the index stream, whose
-        # bond half [e1, e0] is already in place; F is spent from here on
-        coef = pot.deriv(r, out=ws.coef)
-        coef *= self._sqrt_eps
-        np.divide(coef, r, out=coef, where=np.greater(r, 0.0, out=ws.pos))
-        E = len(r)
-        index, wx, wy = ws.index, ws.wx, ws.wy
-        np.multiply(coef, zx, out=wx[:E])
-        np.multiply(coef, zy, out=wy[:E])
-        np.negative(wx[:E], out=wx[E:2 * E])
-        np.negative(wy[:E], out=wy[E:2 * E])
-        t0, t1, t2 = self._corners
+        # gradient: one bincount per component over the whole streams; the
+        # penalty terms go in now that their number is known
+        m = sum(len(sel) for sel, _ in chi_terms)
+        ws.reserve(self, m)
         o = 2 * E
-        for sel, P in tri_terms:
-            m = len(P)
-            index[o:o + 3 * m].reshape(3, m)[:] = t1[sel], t2[sel], t0[sel]
-            for i, w in enumerate((wx, wy)):
-                part = w[o:o + 3 * m].reshape(3, m)
-                part[0], part[1] = P[:, i, 0], P[:, i, 1]
-                np.add(part[0], part[1], out=part[2])
-                np.negative(part[2], out=part[2])
-            o += 3 * m
+        t0, t1, t2 = self._corners
+        for sel, P in chi_terms:
+            k = len(sel)
+            ws.index[o:o + k] = t1[sel]
+            ws.index[o + m:o + m + k] = t2[sel]
+            ws.index[o + 2 * m:o + 2 * m + k] = t0[sel]
+            _put_term((ws.wx, ws.wy), P, o, m)
+            o += k
+        pad = slice(2 * E + 3 * m, 2 * E + 3 * ws.cap)
+        ws.wx[pad] = 0.0
+        ws.wy[pad] = 0.0
         grad = np.empty((n, 2))
-        grad[:, 0] = np.bincount(index[:o], wx[:o], minlength=n)
-        grad[:, 1] = np.bincount(index[:o], wy[:o], minlength=n)
+        grad[:, 0] = np.bincount(ws.index, ws.wx, minlength=n)
+        grad[:, 1] = np.bincount(ws.index, ws.wy, minlength=n)
         return bd, grad
+
+    def _triangle_block(self, ws: _Workspace, blk: slice, with_grad: bool, chi_terms: list):
+        """Cell, penalty and field values of the triangles ``blk``, and with a
+        gradient their field weights; the penalty's gradient terms are
+        appended to ``chi_terms``."""
+        k = blk.stop - blk.start
+        D, G = ws.D[:4 * k].reshape(2, 2, k), ws.G[:4 * k].reshape(2, 2, k)
+        corners = [c[blk] for c in self._corners]
+        _grad_u(ws.xc, corners, self._minv, self._den[blk], D, G, G[0])
+        F = G
+        F *= self._sqrt_eps
+        F[0, 0] += 1.0
+        F[1, 1] += 1.0
+        (F00, F10), (F01, F11) = F
+        V0, V1 = self._vecs.T[:, :, None]  # (3, 1): the directions' components
+        a, b, t = (s[:3 * k].reshape(3, k) for s in (ws.a, ws.b, ws.t))
+        np.multiply(V0, F00, out=a)  # (3, k): F v for each bond direction
+        a += np.multiply(V1, F01, out=t)
+        np.multiply(V0, F10, out=b)
+        b += np.multiply(V1, F11, out=t)
+        a *= a
+        b *= b
+        a += b
+        W = self.pot(np.sqrt(a, out=a), out=b)
+        cells = np.add(W[0], W[1], out=ws.cells[blk])
+        cells += W[2]
+        cells *= 0.5
+
+        if self.mode != "plain":
+            det = np.multiply(F00, F11, out=t[0])
+            det -= np.multiply(F01, F10, out=t[1])
+            support = np.less(det, 0.0, out=ws.flip[:k]).nonzero()[0]
+            chi_vals = ws.chi_vals[blk]
+            chi_vals.fill(0.0)
+            if len(support):
+                # contiguous stacks: matmul rounds a strided one differently
+                Fs = np.ascontiguousarray(F.transpose(2, 1, 0)[support])
+                chi_vals[support] = self.chi(Fs)
+                if with_grad:
+                    support += blk.start
+                    chi_terms.append((support, _chain_to_edges(
+                        self.chi.grad(Fs), self._minv, self._pref_chi[support])))
+        if self.mode == "total-magnetic":
+            Fd = ws.stack[:4 * k].reshape(k, 2, 2)  # magnetization_first takes F[t]
+            np.copyto(Fd, F.transpose(2, 1, 0))
+            ws.field_vals[blk] = magnetization_first(Fd)
+        elif self.mode == "f":
+            # the sharp cutoff for the value alone, the smoothed one with a gradient
+            dPhi = ws.stack[:4 * k].reshape(k, 2, 2) if with_grad else None
+            field_energy_rows((F00, F01, F10, F11), self.model, with_grad, ws.field_vals[blk],
+                              dPhi, (ws.field[:, :k], ws.field_masks[:, :k]))
+            if with_grad:
+                P = _chain_to_edges(dPhi, self._minv, self._pref_field[blk], out=ws.P[:4 * k])
+                M = len(self._den)
+                _put_term((ws.wx, ws.wy), P, len(ws.wx) - 3 * M + blk.start, M)
 
 
 def energy_rescaled(u: Displacement, pot: PairPotential, mode: str = "plain",

@@ -240,67 +240,137 @@ class MagnetizationModel:
             raise MaterialError(f"cutoff T must exceed sqrt(2), got {self.T}")
 
 
-def _gated_field_energy(F: np.ndarray, model: MagnetizationModel, gate) -> np.ndarray:
-    """kappa (1 - m1(F)) * gate(|F|), evaluating m only where the gate is open.
+def field_energy_rows(F, model: MagnetizationModel, smooth: bool, value: np.ndarray,
+                      grad=None, work=None):
+    """The field law on the component rows ``F = (F00, F01, F10, F11)`` of n matrices.
 
-    Uses the total extension of the magnetization direction, so that the
-    field energy is defined for every finite F with |F| <= T, including
-    orientation-reversing arguments.
+    Writes ``kappa (1 - m1(F)) gate(|F|)`` into ``value``, with m1 the first
+    component of the total magnetization direction (see
+    :func:`_magnetization_total`) and the gate the sharp cutoff
+    ``|F| <= T`` or, with ``smooth``, ``1 - smoothstep((|F| - (T - band)) /
+    band)`` for the band ``FIELD_SMOOTH_BAND``.  With ``grad``, an (n, 2, 2)
+    stack, the smoothed energy's derivative d/dF goes there too; it treats
+    the degenerate set t = s = 0, a null set, as flat.  Every matrix is
+    evaluated and the closed ones are set to zero.
+
+    The rows may be strided views.  ``work``, an (11, n) float and a (4, n)
+    bool array, is allocated when not given, so that a caller that passes
+    it allocates nothing.
     """
+    F00, F01, F10, F11 = F
+    if work is None:
+        work = np.empty((11,) + value.shape), np.empty((4,) + value.shape, dtype=bool)
+    norm, x, gate, t, s, h, hs, m1, u, dt, ds = work[0]
+    is_open, main, alt, sel = work[1]
+    band = FIELD_SMOOTH_BAND
+    np.multiply(F00, F00, out=norm)  # |F|, summed as frobenius_norms sums it
+    norm += np.multiply(F01, F01, out=u)
+    norm += np.multiply(F10, F10, out=u)
+    norm += np.multiply(F11, F11, out=u)
+    np.sqrt(norm, out=norm)
+    if smooth:  # 1 - smoothstep(x)
+        np.subtract(norm, model.T - band, out=x)
+        x /= band
+        np.clip(x, 0.0, 1.0, out=gate)
+        np.multiply(gate, 2.0, out=u)
+        np.subtract(3.0, u, out=u)
+        gate *= gate
+        gate *= u
+        np.subtract(1.0, gate, out=gate)
+    else:
+        np.copyto(gate, np.less_equal(norm, model.T, out=is_open))
+    np.greater(gate, 0.0, out=is_open)
+
+    # m1: t / h off the degenerate set, else the first row's direction, else e1
+    np.add(F00, F11, out=t)
+    np.subtract(F10, F01, out=s)
+    np.hypot(t, s, out=h)
+    np.greater(h, 0.0, out=main)
+    np.logical_not(main, out=alt)
+    np.copyto(hs, h)
+    np.copyto(hs, 1.0, where=alt)
+    np.divide(t, hs, out=m1)
+    np.hypot(F00, F01, out=u)
+    np.logical_and(alt, np.greater(u, 0.0, out=sel), out=sel)
+    np.divide(F00, u, out=u, where=sel)
+    np.copyto(m1, u, where=sel)
+    np.copyto(m1, 1.0, where=np.logical_xor(alt, sel, out=sel))
+    np.subtract(1.0, m1, out=value)
+    value *= model.kappa
+    value *= gate
+    closed = np.logical_not(is_open, out=sel)
+    np.copyto(value, 0.0, where=closed)
+    if grad is None:
+        return
+    if not smooth:
+        raise MaterialError("the sharp field cutoff has no gradient")
+
+    # d m1 / d(t, s), zero on the degenerate set, where m1 is taken as 1
+    np.copyto(m1, 1.0, where=alt)
+    np.power(hs, 3, out=h)
+    np.square(s, out=dt)
+    dt /= h
+    np.copyto(dt, 0.0, where=alt)
+    np.negative(t, out=ds)
+    ds *= s
+    ds /= h
+    np.copyto(ds, 0.0, where=alt)
+    # d gate / d|F| = -smoothstep'(x) / band
+    np.multiply(x, 6.0, out=u)
+    u *= np.subtract(1.0, x, out=t)
+    inside = np.logical_and(np.greater(x, 0.0, out=main), np.less(x, 1.0, out=alt), out=main)
+    np.copyto(u, 0.0, where=np.logical_not(inside, out=alt))
+    np.negative(u, out=u)
+    u /= band
+    np.copyto(norm, 1.0, where=np.less_equal(norm, 0.0, out=alt))
+    np.multiply(gate, -model.kappa, out=x)  # the coefficient of d m1
+    np.subtract(1.0, m1, out=m1)  # the coefficient of d|F| = F / |F|
+    m1 *= model.kappa
+    m1 *= u
+    for (i, j), Fij, dm in zip(((0, 0), (0, 1), (1, 0), (1, 1)), F,
+                               (dt, np.negative(ds, out=s), ds, dt)):
+        np.multiply(x, dm, out=hs)
+        np.divide(Fij, norm, out=t)
+        t *= m1
+        np.add(hs, t, out=grad[:, i, j])
+    grad[closed] = 0.0
+
+
+def _field_energy_stack(F: np.ndarray, model: MagnetizationModel, smooth: bool,
+                        with_grad: bool = False):
+    """:func:`field_energy_rows` on a (..., 2, 2) stack or one matrix."""
     F = np.asarray(F, dtype=float)
-    g = np.asarray(gate(frobenius_norms(F)))
-    out = np.zeros(g.shape)
-    open_ = g > 0.0
-    if np.any(open_):
-        m1 = _magnetization_total(F[open_])[..., 0]
-        out[open_] = model.kappa * (1.0 - m1) * g[open_]
-    return float(out) if F.ndim == 2 else out
+    Fs = F.reshape(-1, 2, 2)
+    rows = (Fs[:, 0, 0], Fs[:, 0, 1], Fs[:, 1, 0], Fs[:, 1, 1])
+    value = np.empty(len(Fs))
+    if with_grad:
+        grad = np.empty(Fs.shape)
+        field_energy_rows(rows, model, smooth, value, grad)
+        return grad.reshape(F.shape)
+    field_energy_rows(rows, model, smooth, value)
+    return float(value[0]) if F.ndim == 2 else value.reshape(F.shape[:-2])
 
 
 def field_energy(F: np.ndarray, model: MagnetizationModel) -> np.ndarray:
     """Misalignment energy kappa (1 - e1 . m(F)) for |F| <= T, zero beyond.
 
     Values lie in [0, 2 kappa].  The cutoff is sharp; see
-    :func:`field_energy_smooth` for the solver-friendly variant.
+    :func:`field_energy_smooth` for the solver-friendly variant.  Uses the
+    total extension of the magnetization direction, so that the field
+    energy is defined for every finite F with |F| <= T, including
+    orientation-reversing arguments.
     """
-    return _gated_field_energy(F, model, lambda n: (n <= model.T).astype(float))
+    return _field_energy_stack(F, model, False)
 
 
 def field_energy_smooth(F: np.ndarray, model: MagnetizationModel) -> np.ndarray:
     """Field energy with the sharp cutoff smoothed over (T - FIELD_SMOOTH_BAND, T)."""
-    band = FIELD_SMOOTH_BAND
-    return _gated_field_energy(
-        F, model, lambda n: 1.0 - smoothstep((n - (model.T - band)) / band))
+    return _field_energy_stack(F, model, True)
 
 
 def field_energy_smooth_grad(F: np.ndarray, model: MagnetizationModel) -> np.ndarray:
     """d/dF of the smoothed field energy; zero beyond the cutoff."""
-    band = FIELD_SMOOTH_BAND
-    F = np.asarray(F, dtype=float)
-    out = np.zeros_like(F)
-    norm = frobenius_norms(F)
-    x = (norm - (model.T - band)) / band
-    ramp = 1.0 - smoothstep(x)
-    open_ = ramp > 0.0
-    if not np.any(open_):
-        return out
-    Fo = F[open_]
-    t = Fo[:, 0, 0] + Fo[:, 1, 1]
-    s = Fo[:, 1, 0] - Fo[:, 0, 1]
-    h = np.hypot(t, s)
-    # the degenerate set h = 0 is a null set; treat the term as flat there
-    hs = np.where(h > 0.0, h, 1.0)
-    m1 = np.where(h > 0.0, t / hs, 1.0)
-    dm1_dt = np.where(h > 0.0, s ** 2 / hs ** 3, 0.0)
-    dm1_ds = np.where(h > 0.0, -t * s / hs ** 3, 0.0)
-    dm1 = np.stack([dm1_dt, -dm1_ds, dm1_ds, dm1_dt], axis=-1).reshape(Fo.shape)
-    dramp = -_smoothstep_deriv(x[open_]) / band
-    no = norm[open_]
-    dnorm = Fo / np.where(no > 0.0, no, 1.0)[:, None, None]
-    grad = (-model.kappa * ramp[open_])[:, None, None] * dm1 \
-        + (model.kappa * (1.0 - m1) * dramp)[:, None, None] * dnorm
-    out[open_] = grad
-    return out
+    return _field_energy_stack(F, model, True, with_grad=True)
 
 
 # ----------------------------------------------------------------------

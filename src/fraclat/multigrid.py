@@ -74,12 +74,8 @@ class _BondLevel:
 
     def __init__(self, asm: Assembly):
         mesh = asm.mesh
-        dirs = mesh.edge_dir[mesh.edge_in_omega]  # the assembly's bonds
-        if np.any(dirs[1:] < dirs[:-1]):
-            raise ValueError("the assembly's bonds are not grouped by direction")
-        cuts = np.searchsorted(dirs, np.arange(4))
         self.n = mesh.n_points
-        self._ends = [asm._bond_ends[:, cuts[d]:cuts[d + 1]] for d in range(3)]
+        self._ends = [asm._bond_ends[:, group] for group in asm._bond_groups]
         self._vecs = mesh.vecs.as_array()  # (3, 2): v_d in row d
         self._alpha = asm.pot.alpha
         counts = np.array([np.bincount(ends.ravel(), minlength=self.n) for ends in self._ends])

@@ -14,7 +14,8 @@ from fraclat.discrete_energy import (Assembly, Displacement, DiscreteEnergyError
                                      interpolate_gradients, project_gradient,
                                      renormalization_sides, specimen_area)
 from fraclat.lattice import LatticeSpec, build_mesh, classify_edges
-from fraclat.material import POTENTIAL_FAMILIES, PairPotential, cell_energy, frobenius_norms
+from fraclat.material import (POTENTIAL_FAMILIES, MaterialError, PairPotential, cell_energy,
+                              frobenius_norms)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -276,11 +277,16 @@ def test_gradient_l1_norm_affine(mesh16):
 # the precomputed assembly
 # ----------------------------------------------------------------------
 
-def flipped(mesh, u):
-    """Number of specimen triangles with det F < 0 (the support of chi)."""
-    _, F = interpolate_gradients(u)
+def flipped_mask(mesh, x):
+    """det F < 0 on each specimen triangle (the support of chi), in the assembly's order."""
+    _, F = interpolate_gradients(Displacement(mesh, x))
     Fd = F[mesh.tri_in_omega]
-    return int(np.sum(Fd[:, 0, 0] * Fd[:, 1, 1] - Fd[:, 0, 1] * Fd[:, 1, 0] < 0.0))
+    return Fd[:, 0, 0] * Fd[:, 1, 1] - Fd[:, 0, 1] * Fd[:, 1, 0] < 0.0
+
+
+def flipped(mesh, u):
+    """Number of specimen triangles with det F < 0."""
+    return int(flipped_mask(mesh, u.values).sum())
 
 
 @pytest.fixture(params=["no-flips", "many-flips"])
@@ -352,16 +358,24 @@ def assert_same_array(got, want):
 @pytest.mark.parametrize("phi", [0.0, 0.3])
 def test_assembly_arrays_equal_the_masked_forms(pot, chi, phi, inv_eps):
     mesh = build_mesh(LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=1.0, eta=0.25))
-    V = mesh.vecs.as_array()
     bonds, tris = mesh.edge_in_omega, mesh.tri_in_omega
     weights = np.where(bonds, np.choose(mesh.edge_inc_omega, [0.5, 0.25, 0.0]), 0.0)
     assert_same_array(classify_edges(mesh), weights)
     asm = Assembly(mesh, pot, "chi", chi)
     assert_same_array(asm._bond_ends, np.ascontiguousarray(mesh.edges[bonds].T))
-    assert_same_array(asm._bond_dirs, np.ascontiguousarray(V[mesh.edge_dir[bonds]].T))
+    dirs = np.concatenate([np.full(g.stop - g.start, d) for d, g in enumerate(asm._bond_groups)])
+    assert np.array_equal(dirs, mesh.edge_dir[bonds])
     assert_same_array(asm._bond_weight, 2.0 * weights[bonds])
     assert_same_array(asm._corners, np.ascontiguousarray(mesh.triangles[tris].T))
     assert_same_array(asm._den, mesh.tri_sign[tris] * mesh.spec.eps)
+
+
+def test_assembly_rejects_bonds_not_grouped_by_direction(mesh16, pot):
+    import copy
+    mesh = copy.copy(mesh16)
+    mesh.edge_dir = mesh16.edge_dir[::-1].copy()  # every direction group reversed
+    with pytest.raises(DiscreteEnergyError, match="grouped by direction"):
+        Assembly(mesh, pot)
 
 
 @pytest.mark.parametrize("mode", ["plain", "chi", "f"])
@@ -511,8 +525,8 @@ def test_workspace_carries_no_state_between_calls(mesh16, pot, chi, magmodel, mo
 
 @pytest.mark.parametrize("mode", ["plain", "chi", "f"])
 def test_gradient_after_a_breakdown_equals_a_fresh_gradient(mesh16, pot, chi, magmodel, mode):
-    # the breakdown sizes the workspace for the energy alone; the gradient
-    # call that follows needs the larger one
+    # the breakdown makes the workspace without the gradient streams; the
+    # gradient call that follows adds them
     u = rand_u(mesh16, 1.5, 31)
     assert flipped(mesh16, u) > 200
 
@@ -543,6 +557,95 @@ def test_repeated_evaluation_allocates_little(mesh32, pot, chi):
     finally:
         tracemalloc.stop()
     assert peaks[1] < 0.25 * peaks[0]
+
+
+@pytest.fixture(scope="module")
+def bar16_samples():
+    """The l = 2, phi = 0.3 bar at 1/16: a sampled crack, a sampled elastic
+    ramp and a configuration with many det F < 0 triangles."""
+    from fraclat.continuum import CleavageProblem, a_crit, build_u_cr, build_u_el
+    from fraclat.solver import cleaved_stations, recovery_sequence
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 16.0, l=2.0, eta=0.25))
+    base = CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=0.0)
+    prob = CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=1.5 * a_crit(base))
+    crack = recovery_sequence(build_u_cr(prob, float(cleaved_stations(prob, 1)[0])), mesh)
+    elastic = recovery_sequence(build_u_el(prob), mesh)
+    flips = rand_u(mesh, 0.4, 38)
+    return mesh, {"crack": crack.values, "elastic": elastic.values, "flipped": flips.values}
+
+
+def kernel_results(mesh, samples, pot, chi, magmodel):
+    """Every breakdown field and every value and gradient, as exact bytes."""
+    out = {}
+    for mode in discrete_energy.MODES:
+        asm = Assembly(mesh, pot, mode, chi, magmodel)
+        for name, x in samples.items():
+            try:
+                bd = asm.breakdown(x)
+                out[mode, name, "breakdown"] = [float.hex(v) for v in bd.row()[1:]]
+            except MaterialError as exc:  # the magnetic mode needs det F > 0
+                out[mode, name, "breakdown"] = repr(exc)
+            if mode != "total-magnetic":
+                value, g = asm.value_and_grad(x)
+                out[mode, name, "value_and_grad"] = (float.hex(value), g.tobytes())
+    return out
+
+
+@pytest.mark.parametrize("family", POTENTIAL_FAMILIES)
+def test_block_length_changes_no_bits(bar16_samples, chi, magmodel, family, monkeypatch):
+    mesh, samples = bar16_samples
+    pot = PairPotential() if family == "exp-well" else PairPotential.shifted_lj()
+    # the penalty's support spans the edges of blocks of both lengths
+    det_neg = np.flatnonzero(flipped_mask(mesh, samples["flipped"]))
+    assert len(det_neg) > 100 and len(np.unique(det_neg // 1000)) > 1
+    reference = kernel_results(mesh, samples, pot, chi, magmodel)
+    assert reference["total-magnetic", "flipped", "breakdown"].startswith("MaterialError")
+    assert isinstance(reference["total-magnetic", "elastic", "breakdown"], list)
+    for block in (7, 1000):
+        monkeypatch.setattr(discrete_energy, "BLOCK", block)
+        assert kernel_results(mesh, samples, pot, chi, magmodel) == reference
+
+
+@pytest.fixture(scope="module")
+def mesh64():
+    return build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 64.0, l=2.0, eta=0.25))
+
+
+@pytest.mark.parametrize("mode", discrete_energy.MODES)
+def test_breakdown_holds_only_its_sums_and_a_few_blocks(mesh64, pot, chi, magmodel, mode):
+    import tracemalloc
+    x = rand_u(mesh64, 0.01, 39).values
+    asm = Assembly(mesh64, pot, mode, chi, magmodel)
+    n, E, M = mesh64.n_points, asm._bond_ends.shape[1], len(asm._den)
+    block = min(discrete_energy.BLOCK, max(E, M))
+    assert block < M  # more than one block
+    # full length: the input copy, W per bond, and the cell, penalty and
+    # field values per triangle
+    field = mode in ("f", "total-magnetic")
+    full = 2 * n + E + M * (1 + (mode != "plain") + field)
+    # the scratch, one block long: 22 float rows and 2 bool rows for the
+    # bonds and the triangles; a field mode adds a (k, 2, 2) stack, and mode
+    # f the chain-rule stack, 11 float rows and 4 bool rows
+    rows = 22.25 + {"f": 19.5, "total-magnetic": 4}.get(mode, 0)
+    # transients, in blocks: magnetization_first's temporaries are
+    # block-sized but not kept (about 11.3 at numpy 2.4), the rest about 1.6
+    slack = 14 if mode == "total-magnetic" else 3
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        asm.breakdown(x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        if mode != "total-magnetic":
+            asm.value_and_grad(x)
+            ws = asm._ws
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            asm.breakdown(x)
+            again = tracemalloc.get_traced_memory()[1] - before
+            assert asm._ws is ws and again <= 8 * slack * block
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (full + (rows + slack) * block)
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,8 @@ from fraclat.lattice import lattice_vectors, rotation_matrix
 from fraclat.material import (POTENTIAL_FAMILIES, MagnetizationModel, MaterialError,
                               PairPotential, PenaltyChi,
                               cell_energy, coercivity_ratio_cell,
-                              coercivity_ratio_field, field_energy,
-                              field_energy_smooth, magnetization,
+                              coercivity_ratio_field, field_energy, field_energy_rows,
+                              field_energy_smooth, field_energy_smooth_grad, magnetization,
                               magnetization_first, magnetization_hessian_form,
                               quadratic_form, quadratic_min_under_strain,
                               rotation_reflection_distances)
@@ -237,6 +237,22 @@ def test_field_energy_smooth_matches_sharp_inside(magmodel):
     F = rotation_matrix(0.3)  # |F| = sqrt(2), far below the band
     assert field_energy_smooth(F, magmodel) == pytest.approx(
         field_energy(F, magmodel), rel=1e-14)
+
+
+def test_field_energy_on_the_degenerate_set(magmodel):
+    # t = s = 0: m1 is the first row's direction, and 1 at the origin; the
+    # gradient takes the term as flat there
+    refl = np.array([[0.6, 0.8], [0.8, -0.6]])
+    for energy in (field_energy, field_energy_smooth):
+        assert energy(refl, magmodel) == pytest.approx(magmodel.kappa * 0.4, rel=1e-15)
+        assert energy(np.zeros((2, 2)), magmodel) == 0.0
+    assert not np.any(field_energy_smooth_grad(np.stack([refl, np.zeros((2, 2))]), magmodel))
+
+
+def test_field_energy_rows_has_no_sharp_gradient(magmodel):
+    rows, grad = np.eye(2).ravel()[:, None], np.empty((1, 2, 2))
+    with pytest.raises(MaterialError, match="no gradient"):
+        field_energy_rows(rows, magmodel, False, np.empty(1), grad)
 
 
 def test_model_requires_cutoff_above_sqrt2():
