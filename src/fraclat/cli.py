@@ -295,30 +295,30 @@ def cmd_cleavage(cfg: RunConfig, out: OutputSet, args) -> str:
 
 
 def cmd_minimize(cfg: RunConfig, out: OutputSet, args) -> str:
-    problem = _problem(cfg)
+    problem, config = _problem(cfg), _solve_config(cfg)
     eps = cfg.eps_list()[-1]
     mesh = _mesh(cfg, eps)
     bc = bc_cleavage(problem.a, problem.l)
-    res = minimize(mesh, bc, _potential(cfg), _solve_config(cfg), chi=_chi(cfg),
-                   model=_model(cfg), problem=problem)
+    res = minimize(mesh, bc, _potential(cfg), config, chi=_chi(cfg), model=_model(cfg),
+                   problem=problem)
     if not res.best.converged:
-        _warn(f"the best start {res.best_tag} did not converge: |g| = "
+        _warn(f"the best start {res.best.tag} did not converge: |g| = "
               f"{res.best.grad_norm:.3g} after {res.best.iters} iterations")
     displacement_to_csv(res.u, out.path("displacement.csv"))
     write_csv(out.path("energy.csv"), ENERGY_HEADER, [res.breakdown.row()])
     write_manifest(out.path("minimize_manifest.txt"), cfg, {
         "derived.eps": eps,
-        "derived.best_start": res.best_tag,
+        "derived.best_start": res.best.tag,
         "derived.energy": res.breakdown.total,
         "derived.a_crit": a_crit(problem),
     })
-    return f"wrote {out.paths[0]} (best start: {res.best_tag})"
+    return f"wrote {out.paths[0]} (best start: {res.best.tag})"
 
 
 def cmd_recovery(cfg: RunConfig, out: OutputSet, args) -> str:
     problem = _problem(cfg)
     pot, chi, model = _potential(cfg), _chi(cfg), _model(cfg)
-    mode = cfg.get("solve.mode")
+    mode = _solve_config(cfg).mode
     kind = cfg.get("recovery.kind")
     if kind not in ("crack", "elastic"):
         raise ConfigError(f"{cfg.path}: recovery.kind must be 'crack' or 'elastic', got {kind!r}")

@@ -29,11 +29,11 @@ f
     triangulated specimen``, evaluated exactly as a triangle sum since
     the integrand is piecewise constant (weight ``sqrt(3) eps / 4`` per
     triangle).
-total-magnetic
-    chi plus the magnetic energy ``-(kappa/eps) * integral of m1``.
-    Subtracting the renormalization constant ``kappa |Omega_eps| / eps``
-    recovers the ``f`` mode exactly whenever every triangle satisfies
-    |F| <= T.
+
+Every mode has a gradient.  The total magnetic energy, chi plus
+``-(kappa/eps) * integral of m1``, is no mode: :func:`renormalization_sides`
+forms it to check that subtracting ``kappa |Omega_eps| / eps`` recovers
+mode ``f`` whenever every triangle satisfies |F| <= T.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .lattice import SQRT3, TriangleMesh, classify_edges
 from .material import (MagnetizationModel, PairPotential, PenaltyChi, field_energy_rows,
                        magnetization_first)
 
-MODES = ("plain", "chi", "f", "total-magnetic")
+MODES = ("plain", "chi", "f")
 
 _CONSISTENCY_RTOL = 1e-12
 
@@ -291,8 +291,8 @@ class _Workspace:
 
     * ``wr``, the per-bond W, scaled in place by the boundary weights once
       the pair sum is taken;
-    * ``cells``, ``chi_vals`` and ``field_vals``, one value per triangle
-      (zero off the penalty's support);
+    * ``cells``, ``chi_vals`` and, in mode ``f``, ``field_vals``, one value
+      per triangle (zero off the penalty's support);
     * with a gradient, the ``bincount`` index and weight streams.
 
     Everything else is one block of ``block`` bonds or triangles long:
@@ -300,12 +300,11 @@ class _Workspace:
     ``r``; the edge differences ``D``, the deformation gradients ``G``
     (whose first two rows also take the corner values), the stretch arrays
     ``a``, ``b`` and ``t`` (whose spent rows hold det F) and the two masks:
-    22 rows of floats.  The field modes add a row-major (k, 2, 2)
-    ``stack``, F for the magnetization or d Phi / dF for the chain rule,
-    and mode ``f`` its product ``P`` and the ``field`` and ``field_masks``
-    work rows of :func:`~fraclat.material.field_energy_rows`.  The buffers
-    are flat or row-major, so that the views of a short last block are
-    contiguous.
+    22 rows of floats.  Mode ``f`` adds the row-major (k, 2, 2) chain-rule
+    ``stack`` d Phi / dF, its product ``P`` and the ``field`` and
+    ``field_masks`` work rows of :func:`~fraclat.material.field_energy_rows`.
+    The buffers are flat or row-major, so that the views of a short last
+    block are contiguous.
 
     A stream reads ``[bond e1 | bond e0 | penalty (3 cap) | field (3 M)]``,
     each triangle term in three parts for corners 1, 2 and 0.  The penalty
@@ -326,15 +325,12 @@ class _Workspace:
         self.xc = np.empty((2, n))
         self.wr, self.cells = np.empty(E), np.empty(M)
         self.chi_vals = np.empty(M) if asm.mode != "plain" else None
-        self.field_vals = np.empty(M) if asm.mode in ("f", "total-magnetic") else None
         self.z, self.z0, self.r = np.empty(2 * B), np.empty(2 * B), np.empty(B)
         self.pos, self.flip = np.empty(B, dtype=bool), np.empty(B, dtype=bool)
         self.D, self.G = np.empty(4 * B), np.empty(4 * B)
         self.a, self.b, self.t = np.empty(3 * B), np.empty(3 * B), np.empty(3 * B)
-        if asm.mode in ("f", "total-magnetic"):
-            self.stack = np.empty(4 * B)
         if asm.mode == "f":
-            self.P = np.empty(4 * B)
+            self.field_vals, self.stack, self.P = np.empty(M), np.empty(4 * B), np.empty(4 * B)
             self.field, self.field_masks = np.empty((11, B)), np.empty((4, B), dtype=bool)
         self.cap = 0
         self.index = self.wx = self.wy = None
@@ -397,7 +393,7 @@ class Assembly:
             raise DiscreteEnergyError(f"unknown mode {mode!r}")
         if mode != "plain" and chi is None:
             raise DiscreteEnergyError(f"mode {mode!r} needs a penalty definition")
-        if mode in ("f", "total-magnetic") and model is None:
+        if mode == "f" and model is None:
             raise DiscreteEnergyError(f"mode {mode!r} needs a magnetization model")
         self.mesh, self.pot, self.mode = mesh, pot, mode
         self.chi, self.model = chi, model
@@ -438,8 +434,6 @@ class Assembly:
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Total energy of ``x`` and its gradient with respect to ``x``."""
-        if self.mode == "total-magnetic":
-            raise DiscreteEnergyError("no gradient for mode 'total-magnetic'")
         bd, grad = self._evaluate(x, True)
         return bd.total, grad
 
@@ -503,9 +497,7 @@ class Assembly:
         penalty = fieldval = 0.0
         if self.mode != "plain":
             penalty = eps * float(ws.chi_vals.sum())
-        if self.mode == "total-magnetic":
-            fieldval = -self.model.kappa * SQRT3 * eps / 4.0 * float(ws.field_vals.sum())
-        elif self.mode == "f":
+        if self.mode == "f":
             fieldval = SQRT3 * eps / 4.0 * float(np.sum(ws.field_vals))
         bd = EnergyBreakdown(mode=self.mode, bulk=bulk, boundary=boundary,
                              penalty=penalty, field=fieldval)
@@ -574,11 +566,7 @@ class Assembly:
                     support += blk.start
                     chi_terms.append((support, _chain_to_edges(
                         self.chi.grad(Fs), self._minv, self._pref_chi[support])))
-        if self.mode == "total-magnetic":
-            Fd = ws.stack[:4 * k].reshape(k, 2, 2)  # magnetization_first takes F[t]
-            np.copyto(Fd, F.transpose(2, 1, 0))
-            ws.field_vals[blk] = magnetization_first(Fd)
-        elif self.mode == "f":
+        if self.mode == "f":
             # the sharp cutoff for the value alone, the smoothed one with a gradient
             dPhi = ws.stack[:4 * k].reshape(k, 2, 2) if with_grad else None
             field_energy_rows((F00, F01, F10, F11), self.model, with_grad, ws.field_vals[blk],
@@ -626,12 +614,16 @@ def renormalization_sides(u: Displacement, pot: PairPotential, chi: PenaltyChi,
     """Both sides of the magnet renormalization identity.
 
     Returns ``(field_total, magnetic_total - kappa |Omega_eps| / eps)``;
-    the two agree exactly whenever every triangle satisfies |F| <= T.
+    the two agree exactly whenever every triangle satisfies |F| <= T.  The
+    magnetic total swaps the mode-``f`` field term for ``-(kappa/eps) *
+    integral of m1``; m1 needs det F > 0 on Omega, else MaterialError.
     """
-    lhs = energy_rescaled(u, pot, mode="f", chi=chi, model=model).total
-    tot = energy_rescaled(u, pot, mode="total-magnetic", chi=chi, model=model).total
-    area = specimen_area(u.mesh)
-    return lhs, tot + model.kappa / u.mesh.spec.eps * area
+    mesh, eps = u.mesh, u.mesh.spec.eps
+    bd = energy_rescaled(u, pot, mode="f", chi=chi, model=model)
+    F = interpolate_gradients(u, np.flatnonzero(mesh.tri_in_omega))[1]
+    magnetic = -model.kappa * SQRT3 * eps / 4.0 * float(magnetization_first(F).sum())
+    return bd.total, (bd.bulk + bd.boundary + bd.penalty + magnetic
+                      + model.kappa / eps * specimen_area(mesh))
 
 
 # ----------------------------------------------------------------------
@@ -643,8 +635,8 @@ def gradient(u: Displacement, pot: PairPotential, mode: str = "plain",
              model: MagnetizationModel | None = None) -> np.ndarray:
     """Analytic gradient of :func:`energy_rescaled` with respect to u.
 
-    The field term is differentiated in its smoothed form; the mode
-    'total-magnetic', which is not differentiable, is rejected.
+    The field term is differentiated in its smoothed form, so every mode
+    has a gradient.
     """
     return Assembly(u.mesh, pot, mode, chi, model).value_and_grad(u.values)[1]
 

@@ -183,7 +183,7 @@ def test_07_cleavage_law_minimization():
         target = min_energy(prob)
         rel = abs(res.breakdown.total - target) / target
         classes = classify_broken(res.u)
-        detail = {"rel": rel, "n_broken": classes.count, "tag": res.best_tag,
+        detail = {"rel": rel, "n_broken": classes.count, "tag": res.best.tag,
                   "unconverged": [s.tag for s in res.starts if not s.converged]}
         if mult > 1.0:
             crack = build_modified(res.u, classes)

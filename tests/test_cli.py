@@ -286,6 +286,24 @@ def test_out_dir_under_a_file_fails_before_the_study(tmp_path, capsys, monkeypat
     assert (tmp_path / "afile").read_text() == ""
 
 
+@pytest.mark.parametrize("mode", ["total-magnetic", "bogus"])
+@pytest.mark.parametrize("argv", [["cleavage", "--no-minimize"], ["minimize"], ["recovery"]],
+                         ids=lambda argv: argv[0])
+def test_unknown_mode_fails_before_any_mesh(tmp_path, capsys, monkeypatch, mode, argv):
+    # total-magnetic was a mode without a gradient: minimize built the mesh
+    # and the multigrid before it failed, and recovery exited 0
+    from fraclat import solver
+    meshes = []
+    for module in (cli, solver):
+        monkeypatch.setattr(module, "build_mesh", meshes.append)
+    cfg = write_config(tmp_path / "c.cfg", BASE + f"solve.mode = {mode}\n"
+                       f"out.dir = {tmp_path}/out\n")
+    assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 1
+    assert f"unknown mode '{mode}'" in capsys.readouterr().err
+    assert meshes == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_recovery_kind_is_rejected(tmp_path, capsys):
     # any kind but 'elastic' once sampled the crack and exited 0
     cfg = write_config(tmp_path / "c.cfg", BASE + "recovery.kind = elastc\n"
@@ -372,6 +390,16 @@ def test_noneq_command(tmp_path):
     header, rows = read_rows(tmp_path / "out" / "noneq.csv")
     assert header == ["eps", "energy", "grad_l1_total", "grad_l1_band"]
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("ladder", ["1/8", "1/8,1/8"])
+def test_noneq_command_needs_two_distinct_rungs(tmp_path, capsys, ladder):
+    # one rung once exited 0 with the slope of a rank-deficient fit
+    text = f"material.alpha = 1.0\nmaterial.beta = 1.0\nsolve.eps_list = {ladder}\n"
+    cfg = write_config(tmp_path / "c.cfg", text + f"out.dir = {tmp_path}/out\n")
+    assert main(["noneq-demo", "--config", cfg]) == 1
+    assert "two distinct eps values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_magnet_command(tmp_path):

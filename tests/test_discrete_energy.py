@@ -171,13 +171,13 @@ def test_elastic_guess_energy_stays_bounded(pot_unit):
 
 
 def test_magnetic_energy_of_identity(mesh16, pot, chi, magmodel):
-    # aligned magnetization integrates to minus kappa/eps times the area
-    u = Displacement.zero(mesh16)
-    bd = energy_rescaled(u, pot, mode="total-magnetic", chi=chi, model=magmodel)
+    # aligned magnetization integrates to minus kappa/eps times the area, which
+    # the renormalization constant cancels; the field energy of m1 = 1 is zero
+    lhs, rhs = renormalization_sides(Displacement.zero(mesh16), pot, chi, magmodel)
     eps = mesh16.spec.eps
     area = mesh16.tri_in_omega.sum() * SQRT3 * eps ** 2 / 4.0
-    assert bd.field == pytest.approx(-magmodel.kappa / eps * area, rel=1e-13)
-    assert bd.total == pytest.approx(bd.field, abs=1e-22)
+    assert abs(lhs) <= 1e-22
+    assert abs(rhs) <= 1e-13 * magmodel.kappa / eps * area
 
 
 def test_renormalization_identity(mesh16, pot, chi, magmodel):
@@ -429,15 +429,10 @@ def test_assembly_rejects_non_finite_values(mesh16, pot, chi, bad):
         asm.breakdown(x)
 
 
-def test_assembly_rejects_wrong_shape_and_missing_gradients(mesh16, pot, chi, magmodel):
+def test_assembly_rejects_wrong_shape(mesh16, pot, chi):
     asm = Assembly(mesh16, pot, "chi", chi)
     with pytest.raises(DiscreteEnergyError, match="shape"):
         asm.value_and_grad(np.zeros((mesh16.n_points, 3)))
-    x = np.zeros((mesh16.n_points, 2))
-    total = Assembly(mesh16, pot, "total-magnetic", chi, magmodel)
-    total.breakdown(x)
-    with pytest.raises(DiscreteEnergyError):
-        total.value_and_grad(x)
 
 
 def test_the_call_picks_the_field_cutoff(mesh16, pot, pot_unit, chi, magmodel, monkeypatch):
@@ -580,14 +575,9 @@ def kernel_results(mesh, samples, pot, chi, magmodel):
     for mode in discrete_energy.MODES:
         asm = Assembly(mesh, pot, mode, chi, magmodel)
         for name, x in samples.items():
-            try:
-                bd = asm.breakdown(x)
-                out[mode, name, "breakdown"] = [float.hex(v) for v in bd.row()[1:]]
-            except MaterialError as exc:  # the magnetic mode needs det F > 0
-                out[mode, name, "breakdown"] = repr(exc)
-            if mode != "total-magnetic":
-                value, g = asm.value_and_grad(x)
-                out[mode, name, "value_and_grad"] = (float.hex(value), g.tobytes())
+            out[mode, name, "breakdown"] = [float.hex(v) for v in asm.breakdown(x).row()[1:]]
+            value, g = asm.value_and_grad(x)
+            out[mode, name, "value_and_grad"] = (float.hex(value), g.tobytes())
     return out
 
 
@@ -599,8 +589,6 @@ def test_block_length_changes_no_bits(bar16_samples, chi, magmodel, family, monk
     det_neg = np.flatnonzero(flipped_mask(mesh, samples["flipped"]))
     assert len(det_neg) > 100 and len(np.unique(det_neg // 1000)) > 1
     reference = kernel_results(mesh, samples, pot, chi, magmodel)
-    assert reference["total-magnetic", "flipped", "breakdown"].startswith("MaterialError")
-    assert isinstance(reference["total-magnetic", "elastic", "breakdown"], list)
     for block in (7, 1000):
         monkeypatch.setattr(discrete_energy, "BLOCK", block)
         assert kernel_results(mesh, samples, pot, chi, magmodel) == reference
@@ -621,31 +609,37 @@ def test_breakdown_holds_only_its_sums_and_a_few_blocks(mesh64, pot, chi, magmod
     assert block < M  # more than one block
     # full length: the input copy, W per bond, and the cell, penalty and
     # field values per triangle
-    field = mode in ("f", "total-magnetic")
-    full = 2 * n + E + M * (1 + (mode != "plain") + field)
+    full = 2 * n + E + M * (1 + (mode != "plain") + (mode == "f"))
     # the scratch, one block long: 22 float rows and 2 bool rows for the
-    # bonds and the triangles; a field mode adds a (k, 2, 2) stack, and mode
-    # f the chain-rule stack, 11 float rows and 4 bool rows
-    rows = 22.25 + {"f": 19.5, "total-magnetic": 4}.get(mode, 0)
-    # transients, in blocks: magnetization_first's temporaries are
-    # block-sized but not kept (about 11.3 at numpy 2.4), the rest about 1.6
-    slack = 14 if mode == "total-magnetic" else 3
+    # bonds and the triangles; mode f adds the (k, 2, 2) chain-rule stack
+    # and its product, 11 float rows and 4 bool rows
+    rows = 22.25 + (19.5 if mode == "f" else 0)
+    # transients, in blocks: about 1.6
+    slack = 3
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         asm.breakdown(x)
         peak = tracemalloc.get_traced_memory()[1] - before
-        if mode != "total-magnetic":
-            asm.value_and_grad(x)
-            ws = asm._ws
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            asm.breakdown(x)
-            again = tracemalloc.get_traced_memory()[1] - before
-            assert asm._ws is ws and again <= 8 * slack * block
+        asm.value_and_grad(x)
+        ws = asm._ws
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        asm.breakdown(x)
+        again = tracemalloc.get_traced_memory()[1] - before
+        assert asm._ws is ws and again <= 8 * slack * block
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (full + (rows + slack) * block)
+
+
+def test_renormalization_sides_need_det_f_positive(bar16_samples, pot, chi, magmodel):
+    # the magnetic total takes m1 through magnetization_first, defined for det F > 0
+    mesh, samples = bar16_samples
+    with pytest.raises(MaterialError, match="det F > 0"):
+        renormalization_sides(Displacement(mesh, samples["flipped"]), pot, chi, magmodel)
+    lhs, rhs = renormalization_sides(Displacement(mesh, samples["elastic"]), pot, chi, magmodel)
+    assert math.isfinite(lhs) and math.isfinite(rhs)
 
 
 # ----------------------------------------------------------------------

@@ -325,13 +325,23 @@ def test_minimize_selects_branch(mult, expect_crack, pot_unit, chi):
     assert (n_broken > 0) == expect_crack
 
 
-def test_minimize_unknown_start_tag(mesh16, pot_unit, chi):
-    prob = problem_with(0.5)
-    for tag in ("nonsense", "perturbed"):
-        cfg = SolveConfig(multistart=(tag,))
-        with pytest.raises(SolverError, match=f"unknown initializer tag '{tag}'"):
-            minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
-                     problem=prob)
+@pytest.mark.parametrize("multistart", [("nonsense",), ("perturbed",),
+                                        ("zero", "elastic", "nonsense")])
+def test_unknown_start_tag_is_rejected_by_the_config(multistart):
+    # a config that names an unknown start cannot be made, so no mesh is
+    # built and no descent runs for it
+    with pytest.raises(SolverError, match=f"unknown initializer tag '{multistart[-1]}'"):
+        SolveConfig(multistart=multistart)
+
+
+@pytest.mark.parametrize("mode", ["total-magnetic", "bogus", ""])
+def test_solve_config_rejects_unknown_mode(mode):
+    with pytest.raises(SolverError, match=f"unknown mode '{mode}'; expected one of plain, chi, f"):
+        SolveConfig(mode=mode)
+
+
+def test_solve_config_accepts_every_energy_mode():
+    assert [SolveConfig(mode=mode).mode for mode in discrete_energy.MODES] == ["plain", "chi", "f"]
 
 
 def test_default_multistart_does_not_depend_on_the_seed(mesh16, pot_unit, chi):
@@ -344,17 +354,6 @@ def test_default_multistart_does_not_depend_on_the_seed(mesh16, pot_unit, chi):
     assert records[0] == records[1]
     assert [tag for tag, *_ in records[0]][:2] == ["zero", "elastic"]
     assert np.array_equal(runs[0].u.values, runs[1].u.values)
-
-
-def test_unknown_tag_is_reported_before_any_descent(mesh16, pot_unit, chi, monkeypatch):
-    from fraclat import solver
-    descents = []
-    monkeypatch.setattr(solver, "_descend", lambda *args: descents.append(args))
-    prob = problem_with(0.5)
-    cfg = SolveConfig(multistart=("zero", "elastic", "nonsense"))
-    with pytest.raises(SolverError, match="unknown initializer tag 'nonsense'"):
-        minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
-    assert descents == []
 
 
 @pytest.mark.parametrize("multistart,n_cleaved", [((), 9), (("cleaved",), 0)])
@@ -569,6 +568,16 @@ def test_fit_loglog_slope_exact_powerlaw():
     assert fit_loglog_slope(eps, vals) == pytest.approx(-0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [[], [0.125], [0.125, 0.125]])
+def test_fit_loglog_slope_needs_two_distinct_eps(eps, pot_unit):
+    # one rung once gave a slope of -0.3828 from a rank-deficient polyfit
+    with pytest.raises(SolverError, match="two distinct eps values"):
+        fit_loglog_slope(eps, [1.0] * len(eps))
+    if eps:
+        with pytest.raises(SolverError, match="two distinct eps values"):
+            nonequicoercivity_demo(eps, theta=1.2, p=0.125, q=0.875, pot=pot_unit)
+
+
 def test_three_piece_identity_rotation(mesh16_phi0):
     u = three_piece_rotation(mesh16_phi0, 0.0, 0.3, 0.7)
     assert np.abs(u.values).max() == 0.0
@@ -654,6 +663,16 @@ def test_magnet_demo_rows_are_the_per_mode_energies(pot_unit, chi, magmodel, mon
         f = energy_rescaled(u, pot_unit, "f", chi, magmodel).total
         e = energy_rescaled(u, pot_unit, "chi", chi).total
         assert band["field_minus_plain"] == f - e
+
+
+def test_magnet_demo_builds_one_mesh_per_rung(pot_unit, chi, magmodel, monkeypatch):
+    # the identity checks run on the first rung's mesh, not on a second copy
+    prob = CleavageProblem(alpha=1.0, beta=1.0, l=1.0, phi=0.3, a=0.4)
+    ladder, built = [1.0 / 8.0, 1.0 / 16.0], []
+    monkeypatch.setattr(solver, "build_mesh", lambda spec: built.append(spec) or build_mesh(spec))
+    res = magnet_demo(prob, magmodel, ladder, pot=pot_unit, chi=chi, n_random=2)
+    assert [spec.eps for spec in built] == ladder
+    assert len(res["identity_gaps"]) == 2
 
 
 def test_rotated_band_probes_quadratic_field_term(pot_unit, chi, magmodel):
