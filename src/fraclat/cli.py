@@ -296,11 +296,11 @@ def cmd_cleavage(cfg: RunConfig, out: OutputSet, args) -> str:
 
 def cmd_minimize(cfg: RunConfig, out: OutputSet, args) -> str:
     problem, config = _problem(cfg), _solve_config(cfg)
+    pot, chi, model = _potential(cfg), _chi(cfg), _model(cfg)
     eps = cfg.eps_list()[-1]
     mesh = _mesh(cfg, eps)
     bc = bc_cleavage(problem.a, problem.l)
-    res = minimize(mesh, bc, _potential(cfg), config, chi=_chi(cfg), model=_model(cfg),
-                   problem=problem)
+    res = minimize(mesh, bc, pot, config, chi=chi, model=model, problem=problem)
     if not res.best.converged:
         _warn(f"the best start {res.best.tag} did not converge: |g| = "
               f"{res.best.grad_norm:.3g} after {res.best.iters} iterations")

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import (SQRT3, CleavageData, LatticeVectors, cleavage_direction,
-                      lattice_vectors, perp, require_finite, row_dots)
+                      lattice_vectors, perp, require_finite, row_dots, rows_times)
 from .material import quadratic_form
 
 _GEOM_TOL = 1e-12
@@ -158,7 +158,7 @@ class ContinuumDisplacement:
         for k, piece in enumerate(self.pieces):
             sel = idx == k
             if np.any(sel):
-                vals = points @ piece.A.T
+                vals = rows_times(points, piece.A)
                 vals += piece.b
                 np.copyto(out, vals, where=sel[:, None])
         return out

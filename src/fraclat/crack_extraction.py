@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import discrete_energy
 from .continuum import _oriented_normals, surface_densities
 from .discrete_energy import Displacement, corner_differences, interpolate_gradients
 from .lattice import LatticeVectors, TriangleMesh, perp, row_dots
@@ -77,22 +78,37 @@ class BrokenClassification:
 
 
 def classify_broken(u: Displacement) -> BrokenClassification:
-    """The triangles with two or three sides stretched by ``STRETCH_FACTOR`` or more."""
+    """The triangles with two or three sides stretched by ``STRETCH_FACTOR`` or more.
+
+    The side stretches are formed ``discrete_energy.BLOCK`` triangles at a
+    time and only the broken rows are kept, so the transient is a few
+    blocks long; the block length changes no bit of the result.
+    """
     mesh = u.mesh
-    # side d's image is v_d + D_d / (sign sqrt(eps)) with D_2 = D_1 - D_0;
-    # the slot of D_2 takes the corner values until it is written
-    sides = np.empty((3, 2, mesh.n_triangles))
-    corner_differences(np.ascontiguousarray(u.values.T),
-                       [np.ascontiguousarray(mesh.triangles[:, k]) for k in range(3)],
-                       sides[:2], sides[2])
-    np.subtract(sides[1], sides[0], out=sides[2])
-    sides /= mesh.tri_sign * math.sqrt(mesh.spec.eps)
-    sides += mesh.vecs.as_array()[:, :, None]
-    sides *= sides
-    stretched = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0]) >= STRETCH_FACTOR ** 2
-    m = stretched.sum(axis=0)
-    tri = np.flatnonzero(m >= 2)
-    stretched, m = stretched[:, tri].T, m[tri]
+    xc = np.ascontiguousarray(u.values.T)
+    scale = math.sqrt(mesh.spec.eps)
+    V = mesh.vecs.as_array()[:, :, None]
+    M, B = mesh.n_triangles, discrete_energy.BLOCK
+    buf = np.empty(6 * min(B, M))
+    tri, m, stretched = [], [], []  # the broken rows of each block (a mesh has one)
+    for lo in range(0, M, B):
+        blk = slice(lo, min(lo + B, M))
+        # side d's image is v_d + D_d / (sign sqrt(eps)) with D_2 = D_1 - D_0;
+        # the slot of D_2 takes the corner values until it is written
+        sides = buf[:6 * (blk.stop - lo)].reshape(3, 2, -1)
+        corner_differences(xc, [mesh.triangles[blk, k] for k in range(3)], sides[:2], sides[2])
+        np.subtract(sides[1], sides[0], out=sides[2])
+        sides /= mesh.tri_sign[blk] * scale
+        sides += V
+        sides *= sides
+        past = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0]) >= STRETCH_FACTOR ** 2
+        count = past.sum(axis=0)
+        rows = np.flatnonzero(count >= 2)
+        tri.append(rows + lo)
+        m.append(count[rows])
+        stretched.append(past[:, rows].T)
+    del xc, buf  # the interpolation of F takes its own copy
+    tri, m, stretched = np.concatenate(tri), np.concatenate(m), np.concatenate(stretched)
     intact = np.where(m == 2, np.argmin(stretched, axis=1), -1)
     F = np.ascontiguousarray(interpolate_gradients(u, tri)[1])
     return BrokenClassification(tri_indices=tri, m=m, stretched=stretched, intact=intact, F=F)

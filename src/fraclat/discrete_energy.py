@@ -48,19 +48,13 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import SQRT3, TriangleMesh, classify_edges
+from .lattice import BLOCK, SQRT3, TriangleMesh, classify_edges
 from .material import (MagnetizationModel, PairPotential, PenaltyChi, field_energy_rows,
                        magnetization_first)
 
 MODES = ("plain", "chi", "f")
 
 _CONSISTENCY_RTOL = 1e-12
-
-# bonds or triangles per block of the energy kernel.  A scratch row is then
-# 64 KiB, under glibc's default mmap threshold of 128 KiB, and at eps = 1/64
-# on the l = 2 bar a gradient workspace, streams included, is 3.5 MB: less
-# than the 3.7 MB of the one full-length pool it replaced
-BLOCK = 1 << 13
 
 
 class DiscreteEnergyError(RuntimeError):

@@ -45,6 +45,16 @@ PHI_MAX = math.pi / 3.0
 # relative tolerance for domain membership near a rectangle boundary
 BOUNDARY_RTOL = 1e-9
 
+# rows per block of the blocked loops: the mesh's box product, the energy
+# kernel and the crack classification.  A scratch row is then 64 KiB, under
+# glibc's default mmap threshold of 128 KiB, and at eps = 1/64 on the l = 2
+# bar an energy-gradient workspace, streams included, is 3.5 MB: less than
+# the 3.7 MB of the one full-length pool it replaced
+BLOCK = 1 << 13
+
+# mesh indices are int32: an integer box of this many cells could wrap them
+_MAX_BOX_CELLS = 1 << 31
+
 # corners of the up and the down triangle based at a lattice point
 _TRIANGLE_CORNERS = (((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1)))
 
@@ -77,6 +87,19 @@ def perp(v: np.ndarray) -> np.ndarray:
     """Counterclockwise 90 degree rotation of a 2-vector or of each row of a stack."""
     v = np.asarray(v)
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
+def rows_times(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``X @ A.T`` for a stack of rows ``X``, written ``BLOCK`` rows at a time.
+
+    The same bits as the plain product.  A threaded BLAS sometimes runs a
+    skinny (N, 2) @ (2, 2) product about 100 times slower for the whole
+    life of a process; products of one block do not stall.
+    """
+    out = np.empty((len(X), len(A)), dtype=np.result_type(X, A))
+    for lo in range(0, len(X), BLOCK):
+        np.matmul(X[lo:lo + BLOCK], A.T, out=out[lo:lo + BLOCK])
+    return out
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,15 +235,16 @@ class TriangleMesh:
 
     Attributes
     ----------
-    points : (N, 2) float, lattice point coordinates.
-    lam : (N, 2) int, integer lattice coordinates of each point.
-    triangles : (M, 3) int, vertex indices ordered so that
+    points : (N, 2) float64, lattice point coordinates.
+    lam : (N, 2) int32, integer lattice coordinates of each point.
+    triangles : (M, 3) int32, vertex indices ordered so that
         ``points[t1] - points[t0] = sign * eps * v1`` and
         ``points[t2] - points[t0] = sign * eps * v2`` with ``sign = +1``
         for upward triangles and ``-1`` for downward ones.
-    tri_sign : (M,) float, the orientation sign above.
+    tri_sign : (M,) int8, the orientation sign above; a product with a
+        float gives float64, with the same bits as a float sign.
     tri_in_omega : (M,) bool, triangle lies inside the specimen.
-    edges : (E, 2) int, one row per unordered nearest-neighbor bond;
+    edges : (E, 2) int32, one row per unordered nearest-neighbor bond;
         ``points[b] - points[a] = eps * v_d`` with direction ``edge_dir``.
     edge_dir : (E,) int in {0, 1, 2}.
     edge_inc_omega : (E,) int, number of in-specimen triangles having the
@@ -228,6 +252,10 @@ class TriangleMesh:
     edge_in_omega : (E,) bool, both endpoints inside the specimen.
     point_in_omega : (N,) bool.
     dirichlet : (N,) bool, point lies within eps of the margin region.
+
+    Indices and integer coordinates are int32, exact for every mesh whose
+    integer box holds fewer than 2^31 cells; a finer eps raises
+    :class:`LatticeError` before the box is allocated.
 
     The topology is read from slices of the integer bounding box, which
     keeps two empty rows and columns on every side (see the module notes);
@@ -248,18 +276,26 @@ class TriangleMesh:
         x0, x1, y0, y1 = spec.omega_tilde
         corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
         lam_corners = corners @ Ainv.T / eps
-        lo = np.floor(lam_corners.min(axis=0)).astype(int) - 2
-        hi = np.ceil(lam_corners.max(axis=0)).astype(int) + 2
+        lo = np.floor(lam_corners.min(axis=0)) - 2
+        hi = np.ceil(lam_corners.max(axis=0)) + 2
+        # with fewer than 2^31 cells the point indices fit int32, and so do
+        # the coordinates: the box holds the origin, so none exceeds a side
+        cells = float(np.prod(hi - lo + 1))
+        if cells >= _MAX_BOX_CELLS:
+            raise LatticeError(
+                f"eps={eps} is too fine: its integer box of {cells:.3g} cells "
+                "outgrows the int32 mesh indices")
+        lo, hi = lo.astype(int), hi.astype(int)
 
-        l1 = np.arange(lo[0], hi[0] + 1)
-        l2 = np.arange(lo[1], hi[1] + 1)
+        l1 = np.arange(lo[0], hi[0] + 1, dtype=np.int32)
+        l2 = np.arange(lo[1], hi[1] + 1, dtype=np.int32)
         shape = (len(l2), len(l1))
         # row sweeps: lam2 outer, lam1 inner, so kept points run in (lam2, lam1) order
-        lam_all = np.empty(shape + (2,), dtype=l1.dtype)
+        lam_all = np.empty(shape + (2,), dtype=np.int32)
         lam_all[:, :, 0] = l1
         lam_all[:, :, 1] = l2[:, None]
         lam_all = lam_all.reshape(-1, 2)
-        pts_all = lam_all @ A.T
+        pts_all = rows_times(lam_all, A)
         pts_all *= eps
         keep = _in_rect(pts_all, spec.omega_tilde, tol)
         box_in_omega = _in_rect(pts_all, spec.omega, tol)
@@ -269,7 +305,7 @@ class TriangleMesh:
         present = keep.reshape(shape)
         in_omega = present & box_in_omega.reshape(shape)
         self.point_in_omega = in_omega[present]
-        grid = np.zeros(shape, dtype=np.int64)
+        grid = np.zeros(shape, dtype=np.int32)
         grid[present] = np.arange(len(self.lam))
 
         # triangles of each orientation, marked at their base vertex where
@@ -291,8 +327,8 @@ class TriangleMesh:
                                _TRIANGLE_CORNERS):
             for k, c in enumerate(cs):
                 rows[:, k] = _window(grid, *c)[t]
-        self.tri_sign = np.concatenate([np.full(n, sign)
-                                        for n, sign in zip(n_tri, (1.0, -1.0))])
+        self.tri_sign = np.concatenate([np.full(n, sign, dtype=np.int8)
+                                        for n, sign in zip(n_tri, (1, -1))])
         self.tri_in_omega = np.concatenate([_window(t_om, 0, 0, margin=1)[t]
                                             for t, t_om in zip(tri_base, tri_omega)])
 

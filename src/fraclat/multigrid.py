@@ -75,7 +75,9 @@ class _BondLevel:
     def __init__(self, asm: Assembly):
         mesh = asm.mesh
         self.n = mesh.n_points
-        self._ends = [asm._bond_ends[:, group] for group in asm._bond_groups]
+        # intp, so that no gather or scatter casts its indices
+        self._ends = [asm._bond_ends[:, group].astype(np.intp)
+                      for group in asm._bond_groups]
         self._vecs = mesh.vecs.as_array()  # (3, 2): v_d in row d
         self._alpha = asm.pot.alpha
         counts = np.array([np.bincount(ends.ravel(), minlength=self.n) for ends in self._ends])
@@ -85,13 +87,12 @@ class _BondLevel:
     def stiffness(self, x: np.ndarray) -> np.ndarray:
         """K x for ``(N, 2)`` values ``x``, every component included."""
         p = self._vecs @ x.T  # (3, N): v_d . x at every point
-        s = np.empty_like(p)
         for d, (e0, e1) in enumerate(self._ends):
             c = np.take(p[d], e1)
             c -= np.take(p[d], e0)  # v_d . (x_j - x_i) on the bonds of direction d
-            s[d] = np.bincount(e1, c, minlength=self.n)
-            s[d] -= np.bincount(e0, c, minlength=self.n)
-        return s.T @ (self._alpha * self._vecs)
+            p[d] = np.bincount(e1, c, minlength=self.n)  # row d is spent: it takes K's row d
+            p[d] -= np.bincount(e0, c, minlength=self.n)
+        return p.T @ (self._alpha * self._vecs)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = self.stiffness(x)
@@ -209,7 +210,7 @@ class StiffnessMultigrid:
         self._fine = fine
         present = fine.degree > 0
         active = np.column_stack([~mask_x, ~mask_y]) & present[:, None]
-        coords, level = asm.mesh.lam, fine
+        coords, level = asm.mesh.lam.astype(np.intp), fine
         self._levels = []  # (level, omega D^-1, transfer to the level below)
         while active.sum() > COARSEST_DOFS:
             step = _coarsen(coords, present, active, level)

@@ -86,7 +86,7 @@ def mesh_arrays(spec):
     out["triangles"] = np.vstack([np.column_stack([_shift(grid, *c)[t] for c in cs])
                                   for t, cs in zip(tri, _TRIANGLE_CORNERS)])
     out["tri_sign"] = np.concatenate([np.full(t.sum(), sign)
-                                      for t, sign in zip(tri, (1.0, -1.0))])
+                                      for t, sign in zip(tri, (1.0, -1.0))]).astype(np.int8)
     out["tri_in_omega"] = np.concatenate([t_om[t] for t, t_om in zip(tri, tri_omega)])
     edges, dirs, inc_omega = [], [], []
     up, down = tri_omega
@@ -102,6 +102,9 @@ def mesh_arrays(spec):
     out["edge_in_omega"] = out["point_in_omega"][out["edges"]].all(axis=1)
     x = out["points"][:, 0]
     out["dirichlet"] = np.minimum(x, spec.l - x) <= eps * (1.0 + BOUNDARY_RTOL)
+    # the mesh stores its indices and coordinates as int32, its signs as int8
+    for name in ("lam", "triangles", "edges"):
+        out[name] = out[name].astype(np.int32)
     for arr in out.values():
         arr.setflags(write=False)
     return out

@@ -304,6 +304,20 @@ def test_unknown_mode_fails_before_any_mesh(tmp_path, capsys, monkeypatch, mode,
     assert not (tmp_path / "out").exists()
 
 
+def test_minimize_rejects_a_bad_potential_before_any_mesh(tmp_path, capsys, monkeypatch):
+    # minimize once built its mesh before the potential was checked
+    from fraclat import solver
+    meshes = []
+    for module in (cli, solver):
+        monkeypatch.setattr(module, "build_mesh", meshes.append)
+    cfg = write_config(tmp_path / "c.cfg", BASE + "material.family = tabulated\n"
+                       f"out.dir = {tmp_path}/out\n")
+    assert main(["minimize", "--config", cfg]) == 1
+    assert "unknown potential family 'tabulated'" in capsys.readouterr().err
+    assert meshes == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_recovery_kind_is_rejected(tmp_path, capsys):
     # any kind but 'elastic' once sampled the crack and exited 0
     cfg = write_config(tmp_path / "c.cfg", BASE + "recovery.kind = elastc\n"

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 import oracles
-from fraclat.continuum import CleavageProblem, a_crit, build_u_cr
-from fraclat.crack_extraction import (CrackError, angle_between_lines_deg,
+from fraclat.continuum import CleavageProblem, a_crit, build_u_cr, build_u_el
+from fraclat import discrete_energy
+from fraclat.crack_extraction import (STRETCH_FACTOR, CrackError, angle_between_lines_deg,
                                       broken_count_bound, build_modified,
                                       classify_broken, crack_energy_estimate,
                                       jump_vectors, principal_normal,
                                       spring_crossing_count,
                                       symmetric_quartic_sum)
-from fraclat.discrete_energy import Displacement, energy_rescaled, interpolate_gradients
+from fraclat.discrete_energy import (Displacement, corner_differences, energy_rescaled,
+                                     interpolate_gradients)
 from fraclat.lattice import (LatticeSpec, build_mesh, cleavage_direction,
                              lattice_vectors)
 from fraclat.lattice import perp
@@ -96,6 +98,80 @@ def test_broken_below_threshold_needs_two_stretched(mesh16):
     classes = classify_broken(u)
     assert classes.count == mesh16.n_triangles
     assert classes.m.min() >= 2
+
+
+def all_triangle_classification(u):
+    """``classify_broken`` as one pass over every triangle at once."""
+    mesh = u.mesh
+    sides = np.empty((3, 2, mesh.n_triangles))
+    corner_differences(np.ascontiguousarray(u.values.T),
+                       [np.ascontiguousarray(mesh.triangles[:, k]) for k in range(3)],
+                       sides[:2], sides[2])
+    np.subtract(sides[1], sides[0], out=sides[2])
+    sides /= mesh.tri_sign.astype(float) * math.sqrt(mesh.spec.eps)
+    sides += mesh.vecs.as_array()[:, :, None]
+    sides *= sides
+    stretched = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0]) >= STRETCH_FACTOR ** 2
+    m = stretched.sum(axis=0)
+    tri = np.flatnonzero(m >= 2)
+    stretched, m = stretched[:, tri].T, m[tri]
+    intact = np.where(m == 2, np.argmin(stretched, axis=1), -1)
+    F = np.ascontiguousarray(interpolate_gradients(u, tri)[1])
+    return {"tri_indices": tri, "m": m, "stretched": stretched, "intact": intact, "F": F}
+
+
+def classification_fields(inv_eps):
+    """A sampled crack, a sampled elastic ramp and a random field on the l = 2 bar."""
+    prob = supercritical_problem()
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l, eta=0.25))
+    rng = np.random.default_rng(inv_eps)
+    p = float(cleaved_stations(prob, 1)[0])
+    return {"crack": recovery_sequence(build_u_cr(prob, p), mesh),
+            "ramp": recovery_sequence(build_u_el(prob), mesh),
+            "random": Displacement(mesh, 0.3 * rng.standard_normal((mesh.n_points, 2)))}
+
+
+@pytest.mark.parametrize("inv_eps", [16, 32, 64])
+def test_blocked_classification_equals_the_all_triangle_pass(inv_eps, monkeypatch):
+    fields = classification_fields(inv_eps)
+    expected = {name: all_triangle_classification(u) for name, u in fields.items()}
+    assert expected["crack"]["tri_indices"].size > 0 and expected["ramp"]["tri_indices"].size == 0
+    # the random field breaks triangles in every block, down to the short last one
+    M = fields["random"].mesh.n_triangles
+    assert len(np.unique(expected["random"]["tri_indices"] // 64)) > 0.9 * (M // 64)
+    for block in (7, 64, 8192):
+        monkeypatch.setattr(discrete_energy, "BLOCK", block)
+        for name, u in fields.items():
+            got = classify_broken(u)
+            for field, want in expected[name].items():
+                have = getattr(got, field)
+                assert (have.dtype, have.shape) == (want.dtype, want.shape), (name, field)
+                assert have.tobytes() == want.tobytes(), (name, block, field)
+
+
+@pytest.mark.parametrize("block", [1024, discrete_energy.BLOCK])
+def test_classification_holds_a_few_blocks_and_its_broken_rows(block, monkeypatch):
+    import tracemalloc
+    monkeypatch.setattr(discrete_energy, "BLOCK", block)
+    u = classification_fields(64)["crack"]
+    mesh = u.mesh
+    n, M = mesh.n_points, mesh.n_triangles
+    assert block < M  # more than one block
+    k = classify_broken(u).count
+    assert 0 < k < M // 50
+    # full length: the component-major copy of u.  Per block: the side
+    # stretches (6 float rows), the signs, the casts of the corner indices
+    # and the masks, about 8.3 rows.  Per broken row: the classification
+    # and the interpolation of F on it.  Fixed: numpy's casting buffers,
+    # 8192 elements each
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        classify_broken(u)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * n + 10 * block + 32 * k) + 2 * 8 * 8192
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 from conftest import check_topology_against_oracle
-from fraclat.lattice import (PHI_MAX, LatticeError, LatticeSpec, build_mesh,
+from fraclat.lattice import (BLOCK, PHI_MAX, LatticeError, LatticeSpec, build_mesh,
                              classify_edges, cleavage_direction,
-                             lattice_vectors, perp, rotation_matrix)
+                             lattice_vectors, perp, rotation_matrix, rows_times)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -105,6 +105,22 @@ def test_spec_rejects_a_non_finite_field(field, value):
 def test_empty_mesh_error():
     with pytest.raises(LatticeError):
         build_mesh(LatticeSpec(phi=0.2, eps=50.0, l=1.0, eta=0.1))
+
+
+def test_a_box_past_int32_is_refused_before_it_is_built():
+    # 1e-6 asks for about 3e12 cells; the check reads only the box's corners
+    with pytest.raises(LatticeError, match=r"^eps=1e-06 is too fine: .* int32"):
+        build_mesh(LatticeSpec(phi=0.3, eps=1e-6, l=2.0, eta=0.25))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.float64])
+def test_blocked_rows_product_equals_the_plain_one(dtype):
+    rng = np.random.default_rng(5)
+    X = (rng.normal(size=(2 * BLOCK + 123, 2)) * 1000).astype(dtype)  # a short last block
+    A = rng.normal(size=(2, 2))
+    got, want = rows_times(X, A), X @ A.T
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_triangles_equilateral_and_area(mesh16):

@@ -544,6 +544,22 @@ def test_convergence_study_rows_are_the_per_sample_evaluations(pot_unit, chi, ma
     assert any(r[5] > 0 for r in expected)
 
 
+def test_one_rung_fits_its_memory_budget(pot_unit, chi):
+    # one 1/128 rung without minimize on the l = 2 bar: the int32 topology
+    # and the blocked classification took its tracemalloc peak from 18.4 MB
+    # to 13.3 MB; the peak is now the breakdown's
+    import tracemalloc
+    prob = problem_with(1.5, l=2.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        convergence_study(prob, [1.0 / 128.0], pot=pot_unit, chi=chi, with_minimize=False)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
+
+
 def test_gap_ladder_guard():
     from fraclat.solver import check_gap_ladder
     # shrinking gaps pass
