@@ -19,6 +19,7 @@ import functools
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ _REQUIRED = object()
 CONFIG_KEYS = {
     "lattice.phi": (float, 0.0),
     "lattice.l": (float, 1.0),
-    "lattice.eta": (float, 0.25),
+    "lattice.eta": (float, 0.25),  # read by nothing; kept while the benchmark still sets it
     "material.family": (str, "exp-well"),
     "material.alpha": (float, _REQUIRED),
     "material.beta": (float, _REQUIRED),
@@ -150,14 +151,18 @@ class OutputSet:
     """Tracks files written by a command, removed on failure; makes the directory on demand."""
 
     def __init__(self, out_dir: str):
-        # fail before the command runs, creating nothing, when the nearest
-        # existing ancestor of out_dir is not a writable directory
+        # fail before the command runs, leaving nothing behind, when no
+        # directory can be made in the nearest existing ancestor of out_dir:
+        # a probe directory is made there and removed at once (os.access
+        # reads mode bits, which root passes even where no file can be made)
         base = os.path.abspath(out_dir)
         while not os.path.exists(base):
             base = os.path.dirname(base)
-        if not (os.path.isdir(base) and os.access(base, os.W_OK | os.X_OK)):
+        try:
+            os.rmdir(tempfile.mkdtemp(dir=base))
+        except OSError:
             raise ConfigError(f"out.dir {out_dir!r} is unusable: "
-                              f"{base} is not a writable directory")
+                              f"{base} is not a writable directory") from None
         self.out_dir = out_dir
         self.paths = []
 
@@ -218,7 +223,7 @@ def _problem(cfg: RunConfig) -> CleavageProblem:
     return CleavageProblem(alpha=cfg.get("material.alpha"),
                            beta=cfg.get("material.beta"),
                            l=cfg.get("lattice.l"), phi=cfg.get("lattice.phi"),
-                           a=cfg.get("load.a"), eta=cfg.get("lattice.eta"))
+                           a=cfg.get("load.a"))
 
 
 def _solve_config(cfg: RunConfig) -> SolveConfig:
@@ -231,8 +236,7 @@ def _solve_config(cfg: RunConfig) -> SolveConfig:
 
 
 def _mesh(cfg: RunConfig, eps: float) -> TriangleMesh:
-    return build_mesh(LatticeSpec(phi=cfg.get("lattice.phi"), eps=eps,
-                                  l=cfg.get("lattice.l"), eta=cfg.get("lattice.eta")))
+    return build_mesh(LatticeSpec(phi=cfg.get("lattice.phi"), eps=eps, l=cfg.get("lattice.l")))
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +267,8 @@ def _run_config_command(body, args) -> int:
     is deleted when it raises.
     """
     cfg = RunConfig.parse(args.config)
+    # lattice.eta shapes no mesh, yet a value that LatticeSpec refuses is refused
+    LatticeSpec(phi=0.0, eps=1.0, eta=cfg.get("lattice.eta"))
     out = OutputSet(cfg.get("out.dir"))
     try:
         message = body(cfg, out, args)
@@ -381,8 +387,7 @@ def cmd_magnet_demo(cfg: RunConfig, out: OutputSet, args) -> str:
 def cmd_noneq_demo(cfg: RunConfig, out: OutputSet, args) -> str:
     result = nonequicoercivity_demo(cfg.eps_list(), cfg.get("noneq.theta"),
                                     cfg.get("noneq.p"), cfg.get("noneq.q"),
-                                    l=cfg.get("lattice.l"), eta=cfg.get("lattice.eta"),
-                                    pot=_potential(cfg))
+                                    l=cfg.get("lattice.l"), pot=_potential(cfg))
     write_csv(out.path("noneq.csv"), ["eps", "energy", "grad_l1_total", "grad_l1_band"],
               result["rows"])
     write_manifest(out.path("noneq_manifest.txt"), cfg, {

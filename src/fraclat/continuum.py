@@ -261,7 +261,7 @@ class CleavageProblem:
     l: float = 1.0
     phi: float = 0.0
     a: float = 0.0
-    eta: float = 0.25
+    eta: float = 0.25  # read by nothing; kept while the benchmark still sets it
 
     def __post_init__(self):
         require_finite(GeometryError, alpha=self.alpha, beta=self.beta, l=self.l,
@@ -304,8 +304,8 @@ def min_energy(problem: CleavageProblem) -> float:
 
 def build_u_el(problem: CleavageProblem, s: float = 0.0) -> ContinuumDisplacement:
     """Homogeneous elastic minimizer with gradient diag(a, -a/3)."""
-    l, eta, a = problem.l, problem.eta, problem.a
-    poly = np.array([[-eta, 0.0], [l + eta, 0.0], [l + eta, 1.0], [-eta, 1.0]])
+    l, a = problem.l, problem.a
+    poly = np.array([[0.0, 0.0], [l, 0.0], [l, 1.0], [0.0, 1.0]])
     A = np.array([[a, 0.0], [0.0, -a / 3.0]])
     piece = AffinePiece(poly, A, np.array([0.0, s]))
     return ContinuumDisplacement(
@@ -321,7 +321,7 @@ def build_u_cr(problem: CleavageProblem, p: float, s: float = 0.0,
     The crack line follows the best-aligned bond direction and must cross
     both horizontal sides of the bar inside (0, l).
     """
-    l, eta = problem.l, problem.eta
+    l = problem.l
     w = problem.cleavage.v_gamma  # oriented so w . e2 > 0
     top = p + w[0] / w[1]
     if not (_GEOM_TOL < p < l - _GEOM_TOL and _GEOM_TOL < top < l - _GEOM_TOL):
@@ -329,9 +329,9 @@ def build_u_cr(problem: CleavageProblem, p: float, s: float = 0.0,
             f"crack line through p={p} exits a vertical side (top intercept {top})")
     nu = _oriented_normal(w)
     jump = np.array([problem.a * l, t - s])
-    left = AffinePiece(np.array([[-eta, 0.0], [p, 0.0], [top, 1.0], [-eta, 1.0]]),
+    left = AffinePiece(np.array([[0.0, 0.0], [p, 0.0], [top, 1.0], [0.0, 1.0]]),
                        np.zeros((2, 2)), np.array([0.0, s]))
-    right = AffinePiece(np.array([[p, 0.0], [l + eta, 0.0], [l + eta, 1.0], [top, 1.0]]),
+    right = AffinePiece(np.array([[p, 0.0], [l, 0.0], [l, 1.0], [top, 1.0]]),
                         np.zeros((2, 2)), np.array([problem.a * l, t]))
     seg = CrackLine(np.array([p, 0.0]), np.array([top, 1.0]), nu, jump)
     anchor = np.array([p, 0.0])
@@ -369,10 +369,10 @@ def build_u_cr_symmetric(problem: CleavageProblem, h_x2: np.ndarray,
         raise GeometryError(
             f"graph slope {np.abs(slopes).max()} exceeds the bound 1/sqrt(3)")
 
-    l, eta = problem.l, problem.eta
+    l = problem.l
     graph = np.column_stack([h_values, h_x2])
-    left_poly = np.vstack([[[-eta, 0.0]], graph, [[-eta, 1.0]]])
-    right_poly = np.vstack([[[l + eta, 0.0]], [[l + eta, 1.0]], graph[::-1]])
+    left_poly = np.vstack([[[0.0, 0.0]], graph, [[0.0, 1.0]]])
+    right_poly = np.vstack([[[l, 0.0]], [[l, 1.0]], graph[::-1]])
     left = AffinePiece(left_poly, np.zeros((2, 2)), np.array([0.0, s]))
     right = AffinePiece(right_poly, np.zeros((2, 2)), np.array([problem.a * l, t]))
     jump = np.array([problem.a * problem.l, t - s])

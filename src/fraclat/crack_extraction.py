@@ -107,7 +107,7 @@ def classify_broken(u: Displacement) -> BrokenClassification:
         tri.append(rows + lo)
         m.append(count[rows])
         stretched.append(past[:, rows].T)
-    del xc, buf  # the interpolation of F takes its own copy
+    del xc, buf  # F is formed from the broken rows' own corner values
     tri, m, stretched = np.concatenate(tri), np.concatenate(m), np.concatenate(stretched)
     intact = np.where(m == 2, np.argmin(stretched, axis=1), -1)
     F = np.ascontiguousarray(interpolate_gradients(u, tri)[1])

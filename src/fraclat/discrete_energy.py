@@ -140,17 +140,22 @@ def interpolate_gradients(u: Displacement, tri=slice(None)) -> tuple[np.ndarray,
     shape (n_triangles, 2, 2): views, not copies, of the component-major
     arrays of :func:`_grad_u`, so ``F[t]`` is triangle t's matrix but the
     stack is not contiguous.  Affine inputs give an exact constant gradient.
-    An index array ``tri`` keeps rows ``tri`` alone, with the same bits.
+    An index array ``tri`` keeps rows ``tri`` alone, with the same bits;
+    it gathers only those rows' corner values.
     """
     mesh, eps = u.mesh, u.mesh.spec.eps
-    triangles = mesh.triangles[tri]
-    D, G = np.empty((2, 2, len(triangles))), np.empty((2, 2, len(triangles)))
-    # one contiguous index array per corner: np.take copies a strided index
-    # array on every call; the first row of G takes the corner values until
-    # the product overwrites it
-    _grad_u(np.ascontiguousarray(u.values.T),
-            [np.ascontiguousarray(triangles[:, k]) for k in range(3)],
-            _basis_inverse(mesh), mesh.tri_sign[tri] * eps, D, G, G[0])
+    corners = mesh.triangles.T[:, tri]  # (3, k)
+    k = corners.shape[1]
+    if isinstance(tri, slice):
+        xc = np.ascontiguousarray(u.values.T)
+    else:
+        # the rows' own corner values, component-major and indexed locally:
+        # a transient of O(k) instead of a copy of the whole field
+        xc = np.ascontiguousarray(u.values.take(corners.ravel(), axis=0).T)
+        corners = np.arange(3 * k).reshape(3, k)
+    D, G = np.empty((2, 2, k)), np.empty((2, 2, k))
+    # the first row of G takes the corner values until the product overwrites it
+    _grad_u(xc, corners, _basis_inverse(mesh), mesh.tri_sign[tri] * eps, D, G, G[0])
     # F is written over the spent edge differences; adding the whole
     # identity turns an off-diagonal -0.0 into +0.0
     F = np.multiply(G, np.sqrt(eps), out=D)
@@ -158,8 +163,10 @@ def interpolate_gradients(u: Displacement, tri=slice(None)) -> tuple[np.ndarray,
     return G.transpose(2, 1, 0), F.transpose(2, 1, 0)
 
 
-def gradient_l1_norm(mesh: TriangleMesh, grad_norms: np.ndarray, mask: np.ndarray) -> float:
+def gradient_l1_norm(mesh: TriangleMesh, grad_norms: np.ndarray, mask=slice(None)) -> float:
     """Area-weighted L1 norm of the displacement gradient over the triangles in mask.
+
+    The mask defaults to every triangle.
 
     ``grad_norms`` holds |grad u| per triangle, the :func:`frobenius_norms`
     of ``interpolate_gradients(u)[0]``, so one interpolation serves
@@ -174,7 +181,7 @@ def gradient_l1_norm(mesh: TriangleMesh, grad_norms: np.ndarray, mask: np.ndarra
 
 @dataclass
 class BoundaryCondition:
-    """Dirichlet data imposed on the margin layer of the mesh.
+    """Dirichlet data imposed on the mesh's pinned layers, ``mesh.dirichlet``.
 
     ``components`` selects which displacement components are pinned:
     "both", or "x" for loadings that leave the transverse component free.
@@ -356,9 +363,9 @@ class Assembly:
     """The rescaled energy of one mesh with its index and weight arrays precomputed.
 
     Built once per (mesh, potential, mode, penalty, field model) and
-    evaluated on raw ``(N, 2)`` displacement arrays.  The energy lives on
-    the specimen: its bonds have both ends in Omega and its triangles lie
-    inside Omega.  The bonds are grouped by lattice direction, which the
+    evaluated on raw ``(N, 2)`` displacement arrays.  The energy reads
+    every bond and triangle of the mesh, which lies in the specimen
+    Omega.  The bonds are grouped by lattice direction, which the
     constructor checks, so each bond's lattice vector is that of its
     group.  Every evaluation computes the bond stretches and the
     per-triangle deformation gradients once, checks the raw pair sum
@@ -394,21 +401,18 @@ class Assembly:
         eps = mesh.spec.eps
         self.eps, self._sqrt_eps = eps, np.sqrt(eps)
 
-        # compress and take along the long axis build each array in its final
-        # layout, with no row-major selection to transpose and copy
+        # the mesh's index arrays in their final, component-major layout
         self._vecs = mesh.vecs.as_array()
-        edge_mask = mesh.edge_in_omega
-        self._bond_ends = np.compress(edge_mask, mesh.edges.T, axis=1)  # (2, E)
-        dirs = np.compress(edge_mask, mesh.edge_dir)
+        self._bond_ends = mesh.edges.T  # (2, E)
+        dirs = mesh.edge_dir
         if np.any(dirs[1:] < dirs[:-1]):
             raise DiscreteEnergyError("the specimen's bonds are not grouped by direction")
         cuts = np.searchsorted(dirs, np.arange(4))
         self._bond_groups = [slice(cuts[d], cuts[d + 1]) for d in range(3)]  # by direction
-        self._bond_weight = 2.0 * np.compress(edge_mask, classify_edges(mesh))
+        self._bond_weight = 2.0 * classify_edges(mesh)
 
-        tri_mask = mesh.tri_in_omega
-        self._corners = np.compress(tri_mask, mesh.triangles.T, axis=1)  # (3, M)
-        self._den = np.compress(tri_mask, mesh.tri_sign) * eps
+        self._corners = mesh.triangles.T  # (3, M)
+        self._den = mesh.tri_sign * eps
         self._minv = _basis_inverse(mesh)
         self._ws = None  # made by the first evaluation
 
@@ -576,11 +580,11 @@ def energy_rescaled(u: Displacement, pot: PairPotential, mode: str = "plain",
                     model: MagnetizationModel | None = None) -> EnergyBreakdown:
     """Rescaled energy eps * E(id + sqrt(eps) u) with the selected extras.
 
-    The energy lives on the specimen Omega; the margins only carry the
-    Dirichlet data.  The bulk part sums cell energies over the triangles
-    inside Omega, the boundary part collects its under-covered bonds, and
-    the two together are verified against the raw pair sum to 1e-12
-    relative on every call.  Builds a transient :class:`Assembly` and evaluates it once.  Code that
+    The energy lives on the specimen Omega, which the mesh covers.  The
+    bulk part sums cell energies over the mesh triangles, the boundary
+    part collects the under-covered bonds, and the two together are
+    verified against the raw pair sum to 1e-12 relative on every call.
+    Builds a transient :class:`Assembly` and evaluates it once.  Code that
     evaluates several configurations on one mesh can instead build the
     assembly once and call :meth:`Assembly.breakdown` on each, with the
     same result bit for bit, as :func:`fraclat.solver.magnet_demo` and
@@ -599,8 +603,8 @@ def energy_deformation(mesh: TriangleMesh, y_values: np.ndarray,
 
 
 def specimen_area(mesh: TriangleMesh) -> float:
-    """Total area of the triangles inside Omega (the triangulated specimen)."""
-    return mesh.triangle_area * float(mesh.tri_in_omega.sum())
+    """Total area of the mesh triangles (the triangulated specimen)."""
+    return mesh.triangle_area * mesh.n_triangles
 
 
 def renormalization_sides(u: Displacement, pot: PairPotential, chi: PenaltyChi,
@@ -614,7 +618,7 @@ def renormalization_sides(u: Displacement, pot: PairPotential, chi: PenaltyChi,
     """
     mesh, eps = u.mesh, u.mesh.spec.eps
     bd = energy_rescaled(u, pot, mode="f", chi=chi, model=model)
-    F = interpolate_gradients(u, np.flatnonzero(mesh.tri_in_omega))[1]
+    F = interpolate_gradients(u)[1]
     magnetic = -model.kappa * SQRT3 * eps / 4.0 * float(magnetization_first(F).sum())
     return bd.total, (bd.bulk + bd.boundary + bd.penalty + magnetic
                       + model.kappa / eps * specimen_area(mesh))

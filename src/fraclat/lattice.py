@@ -1,20 +1,19 @@
 """Rotated triangular lattice geometry.
 
-Builds the epsilon-scaled triangular point set inside a rectangular domain
-with Dirichlet margins, enumerates the equilateral triangle mesh and its
-nearest-neighbor bonds, classifies boundary bonds, and computes the
-cleavage-direction data (the lattice direction best aligned with the
-vertical axis, which controls where a bar under uniaxial tension prefers
-to crack).
+Builds the epsilon-scaled triangular point set inside the specimen,
+enumerates the equilateral triangle mesh and its nearest-neighbor bonds,
+classifies boundary bonds, and computes the cleavage-direction data (the
+lattice direction best aligned with the vertical axis, which controls
+where a bar under uniaxial tension prefers to crack).
 
 Conventions
 -----------
 * The rotation angle ``phi`` lives in ``[0, pi/3)``; larger angles repeat
   the same lattice.
-* The specimen is ``Omega = (0, l) x (0, 1)``.  The enlarged domain used
-  to impose boundary values is ``(-eta, l+eta) x (0, 1)``, with margins
-  only on the vertical sides.  Energies live on the specimen; the margins
-  carry only the Dirichlet data.
+* The specimen is ``Omega = (0, l) x (0, 1)``, and the mesh holds its
+  lattice points alone.  The boundary values are imposed on the points of
+  Omega within eps of its two vertical sides; no point lies outside it,
+  so every mesh triangle and bond lies in the specimen.
 * Point membership in a rectangle uses a closed comparison with tolerance
   ``1e-9 * eps`` so that meshes are reproducible across platforms.
 * Points are indexed lexicographically in ``(lam2, lam1)`` (row sweeps).
@@ -22,8 +21,8 @@ Conventions
   at p has corners (p, p+e1, p+e2), the down one (p, p-e1, p-e2), with e1,
   e2 the unit steps of lam1, lam2.  A bond p -> p+o is a side of two such
   triangles, its flanks: up at p and down at p+o for o = e1 or e2, up at
-  p-e1 and down at p+e2 for o = e2-e1.  Its incidence counts those inside
-  the specimen.
+  p-e1 and down at p+e2 for o = e2-e1.  Its incidence counts those in the
+  mesh.
 * Every such read is a slice of a padded grid.  The integer bounding box
   keeps two empty rows and columns on every side, so all points lie in its
   interior, two cells from the edge, and the interior read at a unit
@@ -183,13 +182,13 @@ class LatticeSpec:
     phi : rotation angle in [0, pi/3).
     eps : lattice spacing, > 0.
     l : slab length, >= 1/sqrt(3) so a single bond line can span the height.
-    eta : width of the Dirichlet margins on the two vertical sides, > 0.
+    eta : checked to be positive and otherwise unused.
     """
 
     phi: float
     eps: float
     l: float = 1.0
-    eta: float = 0.25
+    eta: float = 0.25  # read by nothing; kept while the benchmark still sets it
 
     def __post_init__(self):
         require_finite(LatticeError, phi=self.phi, eps=self.eps, l=self.l, eta=self.eta)
@@ -206,11 +205,6 @@ class LatticeSpec:
     def omega(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) of the specimen."""
         return (0.0, self.l, 0.0, 1.0)
-
-    @property
-    def omega_tilde(self) -> tuple[float, float, float, float]:
-        """(xmin, xmax, ymin, ymax) of the specimen with its two margins."""
-        return (-self.eta, self.l + self.eta, 0.0, 1.0)
 
 
 def _in_rect(points: np.ndarray, rect, tol: float) -> np.ndarray:
@@ -231,7 +225,7 @@ def _window(grid: np.ndarray, s1: int, s2: int, margin: int = 2) -> np.ndarray:
 
 
 class TriangleMesh:
-    """Immutable triangle mesh of the scaled lattice clipped to Omega-tilde.
+    """Immutable triangle mesh of the scaled lattice clipped to the specimen Omega.
 
     Attributes
     ----------
@@ -243,19 +237,21 @@ class TriangleMesh:
         for upward triangles and ``-1`` for downward ones.
     tri_sign : (M,) int8, the orientation sign above; a product with a
         float gives float64, with the same bits as a float sign.
-    tri_in_omega : (M,) bool, triangle lies inside the specimen.
     edges : (E, 2) int32, one row per unordered nearest-neighbor bond;
         ``points[b] - points[a] = eps * v_d`` with direction ``edge_dir``.
     edge_dir : (E,) int in {0, 1, 2}.
-    edge_inc_omega : (E,) int, number of in-specimen triangles having the
-        bond as a side.
-    edge_in_omega : (E,) bool, both endpoints inside the specimen.
-    point_in_omega : (N,) bool.
-    dirichlet : (N,) bool, point lies within eps of the margin region.
+    edge_inc_omega : (E,) int8, number of mesh triangles having the bond
+        as a side: 0, 1 or 2.
+    dirichlet : (N,) bool, point lies within eps of a vertical side, where
+        the boundary values are imposed.
+
+    Every point lies in Omega (up to the membership tolerance), so every
+    triangle and bond lies in the specimen.
 
     Indices and integer coordinates are int32, exact for every mesh whose
     integer box holds fewer than 2^31 cells; a finer eps raises
-    :class:`LatticeError` before the box is allocated.
+    :class:`LatticeError` before the box is allocated.  ``triangles`` and
+    ``edges`` are stored component-major: their transposes are contiguous.
 
     The topology is read from slices of the integer bounding box, which
     keeps two empty rows and columns on every side (see the module notes);
@@ -271,9 +267,9 @@ class TriangleMesh:
         A = np.column_stack([self.vecs.v1, self.vecs.v2])
         Ainv = np.linalg.inv(A)
 
-        # integer bounding box of Omega-tilde pulled back through the lattice
-        # map, with two empty rows and columns on every side
-        x0, x1, y0, y1 = spec.omega_tilde
+        # integer bounding box of Omega pulled back through the lattice map,
+        # with two empty rows and columns on every side
+        x0, x1, y0, y1 = spec.omega
         corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
         lam_corners = corners @ Ainv.T / eps
         lo = np.floor(lam_corners.min(axis=0)) - 2
@@ -297,69 +293,59 @@ class TriangleMesh:
         lam_all = lam_all.reshape(-1, 2)
         pts_all = rows_times(lam_all, A)
         pts_all *= eps
-        keep = _in_rect(pts_all, spec.omega_tilde, tol)
-        box_in_omega = _in_rect(pts_all, spec.omega, tol)
+        keep = _in_rect(pts_all, spec.omega, tol)
         self.lam = np.compress(keep, lam_all, axis=0)
         self.points = np.compress(keep, pts_all, axis=0)
         del lam_all, pts_all
         present = keep.reshape(shape)
-        in_omega = present & box_in_omega.reshape(shape)
-        self.point_in_omega = in_omega[present]
         grid = np.zeros(shape, dtype=np.int32)
         grid[present] = np.arange(len(self.lam))
 
-        # triangles of each orientation, marked at their base vertex where
-        # all three corners lie in the mesh, resp. in the specimen; the marks
-        # cover one cell beyond the interior, where the bond flanks read the
-        # specimen marks
-        def bases(mask):
-            return [np.logical_and.reduce([_window(mask, *c, margin=1) for c in cs])
-                    for cs in _TRIANGLE_CORNERS]
-
-        tri, tri_omega = bases(present), bases(in_omega)
+        # triangles of each orientation, marked at their base vertex where all
+        # three corners lie in the mesh; the marks cover one cell beyond the
+        # interior, where the bond flanks read them
+        tri = [np.logical_and.reduce([_window(present, *c, margin=1) for c in cs])
+               for cs in _TRIANGLE_CORNERS]
         tri_base = [_window(t, 0, 0, margin=1) for t in tri]
         n_tri = [int(np.count_nonzero(t)) for t in tri_base]
         if sum(n_tri) == 0:
             raise LatticeError(
                 f"eps={eps} is too coarse: no triangle fits inside the domain")
-        self.triangles = np.empty((sum(n_tri), 3), dtype=grid.dtype)
+        # stored component-major, so that the transposes are the contiguous
+        # (3, M) and (2, E) index arrays the energy kernel reads
+        self.triangles = np.empty((3, sum(n_tri)), dtype=grid.dtype).T
         for rows, t, cs in zip(np.split(self.triangles, n_tri[:1]), tri_base,
                                _TRIANGLE_CORNERS):
             for k, c in enumerate(cs):
                 rows[:, k] = _window(grid, *c)[t]
         self.tri_sign = np.concatenate([np.full(n, sign, dtype=np.int8)
                                         for n, sign in zip(n_tri, (1, -1))])
-        self.tri_in_omega = np.concatenate([_window(t_om, 0, 0, margin=1)[t]
-                                            for t, t_om in zip(tri_base, tri_omega)])
 
         # nearest-neighbor bonds, one row per unordered pair; the incidence
-        # of a bond counts which of its two flanking triangles lie in the specimen
-        present_in, omega_in, grid_in = (_window(g, 0, 0) for g in (present, in_omega, grid))
+        # of a bond counts which of its two flanking triangles are in the mesh
+        present_in, grid_in = _window(present, 0, 0), _window(grid, 0, 0)
         oks = [present_in & _window(present, *offset) for offset, _ in _BOND_OFFSETS]
         n_edge = [int(np.count_nonzero(ok)) for ok in oks]
-        self.edges = np.empty((sum(n_edge), 2), dtype=grid.dtype)
-        up, down = tri_omega
-        dirs, inc_omega, edge_in_omega = [], [], []
+        self.edges = np.empty((2, sum(n_edge)), dtype=grid.dtype).T
+        up, down = tri
+        dirs, inc = [], []
         for d, (rows, ok, (offset, (up_base, down_base))) in enumerate(
                 zip(np.split(self.edges, np.cumsum(n_edge[:2])), oks, _BOND_OFFSETS)):
             rows[:, 0] = grid_in[ok]
             rows[:, 1] = _window(grid, *offset)[ok]
             dirs.append(np.full(len(rows), d, dtype=np.int8))
-            inc_omega.append(_window(up, *up_base, margin=1)[ok].astype(np.int8)
-                             + _window(down, *down_base, margin=1)[ok])
-            edge_in_omega.append((omega_in & _window(in_omega, *offset))[ok])
+            inc.append(_window(up, *up_base, margin=1)[ok].astype(np.int8)
+                       + _window(down, *down_base, margin=1)[ok])
         self.edge_dir = np.concatenate(dirs)
-        self.edge_inc_omega = np.concatenate(inc_omega)
-        self.edge_in_omega = np.concatenate(edge_in_omega)
+        self.edge_inc_omega = np.concatenate(inc)
 
-        # the margin strips span the bar's height, so the distance to them
-        # is the horizontal distance to the bar's ends
+        # the pinned layers run along the two vertical sides, so a point's
+        # distance to them is its horizontal distance to the bar's ends
         x = self.points[:, 0]
         self.dirichlet = np.minimum(x, spec.l - x) <= eps * (1.0 + BOUNDARY_RTOL)
 
-        for arr in (self.points, self.lam, self.triangles, self.tri_sign,
-                    self.tri_in_omega, self.edges, self.edge_dir, self.edge_inc_omega,
-                    self.edge_in_omega, self.point_in_omega, self.dirichlet):
+        for arr in (self.points, self.lam, self.triangles, self.tri_sign, self.edges,
+                    self.edge_dir, self.edge_inc_omega, self.dirichlet):
             arr.setflags(write=False)
 
     # ------------------------------------------------------------------
@@ -394,7 +380,5 @@ def classify_edges(mesh: TriangleMesh) -> np.ndarray:
     on the side of exactly one triangle carries 1/4 W per ordered pair,
     and a stray bond belonging to no triangle carries 1/2 W.  Summed over
     an unordered bond the boundary term is therefore twice the weight.
-    Triangles count when they lie inside the specimen; bonds with an end
-    outside it get weight 0.
     """
-    return np.take(_EDGE_WEIGHTS, mesh.edge_inc_omega) * mesh.edge_in_omega
+    return np.take(_EDGE_WEIGHTS, mesh.edge_inc_omega)

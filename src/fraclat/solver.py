@@ -389,8 +389,7 @@ def _crack_summary(u: Displacement, beta: float):
 
 
 def _mesh_for(problem: CleavageProblem, eps: float) -> TriangleMesh:
-    return build_mesh(LatticeSpec(phi=problem.phi, eps=eps, l=problem.l,
-                                  eta=problem.eta))
+    return build_mesh(LatticeSpec(phi=problem.phi, eps=eps, l=problem.l))
 
 
 def convergence_study(problem: CleavageProblem, eps_list,
@@ -498,8 +497,7 @@ def fit_loglog_slope(eps_values, quantities) -> float:
 
 
 def nonequicoercivity_demo(eps_list, theta: float, p: float, q: float,
-                           l: float = 1.0, eta: float = 0.25,
-                           pot: PairPotential | None = None) -> dict:
+                           l: float = 1.0, pot: PairPotential | None = None) -> dict:
     """Energy and gradient mass of the rotated-band configuration per eps.
 
     The energy stays of order one while the L1 norm of the displacement
@@ -510,11 +508,11 @@ def nonequicoercivity_demo(eps_list, theta: float, p: float, q: float,
     pot = pot or PairPotential()
     rows = []
     for eps in eps_list:
-        mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=l, eta=eta))
+        mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=l))
         u = three_piece_rotation(mesh, theta, p, q)
         bd = energy_rescaled(u, pot, mode="plain")
         grad_norms = frobenius_norms(interpolate_gradients(u)[0])
-        rows.append((eps, bd.total, gradient_l1_norm(mesh, grad_norms, mesh.tri_in_omega),
+        rows.append((eps, bd.total, gradient_l1_norm(mesh, grad_norms),
                      gradient_l1_norm(mesh, grad_norms, _band_triangles(mesh, p, q))))
     eps_arr = [r[0] for r in rows]
     slope_total = fit_loglog_slope(eps_arr, [r[2] for r in rows])
@@ -525,9 +523,9 @@ def nonequicoercivity_demo(eps_list, theta: float, p: float, q: float,
 
 
 def _band_triangles(mesh: TriangleMesh, p: float, q: float) -> np.ndarray:
-    """Mask of the specimen's triangles fully inside the band p <= x1 <= q."""
+    """Mask of the triangles fully inside the band p <= x1 <= q."""
     x1 = mesh.points[mesh.triangles][:, :, 0]
-    return (x1 >= p).all(axis=1) & (x1 <= q).all(axis=1) & mesh.tri_in_omega
+    return (x1 >= p).all(axis=1) & (x1 <= q).all(axis=1)
 
 
 def rotated_band_displacement(mesh: TriangleMesh, w: float, p: float,

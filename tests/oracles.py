@@ -27,8 +27,8 @@ _OPPOSITE_VERTEX = (2, 1, 0)
 # mesh topology and continuum sampling
 # ----------------------------------------------------------------------
 
-MESH_ARRAYS = ("points", "lam", "triangles", "tri_sign", "tri_in_omega", "edges",
-               "edge_dir", "edge_inc_omega", "edge_in_omega", "point_in_omega", "dirichlet")
+MESH_ARRAYS = ("points", "lam", "triangles", "tri_sign", "edges", "edge_dir",
+               "edge_inc_omega", "dirichlet")
 
 _TRIANGLE_CORNERS = (((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1)))
 _BOND_OFFSETS = (((1, 0), ((0, 0), (1, 0))),
@@ -38,11 +38,11 @@ _BOND_OFFSETS = (((1, 0), ((0, 0), (1, 0))),
 
 # the mesh specs of the bit-identity tests: rotations on and off the lattice
 # axes, odd 1/eps, short and long bars, and the ladder's finest rung
-MESH_SPECS = [LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l, eta=eta)
+MESH_SPECS = [LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l)
               for inv_eps in (4, 8, 17, 64)
               for phi in (0.0, 1e-9, 0.3, math.pi / 6.0, 1.04)
-              for l, eta in ((2.0, 0.25), (1.0, 0.3), (0.6, 0.1))]
-MESH_SPECS.append(LatticeSpec(phi=0.3, eps=1.0 / 256.0, l=2.0, eta=0.25))
+              for l in (2.0, 1.0, 0.6)]
+MESH_SPECS.append(LatticeSpec(phi=0.3, eps=1.0 / 256.0, l=2.0))
 
 
 def spec_id(spec):
@@ -54,14 +54,19 @@ def _shift(grid, s1, s2):
     return np.roll(grid, (-s2, -s1), axis=(0, 1))
 
 
-def mesh_arrays(spec):
-    """The arrays of ``TriangleMesh(spec)`` by name, from whole-box rolls."""
+def mesh_arrays(spec, margin=0.0):
+    """The arrays of ``TriangleMesh(spec)`` by name, from whole-box rolls.
+
+    A positive ``margin`` widens the rectangle to (-margin, l + margin) x
+    (0, 1), the rectangle the mesh once spanned, with the same rules.
+    """
     vecs = lattice_vectors(spec.phi)
     eps = spec.eps
     tol = BOUNDARY_RTOL * eps
     A = np.column_stack([vecs.v1, vecs.v2])
     Ainv = np.linalg.inv(A)
-    x0, x1, y0, y1 = spec.omega_tilde
+    rect = (-margin, spec.l + margin, 0.0, 1.0)
+    x0, x1, y0, y1 = rect
     corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
     lam_corners = corners @ Ainv.T / eps
     lo = np.floor(lam_corners.min(axis=0)).astype(int) - 2
@@ -70,36 +75,29 @@ def mesh_arrays(spec):
                          indexing="ij")
     lam_all = np.column_stack([L1.ravel(), L2.ravel()])
     pts_all = (lam_all @ A.T) * eps
-    keep = _in_rect(pts_all, spec.omega_tilde, tol)
+    keep = _in_rect(pts_all, rect, tol)
     out = {"lam": lam_all[keep], "points": pts_all[keep]}
     present = keep.reshape(L1.shape)
-    in_omega = present & _in_rect(pts_all, spec.omega, tol).reshape(L1.shape)
-    out["point_in_omega"] = in_omega[present]
     grid = np.zeros(L1.shape, dtype=np.int64)
     grid[present] = np.arange(len(out["lam"]))
 
-    def bases(mask):
-        return [np.logical_and.reduce([_shift(mask, *c) for c in cs])
-                for cs in _TRIANGLE_CORNERS]
-
-    tri, tri_omega = bases(present), bases(in_omega)
+    tri = [np.logical_and.reduce([_shift(present, *c) for c in cs])
+           for cs in _TRIANGLE_CORNERS]
     out["triangles"] = np.vstack([np.column_stack([_shift(grid, *c)[t] for c in cs])
                                   for t, cs in zip(tri, _TRIANGLE_CORNERS)])
     out["tri_sign"] = np.concatenate([np.full(t.sum(), sign)
                                       for t, sign in zip(tri, (1.0, -1.0))]).astype(np.int8)
-    out["tri_in_omega"] = np.concatenate([t_om[t] for t, t_om in zip(tri, tri_omega)])
-    edges, dirs, inc_omega = [], [], []
-    up, down = tri_omega
+    edges, dirs, inc = [], [], []
+    up, down = tri
     for d, (offset, (up_base, down_base)) in enumerate(_BOND_OFFSETS):
         ok = present & _shift(present, *offset)
         edges.append(np.column_stack([grid[ok], _shift(grid, *offset)[ok]]))
         dirs.append(np.full(ok.sum(), d, dtype=np.int8))
         count = _shift(up, *up_base).astype(np.int8) + _shift(down, *down_base)
-        inc_omega.append(count[ok])
+        inc.append(count[ok])
     out["edges"] = np.vstack(edges)
     out["edge_dir"] = np.concatenate(dirs)
-    out["edge_inc_omega"] = np.concatenate(inc_omega)
-    out["edge_in_omega"] = out["point_in_omega"][out["edges"]].all(axis=1)
+    out["edge_inc_omega"] = np.concatenate(inc)
     x = out["points"][:, 0]
     out["dirichlet"] = np.minimum(x, spec.l - x) <= eps * (1.0 + BOUNDARY_RTOL)
     # the mesh stores its indices and coordinates as int32, its signs as int8

@@ -155,7 +155,7 @@ def test_06_recovery_sequence_convergence():
     p = float(cleaved_stations(prob, 1)[0])
     gaps = []
     for eps in LADDER:
-        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=0.25))
+        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l))
         u = recovery_sequence(build_u_cr(prob, p), mesh)
         total = energy_rescaled(u, pot, mode="chi", chi=chi).total
         gaps.append(abs(total - target) / target)
@@ -176,7 +176,7 @@ def test_07_cleavage_law_minimization():
     for mult in (0.5, 1.5):
         prob = bench_problem(mult)
         pot = PairPotential(alpha=prob.alpha, beta=prob.beta)
-        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=0.25))
+        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l))
         cfg = SolveConfig(max_iters=300, rng_seed=7, mode="chi")
         res = minimize(mesh, bc_cleavage(prob.a, prob.l), pot, cfg, chi=chi,
                        problem=prob)
@@ -208,7 +208,7 @@ def test_08_spring_counting():
     u_cont = build_u_cr(prob, p)
     seg = u_cont.crack[0]
     length = float(np.linalg.norm(seg.p1 - seg.p0))
-    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / 128.0, l=prob.l, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / 128.0, l=prob.l))
     V = mesh.vecs.as_array()
     targets = length * 2.0 * np.abs(V @ seg.normal) / SQRT3
     scaled = np.array([
@@ -265,7 +265,7 @@ def test_10_nonequicoercivity_rate():
 def test_11_magnet_renormalization_and_hessian():
     t0 = time.perf_counter()
     from fraclat.solver import _random_admissible
-    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 16.0, l=1.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 16.0, l=1.0))
     pot = PairPotential(alpha=1.0, beta=1.0)
     chi = PenaltyChi()
     model = MagnetizationModel(kappa=1.5, T=2.0)

@@ -304,6 +304,25 @@ def test_unknown_mode_fails_before_any_mesh(tmp_path, capsys, monkeypatch, mode,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("eta", ["-1", "0"])
+@pytest.mark.parametrize("argv", [["cleavage", "--no-minimize"], ["minimize"], ["recovery"],
+                                  ["crack-extract", "--in", "missing.csv"], ["magnet-demo"],
+                                  ["noneq-demo"]], ids=lambda argv: argv[0])
+def test_a_non_positive_eta_is_refused_before_any_mesh(tmp_path, capsys, monkeypatch,
+                                                        eta, argv):
+    # lattice.eta shapes no mesh, and every command still refuses what it refused
+    from fraclat import solver
+    meshes = []
+    for module in (cli, solver):
+        monkeypatch.setattr(module, "build_mesh", meshes.append)
+    cfg = write_config(tmp_path / "c.cfg", BASE + f"lattice.eta = {eta}\n"
+                       f"out.dir = {tmp_path}/out\n")
+    assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 1
+    assert "margin width eta must be positive" in capsys.readouterr().err
+    assert meshes == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_minimize_rejects_a_bad_potential_before_any_mesh(tmp_path, capsys, monkeypatch):
     # minimize once built its mesh before the potential was checked
     from fraclat import solver
@@ -371,7 +390,7 @@ def test_mode_f_uses_the_field_model(tmp_path):
     from fraclat.material import MagnetizationModel, PairPotential, PenaltyChi
     from fraclat.solver import cleaved_stations, recovery_sequence
     problem = CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=2.0)
-    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 32.0, l=2.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 32.0, l=2.0))
     p = float(cleaved_stations(problem, 1)[0])
     u = recovery_sequence(build_u_cr(problem, p), mesh)
 
@@ -390,7 +409,7 @@ def test_displacement_csv_byte_roundtrip(tmp_path):
 
     from fraclat.discrete_energy import displacement_from_csv, displacement_to_csv
     from fraclat.lattice import LatticeSpec, build_mesh
-    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 32.0, l=2.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 32.0, l=2.0))
     u = displacement_from_csv(str(disp), mesh)
     again = tmp_path / "again.csv"
     displacement_to_csv(u, str(again))
@@ -477,7 +496,26 @@ def test_output_set_discard_removes_written_files(tmp_path):
     assert not os.path.exists(p1) and not os.path.exists(p2)
 
 
-def test_unwritable_output_exits_nonzero(tmp_path, capsys):
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs a /proc file system")
+def test_unwritable_output_exits_nonzero(tmp_path, capsys, monkeypatch):
+    # os.access reports /proc writable to root, so this once failed only
+    # after the whole ladder had run
+    from fraclat import solver
+    meshes = []
+    for module in (cli, solver):
+        monkeypatch.setattr(module, "build_mesh", meshes.append)
     cfg = write_config(tmp_path / "c.cfg", BASE + "out.dir = /proc/nowhere\n")
     assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 1
-    assert capsys.readouterr().err.startswith("fraclat: error:")
+    assert capsys.readouterr().err == ("fraclat: error: out.dir '/proc/nowhere' is unusable: "
+                                       "/proc is not a writable directory\n")
+    assert meshes == []
+    assert not os.path.exists("/proc/nowhere")
+
+
+def test_the_writability_probe_leaves_nothing_behind(tmp_path):
+    from fraclat.cli import OutputSet
+    (tmp_path / "existing").mkdir()
+    for out_dir in (tmp_path / "existing", tmp_path / "new" / "deeper"):
+        OutputSet(str(out_dir))
+    assert sorted(os.listdir(tmp_path)) == ["existing"]
+    assert os.listdir(tmp_path / "existing") == []

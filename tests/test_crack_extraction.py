@@ -123,7 +123,7 @@ def all_triangle_classification(u):
 def classification_fields(inv_eps):
     """A sampled crack, a sampled elastic ramp and a random field on the l = 2 bar."""
     prob = supercritical_problem()
-    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l))
     rng = np.random.default_rng(inv_eps)
     p = float(cleaved_stations(prob, 1)[0])
     return {"crack": recovery_sequence(build_u_cr(prob, p), mesh),
@@ -240,7 +240,7 @@ def test_recovery_broken_set_equals_crossed_set():
              (lj, p_lj, 16, 31), (lj, p_lj, 32, 64), (lj, p_lj, 64, 129), (lj, p_lj, 128, 261)]
     for prob, p, inv_eps, count in cases:
         eps = 1.0 / inv_eps
-        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=0.25))
+        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l))
         u_cont = build_u_cr(prob, p=p)
         u = recovery_sequence(u_cont, mesh)
         classes = classify_broken(u)
@@ -338,7 +338,7 @@ def assert_crack_matches_oracle(u, variant, beta=1.3):
 @pytest.mark.parametrize("station", [0, 1, 2])
 def test_recovery_crack_matches_oracle(inv_eps, station):
     prob = supercritical_problem(l=2.0)
-    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l))
     p = cleaved_stations(prob, 3)[station]
     u = recovery_sequence(build_u_cr(prob, p=float(p)), mesh)
     classes = assert_crack_matches_oracle(u, variant=1 + station)
@@ -393,7 +393,7 @@ def test_crack_energy_estimate_empty_and_linear(mesh16):
 
 def test_crack_energy_estimate_converges():
     prob = supercritical_problem(l=1.0)
-    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / 64.0, l=1.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / 64.0, l=1.0))
     u = recovery_sequence(build_u_cr(prob, p=0.45), mesh)
     cr = build_modified(u, classify_broken(u))
     target = 2.0 * prob.beta / prob.gamma
@@ -438,7 +438,7 @@ def brute_crossings(mesh, p0, p1, direction):
 
 def test_vertical_line_count_phi0():
     eps = 1.0 / 32.0
-    mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0))
     p0, p1 = np.array([0.43, 0.0]), np.array([0.43, 1.0])
     count = spring_crossing_count(p0, p1, mesh, 0)
     assert count == brute_crossings(mesh, p0, p1, 0)
@@ -448,7 +448,7 @@ def test_vertical_line_count_phi0():
 
 def test_parallel_line_count_is_bounded():
     eps = 1.0 / 32.0
-    mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0))
     v1 = mesh.vecs.v1
     p0 = np.array([0.11, 0.511])
     p1 = p0 + 0.7 * v1
@@ -460,7 +460,7 @@ def test_count_scaling_all_directions():
     u_cont = build_u_cr(prob, p=0.45)
     seg = u_cont.crack[0]
     length = np.linalg.norm(seg.p1 - seg.p0)
-    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / 64.0, l=1.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / 64.0, l=1.0))
     V = mesh.vecs.as_array()
     targets = length * 2.0 * np.abs(V @ seg.normal) / SQRT3
     counts = np.array([spring_crossing_count(seg.p0, seg.p1, mesh, d) for d in range(3)])
@@ -478,7 +478,7 @@ def test_count_rejects_an_unknown_direction(mesh16, direction):
 
 def test_count_error_on_lattice_point():
     eps = 1.0 / 16.0
-    mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0))
     # a vertical line through a lattice column hits points exactly
     with pytest.raises(CrackError):
         spring_crossing_count(np.array([0.5, 0.0]), np.array([0.5, 1.0]), mesh, 1)

@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from conftest import check_topology_against_oracle
-from fraclat.lattice import (BLOCK, PHI_MAX, LatticeError, LatticeSpec, build_mesh,
-                             classify_edges, cleavage_direction,
+from fraclat.lattice import (BLOCK, BOUNDARY_RTOL, PHI_MAX, LatticeError, LatticeSpec,
+                             build_mesh, classify_edges, cleavage_direction,
                              lattice_vectors, perp, rotation_matrix, rows_times)
 
 SQRT3 = math.sqrt(3.0)
@@ -90,8 +90,8 @@ def test_spec_validation():
         LatticeSpec(phi=0.0, eps=-1.0)
     with pytest.raises(LatticeError):
         LatticeSpec(phi=0.0, eps=0.1, l=0.2)  # too short
-    with pytest.raises(LatticeError):
-        LatticeSpec(phi=0.0, eps=0.1, eta=0.0)
+    with pytest.raises(LatticeError, match="eta must be positive"):
+        LatticeSpec(phi=0.0, eps=0.1, eta=0.0)  # read by nothing, still checked
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -104,13 +104,13 @@ def test_spec_rejects_a_non_finite_field(field, value):
 
 def test_empty_mesh_error():
     with pytest.raises(LatticeError):
-        build_mesh(LatticeSpec(phi=0.2, eps=50.0, l=1.0, eta=0.1))
+        build_mesh(LatticeSpec(phi=0.2, eps=50.0, l=1.0))
 
 
 def test_a_box_past_int32_is_refused_before_it_is_built():
     # 1e-6 asks for about 3e12 cells; the check reads only the box's corners
     with pytest.raises(LatticeError, match=r"^eps=1e-06 is too fine: .* int32"):
-        build_mesh(LatticeSpec(phi=0.3, eps=1e-6, l=2.0, eta=0.25))
+        build_mesh(LatticeSpec(phi=0.3, eps=1e-6, l=2.0))
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.float64])
@@ -137,17 +137,11 @@ def test_triangles_equilateral_and_area(mesh16):
 
 
 def test_area_covering():
-    spec = LatticeSpec(phi=0.3, eps=1.0 / 64.0, l=1.0, eta=0.25)
+    spec = LatticeSpec(phi=0.3, eps=1.0 / 64.0, l=1.0)
     mesh = build_mesh(spec)
     covered = mesh.n_triangles * mesh.triangle_area
-    x0, x1, y0, y1 = spec.omega_tilde
-    domain_area = (x1 - x0) * (y1 - y0)
-    assert covered <= domain_area * (1.0 + 1e-12)
-    assert covered >= 0.95 * domain_area
-    # triangles inside the specimen cover it likewise
-    covered_omega = mesh.tri_in_omega.sum() * mesh.triangle_area
-    assert covered_omega <= spec.l * (1.0 + 1e-12)
-    assert covered_omega >= 0.95 * spec.l
+    assert covered <= spec.l * (1.0 + 1e-12)
+    assert covered >= 0.95 * spec.l
 
 
 def test_edge_incidence_structure(mesh16):
@@ -166,7 +160,7 @@ def test_edge_incidence_structure(mesh16):
 @pytest.mark.parametrize("phi", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("inv_eps", [8, 16])
 def test_topology_matches_distance_oracle(inv_eps, phi):
-    spec = LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=1.0, eta=0.25)
+    spec = LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=1.0)
     check_topology_against_oracle(build_mesh(spec))
 
 
@@ -180,6 +174,47 @@ def test_mesh_arrays_equal_the_rolled_box_oracle(spec):
         assert not got.flags.writeable, name
 
 
+@pytest.mark.parametrize("spec", oracles.MESH_SPECS, ids=oracles.spec_id)
+def test_every_point_lies_in_omega_with_a_bond(spec):
+    mesh = build_mesh(spec)
+    x, y = mesh.points.T
+    tol = BOUNDARY_RTOL * spec.eps
+    assert np.all((x >= -tol) & (x <= spec.l + tol) & (y >= -tol) & (y <= 1.0 + tol))
+    # a step of eps along one of the six bond directions stays in Omega from
+    # any of its points once eps <= min(l, 1) / 2, so no point is unbonded
+    assert np.bincount(mesh.edges.ravel(), minlength=mesh.n_points).min() > 0
+
+
+@pytest.mark.parametrize("spec", oracles.MESH_SPECS, ids=oracles.spec_id)
+def test_a_bond_flanking_a_triangle_has_incidence_one_or_two(spec):
+    mesh = build_mesh(spec)
+    n = mesh.n_points
+    T = mesh.triangles.astype(np.int64)
+    sides = np.concatenate([np.minimum(T[:, a], T[:, b]) * n + np.maximum(T[:, a], T[:, b])
+                            for a, b in ((0, 1), (0, 2), (1, 2))])
+    E = np.sort(mesh.edges.astype(np.int64), axis=1)
+    flanks = np.isin(E[:, 0] * n + E[:, 1], sides)
+    assert np.isin(mesh.edge_inc_omega[flanks], (1, 2)).all()
+    assert np.all(mesh.edge_inc_omega[~flanks] == 0)
+    assert int(mesh.edge_inc_omega.sum()) == 3 * mesh.n_triangles
+
+
+@pytest.mark.parametrize("spec", oracles.MESH_SPECS[::4], ids=oracles.spec_id)
+def test_omega_points_and_dirichlet_layer_are_those_of_the_wide_mesh(spec):
+    # the mesh once spanned (-0.25, l + 0.25) x (0, 1); its points in Omega
+    # are the specimen mesh's points, bit for bit and in the same order, and
+    # they carry the same pinned layer
+    wide = oracles.mesh_arrays(spec, margin=0.25)
+    x, y = wide["points"].T
+    tol = BOUNDARY_RTOL * spec.eps
+    inside = (x >= -tol) & (x <= spec.l + tol) & (y >= -tol) & (y <= 1.0 + tol)
+    assert not inside.all()
+    mesh = build_mesh(spec)
+    assert mesh.points.tobytes() == wide["points"][inside].tobytes()
+    assert mesh.lam.tobytes() == wide["lam"][inside].tobytes()
+    assert np.array_equal(mesh.dirichlet, wide["dirichlet"][inside])
+
+
 def test_edge_direction_consistency(mesh16):
     V = mesh16.vecs.as_array()
     d = mesh16.points[mesh16.edges[:, 1]] - mesh16.points[mesh16.edges[:, 0]]
@@ -188,10 +223,10 @@ def test_edge_direction_consistency(mesh16):
 
 
 def test_dirichlet_mask_direct_distance():
-    spec = LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0, eta=0.3)
+    spec = LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0)
     mesh = build_mesh(spec)
-    # brute-force point-to-rectangle distance over the margin strips
-    strips = [(-spec.eta, 0.0, 0.0, 1.0), (spec.l, spec.l + spec.eta, 0.0, 1.0)]
+    # brute-force point-to-rectangle distance over the half-strips beside the bar
+    strips = [(-math.inf, 0.0, 0.0, 1.0), (spec.l, math.inf, 0.0, 1.0)]
     for p, flag in zip(mesh.points, mesh.dirichlet):
         d = np.inf
         for (a, b, c, e) in strips:
@@ -202,7 +237,7 @@ def test_dirichlet_mask_direct_distance():
 
 
 def test_mesh_determinism():
-    spec = LatticeSpec(phi=0.123, eps=1.0 / 16.0, l=1.0, eta=0.25)
+    spec = LatticeSpec(phi=0.123, eps=1.0 / 16.0, l=1.0)
     m1, m2 = build_mesh(spec), build_mesh(spec)
     assert np.array_equal(m1.points, m2.points)
     assert np.array_equal(m1.triangles, m2.triangles)
@@ -218,12 +253,10 @@ def test_point_order_row_major(mesh16):
 
 def test_classify_edges_weights(mesh16):
     w = classify_edges(mesh16)
-    inc, inside = mesh16.edge_inc_omega, mesh16.edge_in_omega
-    assert np.all(w[inside & (inc == 2)] == 0.0)
-    assert np.all(w[inside & (inc == 1)] == 0.25)
-    assert np.all(w[inside & (inc == 0)] == 0.5)
-    # bonds sticking into the margin carry no weight
-    assert np.all(w[~inside] == 0.0)
+    inc = mesh16.edge_inc_omega
+    assert np.all(w[inc == 2] == 0.0)
+    assert np.all(w[inc == 1] == 0.25)
+    assert np.all(w[inc == 0] == 0.5)
 
 
 def test_rotation_matrix_orthogonal():

@@ -30,7 +30,7 @@ _TEXT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789,./-_", min_size=1
                 max_size=20)
 _VALUES = {float: st.floats(), int: st.integers(-10**12, 10**12), str: _TEXT}
 
-MESH8 = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0, eta=0.25))
+MESH8 = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0))
 
 
 def _exact(values: dict) -> dict:
@@ -89,7 +89,7 @@ def test_displacement_csv_writes_the_csv_module_bytes(values, block_rows):
 
 @settings(max_examples=25, deadline=None)
 @given(phi=st.floats(0.0, PHI_MAX, exclude_max=True), inv_eps=st.integers(4, 16),
-       l=st.floats(0.6, 2.0), eta=st.floats(0.01, 0.5))
-def test_mesh_topology_matches_distance_oracle(phi, inv_eps, l, eta):
-    spec = LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l, eta=eta)
+       l=st.floats(0.6, 2.0))
+def test_mesh_topology_matches_distance_oracle(phi, inv_eps, l):
+    spec = LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l)
     check_topology_against_oracle(build_mesh(spec))

@@ -46,7 +46,7 @@ def test_recovery_crack_gap_shrinks(pot_unit, chi):
     target = crack_branch_energy(prob)
     gaps = []
     for eps in (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0):
-        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=0.25))
+        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l))
         u = recovery_sequence(build_u_cr(prob, p=0.45), mesh)
         total = energy_rescaled(u, pot_unit, mode="chi", chi=chi).total
         gaps.append(abs(total - target) / target)
@@ -59,7 +59,7 @@ def test_recovery_translates_crack_off_lattice():
     # through lattice points, which must trigger the deterministic shift
     prob = problem_with(1.5, phi=0.0)
     eps = 1.0 / 16.0
-    mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0))
     u_cont = build_u_cr(prob, p=0.25)
     assert u_cont.crack_point_distance(mesh.points).min() < 1e-12
     u1 = recovery_sequence(u_cont, mesh)
@@ -90,7 +90,7 @@ def crack_touches_reference(u_cont, mesh):
 @pytest.mark.parametrize("inv_eps", [16, 32, 64, 128])
 def test_crack_touch_check_agrees_with_the_distance_on_every_station(inv_eps):
     prob = problem_with(1.5, l=2.0)
-    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l))
     stations = cleaved_stations(prob, 9)
     assert len(stations) == 9
     for p in stations:
@@ -103,7 +103,7 @@ def test_crack_touch_check_agrees_on_a_crack_through_lattice_points():
     from fraclat.continuum import ContinuumDisplacement, CrackLine, build_u_cr_symmetric
     prob = problem_with(1.5, phi=0.0)
     eps = 1.0 / 16.0
-    mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0))
     # a straight crack and a two-segment graph crack, each through lattice points
     for u_cont in (build_u_cr(prob, p=0.25),
                    build_u_cr_symmetric(prob, [0.0, 0.5, 1.0], [0.5, 0.5, 0.5 + eps / 2.0])):
@@ -129,10 +129,9 @@ def test_sampling_equals_the_gather_scatter_oracle():
     configs += [build_u_cr(prob, float(p), s=0.1, t=-0.2) for p in cleaved_stations(prob, 9)]
     configs.append(build_u_cr(prob, float(cleaved_stations(prob, 1)[0])).shifted(1.0 / 272.0))
     rng = np.random.default_rng(3)
-    point_sets = [build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l,
-                                         eta=prob.eta)).points
+    point_sets = [build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / inv_eps, l=prob.l)).points
                   for inv_eps in (16, 32, 64, 128)]
-    point_sets += [rng.uniform([-prob.eta, 0.0], [prob.l + prob.eta, 1.0], size=(k, 2))
+    point_sets += [rng.uniform([0.0, 0.0], [prob.l, 1.0], size=(k, 2))
                    for k in (1, 7, 1000)]
     for u_cont in configs:
         for points in point_sets:
@@ -144,6 +143,54 @@ def test_sampling_equals_the_gather_scatter_oracle():
 # ----------------------------------------------------------------------
 # minimization
 # ----------------------------------------------------------------------
+
+# sampled chi energies on the test-07 bar (l = 2, phi = 0.3), (crack, elastic)
+# per (1/eps, load / a_crit): the values of the mesh that spanned the margins
+# (-0.25, 0) and (l, l + 0.25) as well, which the specimen mesh keeps bit for bit
+SAMPLED_ENERGIES = {
+    (16, 0.5): (1.999996957410036, 0.5060886764622319),
+    (16, 1.5): (2.0, 4.674289682269888),
+    (32, 0.5): (2.031249999996703, 0.513464330912198),
+    (32, 1.5): (2.03125, 4.766576838940337),
+    (64, 0.5): (2.03125, 0.5166485833347628),
+    (64, 1.5): (2.03125, 4.784122034456092),
+}
+
+
+@pytest.mark.parametrize("inv_eps", [16, 32, 64])
+def test_sampled_energies_are_pinned(inv_eps, pot_unit, chi):
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / inv_eps, l=2.0))
+    for mult in (0.5, 1.5):
+        prob = problem_with(mult, l=2.0)
+        p = float(cleaved_stations(prob, 1)[0])
+        got = tuple(energy_rescaled(recovery_sequence(u, mesh), pot_unit, mode="chi",
+                                    chi=chi).total
+                    for u in (build_u_cr(prob, p), build_u_el(prob)))
+        assert got == SAMPLED_ENERGIES[inv_eps, mult]
+
+
+# the per-start records (tag, energy, iterations, evaluations) of acceptance
+# test 07, eps = 1/64 on the same bar, as the mesh with margins gave them
+_CLEAVED_07 = [("cleaved(p=0.285144)", 2.046875, 0, 1), ("cleaved(p=0.455433)", 2.03125, 0, 1),
+               ("cleaved(p=0.625722)", 2.015625, 0, 1), ("cleaved(p=0.796011)", 2.046875, 0, 1),
+               ("cleaved(p=0.966299)", 2.03125, 0, 1), ("cleaved(p=1.13659)", 2.03125, 0, 1),
+               ("cleaved(p=1.30688)", 2.03125, 0, 1), ("cleaved(p=1.47717)", 2.046875, 0, 1),
+               ("cleaved(p=1.64745)", 2.03125, 0, 1)]
+ACCEPTANCE_07_STARTS = {
+    0.5: [("zero", 2.203125, 0, 1), ("elastic", 0.5235183941055047, 13, 14), *_CLEAVED_07],
+    1.5: [("zero", 2.203125, 0, 1), ("elastic", 4.824329870947651, 16, 17), *_CLEAVED_07],
+}
+
+
+def test_the_acceptance_07_starts_are_pinned(pot_unit, chi):
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 64.0, l=2.0))
+    for mult, want in ACCEPTANCE_07_STARTS.items():
+        prob = problem_with(mult, l=2.0)
+        res = minimize(mesh, bc_cleavage(prob.a, prob.l), pot_unit,
+                       SolveConfig(max_iters=300, mode="chi"), chi=chi, problem=prob)
+        assert [(s.tag, s.energy, s.iters, s.evals) for s in res.starts] == want
+        assert all(s.converged for s in res.starts)
+
 
 def test_minimize_zero_load_rest_state(mesh16, pot_unit, chi):
     prob = CleavageProblem(alpha=1.0, beta=1.0, l=1.0, phi=0.3, a=0.0)
@@ -313,7 +360,7 @@ def test_minimize_never_worse_than_cleaved_inits(mesh16, pot_unit, chi):
 @pytest.mark.parametrize("mult,expect_crack", [(0.5, False), (1.5, True)])
 def test_minimize_selects_branch(mult, expect_crack, pot_unit, chi):
     prob = problem_with(mult)
-    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / 16.0, l=prob.l, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / 16.0, l=prob.l))
     cfg = SolveConfig(max_iters=150)
     res = minimize(mesh, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
                    problem=prob)
@@ -409,7 +456,7 @@ def test_starts_are_built_one_at_a_time(mesh16, pot_unit, chi, monkeypatch):
                          ids=lambda pot: pot.family)
 def test_stiffness_is_the_rest_hessian(pot):
     # K v against a central difference of the plain gradient about the rest state
-    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0))
     asm = Assembly(mesh, pot, mode="plain")
     none = np.zeros(mesh.n_points, dtype=bool)
     v = np.random.default_rng(8).standard_normal((mesh.n_points, 2))
@@ -422,7 +469,7 @@ def test_stiffness_is_the_rest_hessian(pot):
 @pytest.fixture(scope="module")
 def multigrid_bar():
     # the test-07 bar at eps = 1/32: two stencil levels and the dense one below the mesh
-    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 32.0, l=2.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 32.0, l=2.0))
     asm = Assembly(mesh, PairPotential(), mode="chi", chi=PenaltyChi())
     mask_x, mask_y = bc_cleavage(0.5, 2.0).masks(mesh)
     return mesh, asm, mask_x, StiffnessMultigrid(asm, mask_x, mask_y)
@@ -437,10 +484,11 @@ def test_preconditioner_is_symmetric_positive_and_zero_when_pinned(multigrid_bar
     for v in rng.standard_normal((10, mesh.n_points, 2)):
         assert np.vdot(v, M(v)) > 0.0
     assert mask_x.any() and np.all(Mu[mask_x, 0] == 0.0)
-    # points without bonds (the margins outside the specimen) get 0 too
+    # M is 0 on points without bonds too; a specimen mesh has none
+    # (test_every_point_lies_in_omega_with_a_bond), so the pins are its zeros
     bonded = np.zeros(mesh.n_points, dtype=bool)
     bonded[asm._bond_ends.ravel()] = True
-    assert not bonded.all() and np.all(Mu[~bonded] == 0.0)
+    assert bonded.all()
     assert np.any(Mu[~mask_x, 1] != 0.0)
 
 
@@ -459,7 +507,7 @@ def test_coarse_stencils_are_the_galerkin_products(multigrid_bar):
 @pytest.mark.parametrize("mult", [0.5, 1.5])
 def test_elastic_start_converges_in_few_iterations(eps, mult, pot_unit, chi):
     prob = problem_with(mult, l=2.0)
-    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l))
     cfg = SolveConfig(max_iters=300, multistart=("elastic",))
     res = minimize(mesh, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
     start = res.starts[0]
@@ -493,7 +541,7 @@ def test_convergence_study_rows_are_the_per_sample_evaluations(pot_unit, chi, ma
     p = float(cleaved_stations(prob, 1)[0])
     expected = []
     for eps in ladder:
-        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=prob.eta))
+        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l))
         u_cr = recovery_sequence(build_u_cr(prob, p), mesh)
         u_el = recovery_sequence(build_u_el(prob), mesh)
         n, est, ang = _crack_summary(u_cr, prob.beta)
@@ -547,7 +595,8 @@ def test_convergence_study_rows_are_the_per_sample_evaluations(pot_unit, chi, ma
 def test_one_rung_fits_its_memory_budget(pot_unit, chi):
     # one 1/128 rung without minimize on the l = 2 bar: the int32 topology
     # and the blocked classification took its tracemalloc peak from 18.4 MB
-    # to 13.3 MB; the peak is now the breakdown's
+    # to 13.3 MB, and the mesh on the specimen alone to 10.0 MB; the peak
+    # is the breakdown's
     import tracemalloc
     prob = problem_with(1.5, l=2.0)
     tracemalloc.start()
@@ -557,7 +606,7 @@ def test_one_rung_fits_its_memory_budget(pot_unit, chi):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 15e6
+    assert peak < 12e6
 
 
 def test_gap_ladder_guard():
@@ -630,16 +679,16 @@ def test_nonequicoercivity_rows_are_the_gradient_masses(pot_unit, monkeypatch):
     res = nonequicoercivity_demo(ladder, theta=theta, p=p, q=q, pot=pot_unit)
     assert len(calls) == len(ladder)  # one interpolation per rung
     for eps, row in zip(ladder, res["rows"]):
-        mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0, eta=0.25))
+        mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0))
         u = three_piece_rotation(mesh, theta, p, q)
         grad_u, _ = interpolate(u)
         x1 = mesh.points[mesh.triangles][:, :, 0]
-        band = (x1 >= p).all(axis=1) & (x1 <= q).all(axis=1) & mesh.tri_in_omega
+        band = (x1 >= p).all(axis=1) & (x1 <= q).all(axis=1)
         # np.linalg.norm sums a stack's squares in its memory order, and the
         # package's norms sum them row by row, as it does on a contiguous stack
         masses = [float(mesh.triangle_area
                         * np.linalg.norm(np.ascontiguousarray(grad_u[m]), axis=(1, 2)).sum())
-                  for m in (mesh.tri_in_omega, band)]
+                  for m in (slice(None), band)]
         assert row == (eps, energy_rescaled(u, pot_unit).total, *masses)
 
 
@@ -672,7 +721,7 @@ def test_magnet_demo_rows_are_the_per_mode_energies(pot_unit, chi, magmodel, mon
     assert built == ["f"] * len(ladder)  # one mode-f assembly per rung
     monkeypatch.undo()
     for eps, el, band in zip(ladder, res["elastic_rows"], res["band_rows"]):
-        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l, eta=prob.eta))
+        mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=eps, l=prob.l))
         u_el = recovery_sequence(build_u_el(prob), mesh)
         assert el.energy == energy_rescaled(u_el, pot_unit, "f", chi, magmodel).total
         u = rotated_band_displacement(mesh, angle, 0.3 * prob.l, 0.7 * prob.l)
@@ -693,7 +742,7 @@ def test_magnet_demo_builds_one_mesh_per_rung(pot_unit, chi, magmodel, monkeypat
 
 def test_rotated_band_probes_quadratic_field_term(pot_unit, chi, magmodel):
     # doubling the scaled angle quadruples the field excess, to leading order
-    mesh = build_mesh(LatticeSpec(phi=0.0, eps=1.0 / 32.0, l=1.0, eta=0.25))
+    mesh = build_mesh(LatticeSpec(phi=0.0, eps=1.0 / 32.0, l=1.0))
     excess = []
     for w in (0.2, 0.4):
         u = rotated_band_displacement(mesh, w, 0.3, 0.7)
