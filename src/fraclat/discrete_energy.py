@@ -17,6 +17,11 @@ kernel, :func:`_grad_u`, forms the per-triangle displacement gradient for
 both the assembly and :func:`interpolate_gradients`, component-major,
 into buffers its caller provides.
 
+The gradient has two parts.  The bonds' forces are scattered onto their
+ends with one ``np.bincount`` per component.  The triangle terms (the
+penalty's and the field's) are summed per triangle into one chain-rule
+product and added to one per-point accumulator.
+
 Energy modes
 ------------
 plain
@@ -43,7 +48,6 @@ import itertools
 import warnings
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -252,35 +256,20 @@ def _check_pair_identity(pair_total: float, bulk: float, boundary: float):
             f"{pair_total} vs {bulk} + {boundary}")
 
 
-def _chain_to_edges(dPhi_dF: np.ndarray, Minv: np.ndarray, pref: np.ndarray,
+def _chain_to_edges(dPhi_dF: np.ndarray, Minv: np.ndarray, coef: float, sign: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """d Phi(F) / d(edge differences); column c acts on vertex c+1.
 
-    Chain rule through ``F = Id + sqrt(eps) / (sign eps) [d1 d2] Minv``;
-    the per-triangle factor ``pref`` is that derivative times the
-    coefficient of the term.  ``out``, if given, is a contiguous buffer
-    shaped like ``dPhi_dF`` that receives the result.
+    Chain rule through ``F = Id + sqrt(eps) / (sign eps) [d1 d2] Minv``:
+    ``coef`` is the coefficient of the term times ``sqrt(eps) / eps`` and
+    ``sign`` the triangles' orientation signs.  ``out``, if given, is a
+    contiguous buffer shaped like ``dPhi_dF`` that receives the result.
     """
     P = np.matmul(dPhi_dF.reshape(-1, 2), Minv.T,
                   out=None if out is None else out.reshape(-1, 2)).reshape(dPhi_dF.shape)
-    P *= pref[:, None, None]
+    P *= coef
+    P *= sign[:, None, None]
     return P
-
-
-def _put_term(weights, P: np.ndarray, at: int, stride: int):
-    """Write one triangle term into the weight streams.
-
-    The rows from ``at``, ``at + stride`` and ``at + 2 stride`` on take the
-    derivatives with respect to corners 1, 2 and 0 of the ``len(P)``
-    triangles; corner 0 takes minus the sum of the other two.
-    """
-    k = len(P)
-    for i, w in enumerate(weights):
-        p1, p2, p0 = (w[at + j * stride:at + j * stride + k] for j in range(3))
-        np.copyto(p1, P[:, i, 0])
-        np.copyto(p2, P[:, i, 1])
-        np.add(p1, p2, out=p0)
-        np.negative(p0, out=p0)
 
 
 class _Workspace:
@@ -294,7 +283,8 @@ class _Workspace:
       the pair sum is taken;
     * ``cells``, ``chi_vals`` and, in mode ``f``, ``field_vals``, one value
       per triangle (zero off the penalty's support);
-    * with a gradient, the ``bincount`` index and weight streams.
+    * with a gradient, the bond streams and the accumulator of the
+      triangle terms, which :meth:`add_gradient` makes.
 
     Everything else is one block of ``block`` bonds or triangles long:
     the bond vectors ``z``, their take buffer ``z0`` and the stretches
@@ -306,15 +296,6 @@ class _Workspace:
     ``field_masks`` work rows of :func:`~fraclat.material.field_energy_rows`.
     The buffers are flat or row-major, so that the views of a short last
     block are contiguous.
-
-    A stream reads ``[bond e1 | bond e0 | penalty (3 cap) | field (3 M)]``,
-    each triangle term in three parts for corners 1, 2 and 0.  The penalty
-    region has room for ``cap`` triangles and the field region exists only
-    in mode ``f``.  The index stream's bond and field parts are written
-    once.  The penalty support is known only after the last block, so a
-    region it does not fill keeps zero weights: adding +0.0 leaves every
-    ``bincount`` sum as it is.  :meth:`reserve` adds the streams on the
-    first gradient and grows them when the support outgrows ``cap``.
 
     Takes into a view use ``mode="clip"`` (every index is in range):
     under the default mode numpy fills a temporary copy of ``out``.
@@ -333,30 +314,26 @@ class _Workspace:
         if asm.mode == "f":
             self.field_vals, self.stack, self.P = np.empty(M), np.empty(4 * B), np.empty(4 * B)
             self.field, self.field_masks = np.empty((11, B)), np.empty((4, B), dtype=bool)
-        self.cap = 0
-        self.index = self.wx = self.wy = None
+        self.index = None  # the gradient's buffers, made by the first gradient
 
-    def reserve(self, asm: Assembly, m: int):
-        """Give the streams room for ``m`` penalty triangles.
+    def add_gradient(self, asm: Assembly):
+        """Make the gradient's buffers, once.
 
-        Growing keeps the bond and field weights already written.
+        The ``bincount`` streams read ``[bond e1 | bond e0]``: ``index``
+        holds the bond ends, ``wx`` and ``wy`` the two components of each
+        bond's force on them.  Outside mode ``plain`` the triangle terms
+        are summed per point in ``acc``, component-major, through one block
+        of ``tri_index`` rows (each triangle's corners 1, 2 and 0) and
+        ``tri_terms`` rows (their terms, component by component).
         """
-        if self.index is not None and m <= self.cap:
-            return
-        E = asm._bond_ends.shape[1]
-        cap = m if self.index is None else max(m, 2 * self.cap)
-        field = slice(2 * E + 3 * cap, None)  # empty but in mode f
-        L = field.start + (3 * len(asm._den) if asm.mode == "f" else 0)
-        index = np.zeros(L, dtype=np.intp)
-        index[:2 * E] = asm._bond_ends[::-1].ravel()
-        if asm.mode == "f":
-            index[field] = asm._corners[[1, 2, 0]].ravel()
-        wx, wy = np.empty(L), np.empty(L)
         if self.index is not None:
-            for new, old in ((wx, self.wx), (wy, self.wy)):
-                new[:2 * E] = old[:2 * E]
-                new[field] = old[2 * E + 3 * self.cap:]
-        self.cap, self.index, self.wx, self.wy = cap, index, wx, wy
+            return
+        self.index = asm._bond_ends[::-1].ravel().astype(np.intp)
+        self.wx, self.wy = np.empty(len(self.index)), np.empty(len(self.index))
+        if asm.mode != "plain":
+            self.acc = np.empty((2, asm.mesh.n_points))
+            self.tri_index = np.empty((self.block, 3), dtype=np.intp)
+            self.tri_terms = np.empty((2, self.block, 3))
 
 
 class Assembly:
@@ -371,20 +348,22 @@ class Assembly:
     per-triangle deformation gradients once, checks the raw pair sum
     against the cell sum plus the boundary term to 1e-12 relative,
     evaluates the orientation penalty only on triangles with det F < 0 (it
-    vanishes identically elsewhere) and scatters gradients with
-    ``np.bincount``.
+    vanishes identically elsewhere) and scatters the bonds' gradient terms
+    with ``np.bincount``.
     In mode ``f`` :meth:`breakdown` evaluates the sharp field cutoff and
     :meth:`value_and_grad` the smoothed one, the only form with a gradient.
 
     One kernel serves both methods.  It walks the bonds and then the
-    triangles in blocks of ``BLOCK``; only the per-bond and per-triangle
-    values that are summed, and the gradient's ``bincount`` streams, are
-    full-length, and each sum and each ``bincount`` runs once over its
-    whole array, so the block length changes no bit of the result.  The
-    first evaluation allocates a private workspace that every later
-    evaluation reuses, so a descent allocates no large temporaries after
-    its first step; the first :meth:`value_and_grad` adds the streams to
-    it.  Evaluations of one assembly must not run concurrently.
+    triangles in blocks of ``BLOCK``.  Only the per-bond and per-triangle
+    values that are summed, the gradient's two bond streams and its
+    per-point accumulator are full-length.  Each sum and each ``bincount``
+    runs once over its whole array, and the triangle terms of the penalty
+    and the field reach the accumulator triangle by triangle, so the block
+    length changes no bit of the result.  The first evaluation allocates a
+    private workspace that every later evaluation reuses, so a descent
+    allocates no large temporaries after its first step; the first
+    :meth:`value_and_grad` adds the gradient's buffers to it.  Evaluations
+    of one assembly must not run concurrently.
     """
 
     def __init__(self, mesh: TriangleMesh, pot: PairPotential, mode: str = "plain",
@@ -412,19 +391,13 @@ class Assembly:
         self._bond_weight = 2.0 * classify_edges(mesh)
 
         self._corners = mesh.triangles.T  # (3, M)
-        self._den = mesh.tri_sign * eps
+        self._sign, self._den = mesh.tri_sign, mesh.tri_sign * eps
         self._minv = _basis_inverse(mesh)
+        # chain-rule factors of the triangle terms: the coefficient times
+        # sqrt(eps) / eps, rounded as written (the triangle's sign is exact)
+        self._coef_chi = eps * self._sqrt_eps / eps
+        self._coef_field = SQRT3 * eps / 4.0 * self._sqrt_eps / eps
         self._ws = None  # made by the first evaluation
-
-    # chain-rule factors of the per-triangle terms, coefficient included;
-    # only the gradient needs them
-    @cached_property
-    def _pref_chi(self) -> np.ndarray:
-        return self.eps * self._sqrt_eps / self._den
-
-    @cached_property
-    def _pref_field(self) -> np.ndarray:
-        return SQRT3 * self.eps / 4.0 * self._sqrt_eps / self._den
 
     def breakdown(self, x: np.ndarray) -> EnergyBreakdown:
         """Energy of the displacement values ``x``, split into its parts."""
@@ -447,7 +420,8 @@ class Assembly:
             self._ws = _Workspace(self)
         ws = self._ws
         if with_grad:
-            ws.reserve(self, 0)
+            ws.add_gradient(self)
+            ws.has_terms = False  # acc is zeroed with the first triangle term
         xc = ws.xc
         xc[...] = x.T
 
@@ -486,10 +460,9 @@ class Assembly:
 
         # triangles: F[j, i] holds the component F_ij on every triangle of a
         # block, and the cell energy is half the pair energy of the sides |F v|
-        chi_terms = []  # (triangle indices, d Phi / d edge differences)
         M = len(self._den)
         for lo in range(0, M, B):
-            self._triangle_block(ws, slice(lo, min(lo + B, M)), with_grad, chi_terms)
+            self._triangle_block(ws, slice(lo, min(lo + B, M)), with_grad)
         bulk = eps * float(ws.cells.sum())
         _check_pair_identity(pair_total, bulk, boundary)
         penalty = fieldval = 0.0
@@ -502,31 +475,18 @@ class Assembly:
         if not with_grad:
             return bd, None
 
-        # gradient: one bincount per component over the whole streams; the
-        # penalty terms go in now that their number is known
-        m = sum(len(sel) for sel, _ in chi_terms)
-        ws.reserve(self, m)
-        o = 2 * E
-        t0, t1, t2 = self._corners
-        for sel, P in chi_terms:
-            k = len(sel)
-            ws.index[o:o + k] = t1[sel]
-            ws.index[o + m:o + m + k] = t2[sel]
-            ws.index[o + 2 * m:o + 2 * m + k] = t0[sel]
-            _put_term((ws.wx, ws.wy), P, o, m)
-            o += k
-        pad = slice(2 * E + 3 * m, 2 * E + 3 * ws.cap)
-        ws.wx[pad] = 0.0
-        ws.wy[pad] = 0.0
+        # gradient: one bincount per component over the bond streams, plus
+        # the triangle terms
         grad = np.empty((n, 2))
         grad[:, 0] = np.bincount(ws.index, ws.wx, minlength=n)
         grad[:, 1] = np.bincount(ws.index, ws.wy, minlength=n)
+        if ws.has_terms:
+            grad += ws.acc.T
         return bd, grad
 
-    def _triangle_block(self, ws: _Workspace, blk: slice, with_grad: bool, chi_terms: list):
-        """Cell, penalty and field values of the triangles ``blk``, and with a
-        gradient their field weights; the penalty's gradient terms are
-        appended to ``chi_terms``."""
+    def _triangle_block(self, ws: _Workspace, blk: slice, with_grad: bool):
+        """Cell, penalty and field values of the triangles ``blk``; with a
+        gradient, their penalty and field terms go to the accumulator."""
         k = blk.stop - blk.start
         D, G = ws.D[:4 * k].reshape(2, 2, k), ws.G[:4 * k].reshape(2, 2, k)
         corners = [c[blk] for c in self._corners]
@@ -550,6 +510,15 @@ class Assembly:
         cells += W[2]
         cells *= 0.5
 
+        rows = P = None  # the triangles with a gradient term, and their chain-rule products
+        if self.mode == "f":
+            # the sharp cutoff for the value alone, the smoothed one with a gradient
+            dPhi = ws.stack[:4 * k].reshape(k, 2, 2) if with_grad else None
+            field_energy_rows((F00, F01, F10, F11), self.model, with_grad, ws.field_vals[blk],
+                              dPhi, (ws.field[:, :k], ws.field_masks[:, :k]))
+            if with_grad:
+                rows, P = blk, _chain_to_edges(dPhi, self._minv, self._coef_field,
+                                               self._sign[blk], out=ws.P[:4 * k])
         if self.mode != "plain":
             det = np.multiply(F00, F11, out=t[0])
             det -= np.multiply(F01, F10, out=t[1])
@@ -561,18 +530,38 @@ class Assembly:
                 Fs = np.ascontiguousarray(F.transpose(2, 1, 0)[support])
                 chi_vals[support] = self.chi(Fs)
                 if with_grad:
-                    support += blk.start
-                    chi_terms.append((support, _chain_to_edges(
-                        self.chi.grad(Fs), self._minv, self._pref_chi[support])))
-        if self.mode == "f":
-            # the sharp cutoff for the value alone, the smoothed one with a gradient
-            dPhi = ws.stack[:4 * k].reshape(k, 2, 2) if with_grad else None
-            field_energy_rows((F00, F01, F10, F11), self.model, with_grad, ws.field_vals[blk],
-                              dPhi, (ws.field[:, :k], ws.field_masks[:, :k]))
-            if with_grad:
-                P = _chain_to_edges(dPhi, self._minv, self._pref_field[blk], out=ws.P[:4 * k])
-                M = len(self._den)
-                _put_term((ws.wx, ws.wy), P, len(ws.wx) - 3 * M + blk.start, M)
+                    P_chi = _chain_to_edges(self.chi.grad(Fs), self._minv, self._coef_chi,
+                                            self._sign[blk][support])
+                    if P is None:
+                        rows, P = support + blk.start, P_chi
+                    else:
+                        P[support] += P_chi
+        if rows is not None:
+            self._add_terms(ws, rows, P)
+
+    def _add_terms(self, ws: _Workspace, rows, P: np.ndarray):
+        """Add the chain-rule products ``P`` of the triangles ``rows`` to ``ws.acc``.
+
+        Corners 1 and 2 of each triangle take its two columns, corner 0
+        minus their sum.  ``np.add.at`` adds them triangle by triangle in
+        ascending order, so a point sums its terms in the same order
+        whatever the block length.
+        """
+        if not ws.has_terms:
+            ws.acc.fill(0.0)
+            ws.has_terms = True
+        k = len(P)
+        index, terms = ws.tri_index[:k], ws.tri_terms[:, :k]
+        t0, t1, t2 = self._corners
+        for c, corner in enumerate((t1, t2, t0)):
+            index[:, c] = corner[rows]
+        for i in range(2):
+            p1, p2, p0 = terms[i].T
+            np.copyto(p1, P[:, i, 0])
+            np.copyto(p2, P[:, i, 1])
+            np.add(p1, p2, out=p0)
+            np.negative(p0, out=p0)
+            np.add.at(ws.acc[i], index.ravel(), terms[i].ravel())
 
 
 def energy_rescaled(u: Displacement, pot: PairPotential, mode: str = "plain",

@@ -12,16 +12,16 @@ multigrid cycle (Briggs, Henson and McCormick, *A Multigrid Tutorial*,
 SIAM 2000):
 
 * Unknowns are the displacement components that the boundary condition
-  leaves free on points touched by at least one bond.  ``SHIFT * I`` is
-  added because a loading may leave a rigid translation free.  ``M`` is
-  0 on every other component, where the projected gradient vanishes.
+  leaves free.  ``SHIFT * I`` is added because a loading may leave a rigid
+  translation free.  ``M`` is 0 on every pinned component, where the
+  projected gradient vanishes.
 * The fine level applies K matrix-free, one ``bincount`` pair per bond
   direction.
 * The coarse points are the points with even ``(lam1, lam2)``.  A coarse
   point keeps its value; every other point takes the mean of its two
   coarse neighbours along one bond offset.  A pinned neighbour is dropped
-  and the other keeps weight 1/2; an absent one (outside the mesh or
-  without bonds) leaves weight 1 to the other.
+  and the other keeps weight 1/2; an absent one (outside the mesh) leaves
+  weight 1 to the other.
 * A coarse operator is the Galerkin product ``P^T A P``.  It is again a
   7-point stencil of 2 x 2 blocks, read off with 14 products, one per
   displacement component and colour ``(lam1 + 3 lam2) mod 7``: the seven
@@ -81,7 +81,6 @@ class _BondLevel:
         self._vecs = mesh.vecs.as_array()  # (3, 2): v_d in row d
         self._alpha = asm.pot.alpha
         counts = np.array([np.bincount(ends.ravel(), minlength=self.n) for ends in self._ends])
-        self.degree = counts.sum(axis=0)
         self.diag = SHIFT + self._alpha * (counts.T @ self._vecs ** 2)
 
     def stiffness(self, x: np.ndarray) -> np.ndarray:
@@ -139,15 +138,15 @@ class _Transfer:
         return out
 
 
-def _coarsen(coords: np.ndarray, present: np.ndarray, active: np.ndarray, level):
+def _coarsen(coords: np.ndarray, active: np.ndarray, level):
     """The coarse level below ``level``, its transfer, points and free components.
 
-    ``coords`` are the level's integer lattice points, ``present`` marks the
-    ones with bonds and ``active`` the free components.  None when the
-    coarse points would not be fewer and nonempty.
+    ``coords`` are the level's integer lattice points and ``active`` the
+    free components.  None when the coarse points would not be fewer and
+    nonempty.
     """
     parity = coords & 1
-    rows = np.flatnonzero(present & ~parity.any(axis=1))
+    rows = np.flatnonzero(~parity.any(axis=1))
     if not 0 < len(rows) < len(coords):
         return None
     coarse, coarse_active = coords[rows] >> 1, active[rows]
@@ -208,12 +207,11 @@ class StiffnessMultigrid:
     def __init__(self, asm: Assembly, mask_x: np.ndarray, mask_y: np.ndarray):
         fine = _BondLevel(asm)
         self._fine = fine
-        present = fine.degree > 0
-        active = np.column_stack([~mask_x, ~mask_y]) & present[:, None]
+        active = np.column_stack([~mask_x, ~mask_y])
         coords, level = asm.mesh.lam.astype(np.intp), fine
         self._levels = []  # (level, omega D^-1, transfer to the level below)
         while active.sum() > COARSEST_DOFS:
-            step = _coarsen(coords, present, active, level)
+            step = _coarsen(coords, active, level)
             if step is None:
                 break
             coarse, transfer, coords, coarse_active = step
@@ -221,7 +219,6 @@ class StiffnessMultigrid:
                                where=active)
             self._levels.append((level, smooth, transfer))
             level, active = coarse, coarse_active
-            present = np.ones(level.n, dtype=bool)
         self._coarsest = _DenseInverse(level, active)
 
     def stiffness(self, x: np.ndarray) -> np.ndarray:

@@ -552,10 +552,15 @@ def test_gradient_after_a_breakdown_equals_a_fresh_gradient(mesh16, pot, chi, ma
         assert asm.breakdown(u.values).total == value
 
 
-def test_repeated_evaluation_allocates_little(mesh32, pot, chi):
+@pytest.mark.parametrize("mode, scale", [("chi", 0.05), ("chi", 0.1), ("f", 0.05)],
+                         ids=["chi", "chi-reflected", "f"])
+def test_repeated_evaluation_allocates_little(mesh32, pot, chi, magmodel, mode, scale):
+    # the gradient adds triangle terms on the det F < 0 triangles, 47 of
+    # 2225 at the smaller scale and 504 at the larger, and in mode f on all
     import tracemalloc
-    asm = Assembly(mesh32, pot, "chi", chi)
-    x = rand_u(mesh32, 0.05, 37).values
+    asm = Assembly(mesh32, pot, mode, chi, magmodel)
+    x = rand_u(mesh32, scale, 37).values
+    assert flipped_mask(mesh32, x).sum() > (400 if scale > 0.05 else 40)
     peaks = []
     tracemalloc.start()
     try:
@@ -612,6 +617,38 @@ def test_block_length_changes_no_bits(bar16_samples, chi, magmodel, family, monk
 @pytest.fixture(scope="module")
 def mesh64():
     return build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 64.0, l=2.0))
+
+
+# sha256 of float.hex(value) and the gradient's bytes (first 24 hex digits)
+# on the l = 2, phi = 0.3 bar, exp-well with alpha = beta = 1: the bar16
+# samples at 1.5 a_crit and the acceptance-07 elastic ramp at 1/64.  No
+# sample has a triangle with det F < 0, so plain and chi agree, and the
+# gradient is the bond scatter alone
+PINNED_GRADIENTS = {
+    ("1/16", "crack", 1.5): "a6d8b89a0f2a55347b4f05e7",
+    ("1/16", "elastic", 1.5): "270ea406b87c83a1caded065",
+    ("1/64", "elastic", 0.5): "fb3e862cbd01cc86a5e084aa",
+    ("1/64", "elastic", 1.5): "141bc8d61f360bbf5321f06e",
+}
+
+
+def test_gradients_without_reflected_triangles_are_pinned(bar16_samples, mesh64, pot_unit, chi):
+    import hashlib
+    from fraclat.continuum import CleavageProblem, a_crit, build_u_el
+    from fraclat.solver import recovery_sequence
+    mesh16, samples = bar16_samples
+    base = CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=0.0)
+    cases = {("1/16", name, 1.5): (mesh16, samples[name]) for name in ("crack", "elastic")}
+    for mult in (0.5, 1.5):
+        prob = CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=mult * a_crit(base))
+        cases["1/64", "elastic", mult] = (mesh64, recovery_sequence(build_u_el(prob),
+                                                                     mesh64).values)
+    for key, (mesh, x) in cases.items():
+        assert not flipped_mask(mesh, x).any()
+        for mode in ("plain", "chi"):
+            value, g = Assembly(mesh, pot_unit, mode, chi).value_and_grad(x)
+            digest = hashlib.sha256(float.hex(value).encode() + g.tobytes()).hexdigest()
+            assert digest[:24] == PINNED_GRADIENTS[key], (key, mode)
 
 
 @pytest.mark.parametrize("mode", discrete_energy.MODES)

@@ -185,6 +185,24 @@ def test_every_point_lies_in_omega_with_a_bond(spec):
     assert np.bincount(mesh.edges.ravel(), minlength=mesh.n_points).min() > 0
 
 
+def test_no_coarse_mesh_has_a_point_without_a_bond():
+    # the coarse rungs, down to eps = 1, are where an isolated corner point
+    # would show first; the multigrid takes every point's components as
+    # unknowns of the bond stiffness
+    built = 0
+    for inv_eps in range(1, 40):
+        for l in (1.0 / math.sqrt(3.0), 0.6, 0.8, 1.0, 1.3, 2.0, 3.0):
+            for phi in np.arange(13) * (PHI_MAX / 13):
+                try:
+                    mesh = build_mesh(LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l))
+                except LatticeError:  # no triangle fits
+                    assert inv_eps <= 2
+                    continue
+                built += 1
+                assert np.bincount(mesh.edges.ravel(), minlength=mesh.n_points).min() > 0
+    assert built > 3400
+
+
 @pytest.mark.parametrize("spec", oracles.MESH_SPECS, ids=oracles.spec_id)
 def test_a_bond_flanking_a_triangle_has_incidence_one_or_two(spec):
     mesh = build_mesh(spec)

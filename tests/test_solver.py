@@ -278,6 +278,35 @@ def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, c
         assert start.final_step in trials if len(start.history) > 1 else start.final_step == 0.0
 
 
+def test_descent_through_reflected_triangles_does_not_depend_on_the_block(pot_unit, chi,
+                                                                          monkeypatch):
+    # a start with many det F < 0 triangles, so that the penalty's triangle
+    # terms join the bond scatter in the gradients of the first steps
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 16.0, l=2.0))
+    prob = problem_with(1.5, l=2.0)
+    bc = bc_cleavage(prob.a, prob.l)
+    rng = np.random.default_rng(38)
+    u0 = Displacement(mesh, 0.4 * rng.standard_normal((mesh.n_points, 2)))
+    F = interpolate_gradients(discrete_energy.apply_bc(u0, bc))[1]
+    assert np.count_nonzero(np.linalg.det(F) < 0.0) >= 100
+    cfg = SolveConfig(max_iters=8, mode="chi")
+
+    def descend():
+        asm = Assembly(mesh, pot_unit, "chi", chi)
+        return solver._descend(asm, StiffnessMultigrid(asm, *bc.masks(mesh)), "reflected",
+                               u0, bc, cfg)
+
+    x, rec = descend()
+    monkeypatch.setattr(discrete_energy, "BLOCK", 7)
+    x7, rec7 = descend()
+    assert np.array_equal(x, x7)
+    assert (rec.energy, rec.history, rec.iters, rec.evals, rec.backtracks, rec.grad_norm,
+            rec.final_step) == (rec7.energy, rec7.history, rec7.iters, rec7.evals,
+                                rec7.backtracks, rec7.grad_norm, rec7.final_step)
+    assert rec.iters > 0
+    assert all(b <= a for a, b in zip(rec.history, rec.history[1:]))
+
+
 def test_stalled_start_is_not_converged(mesh16, pot_unit, chi):
     # below a_crit the elastic start reaches the rounding floor of the
     # energy at |g| ~ 5e-9: its last steps drop it by less than STALL_TOL
@@ -484,8 +513,10 @@ def test_preconditioner_is_symmetric_positive_and_zero_when_pinned(multigrid_bar
     for v in rng.standard_normal((10, mesh.n_points, 2)):
         assert np.vdot(v, M(v)) > 0.0
     assert mask_x.any() and np.all(Mu[mask_x, 0] == 0.0)
-    # M is 0 on points without bonds too; a specimen mesh has none
-    # (test_every_point_lies_in_omega_with_a_bond), so the pins are its zeros
+    # every free component is an unknown of M, which is right because a
+    # specimen mesh has no point without a bond (test_lattice's
+    # test_every_point_lies_in_omega_with_a_bond and
+    # test_no_coarse_mesh_has_a_point_without_a_bond)
     bonded = np.zeros(mesh.n_points, dtype=bool)
     bonded[asm._bond_ends.ravel()] = True
     assert bonded.all()
