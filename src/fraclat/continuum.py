@@ -25,7 +25,7 @@ import numpy as np
 
 from .lattice import (SQRT3, CleavageData, LatticeVectors, cleavage_direction,
                       lattice_vectors, perp, require_finite, row_dots, rows_times)
-from .material import quadratic_form
+from .material import quadratic_form, quadratic_min_under_strain
 
 _GEOM_TOL = 1e-12
 
@@ -306,7 +306,7 @@ def build_u_el(problem: CleavageProblem, s: float = 0.0) -> ContinuumDisplacemen
     """Homogeneous elastic minimizer with gradient diag(a, -a/3)."""
     l, a = problem.l, problem.a
     poly = np.array([[0.0, 0.0], [l, 0.0], [l, 1.0], [0.0, 1.0]])
-    A = np.array([[a, 0.0], [0.0, -a / 3.0]])
+    A = quadratic_min_under_strain(a, problem.alpha)[1]
     piece = AffinePiece(poly, A, np.array([0.0, s]))
     return ContinuumDisplacement(
         pieces=[piece], crack=[], domain_l=l,
@@ -450,7 +450,7 @@ def slicing_lower_bound(u: ContinuumDisplacement, problem: CleavageProblem) -> f
     remainder = 0.0
     for seg, q0, q1 in _clipped_cracks(u):
         length = float(np.linalg.norm(q1 - q0))
-        jumps += 2.0 * problem.beta / data.gamma * length * abs(seg.normal[0])
+        jumps += crack_branch_energy(problem) * length * abs(seg.normal[0])
         remainder += 2.0 * problem.beta / SQRT3 \
             * anisotropy_gap_term(data.gamma, data.v_gamma, seg.normal) * length
     bound = bulk + jumps + remainder

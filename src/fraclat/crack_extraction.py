@@ -348,9 +348,9 @@ def spring_crossing_count(p0: np.ndarray, p1: np.ndarray, mesh: TriangleMesh,
     length = float(np.linalg.norm(d))
     if length < 1e-14:
         raise CrackError("degenerate crack segment")
-    sel = mesh.edge_dir == direction
-    a = mesh.points[mesh.edges[sel, 0]]
-    b = mesh.points[mesh.edges[sel, 1]]
+    bonds = mesh.edges[mesh.edge_groups[direction]]
+    a = mesh.points[bonds[:, 0]]
+    b = mesh.points[bonds[:, 1]]
     # signed distances of bond endpoints from the crack line
     sa = ((a - p0) @ perp(d)) / length
     sb = ((b - p0) @ perp(d)) / length

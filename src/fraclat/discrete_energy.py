@@ -10,12 +10,12 @@ per-triangle cell energies plus a boundary term collecting bonds that
 belong to fewer than two mesh triangles; both routes are assembled and
 cross-checked on every evaluation.
 
-:class:`Assembly` holds the index and weight arrays of one energy on one
-mesh and evaluates it, with its gradient, on raw displacement arrays;
-:func:`energy_rescaled` and :func:`gradient` build one per call.  One
-kernel, :func:`_grad_u`, forms the per-triangle displacement gradient for
-both the assembly and :func:`interpolate_gradients`, component-major,
-into buffers its caller provides.
+:class:`Assembly` evaluates one energy on one mesh's own arrays, with its
+gradient, on raw displacement arrays; :func:`energy_rescaled` and
+:func:`gradient` build one per call.  One kernel, :func:`_grad_u`, forms
+the per-triangle displacement gradient for both the assembly and
+:func:`interpolate_gradients`, component-major, into buffers its caller
+provides.
 
 The gradient has two parts.  The bonds' forces are scattered onto their
 ends with one ``np.bincount`` per component.  The triangle terms (the
@@ -52,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import BLOCK, SQRT3, TriangleMesh, classify_edges
+from .lattice import BLOCK, EDGE_WEIGHTS, SQRT3, TriangleMesh
 from .material import (MagnetizationModel, PairPotential, PenaltyChi, field_energy_rows,
                        magnetization_first)
 
@@ -105,10 +105,6 @@ class EnergyBreakdown:
 # interpolation
 # ----------------------------------------------------------------------
 
-def _basis_inverse(mesh: TriangleMesh) -> np.ndarray:
-    return np.linalg.inv(np.column_stack([mesh.vecs.v1, mesh.vecs.v2]))
-
-
 def corner_differences(xc: np.ndarray, corners, D: np.ndarray, c0: np.ndarray | None = None):
     """Write ``D[k, i]``, component i of the edge from corner 0 to corner k + 1, k = 0, 1.
 
@@ -159,7 +155,7 @@ def interpolate_gradients(u: Displacement, tri=slice(None)) -> tuple[np.ndarray,
         corners = np.arange(3 * k).reshape(3, k)
     D, G = np.empty((2, 2, k)), np.empty((2, 2, k))
     # the first row of G takes the corner values until the product overwrites it
-    _grad_u(xc, corners, _basis_inverse(mesh), mesh.tri_sign[tri] * eps, D, G, G[0])
+    _grad_u(xc, corners, mesh.basis_inverse, mesh.tri_sign[tri] * eps, D, G, G[0])
     # F is written over the spent edge differences; adding the whole
     # identity turns an off-diagonal -0.0 into +0.0
     F = np.multiply(G, np.sqrt(eps), out=D)
@@ -288,9 +284,10 @@ class _Workspace:
 
     Everything else is one block of ``block`` bonds or triangles long:
     the bond vectors ``z``, their take buffer ``z0`` and the stretches
-    ``r``; the edge differences ``D``, the deformation gradients ``G``
-    (whose first two rows also take the corner values), the stretch arrays
-    ``a``, ``b`` and ``t`` (whose spent rows hold det F) and the two masks:
+    ``r`` (whose spent row takes the boundary weights); the edge differences
+    ``D``, the deformation gradients ``G`` (whose first two rows also take
+    the corner values), the stretch arrays ``a``, ``b`` and ``t`` (whose
+    spent rows hold the signs times eps, then det F) and the two masks:
     22 rows of floats.  Mode ``f`` adds the row-major (k, 2, 2) chain-rule
     ``stack`` d Phi / dF, its product ``P`` and the ``field`` and
     ``field_masks`` work rows of :func:`~fraclat.material.field_energy_rows`.
@@ -302,7 +299,7 @@ class _Workspace:
     """
 
     def __init__(self, asm: Assembly):
-        n, E, M = asm.mesh.n_points, asm._bond_ends.shape[1], len(asm._den)
+        n, E, M = asm.mesh.n_points, asm.mesh.n_edges, asm.mesh.n_triangles
         self.block = B = min(BLOCK, max(E, M, 1))
         self.xc = np.empty((2, n))
         self.wr, self.cells = np.empty(E), np.empty(M)
@@ -337,14 +334,14 @@ class _Workspace:
 
 
 class Assembly:
-    """The rescaled energy of one mesh with its index and weight arrays precomputed.
+    """The rescaled energy of one mesh, on the mesh's own arrays.
 
     Built once per (mesh, potential, mode, penalty, field model) and
     evaluated on raw ``(N, 2)`` displacement arrays.  The energy reads
     every bond and triangle of the mesh, which lies in the specimen
-    Omega.  The bonds are grouped by lattice direction, which the
-    constructor checks, so each bond's lattice vector is that of its
-    group.  Every evaluation computes the bond stretches and the
+    Omega, and reads the mesh's arrays in place: its bond ends and
+    direction groups, incidences, triangle corners, orientation signs and
+    basis inverse.  Every evaluation computes the bond stretches and the
     per-triangle deformation gradients once, checks the raw pair sum
     against the cell sum plus the boundary term to 1e-12 relative,
     evaluates the orientation penalty only on triangles with det F < 0 (it
@@ -380,19 +377,11 @@ class Assembly:
         eps = mesh.spec.eps
         self.eps, self._sqrt_eps = eps, np.sqrt(eps)
 
-        # the mesh's index arrays in their final, component-major layout
+        # the mesh's own arrays, the index arrays in their component-major layout
         self._vecs = mesh.vecs.as_array()
         self._bond_ends = mesh.edges.T  # (2, E)
-        dirs = mesh.edge_dir
-        if np.any(dirs[1:] < dirs[:-1]):
-            raise DiscreteEnergyError("the specimen's bonds are not grouped by direction")
-        cuts = np.searchsorted(dirs, np.arange(4))
-        self._bond_groups = [slice(cuts[d], cuts[d + 1]) for d in range(3)]  # by direction
-        self._bond_weight = 2.0 * classify_edges(mesh)
-
         self._corners = mesh.triangles.T  # (3, M)
-        self._sign, self._den = mesh.tri_sign, mesh.tri_sign * eps
-        self._minv = _basis_inverse(mesh)
+        self._sign, self._minv = mesh.tri_sign, mesh.basis_inverse
         # chain-rule factors of the triangle terms: the coefficient times
         # sqrt(eps) / eps, rounded as written (the triangle's sign is exact)
         self._coef_chi = eps * self._sqrt_eps / eps
@@ -435,7 +424,7 @@ class Assembly:
             xc.take(e1[blk], axis=1, out=z, mode="clip")
             z -= xc.take(e0[blk], axis=1, out=z0, mode="clip")
             z /= self._sqrt_eps
-            for d, group in enumerate(self._bond_groups):  # add each bond's lattice vector
+            for d, group in enumerate(self.mesh.edge_groups):  # add each bond's lattice vector
                 part = slice(max(group.start, lo) - lo, min(group.stop, blk.stop) - lo)
                 if part.start < part.stop:
                     z[:, part] += self._vecs[d][:, None]
@@ -455,12 +444,16 @@ class Assembly:
                 np.negative(gx, out=ws.wx[E + lo:E + blk.stop])
                 np.negative(gy, out=ws.wy[E + lo:E + blk.stop])
         pair_total = eps * float(ws.wr.sum())
-        ws.wr *= self._bond_weight
+        # each block's boundary weights, twice the per-pair ones, into the spent stretches
+        weights, inc = 2.0 * EDGE_WEIGHTS, self.mesh.edge_inc_omega
+        for lo in range(0, E, B):
+            blk = slice(lo, min(lo + B, E))
+            ws.wr[blk] *= weights.take(inc[blk], out=ws.r[:blk.stop - lo], mode="clip")
         boundary = eps * float(ws.wr.sum())
 
         # triangles: F[j, i] holds the component F_ij on every triangle of a
         # block, and the cell energy is half the pair energy of the sides |F v|
-        M = len(self._den)
+        M = self.mesh.n_triangles
         for lo in range(0, M, B):
             self._triangle_block(ws, slice(lo, min(lo + B, M)), with_grad)
         bulk = eps * float(ws.cells.sum())
@@ -490,14 +483,17 @@ class Assembly:
         k = blk.stop - blk.start
         D, G = ws.D[:4 * k].reshape(2, 2, k), ws.G[:4 * k].reshape(2, 2, k)
         corners = [c[blk] for c in self._corners]
-        _grad_u(ws.xc, corners, self._minv, self._den[blk], D, G, G[0])
+        a, b, t = (s[:3 * k].reshape(3, k) for s in (ws.a, ws.b, ws.t))
+        den = t[0]  # the orientation signs times eps, spent once G is formed
+        np.copyto(den, self._sign[blk])
+        den *= self.eps
+        _grad_u(ws.xc, corners, self._minv, den, D, G, G[0])
         F = G
         F *= self._sqrt_eps
         F[0, 0] += 1.0
         F[1, 1] += 1.0
         (F00, F10), (F01, F11) = F
         V0, V1 = self._vecs.T[:, :, None]  # (3, 1): the directions' components
-        a, b, t = (s[:3 * k].reshape(3, k) for s in (ws.a, ws.b, ws.t))
         np.multiply(V0, F00, out=a)  # (3, k): F v for each bond direction
         a += np.multiply(V1, F01, out=t)
         np.multiply(V0, F10, out=b)

@@ -22,13 +22,14 @@ Conventions
   e2 the unit steps of lam1, lam2.  A bond p -> p+o is a side of two such
   triangles, its flanks: up at p and down at p+o for o = e1 or e2, up at
   p-e1 and down at p+e2 for o = e2-e1.  Its incidence counts those in the
-  mesh.
+  mesh, and ``EDGE_WEIGHTS`` maps it to the bond's boundary weight.
 * Every such read is a slice of a padded grid.  The integer bounding box
   keeps two empty rows and columns on every side, so all points lie in its
   interior, two cells from the edge, and the interior read at a unit
   offset is a view of the box shifted by one cell.  The triangle marks
   span one cell more than the interior, so that a bond's flank can be
   read at a unit offset too.
+* The bonds run direction by direction, in the three slices ``edge_groups``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ _MAX_BOX_CELLS = 1 << 31
 _TRIANGLE_CORNERS = (((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1)))
 
 # boundary-term weight per ordered pair of a bond flanked by 0, 1 or 2 triangles
-_EDGE_WEIGHTS = np.array([0.5, 0.25, 0.0])
+EDGE_WEIGHTS = np.array([0.5, 0.25, 0.0])
+EDGE_WEIGHTS.setflags(write=False)
 
 # per bond direction: the neighbor offset and the up and down flank bases
 _BOND_OFFSETS = (((1, 0), ((0, 0), (1, 0))),
@@ -238,12 +240,13 @@ class TriangleMesh:
     tri_sign : (M,) int8, the orientation sign above; a product with a
         float gives float64, with the same bits as a float sign.
     edges : (E, 2) int32, one row per unordered nearest-neighbor bond;
-        ``points[b] - points[a] = eps * v_d`` with direction ``edge_dir``.
-    edge_dir : (E,) int in {0, 1, 2}.
+        ``points[b] - points[a] = eps * v_d`` on the rows ``edge_groups[d]``.
+    edge_groups : the three slices of ``edges`` holding directions 0, 1, 2.
     edge_inc_omega : (E,) int8, number of mesh triangles having the bond
         as a side: 0, 1 or 2.
     dirichlet : (N,) bool, point lies within eps of a vertical side, where
         the boundary values are imposed.
+    basis_inverse : (2, 2) float64, the inverse of the basis ``[v1 v2]``.
 
     Every point lies in Omega (up to the membership tolerance), so every
     triangle and bond lies in the specimen.
@@ -265,7 +268,7 @@ class TriangleMesh:
         tol = BOUNDARY_RTOL * eps
 
         A = np.column_stack([self.vecs.v1, self.vecs.v2])
-        Ainv = np.linalg.inv(A)
+        self.basis_inverse = Ainv = np.linalg.inv(A)
 
         # integer bounding box of Omega pulled back through the lattice map,
         # with two empty rows and columns on every side
@@ -325,18 +328,17 @@ class TriangleMesh:
         # of a bond counts which of its two flanking triangles are in the mesh
         present_in, grid_in = _window(present, 0, 0), _window(grid, 0, 0)
         oks = [present_in & _window(present, *offset) for offset, _ in _BOND_OFFSETS]
-        n_edge = [int(np.count_nonzero(ok)) for ok in oks]
-        self.edges = np.empty((2, sum(n_edge)), dtype=grid.dtype).T
+        cuts = np.cumsum([0] + [int(np.count_nonzero(ok)) for ok in oks]).tolist()
+        self.edge_groups = tuple(slice(*cut) for cut in zip(cuts, cuts[1:]))
+        self.edges = np.empty((2, cuts[-1]), dtype=grid.dtype).T
         up, down = tri
-        dirs, inc = [], []
-        for d, (rows, ok, (offset, (up_base, down_base))) in enumerate(
-                zip(np.split(self.edges, np.cumsum(n_edge[:2])), oks, _BOND_OFFSETS)):
-            rows[:, 0] = grid_in[ok]
-            rows[:, 1] = _window(grid, *offset)[ok]
-            dirs.append(np.full(len(rows), d, dtype=np.int8))
+        inc = []
+        for group, ok, (offset, (up_base, down_base)) in zip(self.edge_groups, oks,
+                                                             _BOND_OFFSETS):
+            self.edges[group, 0] = grid_in[ok]
+            self.edges[group, 1] = _window(grid, *offset)[ok]
             inc.append(_window(up, *up_base, margin=1)[ok].astype(np.int8)
                        + _window(down, *down_base, margin=1)[ok])
-        self.edge_dir = np.concatenate(dirs)
         self.edge_inc_omega = np.concatenate(inc)
 
         # the pinned layers run along the two vertical sides, so a point's
@@ -345,7 +347,7 @@ class TriangleMesh:
         self.dirichlet = np.minimum(x, spec.l - x) <= eps * (1.0 + BOUNDARY_RTOL)
 
         for arr in (self.points, self.lam, self.triangles, self.tri_sign, self.edges,
-                    self.edge_dir, self.edge_inc_omega, self.dirichlet):
+                    self.edge_inc_omega, self.dirichlet, self.basis_inverse):
             arr.setflags(write=False)
 
     # ------------------------------------------------------------------
@@ -381,4 +383,4 @@ def classify_edges(mesh: TriangleMesh) -> np.ndarray:
     and a stray bond belonging to no triangle carries 1/2 W.  Summed over
     an unordered bond the boundary term is therefore twice the weight.
     """
-    return np.take(_EDGE_WEIGHTS, mesh.edge_inc_omega)
+    return np.take(EDGE_WEIGHTS, mesh.edge_inc_omega)

@@ -5,9 +5,9 @@ Hessian of the rescaled pair energy is the bond stiffness
 
     K = alpha * sum_b (v_b v_b^T) (x) (e_j - e_i)(e_j - e_i)^T
 
-over the assembly's bonds, with ``alpha = W''(1)``.  It depends only on
-the mesh, the bonds and the boundary condition, not on the load or the
-start.  :class:`StiffnessMultigrid` applies ``M ~ K^-1`` as one symmetric
+over the mesh's bonds, with ``alpha = W''(1)``.  It depends only on the
+mesh, alpha and the boundary condition, not on the load or the start.
+:class:`StiffnessMultigrid` applies ``M ~ K^-1`` as one symmetric
 multigrid cycle (Briggs, Henson and McCormick, *A Multigrid Tutorial*,
 SIAM 2000):
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discrete_energy import Assembly
+from .lattice import TriangleMesh
 
 SHIFT = 1e-6          # added to K on every free component
 JACOBI_OMEGA = 0.6    # damping of the Jacobi sweeps
@@ -72,14 +72,12 @@ def _locator(coords: np.ndarray):
 class _BondLevel:
     """K + SHIFT I on the mesh points, applied bond direction by bond direction."""
 
-    def __init__(self, asm: Assembly):
-        mesh = asm.mesh
+    def __init__(self, mesh: TriangleMesh, alpha: float):
         self.n = mesh.n_points
-        # intp, so that no gather or scatter casts its indices
-        self._ends = [asm._bond_ends[:, group].astype(np.intp)
-                      for group in asm._bond_groups]
+        # each direction's (2, k) bond ends, intp, so that no gather or scatter casts them
+        self._ends = [mesh.edges[group].T.astype(np.intp) for group in mesh.edge_groups]
         self._vecs = mesh.vecs.as_array()  # (3, 2): v_d in row d
-        self._alpha = asm.pot.alpha
+        self._alpha = alpha
         counts = np.array([np.bincount(ends.ravel(), minlength=self.n) for ends in self._ends])
         self.diag = SHIFT + self._alpha * (counts.T @ self._vecs ** 2)
 
@@ -197,18 +195,19 @@ class _DenseInverse:
 
 
 class StiffnessMultigrid:
-    """``M ~ (K + SHIFT I)^-1`` on the free components of one assembly.
+    """``M ~ (K + SHIFT I)^-1`` on the free components of one mesh.
 
-    Built once per assembly and boundary condition; ``M`` is symmetric
-    and positive on the free components and 0 on the others.  Calling it
-    on ``(N, 2)`` values returns a new ``(N, 2)`` array.
+    Built once per mesh, alpha = W''(1) and boundary condition; ``M`` is
+    symmetric and positive on the free components and 0 on the others.
+    Calling it on ``(N, 2)`` values returns a new ``(N, 2)`` array.
     """
 
-    def __init__(self, asm: Assembly, mask_x: np.ndarray, mask_y: np.ndarray):
-        fine = _BondLevel(asm)
+    def __init__(self, mesh: TriangleMesh, alpha: float, mask_x: np.ndarray,
+                 mask_y: np.ndarray):
+        fine = _BondLevel(mesh, alpha)
         self._fine = fine
         active = np.column_stack([~mask_x, ~mask_y])
-        coords, level = asm.mesh.lam.astype(np.intp), fine
+        coords, level = mesh.lam.astype(np.intp), fine
         self._levels = []  # (level, omega D^-1, transfer to the level below)
         while active.sum() > COARSEST_DOFS:
             step = _coarsen(coords, active, level)

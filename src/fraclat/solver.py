@@ -347,7 +347,7 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
     # differentiates the smoothed field cutoff and each start reports the
     # sharp one
     asm = Assembly(mesh, pot, mode=config.mode, chi=chi, model=model)
-    precond = StiffnessMultigrid(asm, *bc.masks(mesh))
+    precond = StiffnessMultigrid(mesh, pot.alpha, *bc.masks(mesh))
     results = []
     best = None
     for k, (tag, u0) in enumerate(_initializers(mesh, problem, config)):

@@ -60,6 +60,11 @@ def random_orthogonal(rng):
     return R
 
 
+def edge_directions(mesh):
+    """The bond direction of each row of ``mesh.edges``, spelled out from its groups."""
+    return np.repeat(np.arange(3), [g.stop - g.start for g in mesh.edge_groups])
+
+
 def check_topology_against_oracle(mesh):
     """Compare bonds, triangles and incidences with a brute-force oracle.
 

@@ -27,8 +27,8 @@ _OPPOSITE_VERTEX = (2, 1, 0)
 # mesh topology and continuum sampling
 # ----------------------------------------------------------------------
 
-MESH_ARRAYS = ("points", "lam", "triangles", "tri_sign", "edges", "edge_dir",
-               "edge_inc_omega", "dirichlet")
+MESH_ARRAYS = ("points", "lam", "triangles", "tri_sign", "edges", "edge_inc_omega",
+               "dirichlet")
 
 _TRIANGLE_CORNERS = (((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1)))
 _BOND_OFFSETS = (((1, 0), ((0, 0), (1, 0))),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import edge_directions
 from fraclat.continuum import CleavageProblem, a_crit, build_u_cr, build_u_el
 from fraclat import discrete_energy
 from fraclat.crack_extraction import (STRETCH_FACTOR, CrackError, angle_between_lines_deg,
@@ -420,7 +421,7 @@ def brute_crossings(mesh, p0, p1, direction):
     """Independent counter: endpoint side test against the full line."""
     d = p1 - p0
     n = np.array([-d[1], d[0]]) / np.linalg.norm(d)
-    sel = mesh.edge_dir == direction
+    sel = edge_directions(mesh) == direction
     a = mesh.points[mesh.edges[sel, 0]]
     b = mesh.points[mesh.edges[sel, 1]]
     sa = (a - p0) @ n

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_rotation
+from conftest import edge_directions, random_rotation
 from fraclat import discrete_energy
 from fraclat.discrete_energy import (Assembly, Displacement, DiscreteEnergyError,
                                      apply_bc, bc_affine, bc_cleavage, bc_zero,
@@ -319,7 +319,7 @@ def reference_energy(u, pot, mode, chi, model):
     """Energy assembled straight from the mesh arrays with the batched material laws."""
     mesh, eps = u.mesh, u.mesh.spec.eps
     e = mesh.edges
-    z = mesh.vecs.as_array()[mesh.edge_dir] \
+    z = mesh.vecs.as_array()[edge_directions(mesh)] \
         + (u.values[e[:, 1]] - u.values[e[:, 0]]) / math.sqrt(eps)
     Wr = pot(np.linalg.norm(z, axis=1))
     _, Fd = interpolate_gradients(u)
@@ -335,12 +335,12 @@ def reference_energy(u, pot, mode, chi, model):
 
 def reference_gradient(u, pot, mode, chi, model):
     """Gradient scattered with np.add.at over every triangle."""
-    from fraclat.discrete_energy import _basis_inverse
     from fraclat.material import field_energy_smooth_grad
     mesh, eps = u.mesh, u.mesh.spec.eps
+    minv = np.linalg.inv(np.column_stack([mesh.vecs.v1, mesh.vecs.v2]))
     out = np.zeros_like(u.values)
     e = mesh.edges
-    z = mesh.vecs.as_array()[mesh.edge_dir] \
+    z = mesh.vecs.as_array()[edge_directions(mesh)] \
         + (u.values[e[:, 1]] - u.values[e[:, 0]]) / math.sqrt(eps)
     r = np.linalg.norm(z, axis=1)
     gvec = (math.sqrt(eps) * pot.deriv(r) / r)[:, None] * z
@@ -354,7 +354,7 @@ def reference_gradient(u, pot, mode, chi, model):
         terms.append((field_energy_smooth_grad(F, model), SQRT3 * eps / 4.0))
     tri = mesh.triangles
     for dPhi, coeff in terms:
-        P = dPhi @ _basis_inverse(mesh).T
+        P = dPhi @ minv.T
         P = P * (coeff * math.sqrt(eps) / (mesh.tri_sign * eps))[:, None, None]
         np.add.at(out, tri[:, 1], P[:, :, 0])
         np.add.at(out, tri[:, 2], P[:, :, 1])
@@ -380,18 +380,24 @@ def test_assembly_arrays_are_the_mesh_arrays(pot, chi, phi, inv_eps):
     assert_same_array(asm._corners, np.ascontiguousarray(mesh.triangles.T))
     assert np.shares_memory(asm._bond_ends, mesh.edges)
     assert np.shares_memory(asm._corners, mesh.triangles)
-    dirs = np.concatenate([np.full(g.stop - g.start, d) for d, g in enumerate(asm._bond_groups)])
-    assert np.array_equal(dirs, mesh.edge_dir)
-    assert_same_array(asm._bond_weight, 2.0 * weights)
-    assert_same_array(asm._den, mesh.tri_sign * mesh.spec.eps)
+    # the signs and the basis inverse are the mesh's own objects
+    assert asm._sign is mesh.tri_sign
+    assert asm._minv is mesh.basis_inverse
 
 
-def test_assembly_rejects_bonds_not_grouped_by_direction(mesh16, pot):
-    import copy
-    mesh = copy.copy(mesh16)
-    mesh.edge_dir = mesh16.edge_dir[::-1].copy()  # every direction group reversed
-    with pytest.raises(DiscreteEnergyError, match="grouped by direction"):
-        Assembly(mesh, pot)
+def test_building_an_assembly_allocates_little(mesh64, pot, chi):
+    # the assembly reads the mesh's arrays in place: it keeps no per-bond
+    # or per-triangle copy of them
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        asm = Assembly(mesh64, pot, "chi", chi)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert asm._ws is None
+    assert peak < 16e3 and kept < 16e3
 
 
 @pytest.mark.parametrize("mode", ["plain", "chi", "f"])
@@ -488,7 +494,8 @@ def test_line_search_trial_checks_the_pair_identity(mesh16, pot_unit, chi, monke
     def corrupting(self, x):
         calls.append(x)
         if len(calls) == 2:
-            self._bond_weight = 1.5 * self._bond_weight
+            monkeypatch.setattr(discrete_energy, "EDGE_WEIGHTS",
+                                1.5 * discrete_energy.EDGE_WEIGHTS)
         return real(self, x)
 
     monkeypatch.setattr(Assembly, "value_and_grad", corrupting)
@@ -656,7 +663,7 @@ def test_breakdown_holds_only_its_sums_and_a_few_blocks(mesh64, pot, chi, magmod
     import tracemalloc
     x = rand_u(mesh64, 0.01, 39).values
     asm = Assembly(mesh64, pot, mode, chi, magmodel)
-    n, E, M = mesh64.n_points, asm._bond_ends.shape[1], len(asm._den)
+    n, E, M = mesh64.n_points, mesh64.n_edges, mesh64.n_triangles
     block = min(discrete_energy.BLOCK, max(E, M))
     assert block < M  # more than one block
     # full length: the input copy, W per bond, and the cell, penalty and

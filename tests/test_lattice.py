@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import check_topology_against_oracle
+from conftest import check_topology_against_oracle, edge_directions
 from fraclat.lattice import (BLOCK, BOUNDARY_RTOL, PHI_MAX, LatticeError, LatticeSpec,
                              build_mesh, classify_edges, cleavage_direction,
                              lattice_vectors, perp, rotation_matrix, rows_times)
@@ -172,6 +172,11 @@ def test_mesh_arrays_equal_the_rolled_box_oracle(spec):
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
         assert not got.flags.writeable, name
+    # the bonds run direction by direction, as the groups spell out
+    assert mesh.edge_groups[0].start == 0 and mesh.edge_groups[2].stop == mesh.n_edges
+    assert all(g.stop == h.start for g, h in zip(mesh.edge_groups, mesh.edge_groups[1:]))
+    assert np.array_equal(edge_directions(mesh), expected["edge_dir"])
+    assert not mesh.basis_inverse.flags.writeable
 
 
 @pytest.mark.parametrize("spec", oracles.MESH_SPECS, ids=oracles.spec_id)
@@ -236,7 +241,7 @@ def test_omega_points_and_dirichlet_layer_are_those_of_the_wide_mesh(spec):
 def test_edge_direction_consistency(mesh16):
     V = mesh16.vecs.as_array()
     d = mesh16.points[mesh16.edges[:, 1]] - mesh16.points[mesh16.edges[:, 0]]
-    expect = mesh16.spec.eps * V[mesh16.edge_dir]
+    expect = mesh16.spec.eps * V[edge_directions(mesh16)]
     assert np.abs(d - expect).max() < 1e-12
 
 

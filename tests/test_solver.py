@@ -11,7 +11,7 @@ from fraclat.continuum import (CleavageProblem, a_crit, build_u_cr, build_u_el,
 from fraclat.discrete_energy import (Assembly, Displacement, bc_cleavage, energy_rescaled,
                                      interpolate_gradients)
 from fraclat.lattice import LatticeSpec, build_mesh
-from fraclat.material import PairPotential, PenaltyChi
+from fraclat.material import PairPotential
 from fraclat.multigrid import StiffnessMultigrid
 from fraclat.solver import (ConvergenceRow, SolveConfig, SolverError, _crack_summary,
                             cleaved_stations, convergence_study, fit_loglog_slope,
@@ -293,8 +293,8 @@ def test_descent_through_reflected_triangles_does_not_depend_on_the_block(pot_un
 
     def descend():
         asm = Assembly(mesh, pot_unit, "chi", chi)
-        return solver._descend(asm, StiffnessMultigrid(asm, *bc.masks(mesh)), "reflected",
-                               u0, bc, cfg)
+        return solver._descend(asm, StiffnessMultigrid(mesh, pot_unit.alpha, *bc.masks(mesh)),
+                               "reflected", u0, bc, cfg)
 
     x, rec = descend()
     monkeypatch.setattr(discrete_energy, "BLOCK", 7)
@@ -489,7 +489,7 @@ def test_stiffness_is_the_rest_hessian(pot):
     asm = Assembly(mesh, pot, mode="plain")
     none = np.zeros(mesh.n_points, dtype=bool)
     v = np.random.default_rng(8).standard_normal((mesh.n_points, 2))
-    Kv = StiffnessMultigrid(asm, none, none).stiffness(v)
+    Kv = StiffnessMultigrid(mesh, pot.alpha, none, none).stiffness(v)
     h = 1e-5
     fd = (asm.value_and_grad(h * v)[1] - asm.value_and_grad(-h * v)[1]) / (2.0 * h)
     assert np.abs(fd - Kv).max() <= 1e-6 * np.abs(Kv).max()
@@ -499,13 +499,12 @@ def test_stiffness_is_the_rest_hessian(pot):
 def multigrid_bar():
     # the test-07 bar at eps = 1/32: two stencil levels and the dense one below the mesh
     mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 32.0, l=2.0))
-    asm = Assembly(mesh, PairPotential(), mode="chi", chi=PenaltyChi())
     mask_x, mask_y = bc_cleavage(0.5, 2.0).masks(mesh)
-    return mesh, asm, mask_x, StiffnessMultigrid(asm, mask_x, mask_y)
+    return mesh, mask_x, StiffnessMultigrid(mesh, PairPotential().alpha, mask_x, mask_y)
 
 
 def test_preconditioner_is_symmetric_positive_and_zero_when_pinned(multigrid_bar):
-    mesh, asm, mask_x, M = multigrid_bar
+    mesh, mask_x, M = multigrid_bar
     rng = np.random.default_rng(16)
     u, w = rng.standard_normal((2, mesh.n_points, 2))
     Mu, Mw = M(u), M(w)
@@ -518,7 +517,7 @@ def test_preconditioner_is_symmetric_positive_and_zero_when_pinned(multigrid_bar
     # test_every_point_lies_in_omega_with_a_bond and
     # test_no_coarse_mesh_has_a_point_without_a_bond)
     bonded = np.zeros(mesh.n_points, dtype=bool)
-    bonded[asm._bond_ends.ravel()] = True
+    bonded[mesh.edges.ravel()] = True
     assert bonded.all()
     assert np.any(Mu[~mask_x, 1] != 0.0)
 
@@ -626,8 +625,9 @@ def test_convergence_study_rows_are_the_per_sample_evaluations(pot_unit, chi, ma
 def test_one_rung_fits_its_memory_budget(pot_unit, chi):
     # one 1/128 rung without minimize on the l = 2 bar: the int32 topology
     # and the blocked classification took its tracemalloc peak from 18.4 MB
-    # to 13.3 MB, and the mesh on the specimen alone to 10.0 MB; the peak
-    # is the breakdown's
+    # to 13.3 MB, the mesh on the specimen alone to 10.0 MB, and an
+    # assembly that reads the mesh's bond weights and signs in place to
+    # 8.4 MB; the peak is the breakdown's
     import tracemalloc
     prob = problem_with(1.5, l=2.0)
     tracemalloc.start()
@@ -637,7 +637,7 @@ def test_one_rung_fits_its_memory_budget(pot_unit, chi):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 9e6
 
 
 def test_gap_ladder_guard():
