@@ -31,9 +31,18 @@ SIAM 2000):
   (a V-cycle on the mesh over W-cycles below it, which keeps the
   iteration count nearly flat down to eps = 1/256); the coarsest level
   is inverted densely, so the level above it corrects once, exactly.
+
+:func:`rest_preconditioner` builds the operator once per mesh, alpha and
+set of pinned components, on first use, and keeps it while the mesh
+lives; the cycle holds no state between calls, so a kept operator gives
+the answers of a new one bit for bit.  On the l = 2, phi = 0.3 bar one
+kept operator holds 2.39 MB at eps = 1/64, 9.42 MB at 1/128 and 37.56 MB
+at 1/256 (tracemalloc).
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -194,16 +203,29 @@ class _DenseInverse:
         return x.reshape(-1, 2)
 
 
+def _check_masks(n_points: int, **masks):
+    """Raise ``ValueError`` naming the first mask that is not bool of shape ``(n_points,)``."""
+    for name, mask in masks.items():
+        dtype, shape = getattr(mask, "dtype", None), getattr(mask, "shape", None)
+        if dtype != bool or shape != (n_points,):
+            raise ValueError(f"{name} must be a bool array of shape ({n_points},), "
+                             f"got dtype {dtype} and shape {shape}")
+
+
 class StiffnessMultigrid:
     """``M ~ (K + SHIFT I)^-1`` on the free components of one mesh.
 
-    Built once per mesh, alpha = W''(1) and boundary condition; ``M`` is
-    symmetric and positive on the free components and 0 on the others.
-    Calling it on ``(N, 2)`` values returns a new ``(N, 2)`` array.
+    Made for one mesh, alpha = W''(1) and pair of pinned-component masks
+    (bool, one entry per point); :func:`rest_preconditioner` builds it once
+    per such triple and keeps it while the mesh lives.  It holds copies of
+    the mesh's bonds and coordinates, never the mesh.  ``M`` is symmetric
+    and positive on the free components and 0 on the others.  Calling it on
+    ``(N, 2)`` values returns a new ``(N, 2)`` array.
     """
 
     def __init__(self, mesh: TriangleMesh, alpha: float, mask_x: np.ndarray,
                  mask_y: np.ndarray):
+        _check_masks(mesh.n_points, mask_x=mask_x, mask_y=mask_y)
         fine = _BondLevel(mesh, alpha)
         self._fine = fine
         active = np.column_stack([~mask_x, ~mask_y])
@@ -251,3 +273,22 @@ class StiffnessMultigrid:
         for _ in range(JACOBI_SWEEPS):
             x += jacobi(x)
         return x
+
+
+# per mesh, {(alpha, mask_x bytes, mask_y bytes): operator}; an entry goes with its mesh
+_REST = weakref.WeakKeyDictionary()
+
+
+def rest_preconditioner(mesh: TriangleMesh, alpha: float, mask_x: np.ndarray,
+                        mask_y: np.ndarray) -> StiffnessMultigrid:
+    """The mesh's :class:`StiffnessMultigrid` for ``alpha`` and these pinned components.
+
+    Built on the first call and kept while the mesh lives: K does not depend
+    on the load, beta or the start, and the mesh's arrays are read-only.
+    """
+    _check_masks(mesh.n_points, mask_x=mask_x, mask_y=mask_y)
+    kept = _REST.setdefault(mesh, {})
+    key = (float(alpha), mask_x.tobytes(), mask_y.tobytes())
+    if key not in kept:
+        kept[key] = StiffnessMultigrid(mesh, alpha, mask_x, mask_y)
+    return kept[key]

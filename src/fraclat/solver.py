@@ -12,8 +12,10 @@ built only when its descent begins.
 The descent directions are limited-memory quasi-Newton (L-BFGS) ones
 whose initial inverse Hessian is one multigrid cycle on the rest-state
 bond stiffness (:class:`fraclat.multigrid.StiffnessMultigrid`).  That
-stiffness depends only on the mesh and the boundary condition, so one
-preconditioner serves every start of a minimization, and it keeps the
+stiffness depends only on the mesh, alpha = W''(1) and the pinned
+components, so one preconditioner, built on the first ``minimize`` of a
+mesh and kept while the mesh lives, serves every start of every load and
+call on it (:func:`fraclat.multigrid.rest_preconditioner`).  It keeps the
 iteration count of a start nearly flat as eps shrinks.
 """
 
@@ -39,7 +41,7 @@ from .discrete_energy import (MODES, Assembly, BoundaryCondition, Displacement,
 from .lattice import (LatticeSpec, TriangleMesh, build_mesh,
                       cleavage_direction, rotation_matrix)
 from .material import MagnetizationModel, PairPotential, PenaltyChi, frobenius_norms
-from .multigrid import StiffnessMultigrid
+from .multigrid import StiffnessMultigrid, rest_preconditioner
 
 
 class SolverError(RuntimeError):
@@ -341,13 +343,14 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
 
     ``problem`` places the ``elastic`` ramp and the ``cleaved`` stations.
     """
-    # one assembly and one preconditioner serve every start.  In modes plain
-    # and chi a start's record already holds the energy of its final
-    # iterate, and only the winner is broken down; in mode f the descent
-    # differentiates the smoothed field cutoff and each start reports the
-    # sharp one
+    # one assembly serves every start, and the mesh's kept preconditioner
+    # every start of every call with this alpha and these pinned components.
+    # In modes plain and chi a start's record already holds the energy of
+    # its final iterate, and only the winner is broken down; in mode f the
+    # descent differentiates the smoothed field cutoff and each start
+    # reports the sharp one
     asm = Assembly(mesh, pot, mode=config.mode, chi=chi, model=model)
-    precond = StiffnessMultigrid(mesh, pot.alpha, *bc.masks(mesh))
+    precond = rest_preconditioner(mesh, pot.alpha, *bc.masks(mesh))
     results = []
     best = None
     for k, (tag, u0) in enumerate(_initializers(mesh, problem, config)):
@@ -442,6 +445,9 @@ def convergence_study(problem: CleavageProblem, eps_list,
             n, est, ang = _crack_summary(res.u, problem.beta)
             rows.append(ConvergenceRow(eps, f"{mode}/minimize", res.breakdown.total,
                                        target, n, est, ang, res.best.converged))
+            # the result holds the mesh, and so its kept preconditioner:
+            # drop both before the next rung builds its own
+            del res
     check_gap_ladder(crack_gaps, eps_list, pot.beta)
     return rows
 

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import math
 import weakref
 
@@ -5,14 +7,14 @@ import numpy as np
 import pytest
 
 import oracles
-from fraclat import discrete_energy, solver
+from fraclat import discrete_energy, multigrid, solver
 from fraclat.continuum import (CleavageProblem, a_crit, build_u_cr, build_u_el,
                                crack_branch_energy, elastic_branch_energy)
-from fraclat.discrete_energy import (Assembly, Displacement, bc_cleavage, energy_rescaled,
-                                     interpolate_gradients)
+from fraclat.discrete_energy import (Assembly, Displacement, bc_affine, bc_cleavage,
+                                     energy_rescaled, interpolate_gradients)
 from fraclat.lattice import LatticeSpec, build_mesh
 from fraclat.material import PairPotential
-from fraclat.multigrid import StiffnessMultigrid
+from fraclat.multigrid import StiffnessMultigrid, rest_preconditioner
 from fraclat.solver import (ConvergenceRow, SolveConfig, SolverError, _crack_summary,
                             cleaved_stations, convergence_study, fit_loglog_slope,
                             magnet_demo, minimize, nonequicoercivity_demo,
@@ -531,6 +533,87 @@ def test_coarse_stencils_are_the_galerkin_products(multigrid_bar):
         xc = rng.standard_normal((coarse.n, 2))
         galerkin = transfer.restrict(level.apply(transfer.prolong(xc)))
         assert np.abs(coarse.apply(xc) - galerkin).max() <= 1e-12 * np.abs(galerkin).max()
+
+
+def test_one_preconditioner_per_mesh_alpha_and_pinned_components(pot_unit, chi,
+                                                                monkeypatch):
+    builds = [0]
+    init = StiffnessMultigrid.__init__
+
+    def counting(self, *args):
+        builds[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(StiffnessMultigrid, "__init__", counting)
+    # a mesh of its own, so that no other test has filled its memo entry
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0))
+    cfg = SolveConfig(max_iters=3, multistart=("zero", "elastic"))
+    for mult in (0.5, 1.5):  # another load, the same K
+        prob = problem_with(mult)
+        minimize(mesh, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
+    minimize(mesh, bc_cleavage(prob.a, prob.l), PairPotential(alpha=1.0, beta=2.0), cfg,
+             chi=chi, problem=prob)  # another beta, the same K
+    assert builds[0] == 1
+    lj = PairPotential.shifted_lj()
+    assert lj.alpha != pot_unit.alpha
+    minimize(mesh, bc_cleavage(prob.a, prob.l), lj, cfg, chi=chi, problem=prob)
+    assert builds[0] == 2
+    # an affine load pins both components of the clamped layers
+    minimize(mesh, bc_affine(np.diag([0.1, -0.05])), pot_unit, cfg, chi=chi, problem=prob)
+    assert builds[0] == 3
+    mask_x, mask_y = bc_cleavage(prob.a, prob.l).masks(mesh)
+    M = rest_preconditioner(mesh, pot_unit.alpha, mask_x, mask_y)
+    assert rest_preconditioner(mesh, pot_unit.alpha, mask_x.copy(), mask_y.copy()) is M
+    assert builds[0] == 3
+
+
+def test_kept_preconditioner_goes_with_its_mesh(pot_unit, chi):
+    # the operator holds no reference to the mesh, so the memo's weak key dies
+    gc.collect()  # other tests' meshes leave the memo now, not below
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0))
+    prob = problem_with(1.5)
+    bc = bc_cleavage(prob.a, prob.l)
+    res = minimize(mesh, bc, pot_unit, SolveConfig(max_iters=3, multistart=("zero",)),
+                   chi=chi, problem=prob)
+    kept = weakref.ref(rest_preconditioner(mesh, pot_unit.alpha, *bc.masks(mesh)))
+    entries = len(multigrid._REST)
+    assert kept() is not None and mesh in multigrid._REST
+    del mesh, res
+    gc.collect()
+    assert kept() is None
+    assert len(multigrid._REST) == entries - 1
+
+
+def test_kept_preconditioner_gives_the_answers_of_a_new_one(pot_unit, chi, monkeypatch):
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 16.0, l=2.0))
+    prob = problem_with(1.5, l=2.0)
+    bc = bc_cleavage(prob.a, prob.l)
+    cfg = SolveConfig(max_iters=60, n_cleaved=2)
+
+    def run():
+        res = minimize(mesh, bc, pot_unit, cfg, chi=chi, problem=prob)
+        records = [dataclasses.replace(start, wall_s=0.0) for start in res.starts]
+        return records, res.u.values.tobytes(), res.breakdown
+
+    first = run()  # builds the mesh's operator
+    kept = run()   # takes it from the memo
+    monkeypatch.setattr(solver, "rest_preconditioner", StiffnessMultigrid)
+    fresh = run()
+    assert sum(start.iters for start in fresh[0]) > 0
+    assert first == kept == fresh
+
+
+@pytest.mark.parametrize("build", [StiffnessMultigrid, rest_preconditioner],
+                         ids=["constructor", "memo"])
+def test_masks_must_be_bool_with_one_entry_per_point(build, multigrid_bar):
+    # an int 0/1 mask would read ~1 = -2 and ~0 = -1, both true, as free
+    mesh, mask_x, _ = multigrid_bar
+    none = np.zeros(mesh.n_points, dtype=bool)
+    with pytest.raises(ValueError, match="mask_x must be a bool array"):
+        build(mesh, 1.0, mask_x.astype(np.int64), none)
+    with pytest.raises(ValueError, match=r"mask_y must be a bool array of shape \(\d+,\)"):
+        build(mesh, 1.0, mask_x, none[1:])
+    assert mesh not in multigrid._REST
 
 
 @pytest.mark.parametrize("eps", [1.0 / 16.0, 1.0 / 32.0], ids=["1/16", "1/32"])
