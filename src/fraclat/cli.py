@@ -35,9 +35,9 @@ from .discrete_energy import (ENERGY_HEADER, bc_cleavage,
 from .lattice import (PHI_MAX, LatticeSpec, TriangleMesh, build_mesh,
                       cleavage_direction)
 from .material import MagnetizationModel, PairPotential, PenaltyChi
-from .solver import (CONVERGENCE_HEADER, ConvergenceRow, SolveConfig,
-                     cleaved_stations, convergence_study, magnet_demo, minimize,
-                     nonequicoercivity_demo, recovery_sequence)
+from .solver import (CONVERGENCE_HEADER, CRITICAL_HEADER, ConvergenceRow, SolveConfig,
+                     cleaved_stations, convergence_study, critical_load_study,
+                     magnet_demo, minimize, nonequicoercivity_demo, recovery_sequence)
 
 CRACK_HEADER = ["seg_id", "x0", "y0", "x1", "y1", "nu_x", "nu_y", "jump1", "jump2"]
 GAMMA_HEADER = ["phi", "gamma", "vgamma_x", "vgamma_y", "unique", "a_crit"]
@@ -300,6 +300,26 @@ def cmd_cleavage(cfg: RunConfig, out: OutputSet, args) -> str:
     return f"wrote {out.paths[0]}"
 
 
+def cmd_critical(cfg: RunConfig, out: OutputSet, args) -> str:
+    problem = _problem(cfg)
+    result = critical_load_study(problem, cfg.eps_list(), config=_solve_config(cfg),
+                                 pot=_potential(cfg), chi=_chi(cfg), model=_model(cfg))
+    rows = result["rows"]
+    unconverged = [_fmt(r.eps) for r in rows if not r.converged]
+    if unconverged:
+        _warn(f"a start did not converge at eps = {', '.join(unconverged)}")
+    write_csv(out.path("critical.csv"), CRITICAL_HEADER, [r.row() for r in rows])
+    write_manifest(out.path("critical_manifest.txt"), cfg, {
+        "derived.a_crit": a_crit(problem),
+        "derived.slope_a_crit": result["slope_a_crit"],
+        "derived.slope_elastic_gap": result["slope_elastic_gap"],
+        "derived.slope_crack_gap": result["slope_crack_gap"],
+    })
+    last = rows[-1]
+    return (f"wrote {out.paths[0]} (a_crit^eps / a_crit = "
+            f"{last.a_crit_eps / last.a_crit:.4f} at eps = {_fmt(last.eps)})")
+
+
 def cmd_minimize(cfg: RunConfig, out: OutputSet, args) -> str:
     problem, config = _problem(cfg), _solve_config(cfg)
     pot, chi, model = _potential(cfg), _chi(cfg), _model(cfg)
@@ -425,6 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-minimize", action="store_true",
                    help="only evaluate sampled configurations")
     config_command("minimize", "best-of-multistart minimization", cmd_minimize)
+    config_command("critical", "discrete critical load along the eps ladder "
+                   "(bisects the load, so load.a and solve.multistart are not read)",
+                   cmd_critical)
     config_command("recovery", "sample a limit configuration on the lattice",
                    cmd_recovery)
     p = config_command("crack-extract", "extract the crack polyline of a displacement",

@@ -32,12 +32,14 @@ SIAM 2000):
   iteration count nearly flat down to eps = 1/256); the coarsest level
   is inverted densely, so the level above it corrects once, exactly.
 
-:func:`rest_preconditioner` builds the operator once per mesh, alpha and
-set of pinned components, on first use, and keeps it while the mesh
-lives; the cycle holds no state between calls, so a kept operator gives
-the answers of a new one bit for bit.  On the l = 2, phi = 0.3 bar one
-kept operator holds 2.39 MB at eps = 1/64, 9.42 MB at 1/128 and 37.56 MB
-at 1/256 (tracemalloc).
+:func:`rest_preconditioner` keeps the operator it built last, for one
+mesh, alpha and pair of pinned-component masks, so that minimizations of
+one mesh at several loads build it once.  It keeps no more than that one
+operator, and only while its mesh lives: the next build on another key
+frees it first.  The cycle holds no state between calls, so a kept
+operator gives the answers of a new one bit for bit.  On the l = 2,
+phi = 0.3 bar the kept operator holds 2.39 MB at eps = 1/64, 9.42 MB at
+1/128 and 37.56 MB at 1/256 (tracemalloc).
 """
 
 from __future__ import annotations
@@ -216,9 +218,9 @@ class StiffnessMultigrid:
     """``M ~ (K + SHIFT I)^-1`` on the free components of one mesh.
 
     Made for one mesh, alpha = W''(1) and pair of pinned-component masks
-    (bool, one entry per point); :func:`rest_preconditioner` builds it once
-    per such triple and keeps it while the mesh lives.  It holds copies of
-    the mesh's bonds and coordinates, never the mesh.  ``M`` is symmetric
+    (bool, one entry per point); :func:`rest_preconditioner` keeps the last
+    one built.  It holds copies of the mesh's bonds and coordinates, never
+    the mesh.  ``M`` is symmetric
     and positive on the free components and 0 on the others.  Calling it on
     ``(N, 2)`` values returns a new ``(N, 2)`` array.
     """
@@ -275,20 +277,23 @@ class StiffnessMultigrid:
         return x
 
 
-# per mesh, {(alpha, mask_x bytes, mask_y bytes): operator}; an entry goes with its mesh
-_REST = weakref.WeakKeyDictionary()
+# the last operator built: {mesh: ((alpha, mask_x bytes, mask_y bytes), operator)},
+# at most one entry, which goes with its mesh
+_KEPT = weakref.WeakKeyDictionary()
 
 
 def rest_preconditioner(mesh: TriangleMesh, alpha: float, mask_x: np.ndarray,
                         mask_y: np.ndarray) -> StiffnessMultigrid:
     """The mesh's :class:`StiffnessMultigrid` for ``alpha`` and these pinned components.
 
-    Built on the first call and kept while the mesh lives: K does not depend
-    on the load, beta or the start, and the mesh's arrays are read-only.
+    The last one built is kept, while its mesh lives, and returned again for
+    the same mesh, alpha and masks: K depends on neither the load, beta nor
+    the start, and the mesh's arrays are read-only.  Any other key frees it
+    before its own operator is built.
     """
-    _check_masks(mesh.n_points, mask_x=mask_x, mask_y=mask_y)
-    kept = _REST.setdefault(mesh, {})
     key = (float(alpha), mask_x.tobytes(), mask_y.tobytes())
-    if key not in kept:
-        kept[key] = StiffnessMultigrid(mesh, alpha, mask_x, mask_y)
-    return kept[key]
+    kept = _KEPT.get(mesh)
+    if kept is None or kept[0] != key:
+        _KEPT.clear()
+        kept = _KEPT[mesh] = (key, StiffnessMultigrid(mesh, alpha, mask_x, mask_y))
+    return kept[1]

@@ -13,10 +13,11 @@ The descent directions are limited-memory quasi-Newton (L-BFGS) ones
 whose initial inverse Hessian is one multigrid cycle on the rest-state
 bond stiffness (:class:`fraclat.multigrid.StiffnessMultigrid`).  That
 stiffness depends only on the mesh, alpha = W''(1) and the pinned
-components, so one preconditioner, built on the first ``minimize`` of a
-mesh and kept while the mesh lives, serves every start of every load and
-call on it (:func:`fraclat.multigrid.rest_preconditioner`).  It keeps the
-iteration count of a start nearly flat as eps shrinks.
+components, so one preconditioner serves every start of a minimization,
+and the last one built is kept for the next minimization of the same
+mesh at another load (:func:`fraclat.multigrid.rest_preconditioner`), as
+in :func:`critical_load_study`.  It keeps the iteration count of a start
+nearly flat as eps shrinks.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import (CleavageProblem, ContinuumDisplacement, build_u_cr,
+from .continuum import (CleavageProblem, ContinuumDisplacement, a_crit, build_u_cr,
                         build_u_el, crack_branch_energy,
                         elastic_branch_energy, min_energy)
 from .crack_extraction import (angle_between_lines_deg, build_modified,
@@ -142,6 +143,27 @@ class ConvergenceRow:
 
 CONVERGENCE_HEADER = ["eps", "mode", "energy", "target", "gap",
                       "n_broken", "crack_energy_est", "crack_angle_deg"]
+
+
+@dataclass
+class CriticalRow:
+    """One rung of :func:`critical_load_study`."""
+
+    eps: float
+    a_crit_eps: float   # load at which the elastic branch reaches the crack branch
+    a_crit: float       # the limit's critical load
+    elastic_gap: float  # E_el^eps - its limit, at the bracket's lower load
+    crack_gap: float    # E_cr^eps - its limit
+    minimizations: int  # the rung's minimize calls, all on one mesh
+    converged: bool     # False when a start of one of them stopped early
+
+    def row(self) -> list:
+        return [self.eps, self.a_crit_eps, self.a_crit_eps / self.a_crit,
+                self.elastic_gap, self.crack_gap, self.minimizations, self.converged]
+
+
+CRITICAL_HEADER = ["eps", "a_crit_eps", "a_crit_ratio", "elastic_gap", "crack_gap",
+                   "minimizations", "converged"]
 
 
 # ----------------------------------------------------------------------
@@ -343,12 +365,12 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
 
     ``problem`` places the ``elastic`` ramp and the ``cleaved`` stations.
     """
-    # one assembly serves every start, and the mesh's kept preconditioner
-    # every start of every call with this alpha and these pinned components.
-    # In modes plain and chi a start's record already holds the energy of
-    # its final iterate, and only the winner is broken down; in mode f the
-    # descent differentiates the smoothed field cutoff and each start
-    # reports the sharp one
+    # one assembly and one preconditioner serve every start; the
+    # preconditioner is the last call's when the mesh, alpha and pinned
+    # components are the same.  In modes plain and chi a start's record
+    # already holds the energy of its final iterate, and only the winner is
+    # broken down; in mode f the descent differentiates the smoothed field
+    # cutoff and each start reports the sharp one
     asm = Assembly(mesh, pot, mode=config.mode, chi=chi, model=model)
     precond = rest_preconditioner(mesh, pot.alpha, *bc.masks(mesh))
     results = []
@@ -445,9 +467,6 @@ def convergence_study(problem: CleavageProblem, eps_list,
             n, est, ang = _crack_summary(res.u, problem.beta)
             rows.append(ConvergenceRow(eps, f"{mode}/minimize", res.breakdown.total,
                                        target, n, est, ang, res.best.converged))
-            # the result holds the mesh, and so its kept preconditioner:
-            # drop both before the next rung builds its own
-            del res
     check_gap_ladder(crack_gaps, eps_list, pot.beta)
     return rows
 
@@ -463,6 +482,78 @@ def check_gap_ladder(gaps, eps_list, beta: float):
         if g1 > 1.1 * g0 + eps * beta + 1e-12:
             raise SolverError(
                 f"sampled-crack gaps fail to shrink along the ladder: {list(gaps)}")
+
+
+# the loads that bracket a_crit^eps, and the width that ends the bisection,
+# in units of the limit's a_crit
+CRITICAL_BRACKET = (0.5, 1.5)
+CRITICAL_TOL = 1e-3
+
+
+def critical_load_study(problem: CleavageProblem, eps_list,
+                        config: SolveConfig | None = None,
+                        pot: PairPotential | None = None,
+                        chi: PenaltyChi | None = None,
+                        model: MagnetizationModel | None = None) -> dict:
+    """The discrete critical load a_crit^eps and both branch gaps along an eps ladder.
+
+    Per rung, the crack branch's energy E_cr^eps is the best ``cleaved``
+    start's at the bracket's upper load, where the cracks are open; with a
+    flat tail (exp-well) it does not depend on the load.  a_crit^eps is
+    then bisected, to ``CRITICAL_TOL`` a_crit, as the load at which the
+    converged ``elastic`` start's energy E_el^eps(a) reaches E_cr^eps; the
+    bracket must hold E_el^eps below E_cr^eps at its lower load and above
+    it at its upper one.  ``config`` sets everything but the starts.  The
+    rung's minimizations all run on one mesh and so share its
+    preconditioner.  Returns the rows and the log-log slopes of
+    |a_crit^eps / a_crit - 1| and of both gaps' magnitudes.
+    """
+    eps_list = list(eps_list)
+    if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise SolverError(f"eps_list must be two or more strictly decreasing rungs, "
+                          f"got {eps_list}")
+    pot = pot or PairPotential(alpha=problem.alpha, beta=problem.beta)
+    chi = chi or PenaltyChi()
+    config = config or SolveConfig()
+    limit = a_crit(problem)
+    bracket = tuple(m * limit for m in CRITICAL_BRACKET)
+    rows = []
+    for eps in eps_list:
+        mesh = _mesh_for(problem, eps)
+        converged = []
+
+        def energy(a: float, start: str) -> float:
+            res = minimize(mesh, bc_cleavage(a, problem.l), pot,
+                           replace(config, multistart=(start,)), chi=chi, model=model,
+                           problem=replace(problem, a=a))
+            converged.append(all(rec.converged for rec in res.starts))
+            return res.breakdown.total
+
+        lo, hi = bracket
+        e_cr = energy(hi, "cleaved")
+        e_lo, e_hi = energy(lo, "elastic"), energy(hi, "elastic")
+        if not e_lo < e_cr < e_hi:
+            raise SolverError(
+                f"eps = {eps}: the elastic branch ({e_lo:.6g} at {lo:.6g}, {e_hi:.6g} at "
+                f"{hi:.6g}) does not cross the crack branch ({e_cr:.6g}) in the bracket")
+        while hi - lo > CRITICAL_TOL * limit:
+            mid = 0.5 * (lo + hi)
+            if energy(mid, "elastic") < e_cr:
+                lo = mid
+            else:
+                hi = mid
+        rows.append(CriticalRow(eps, 0.5 * (lo + hi), limit,
+                                e_lo - elastic_branch_energy(problem, bracket[0]),
+                                e_cr - crack_branch_energy(problem), len(converged),
+                                all(converged)))
+
+    def slope(values):
+        return fit_loglog_slope(eps_list, [abs(v) for v in values])
+
+    return {"rows": rows,
+            "slope_a_crit": slope([r.a_crit_eps / limit - 1.0 for r in rows]),
+            "slope_elastic_gap": slope([r.elastic_gap for r in rows]),
+            "slope_crack_gap": slope([r.crack_gap for r in rows])}
 
 
 # ----------------------------------------------------------------------

@@ -459,6 +459,35 @@ def test_minimize_command_is_byte_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_critical_command_is_byte_deterministic(tmp_path):
+    # the load and the starts are the command's own: load.a and the multistart are not read
+    text = BASE + "solve.multistart = zero\n"
+    outs = []
+    for name in ("run1", "run2"):
+        cfg = write_config(tmp_path / f"{name}.cfg", text + f"out.dir = {tmp_path}/{name}\n")
+        assert main(["critical", "--config", cfg]) == 0
+        outs.append((tmp_path / name / "critical.csv").read_bytes())
+    assert outs[0] == outs[1]
+    header, rows = read_rows(tmp_path / "run1" / "critical.csv")
+    assert header == ["eps", "a_crit_eps", "a_crit_ratio", "elastic_gap", "crack_gap",
+                      "minimizations", "converged"]
+    assert [row[0] for row in rows] == ["0.0625", "0.03125"]
+    assert [round(float(row[2]), 4) for row in rows] == [0.9438, 0.9653]
+    assert [row[5:] for row in rows] == [["13", "True"]] * 2
+    manifest = (tmp_path / "run1" / "critical_manifest.txt").read_text()
+    for key in ("derived.a_crit", "derived.slope_a_crit", "derived.slope_elastic_gap",
+                "derived.slope_crack_gap"):
+        assert f"\n{key} = " in manifest
+
+
+def test_critical_command_needs_two_rungs(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", BASE.replace("1/16,1/32", "1/16")
+                       + f"out.dir = {tmp_path}/out\n")
+    assert main(["critical", "--config", cfg]) == 1
+    assert "two or more strictly decreasing" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def subcritical_config(tmp_path, extra=""):
     from fraclat.continuum import CleavageProblem, a_crit
     a = 0.5 * a_crit(CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=0.0))

@@ -16,7 +16,8 @@ from fraclat.lattice import LatticeSpec, build_mesh
 from fraclat.material import PairPotential
 from fraclat.multigrid import StiffnessMultigrid, rest_preconditioner
 from fraclat.solver import (ConvergenceRow, SolveConfig, SolverError, _crack_summary,
-                            cleaved_stations, convergence_study, fit_loglog_slope,
+                            cleaved_stations, convergence_study, critical_load_study,
+                            fit_loglog_slope,
                             magnet_demo, minimize, nonequicoercivity_demo,
                             recovery_sequence, rotated_band_displacement,
                             three_piece_rotation)
@@ -561,27 +562,42 @@ def test_one_preconditioner_per_mesh_alpha_and_pinned_components(pot_unit, chi,
     # an affine load pins both components of the clamped layers
     minimize(mesh, bc_affine(np.diag([0.1, -0.05])), pot_unit, cfg, chi=chi, problem=prob)
     assert builds[0] == 3
+    # one operator is kept, so the first key is built again
     mask_x, mask_y = bc_cleavage(prob.a, prob.l).masks(mesh)
     M = rest_preconditioner(mesh, pot_unit.alpha, mask_x, mask_y)
+    assert builds[0] == 4
     assert rest_preconditioner(mesh, pot_unit.alpha, mask_x.copy(), mask_y.copy()) is M
-    assert builds[0] == 3
+    assert builds[0] == 4
+
+
+def test_a_kept_result_does_not_keep_its_preconditioner(pot_unit, chi):
+    # the result holds its mesh, yet the next mesh's build frees the operator
+    prob = problem_with(1.5)
+    bc = bc_cleavage(prob.a, prob.l)
+    cfg = SolveConfig(max_iters=3, multistart=("zero",))
+    results, kept = [], []
+    for eps in (1.0 / 8.0, 1.0 / 16.0):
+        mesh = build_mesh(LatticeSpec(phi=0.3, eps=eps, l=1.0))
+        results.append(minimize(mesh, bc, pot_unit, cfg, chi=chi, problem=prob))
+        kept.append(weakref.ref(rest_preconditioner(mesh, pot_unit.alpha, *bc.masks(mesh))))
+    gc.collect()
+    assert kept[0]() is None and kept[1]() is not None
+    assert list(multigrid._KEPT) == [results[1].u.mesh]
 
 
 def test_kept_preconditioner_goes_with_its_mesh(pot_unit, chi):
     # the operator holds no reference to the mesh, so the memo's weak key dies
-    gc.collect()  # other tests' meshes leave the memo now, not below
     mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0))
     prob = problem_with(1.5)
     bc = bc_cleavage(prob.a, prob.l)
     res = minimize(mesh, bc, pot_unit, SolveConfig(max_iters=3, multistart=("zero",)),
                    chi=chi, problem=prob)
     kept = weakref.ref(rest_preconditioner(mesh, pot_unit.alpha, *bc.masks(mesh)))
-    entries = len(multigrid._REST)
-    assert kept() is not None and mesh in multigrid._REST
+    assert kept() is not None and list(multigrid._KEPT) == [mesh]
     del mesh, res
     gc.collect()
     assert kept() is None
-    assert len(multigrid._REST) == entries - 1
+    assert len(multigrid._KEPT) == 0
 
 
 def test_kept_preconditioner_gives_the_answers_of_a_new_one(pot_unit, chi, monkeypatch):
@@ -603,6 +619,47 @@ def test_kept_preconditioner_gives_the_answers_of_a_new_one(pot_unit, chi, monke
     assert first == kept == fresh
 
 
+def test_critical_load_approaches_a_crit_on_one_preconditioner_per_rung(pot_unit, chi,
+                                                                        monkeypatch):
+    builds = [0]
+    init = StiffnessMultigrid.__init__
+
+    def counting(self, *args):
+        builds[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(StiffnessMultigrid, "__init__", counting)
+    prob = problem_with(0.0, l=2.0)
+    out = critical_load_study(prob, [1.0 / 16.0, 1.0 / 32.0], pot=pot_unit, chi=chi)
+    rows = out["rows"]
+    ratios = [row.a_crit_eps / row.a_crit for row in rows]
+    assert 0.5 < ratios[0] < ratios[1] < 1.0
+    assert ratios == pytest.approx([0.9438, 0.9653], abs=1e-3)
+    # the elastic gap at 0.5 a_crit shrinks; the crack branch is below its limit
+    assert 0.0 < rows[1].elastic_gap < rows[0].elastic_gap
+    assert rows[0].crack_gap < rows[1].crack_gap < 0.0
+    assert all(row.converged and row.minimizations == 13 for row in rows)
+    # thirteen minimizations on each rung's mesh build its operator once
+    assert builds[0] == len(rows)
+    assert out["slope_a_crit"] > 0.0 and out["slope_elastic_gap"] > 0.0
+
+
+def test_critical_load_bracket_must_straddle_the_crossing(pot_unit, chi, monkeypatch):
+    # a_crit^eps is 0.944 a_crit at 1/16, below this bracket
+    monkeypatch.setattr(solver, "CRITICAL_BRACKET", (1.2, 1.5))
+    with pytest.raises(SolverError, match="does not cross the crack branch"):
+        critical_load_study(problem_with(0.0, l=2.0), [1.0 / 16.0, 1.0 / 32.0],
+                            pot=pot_unit, chi=chi)
+
+
+@pytest.mark.parametrize("ladder", [[1.0 / 16.0], [1.0 / 16.0, 1.0 / 16.0],
+                                    [1.0 / 32.0, 1.0 / 16.0]])
+def test_critical_load_ladder_is_checked_before_any_mesh(ladder, monkeypatch):
+    monkeypatch.setattr(solver, "_mesh_for", lambda *args: pytest.fail("mesh built"))
+    with pytest.raises(SolverError, match="two or more strictly decreasing"):
+        critical_load_study(problem_with(0.0, l=2.0), ladder)
+
+
 @pytest.mark.parametrize("build", [StiffnessMultigrid, rest_preconditioner],
                          ids=["constructor", "memo"])
 def test_masks_must_be_bool_with_one_entry_per_point(build, multigrid_bar):
@@ -613,7 +670,7 @@ def test_masks_must_be_bool_with_one_entry_per_point(build, multigrid_bar):
         build(mesh, 1.0, mask_x.astype(np.int64), none)
     with pytest.raises(ValueError, match=r"mask_y must be a bool array of shape \(\d+,\)"):
         build(mesh, 1.0, mask_x, none[1:])
-    assert mesh not in multigrid._REST
+    assert mesh not in multigrid._KEPT
 
 
 @pytest.mark.parametrize("eps", [1.0 / 16.0, 1.0 / 32.0], ids=["1/16", "1/32"])
