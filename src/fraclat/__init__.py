@@ -10,9 +10,9 @@ that each prediction can be checked computationally at desk scale.
 
 __version__ = "0.1.0"
 
-from .lattice import (CleavageData, LatticeError, LatticeSpec, LatticeVectors,
-                      TriangleMesh, build_mesh, classify_edges,
-                      cleavage_direction, lattice_vectors)
+from .lattice import (CleavageData, LatticeError, LatticeSpec, TriangleMesh,
+                      build_mesh, classify_edges, cleavage_direction,
+                      lattice_vectors)
 from .material import (MagnetizationModel, MaterialError, PairPotential,
                        PenaltyChi, cell_energy, field_energy,
                        magnetization, magnetization_hessian_form,

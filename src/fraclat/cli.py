@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .continuum import (CleavageProblem, a_crit, build_u_cr, build_u_el,
                         crack_branch_energy, elastic_branch_energy, min_energy)
-from .crack_extraction import (build_modified, classify_broken,
+from .crack_extraction import (CRACK_HEADER, build_modified, classify_broken,
                                crack_energy_estimate)
 from .discrete_energy import (ENERGY_HEADER, bc_cleavage,
                               displacement_from_csv, displacement_to_csv,
@@ -35,11 +35,10 @@ from .discrete_energy import (ENERGY_HEADER, bc_cleavage,
 from .lattice import (PHI_MAX, LatticeSpec, TriangleMesh, build_mesh,
                       cleavage_direction)
 from .material import MagnetizationModel, PairPotential, PenaltyChi
-from .solver import (CONVERGENCE_HEADER, CRITICAL_HEADER, ConvergenceRow, SolveConfig,
-                     cleaved_stations, convergence_study, critical_load_study,
+from .solver import (CONVERGENCE_HEADER, CRITICAL_HEADER, NONEQ_HEADER, ConvergenceRow,
+                     SolveConfig, cleaved_stations, convergence_study, critical_load_study,
                      magnet_demo, minimize, nonequicoercivity_demo, recovery_sequence)
 
-CRACK_HEADER = ["seg_id", "x0", "y0", "x1", "y1", "nu_x", "nu_y", "jump1", "jump2"]
 GAMMA_HEADER = ["phi", "gamma", "vgamma_x", "vgamma_y", "unique", "a_crit"]
 
 _REQUIRED = object()
@@ -408,8 +407,7 @@ def cmd_noneq_demo(cfg: RunConfig, out: OutputSet, args) -> str:
     result = nonequicoercivity_demo(cfg.eps_list(), cfg.get("noneq.theta"),
                                     cfg.get("noneq.p"), cfg.get("noneq.q"),
                                     l=cfg.get("lattice.l"), pot=_potential(cfg))
-    write_csv(out.path("noneq.csv"), ["eps", "energy", "grad_l1_total", "grad_l1_band"],
-              result["rows"])
+    write_csv(out.path("noneq.csv"), NONEQ_HEADER, result["rows"])
     write_manifest(out.path("noneq_manifest.txt"), cfg, {
         "derived.slope_total": result["slope_total"],
         "derived.slope_band": result["slope_band"],

@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import (SQRT3, CleavageData, LatticeVectors, cleavage_direction,
-                      lattice_vectors, perp, require_finite, row_dots, rows_times)
+from .lattice import (SQRT3, CleavageData, cleavage_direction, lattice_vectors, perp,
+                      require_finite, row_dots, rows_times)
 from .material import quadratic_form, quadratic_min_under_strain
 
 _GEOM_TOL = 1e-12
@@ -89,13 +89,11 @@ def clip_segment_rect(p0: np.ndarray, p1: np.ndarray, rect):
     return p0 + t0 * d, p0 + t1 * d
 
 
-def _oriented_normal(direction: np.ndarray) -> np.ndarray:
-    """Unit normal with nonnegative first component; ties point along e2."""
-    return _oriented_normals(np.asarray(direction, dtype=float)[None])[0]
-
-
 def _oriented_normals(directions: np.ndarray) -> np.ndarray:
-    """:func:`_oriented_normal` of each row of a (k, 2) array."""
+    """Unit normal of each row of a (k, 2) array of directions.
+
+    Each normal has a nonnegative first component; ties point along e2.
+    """
     n = perp(directions / np.sqrt(row_dots(directions, directions))[:, None])
     flip = (n[:, 0] < -_GEOM_TOL) | ((np.abs(n[:, 0]) <= _GEOM_TOL) & (n[:, 1] < 0.0))
     return np.where(flip[:, None], -n, n)
@@ -206,15 +204,12 @@ def _check_no_overlap(u: ContinuumDisplacement):
 # the limiting functionals
 # ----------------------------------------------------------------------
 
-def surface_density(nu: np.ndarray, vecs: LatticeVectors, beta: float) -> float:
-    """Anisotropic crack density (2 beta / sqrt(3)) * sum_v |v . nu|."""
-    return float(surface_densities(np.asarray(nu, dtype=float)[None], vecs, beta)[0])
+def surface_densities(nus: np.ndarray, vecs: np.ndarray, beta: float) -> np.ndarray:
+    """Anisotropic crack density (2 beta / sqrt(3)) * sum_v |v . nu| per normal.
 
-
-def surface_densities(nus: np.ndarray, vecs: LatticeVectors, beta: float) -> np.ndarray:
-    """:func:`surface_density` of each row of a (k, 2) array of normals."""
-    V = vecs.as_array()
-    return 2.0 * beta / SQRT3 * np.abs(np.matmul(V, nus[:, :, None])[:, :, 0]).sum(axis=1)
+    ``nus`` is a (k, 2) array of unit normals, ``vecs`` the (3, 2) bond directions.
+    """
+    return 2.0 * beta / SQRT3 * np.abs(np.matmul(vecs, nus[:, :, None])[:, :, 0]).sum(axis=1)
 
 
 def energy_limit(u: ContinuumDisplacement, alpha: float, beta: float,
@@ -228,7 +223,8 @@ def energy_limit(u: ContinuumDisplacement, alpha: float, beta: float,
         bulk += 4.0 / SQRT3 * 0.5 * float(quadratic_form(sym, alpha)) * area
     surface = 0.0
     for seg, q0, q1 in _clipped_cracks(u):
-        surface += float(np.linalg.norm(q1 - q0)) * surface_density(seg.normal, vecs, beta)
+        surface += float(np.linalg.norm(q1 - q0)) \
+            * float(surface_densities(seg.normal[None], vecs, beta)[0])
     return bulk, surface, bulk + surface
 
 
@@ -327,7 +323,7 @@ def build_u_cr(problem: CleavageProblem, p: float, s: float = 0.0,
     if not (_GEOM_TOL < p < l - _GEOM_TOL and _GEOM_TOL < top < l - _GEOM_TOL):
         raise GeometryError(
             f"crack line through p={p} exits a vertical side (top intercept {top})")
-    nu = _oriented_normal(w)
+    nu = _oriented_normals(w[None])[0]
     jump = np.array([problem.a * l, t - s])
     left = AffinePiece(np.array([[0.0, 0.0], [p, 0.0], [top, 1.0], [0.0, 1.0]]),
                        np.zeros((2, 2)), np.array([0.0, s]))
@@ -380,7 +376,7 @@ def build_u_cr_symmetric(problem: CleavageProblem, h_x2: np.ndarray,
     for k in range(len(graph) - 1):
         d = graph[k + 1] - graph[k]
         crack.append(CrackLine(graph[k].copy(), graph[k + 1].copy(),
-                               _oriented_normal(d), jump))
+                               _oriented_normals(d[None])[0], jump))
 
     def locator(pts: np.ndarray) -> np.ndarray:
         hx = np.interp(pts[:, 1], h_x2, h_values)
@@ -414,8 +410,7 @@ def surface_density_bound(phi: float, nu: np.ndarray) -> tuple[float, float, flo
     """
     nu = np.asarray(nu, dtype=float)
     data = cleavage_direction(phi)
-    vecs = lattice_vectors(phi)
-    lhs = float(np.abs(vecs.as_array() @ nu).sum())
+    lhs = float(np.abs(lattice_vectors(phi) @ nu).sum())
     P = anisotropy_gap_term(data.gamma, data.v_gamma, nu)
     rhs = SQRT3 / data.gamma * abs(nu[0]) + P
     if lhs < rhs - 1e-12:
@@ -427,8 +422,7 @@ def surface_density_margins(phi: float, nus: np.ndarray) -> np.ndarray:
     """Vectorized slack lhs - rhs of the surface density bound over unit normals."""
     nus = np.asarray(nus, dtype=float)
     data = cleavage_direction(phi)
-    V = lattice_vectors(phi).as_array()
-    lhs = np.abs(nus @ V.T).sum(axis=1)
+    lhs = np.abs(nus @ lattice_vectors(phi).T).sum(axis=1)
     P = anisotropy_gap_term(data.gamma, data.v_gamma, nus)
     rhs = SQRT3 / data.gamma * np.abs(nus[:, 0]) + P
     return lhs - rhs
@@ -441,7 +435,6 @@ def slicing_lower_bound(u: ContinuumDisplacement, problem: CleavageProblem) -> f
     jump count priced at the cheapest crack, and the anisotropy remainder
     over the crack; never exceeds the full energy.
     """
-    vecs = lattice_vectors(problem.phi)
     data = problem.cleavage
     bulk = 0.0
     for piece, area in _clipped_pieces(u):

@@ -32,10 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import discrete_energy
 from .continuum import _oriented_normals, surface_densities
 from .discrete_energy import Displacement, corner_differences, interpolate_gradients
-from .lattice import LatticeVectors, TriangleMesh, perp, row_dots
+from .lattice import BLOCK, TriangleMesh, perp, row_dots
 
 STRETCH_FACTOR = 2.0
 
@@ -44,15 +43,14 @@ class CrackError(RuntimeError):
     """Degenerate crack geometry input."""
 
 
-def symmetric_quartic_sum(H: np.ndarray, vecs: LatticeVectors) -> tuple[float, float]:
+def symmetric_quartic_sum(H: np.ndarray, vecs: np.ndarray) -> tuple[float, float]:
     """Both sides of the quartic trace identity for a symmetric matrix.
 
     Returns ``(sum_v <v, H v>^2, (3/8)(2 tr(H^2) + (tr H)^2))``; the two
     agree for every lattice rotation.
     """
     H = np.asarray(H, dtype=float)
-    V = vecs.as_array()
-    lhs = float((np.einsum("vi,ij,vj->v", V, H, V) ** 2).sum())
+    lhs = float((np.einsum("vi,ij,vj->v", vecs, H, vecs) ** 2).sum())
     tr = H[0, 0] + H[1, 1]
     tr2 = float(np.trace(H @ H))
     return lhs, 3.0 / 8.0 * (2.0 * tr2 + tr * tr)
@@ -80,15 +78,15 @@ class BrokenClassification:
 def classify_broken(u: Displacement) -> BrokenClassification:
     """The triangles with two or three sides stretched by ``STRETCH_FACTOR`` or more.
 
-    The side stretches are formed ``discrete_energy.BLOCK`` triangles at a
+    The side stretches are formed ``lattice.BLOCK`` triangles at a
     time and only the broken rows are kept, so the transient is a few
     blocks long; the block length changes no bit of the result.
     """
     mesh = u.mesh
     xc = np.ascontiguousarray(u.values.T)
     scale = math.sqrt(mesh.spec.eps)
-    V = mesh.vecs.as_array()[:, :, None]
-    M, B = mesh.n_triangles, discrete_energy.BLOCK
+    V = mesh.vecs[:, :, None]
+    M, B = mesh.n_triangles, BLOCK
     buf = np.empty(6 * min(B, M))
     tri, m, stretched = [], [], []  # the broken rows of each block (a mesh has one)
     for lo in range(0, M, B):
@@ -118,7 +116,7 @@ def classify_broken(u: Displacement) -> BrokenClassification:
 # the modified interpolation
 # ----------------------------------------------------------------------
 
-def _released_gradient(F: np.ndarray, intact: np.ndarray, vecs: LatticeVectors) -> np.ndarray:
+def _released_gradient(F: np.ndarray, intact: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Constant gradients keeping the intact bond and relaxing the others.
 
     For each of the stacked gradients ``F`` (k, 2, 2) with intact bond
@@ -128,11 +126,10 @@ def _released_gradient(F: np.ndarray, intact: np.ndarray, vecs: LatticeVectors) 
     rotations) is taken, and in the fully degenerate case
     ``F v_intact = 0`` the solution closest to the identity.
     """
-    V = vecs.as_array()
     # inverse of the basis (v_intact, v_other), other = the lowest non-intact bond
-    Binv = np.array([np.linalg.inv(np.column_stack([V[i], V[1 if i == 0 else 0]]))
+    Binv = np.array([np.linalg.inv(np.column_stack([vecs[i], vecs[1 if i == 0 else 0]]))
                      for i in range(3)])[intact]
-    w = np.matmul(F, V[intact][:, :, None])[:, :, 0]
+    w = np.matmul(F, vecs[intact][:, :, None])[:, :, 0]
     center = np.where((intact == 2)[:, None], -w, w)
     d = np.sqrt(row_dots(center, center))
     with np.errstate(divide="ignore", invalid="ignore"):  # the degenerate rows
@@ -178,7 +175,7 @@ class CrackSet:
 
     p0: np.ndarray        # (S, 2) segment end points in the reference frame
     p1: np.ndarray        # (S, 2)
-    normal: np.ndarray    # (S, 2) unit normals, as continuum._oriented_normal gives them
+    normal: np.ndarray    # (S, 2) unit normals, as continuum._oriented_normals gives them
     jump: np.ndarray      # (S, 2) jump vectors in the displacement scaling
     tri: np.ndarray       # (S,) host triangles
     h_index: np.ndarray   # (S,) which midsegment of its host triangle
@@ -202,8 +199,12 @@ class CrackSet:
         return float(sum(self.lengths.tolist()))
 
     def rows(self) -> list:
+        """One row of ``CRACK_HEADER`` per segment."""
         table = np.column_stack([self.p0, self.p1, self.normal, self.jump]).tolist()
         return [[k, *row] for k, row in enumerate(table)]
+
+
+CRACK_HEADER = ["seg_id", "x0", "y0", "x1", "y1", "nu_x", "nu_y", "jump1", "jump2"]
 
 
 # side s of a triangle (P0, P1, P2) runs along bond direction s
@@ -268,7 +269,7 @@ def jump_vectors(u: Displacement, classes: BrokenClassification,
     against the geometric jumps stored in the crack set.
     """
     sqeps = math.sqrt(u.mesh.spec.eps)
-    V = u.mesh.vecs.as_array()
+    V = u.mesh.vecs
     unclassified = np.flatnonzero(~np.isin(crack.tri, classes.tri_indices))
     if len(unclassified):
         k = unclassified[0]
@@ -299,7 +300,7 @@ def jump_vectors(u: Displacement, classes: BrokenClassification,
 # derived quantities
 # ----------------------------------------------------------------------
 
-def crack_energy_estimate(crack: CrackSet, beta: float, vecs: LatticeVectors) -> float:
+def crack_energy_estimate(crack: CrackSet, beta: float, vecs: np.ndarray) -> float:
     """Anisotropic surface energy of the extracted polyline."""
     return float(sum((crack.lengths * surface_densities(crack.normal, vecs, beta)).tolist()))
 

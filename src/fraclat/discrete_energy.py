@@ -378,7 +378,7 @@ class Assembly:
         self.eps, self._sqrt_eps = eps, np.sqrt(eps)
 
         # the mesh's own arrays, the index arrays in their component-major layout
-        self._vecs = mesh.vecs.as_array()
+        self._vecs = mesh.vecs
         self._bond_ends = mesh.edges.T  # (2, E)
         self._corners = mesh.triangles.T  # (3, M)
         self._sign, self._minv = mesh.tri_sign, mesh.basis_inverse

@@ -29,6 +29,8 @@ Conventions
   offset is a view of the box shifted by one cell.  The triangle marks
   span one cell more than the interior, so that a bond's flank can be
   read at a unit offset too.
+* The bond directions are one read-only (3, 2) array, row d = direction
+  d: v1, v2 and v3 = v2 - v1 (:func:`lattice_vectors`, ``TriangleMesh.vecs``).
 * The bonds run direction by direction, in the three slices ``edge_groups``.
 """
 
@@ -113,31 +115,20 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
-class LatticeVectors:
-    """The three unit bond directions of the rotated triangular lattice.
+def lattice_vectors(phi: float) -> np.ndarray:
+    """Read-only (3, 2) bond directions, row d = direction d.
 
-    ``v3 = v2 - v1`` exactly; all three have unit length.
+    v1 = R(phi) e1, v2 = R(phi)(e1/2 + sqrt(3)/2 e2) and v3 = v2 - v1
+    exactly; all three have unit length.
     """
-
-    phi: float
-    v1: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        """Stack (v1, v2, v3) into a (3, 2) array."""
-        return np.stack([self.v1, self.v2, self.v3])
-
-
-def lattice_vectors(phi: float) -> LatticeVectors:
-    """Bond directions v1 = R(phi) e1, v2 = R(phi)(e1/2 + sqrt(3)/2 e2), v3 = v2 - v1."""
     if not 0.0 <= phi < PHI_MAX:
         raise LatticeError(f"rotation angle must lie in [0, pi/3), got {phi}")
     R = rotation_matrix(phi)
     v1 = R @ np.array([1.0, 0.0])
     v2 = R @ np.array([0.5, 0.5 * SQRT3])
-    return LatticeVectors(phi=phi, v1=v1, v2=v2, v3=v2 - v1)
+    vecs = np.stack([v1, v2, v2 - v1])
+    vecs.setflags(write=False)
+    return vecs
 
 
 @dataclass(frozen=True)
@@ -163,7 +154,7 @@ class CleavageData:
 
 def cleavage_direction(phi: float) -> CleavageData:
     """Maximizer of |v . e2| over the bond directions, with uniqueness flag."""
-    vecs = lattice_vectors(phi).as_array()
+    vecs = lattice_vectors(phi)
     dots = np.abs(vecs[:, 1])
     index = int(np.argmax(dots))
     gamma = float(dots[index])
@@ -246,6 +237,8 @@ class TriangleMesh:
         as a side: 0, 1 or 2.
     dirichlet : (N,) bool, point lies within eps of a vertical side, where
         the boundary values are imposed.
+    vecs : (3, 2) float64, read-only, the bond directions: row d is
+        direction d, as :func:`lattice_vectors` gives them.
     basis_inverse : (2, 2) float64, the inverse of the basis ``[v1 v2]``.
 
     Every point lies in Omega (up to the membership tolerance), so every
@@ -267,7 +260,7 @@ class TriangleMesh:
         eps = spec.eps
         tol = BOUNDARY_RTOL * eps
 
-        A = np.column_stack([self.vecs.v1, self.vecs.v2])
+        A = self.vecs[:2].T
         self.basis_inverse = Ainv = np.linalg.inv(A)
 
         # integer bounding box of Omega pulled back through the lattice map,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeVectors, require_finite
+from .lattice import require_finite
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -130,20 +130,14 @@ def frobenius_norms(M: np.ndarray) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
-def bond_stretches(F: np.ndarray, vecs: LatticeVectors) -> np.ndarray:
-    """|F v| for the three bond directions; shape (..., 3)."""
-    V = vecs.as_array()  # (3, 2)
-    Fv = np.einsum("...ij,vj->...vi", np.asarray(F, dtype=float), V)
-    return np.linalg.norm(Fv, axis=-1)
-
-
-def cell_energy(F: np.ndarray, pot: PairPotential, vecs: LatticeVectors) -> np.ndarray:
+def cell_energy(F: np.ndarray, pot: PairPotential, vecs: np.ndarray) -> np.ndarray:
     """Energy of one lattice triangle under the affine map F.
 
-    Half the sum of pair energies over the three bond directions; zero
-    exactly on the orthogonal group.
+    Half the sum of the pair energies of the stretches |F v| over the three
+    bond directions, the rows of ``vecs``; zero exactly on the orthogonal group.
     """
-    return 0.5 * pot(bond_stretches(F, vecs)).sum(axis=-1)
+    Fv = np.einsum("...ij,vj->...vi", np.asarray(F, dtype=float), vecs)
+    return 0.5 * pot(np.linalg.norm(Fv, axis=-1)).sum(axis=-1)
 
 
 def quadratic_form(G: np.ndarray, alpha: float) -> np.ndarray:
@@ -465,7 +459,7 @@ def distance_to_O2(F: np.ndarray) -> np.ndarray:
 
 
 def coercivity_ratio_cell(F: np.ndarray, pot: PairPotential,
-                          vecs: LatticeVectors) -> np.ndarray:
+                          vecs: np.ndarray) -> np.ndarray:
     """Ratio cell_energy(F) / dist(F, O(2))^2, the bounded-norm coercivity test."""
     d = distance_to_O2(F)
     return cell_energy(F, pot, vecs) / d ** 2
@@ -473,7 +467,7 @@ def coercivity_ratio_cell(F: np.ndarray, pot: PairPotential,
 
 def coercivity_ratio_field(F: np.ndarray, pot: PairPotential, chi: PenaltyChi,
                            model: MagnetizationModel,
-                           vecs: LatticeVectors) -> np.ndarray:
+                           vecs: np.ndarray) -> np.ndarray:
     """Ratio (cell + penalty + field energy)(F) / |F - Id|^2.
 
     Strict positivity over |F| <= T quantifies how the external field

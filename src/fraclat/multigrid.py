@@ -87,7 +87,7 @@ class _BondLevel:
         self.n = mesh.n_points
         # each direction's (2, k) bond ends, intp, so that no gather or scatter casts them
         self._ends = [mesh.edges[group].T.astype(np.intp) for group in mesh.edge_groups]
-        self._vecs = mesh.vecs.as_array()  # (3, 2): v_d in row d
+        self._vecs = mesh.vecs  # (3, 2): v_d in row d
         self._alpha = alpha
         counts = np.array([np.bincount(ends.ravel(), minlength=self.n) for ends in self._ends])
         self.diag = SHIFT + self._alpha * (counts.T @ self._vecs ** 2)

@@ -82,6 +82,10 @@ class SolveConfig:
     mode: str = "chi"
 
     def __post_init__(self):
+        for name in ("max_iters", "n_cleaved"):  # counts: a bool is an int too
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SolverError(f"{name} must be an int, got {value!r}")
         for name in ("max_iters", "grad_tol", "n_cleaved"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # false for nan too
@@ -591,6 +595,9 @@ def fit_loglog_slope(eps_values, quantities) -> float:
     x = np.log(np.asarray(eps_values, dtype=float))
     y = np.log(np.asarray(quantities, dtype=float))
     return float(np.polyfit(x, y, 1)[0])
+
+
+NONEQ_HEADER = ["eps", "energy", "grad_l1_total", "grad_l1_band"]
 
 
 def nonequicoercivity_demo(eps_list, theta: float, p: float, q: float,

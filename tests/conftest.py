@@ -89,7 +89,7 @@ def check_topology_against_oracle(mesh):
     assert len(set(tri_keys)) == len(tri_keys) and set(tri_keys) == tris
     # corner order: t1 - t0 = sign eps v1 and t2 - t0 = sign eps v2
     T, sign = mesh.triangles, mesh.tri_sign[:, None]
-    for corner, v in ((1, mesh.vecs.v1), (2, mesh.vecs.v2)):
+    for corner, v in ((1, mesh.vecs[0]), (2, mesh.vecs[1])):
         assert np.abs(P[T[:, corner]] - P[T[:, 0]] - sign * eps * v).max() < 1e-12
 
     sides = Counter(side for t in tris for side in combinations(t, 2))

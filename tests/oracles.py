@@ -63,7 +63,7 @@ def mesh_arrays(spec, margin=0.0):
     vecs = lattice_vectors(spec.phi)
     eps = spec.eps
     tol = BOUNDARY_RTOL * eps
-    A = np.column_stack([vecs.v1, vecs.v2])
+    A = vecs[:2].T
     Ainv = np.linalg.inv(A)
     rect = (-margin, spec.l + margin, 0.0, 1.0)
     x0, x1, y0, y1 = rect
@@ -188,7 +188,7 @@ def interpolate_gradients(u):
     D = np.empty((mesh.n_triangles, 2, 2))  # D[t, i, k]: component i of edge k
     D[:, :, 0] = P[:, 1] - P[:, 0]
     D[:, :, 1] = P[:, 2] - P[:, 0]
-    Minv = np.linalg.inv(np.column_stack([mesh.vecs.v1, mesh.vecs.v2]))
+    Minv = np.linalg.inv(mesh.vecs[:2].T)
     grad_u = np.matmul(D.reshape(-1, 2), Minv).reshape(D.shape)
     grad_u /= (mesh.tri_sign * eps)[:, None, None]
     F = np.sqrt(eps) * grad_u
@@ -222,8 +222,7 @@ def oriented_normal(direction):
 
 
 def surface_density(nu, vecs, beta):
-    V = vecs.as_array()
-    return 2.0 * beta / SQRT3 * float(np.abs(V @ np.asarray(nu)).sum())
+    return 2.0 * beta / SQRT3 * float(np.abs(vecs @ np.asarray(nu)).sum())
 
 
 def side_stretches(u):
@@ -239,7 +238,7 @@ def side_stretches(u):
     D[:, 1] = P[:, 2] - P[:, 0]
     D[:, 2] = D[:, 1] - D[:, 0]
     images = D / (mesh.tri_sign * math.sqrt(mesh.spec.eps))[:, None, None]
-    images += mesh.vecs.as_array()
+    images += mesh.vecs
     return np.sqrt(images[:, :, 0] * images[:, :, 0] + images[:, :, 1] * images[:, :, 1])
 
 
@@ -257,8 +256,7 @@ def classify_broken(u):
     return records, F
 
 
-def released_gradient(F, intact, vecs):
-    V = vecs.as_array()
+def released_gradient(F, intact, V):
     w = F @ V[intact]
     basis2 = 1 if intact == 0 else 0
     B = np.column_stack([V[intact], V[basis2]])
@@ -322,7 +320,7 @@ def build_modified(u, records, F, variant=1):
 def jump_vectors(u, records, F, segments, y_grads, variant):
     mesh = u.mesh
     sqeps = math.sqrt(mesh.spec.eps)
-    V = mesh.vecs.as_array()
+    V = mesh.vecs
     out = np.zeros((len(segments), 2))
     for k, seg in enumerate(segments):
         crossing = [a for a in range(3) if a != seg.h_index]

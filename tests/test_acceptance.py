@@ -132,7 +132,7 @@ def test_05_quartic_trace_identity():
     H = 0.5 * (H + np.swapaxes(H, 1, 2))
     worst = 0.0
     for phi in np.linspace(0.0, np.pi / 3.0 * 0.999, 20):
-        V = lattice_vectors(float(phi)).as_array()
+        V = lattice_vectors(float(phi))
         lhs = (np.einsum("vi,nij,vj->nv", V, H, V) ** 2).sum(axis=1)
         tr = np.trace(H, axis1=1, axis2=2)
         tr2 = np.einsum("nij,nji->n", H, H)
@@ -209,7 +209,7 @@ def test_08_spring_counting():
     seg = u_cont.crack[0]
     length = float(np.linalg.norm(seg.p1 - seg.p0))
     mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / 128.0, l=prob.l))
-    V = mesh.vecs.as_array()
+    V = mesh.vecs
     targets = length * 2.0 * np.abs(V @ seg.normal) / SQRT3
     scaled = np.array([
         spring_crossing_count(seg.p0, seg.p1, mesh, d) * mesh.spec.eps

@@ -281,7 +281,7 @@ def test_slicing_bound_two_parallel_cracks():
 def test_straight_crack_direction_scan():
     # among straight cracks spanning the bar, the one along the best
     # bond direction is the strict minimizer when phi != 0
-    from fraclat.continuum import surface_density
+    from fraclat.continuum import surface_densities
     from fraclat.lattice import cleavage_direction, lattice_vectors, perp
 
     for phi in (0.1, 0.3, 0.5):
@@ -294,7 +294,7 @@ def test_straight_crack_direction_scan():
             if abs(direction[1]) < 0.2:
                 return np.inf  # cannot span the unit height
             nu = perp(direction)
-            return surface_density(nu, vecs, beta) / abs(direction[1])
+            return surface_densities(nu[None], vecs, beta)[0] / abs(direction[1])
 
         best = straight_cost(data.v_gamma)
         assert best == pytest.approx(2.0 * beta / data.gamma, rel=1e-13)
@@ -321,8 +321,8 @@ def test_straight_crack_direction_scan():
                                          nu / np.linalg.norm(nu), np.array([2.0, 0.0]))],
                               2.0)
     _, _, total = energy_limit(u, prob.alpha, prob.beta, prob.phi)
-    expect = surface_density(nu / np.linalg.norm(nu), lattice_vectors(0.3),
-                             1.0) / abs(direction[1])
+    expect = surface_densities((nu / np.linalg.norm(nu))[None], lattice_vectors(0.3),
+                               1.0)[0] / abs(direction[1])
     assert total == pytest.approx(expect, rel=1e-12)
 
 

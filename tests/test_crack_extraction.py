@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import edge_directions
 from fraclat.continuum import CleavageProblem, a_crit, build_u_cr, build_u_el
-from fraclat import discrete_energy
+from fraclat import crack_extraction
 from fraclat.crack_extraction import (STRETCH_FACTOR, CrackError, angle_between_lines_deg,
                                       broken_count_bound, build_modified,
                                       classify_broken, crack_energy_estimate,
@@ -110,7 +110,7 @@ def all_triangle_classification(u):
                        sides[:2], sides[2])
     np.subtract(sides[1], sides[0], out=sides[2])
     sides /= mesh.tri_sign.astype(float) * math.sqrt(mesh.spec.eps)
-    sides += mesh.vecs.as_array()[:, :, None]
+    sides += mesh.vecs[:, :, None]
     sides *= sides
     stretched = np.add(sides[:, 0], sides[:, 1], out=sides[:, 0]) >= STRETCH_FACTOR ** 2
     m = stretched.sum(axis=0)
@@ -141,7 +141,7 @@ def test_blocked_classification_equals_the_all_triangle_pass(inv_eps, monkeypatc
     M = fields["random"].mesh.n_triangles
     assert len(np.unique(expected["random"]["tri_indices"] // 64)) > 0.9 * (M // 64)
     for block in (7, 64, 8192):
-        monkeypatch.setattr(discrete_energy, "BLOCK", block)
+        monkeypatch.setattr(crack_extraction, "BLOCK", block)
         for name, u in fields.items():
             got = classify_broken(u)
             for field, want in expected[name].items():
@@ -150,10 +150,10 @@ def test_blocked_classification_equals_the_all_triangle_pass(inv_eps, monkeypatc
                 assert have.tobytes() == want.tobytes(), (name, block, field)
 
 
-@pytest.mark.parametrize("block", [1024, discrete_energy.BLOCK])
+@pytest.mark.parametrize("block", [1024, crack_extraction.BLOCK])
 def test_classification_holds_a_few_blocks_and_its_broken_rows(block, monkeypatch):
     import tracemalloc
-    monkeypatch.setattr(discrete_energy, "BLOCK", block)
+    monkeypatch.setattr(crack_extraction, "BLOCK", block)
     u = classification_fields(64)["crack"]
     mesh = u.mesh
     n, M = mesh.n_points, mesh.n_triangles
@@ -199,7 +199,7 @@ def test_modified_m2_bond_lengths(mesh16_phi0):
     u = affine_displacement(mesh16_phi0, F)
     classes = classify_broken(u)
     crack = build_modified(u, classes)
-    V = mesh16_phi0.vecs.as_array()
+    V = mesh16_phi0.vecs
     for A in crack.grads[:20]:
         assert np.linalg.norm(A @ V[0]) == pytest.approx(1.5, rel=1e-12)
         assert np.linalg.norm(A @ V[1]) == pytest.approx(1.0, rel=1e-12)
@@ -365,7 +365,7 @@ def test_degenerate_release_matches_oracle(mesh16, intact):
     # F v_intact = 0 up to rounding: where |F v_intact| < 1e-14 the released
     # gradient is the solution closest to the identity, elsewhere the
     # better of the two branches
-    V = mesh16.vecs.as_array()
+    V = mesh16.vecs
     F = 10.0 * np.outer([0.6, 0.8], perp(V[intact]))
     u = affine_displacement(mesh16, F)
     classes = assert_crack_matches_oracle(u, variant=1)
@@ -450,7 +450,7 @@ def test_vertical_line_count_phi0():
 def test_parallel_line_count_is_bounded():
     eps = 1.0 / 32.0
     mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=1.0))
-    v1 = mesh.vecs.v1
+    v1 = mesh.vecs[0]
     p0 = np.array([0.11, 0.511])
     p1 = p0 + 0.7 * v1
     assert spring_crossing_count(p0, p1, mesh, 0) <= 2
@@ -462,7 +462,7 @@ def test_count_scaling_all_directions():
     seg = u_cont.crack[0]
     length = np.linalg.norm(seg.p1 - seg.p0)
     mesh = build_mesh(LatticeSpec(phi=prob.phi, eps=1.0 / 64.0, l=1.0))
-    V = mesh.vecs.as_array()
+    V = mesh.vecs
     targets = length * 2.0 * np.abs(V @ seg.normal) / SQRT3
     counts = np.array([spring_crossing_count(seg.p0, seg.p1, mesh, d) for d in range(3)])
     scaled = counts * mesh.spec.eps

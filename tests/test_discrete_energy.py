@@ -319,7 +319,7 @@ def reference_energy(u, pot, mode, chi, model):
     """Energy assembled straight from the mesh arrays with the batched material laws."""
     mesh, eps = u.mesh, u.mesh.spec.eps
     e = mesh.edges
-    z = mesh.vecs.as_array()[edge_directions(mesh)] \
+    z = mesh.vecs[edge_directions(mesh)] \
         + (u.values[e[:, 1]] - u.values[e[:, 0]]) / math.sqrt(eps)
     Wr = pot(np.linalg.norm(z, axis=1))
     _, Fd = interpolate_gradients(u)
@@ -337,10 +337,10 @@ def reference_gradient(u, pot, mode, chi, model):
     """Gradient scattered with np.add.at over every triangle."""
     from fraclat.material import field_energy_smooth_grad
     mesh, eps = u.mesh, u.mesh.spec.eps
-    minv = np.linalg.inv(np.column_stack([mesh.vecs.v1, mesh.vecs.v2]))
+    minv = np.linalg.inv(mesh.vecs[:2].T)
     out = np.zeros_like(u.values)
     e = mesh.edges
-    z = mesh.vecs.as_array()[edge_directions(mesh)] \
+    z = mesh.vecs[edge_directions(mesh)] \
         + (u.values[e[:, 1]] - u.values[e[:, 0]]) / math.sqrt(eps)
     r = np.linalg.norm(z, axis=1)
     gvec = (math.sqrt(eps) * pot.deriv(r) / r)[:, None] * z

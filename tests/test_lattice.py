@@ -13,10 +13,10 @@ SQRT3 = math.sqrt(3.0)
 
 
 def test_vectors_unrotated():
-    v = lattice_vectors(0.0)
-    assert np.allclose(v.v1, [1.0, 0.0], atol=1e-15)
-    assert np.allclose(v.v2, [0.5, SQRT3 / 2.0], atol=1e-15)
-    assert np.allclose(v.v3, [-0.5, SQRT3 / 2.0], atol=1e-15)
+    v1, v2, v3 = lattice_vectors(0.0)
+    assert np.allclose(v1, [1.0, 0.0], atol=1e-15)
+    assert np.allclose(v2, [0.5, SQRT3 / 2.0], atol=1e-15)
+    assert np.allclose(v3, [-0.5, SQRT3 / 2.0], atol=1e-15)
 
 
 def test_vectors_rotation_oracle():
@@ -24,18 +24,27 @@ def test_vectors_rotation_oracle():
     phi = math.pi / 6.0
     c, s = math.cos(phi), math.sin(phi)
     R = np.array([[c, -s], [s, c]])
-    v = lattice_vectors(phi)
-    assert np.allclose(v.v1, R @ [1.0, 0.0], atol=1e-15)
-    assert np.allclose(v.v2, R @ [0.5, SQRT3 / 2.0], atol=1e-15)
-    assert np.allclose(v.v2, [0.0, 1.0], atol=1e-15)
+    v1, v2, _ = lattice_vectors(phi)
+    assert np.allclose(v1, R @ [1.0, 0.0], atol=1e-15)
+    assert np.allclose(v2, R @ [0.5, SQRT3 / 2.0], atol=1e-15)
+    assert np.allclose(v2, [0.0, 1.0], atol=1e-15)
 
 
 def test_vectors_unit_norm_and_closure():
     for phi in np.linspace(0.0, PHI_MAX * (1 - 1e-12), 37):
-        v = lattice_vectors(float(phi))
-        for w in (v.v1, v.v2, v.v3):
+        v1, v2, v3 = vecs = lattice_vectors(float(phi))
+        for w in vecs:
             assert abs(np.linalg.norm(w) - 1.0) < 1e-14
-        assert np.allclose(v.v3, v.v2 - v.v1, atol=0.0)  # exact by construction
+        assert np.allclose(v3, v2 - v1, atol=0.0)  # exact by construction
+    # one read-only (3, 2) array, the mesh's too: row d is direction d, bit for bit
+    R = rotation_matrix(0.3)
+    v1, v2 = R @ np.array([1.0, 0.0]), R @ np.array([0.5, SQRT3 / 2.0])
+    expect = np.stack([v1, v2, v2 - v1])
+    for vecs in (lattice_vectors(0.3), build_mesh(LatticeSpec(phi=0.3, eps=0.125)).vecs):
+        assert vecs.shape == (3, 2) and vecs.tobytes() == expect.tobytes()
+        assert not vecs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vecs[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("phi", [-0.1, PHI_MAX, PHI_MAX + 0.5, 3.0])
@@ -53,10 +62,10 @@ def test_cleavage_phi_zero():
 def test_cleavage_phi_30_brute_force():
     data = cleavage_direction(math.pi / 6.0)
     vecs = lattice_vectors(math.pi / 6.0)
-    brute = max(abs(v[1]) for v in (vecs.v1, vecs.v2, vecs.v3))
+    brute = max(abs(v[1]) for v in vecs)
     assert data.gamma == pytest.approx(brute, abs=0.0)
     assert data.gamma == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(data.v_gamma, vecs.v2, atol=1e-15)
+    assert np.allclose(data.v_gamma, vecs[1], atol=1e-15)
     assert data.unique
 
 
@@ -67,7 +76,7 @@ def test_gamma_range_and_uniqueness_grid():
         assert SQRT3 / 2.0 - 1e-12 <= data.gamma <= 1.0 + 1e-12
         assert data.unique == (phi != 0.0)
         # brute-force maximizer agrees
-        vecs = lattice_vectors(float(phi)).as_array()
+        vecs = lattice_vectors(float(phi))
         assert data.gamma == pytest.approx(np.abs(vecs[:, 1]).max(), abs=0.0)
 
 
@@ -77,7 +86,7 @@ def test_nonmaximizing_difference_identity():
     rng = np.random.default_rng(5)
     for phi in rng.uniform(1e-3, PHI_MAX - 1e-3, 50):
         data = cleavage_direction(float(phi))
-        vecs = lattice_vectors(float(phi)).as_array()
+        vecs = lattice_vectors(float(phi))
         others = [vecs[i] for i in range(3) if i != data.index]
         target = SQRT3 * perp(data.v_gamma)
         ok = any(np.allclose(sa * others[0] + sb * others[1], sgn * target, atol=1e-12)
@@ -239,7 +248,7 @@ def test_omega_points_and_dirichlet_layer_are_those_of_the_wide_mesh(spec):
 
 
 def test_edge_direction_consistency(mesh16):
-    V = mesh16.vecs.as_array()
+    V = mesh16.vecs
     d = mesh16.points[mesh16.edges[:, 1]] - mesh16.points[mesh16.edges[:, 0]]
     expect = mesh16.spec.eps * V[edge_directions(mesh16)]
     assert np.abs(d - expect).max() < 1e-12

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -445,12 +446,19 @@ def test_empty_multistart_has_no_starting_point(mesh16, pot_unit, chi, multistar
 
 @pytest.mark.parametrize("field, value", [
     ("max_iters", -3), ("grad_tol", -1e-6), ("grad_tol", math.nan), ("grad_tol", math.inf),
-    ("n_cleaved", -2)])
+    ("n_cleaved", -2), ("max_iters", 2.5), ("max_iters", True), ("n_cleaved", 1.5),
+    ("n_cleaved", 9.0)])
 def test_solve_config_rejects_bad_values(field, value):
     # each was once accepted: max_iters = -3 reported every start with
     # iters = -3, grad_tol = nan ran every start unconverged to max_iters
-    # and n_cleaved = -2 dropped the cleaved starts
-    with pytest.raises(SolverError, match=rf"^{field} must be finite and >= 0, got {value}$"):
+    # and n_cleaved = -2 dropped the cleaved starts; max_iters = 2.5 died
+    # in the first descent, True reported iters = True, and n_cleaved = 1.5
+    # put a second cleaved station on the end of the interval
+    if field != "grad_tol" and type(value) is not int:
+        message = f"{field} must be an int, got {value!r}"
+    else:
+        message = f"{field} must be finite and >= 0, got {value}"
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
         SolveConfig(**{field: value})
 
 
