@@ -64,7 +64,6 @@ CONFIG_KEYS = {
     "solve.seed": (int, 0),
     "solve.mode": (str, "chi"),
     "solve.multistart": (str, "zero,elastic,cleaved"),
-    "solve.n_cleaved": (int, 9),
     "recovery.p": (float, float("nan")),  # nan means cleaved_stations(problem, 1)[0]
     "recovery.kind": (str, "crack"),
     "noneq.theta": (float, 1.2),
@@ -230,7 +229,6 @@ def _solve_config(cfg: RunConfig) -> SolveConfig:
                        grad_tol=cfg.get("solve.grad_tol"),
                        multistart=tuple(s.strip() for s in
                                         cfg.get("solve.multistart").split(",")),
-                       n_cleaved=cfg.get("solve.n_cleaved"),
                        mode=cfg.get("solve.mode"))
 
 
@@ -326,9 +324,11 @@ def cmd_minimize(cfg: RunConfig, out: OutputSet, args) -> str:
     mesh = _mesh(cfg, eps)
     bc = bc_cleavage(problem.a, problem.l)
     res = minimize(mesh, bc, pot, config, chi=chi, model=model, problem=problem)
-    if not res.best.converged:
-        _warn(f"the best start {res.best.tag} did not converge: |g| = "
-              f"{res.best.grad_norm:.3g} after {res.best.iters} iterations")
+    for rec in res.starts:
+        if not rec.converged:
+            which = "the best start" if rec is res.best else "start"
+            _warn(f"{which} {rec.tag} did not converge: |g| = "
+                  f"{rec.grad_norm:.3g} after {rec.iters} iterations")
     displacement_to_csv(res.u, out.path("displacement.csv"))
     write_csv(out.path("energy.csv"), ENERGY_HEADER, [res.breakdown.row()])
     write_manifest(out.path("minimize_manifest.txt"), cfg, {

@@ -32,12 +32,16 @@ Conventions
 * The bond directions are one read-only (3, 2) array, row d = direction
   d: v1, v2 and v3 = v2 - v1 (:func:`lattice_vectors`, ``TriangleMesh.vecs``).
 * The bonds run direction by direction, in the three slices ``edge_groups``.
+* The grips' minimum cut (:class:`MinCut`, ``TriangleMesh.min_cut``) is a
+  shortest top-to-bottom path over the triangles, the planar dual of the
+  bond graph; it is computed on first use and kept by the mesh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -360,6 +364,11 @@ class TriangleMesh:
     def triangle_area(self) -> float:
         return SQRT3 * self.spec.eps ** 2 / 4.0
 
+    @cached_property
+    def min_cut(self) -> MinCut:
+        """The grips' minimum cut nearest the left grip, computed on first use."""
+        return _grip_min_cut(self)
+
 
 def build_mesh(spec: LatticeSpec) -> TriangleMesh:
     """Construct the triangle mesh for a lattice specification."""
@@ -377,3 +386,141 @@ def classify_edges(mesh: TriangleMesh) -> np.ndarray:
     an unordered bond the boundary term is therefore twice the weight.
     """
     return np.take(EDGE_WEIGHTS, mesh.edge_inc_omega)
+
+
+@dataclass(frozen=True)
+class MinCut:
+    """The fewest bonds whose removal separates the left grip from the right.
+
+    The grips are the pinned points, ``mesh.dirichlet``, split at x = l/2
+    as :func:`fraclat.discrete_energy.bc_cleavage` splits them.  Of all
+    minimum cuts this is the one nearest the left grip: its left side is
+    contained in the left side of every other.
+
+    count : the number of cut bonds.
+    bonds : (count,) indices of the cut bonds into ``edges``, ascending.
+    right : (N,) bool, read-only, the points on the right grip's side.
+    """
+
+    count: int
+    bonds: np.ndarray
+    right: np.ndarray
+
+
+def _grip_min_cut(mesh: TriangleMesh) -> MinCut:
+    """The grips' minimum cut nearest the left grip, certified optimal.
+
+    The bond graph is planar and both grips lie on its outer face, which
+    they split into a top and a bottom arc.  A cut is then a path over the
+    faces from the top arc to the bottom one, crossing one bond per step,
+    and the minimum cut is a shortest such path (Itai & Shiloach, SIAM J.
+    Comput. 8, 1979), found by a breadth-first search over the triangles.
+    A bond with both ends in one grip is never crossed.  A bond with a
+    missing flank borders the outer face on that side, the top arc when
+    its midpoint lies in the upper half of the bar; a stray bond, flanked
+    by no triangle, borders it on both and joins that arc to itself.
+
+    The search distances d, capped at the path length k, give a maximum
+    flow, d(right face) - d(left face) along each bond (Hassin, Inf.
+    Process. Lett. 13, 1981).
+    The points a flood fill from the left grip reaches through the bonds
+    that flow leaves unsaturated are the left side of the cut nearest the
+    left grip.  That cut has k bonds and leaves the right grip unreached:
+    a flow and a cut of one size, so both are optimal, or
+    :class:`LatticeError` is raised.
+
+    The adjacency is read off a padded grid of the integer coordinates at
+    the offsets ``_BOND_OFFSETS``; only the result is kept.
+    """
+    n_tri, n_up = mesh.n_triangles, int(np.count_nonzero(mesh.tri_sign > 0))
+    top, bottom = np.int32(n_tri), np.int32(n_tri + 1)  # the two arcs of the outer face
+    a, b = mesh.edges[:, 0], mesh.edges[:, 1]
+    idx = np.int32  # every index fits, as the mesh's own do
+
+    # flat cell of each point in its integer box, two empty cells on every side
+    lo = mesh.lam.min(axis=0) - 2
+    width = int(mesh.lam[:, 0].max() - lo[0]) + 3
+    cells = width * (int(mesh.lam[:, 1].max() - lo[1]) + 3)
+    cell = (mesh.lam[:, 1] - lo[1]) * width + (mesh.lam[:, 0] - lo[0])
+
+    def step(offset) -> int:
+        return offset[1] * width + offset[0]
+
+    # the bond of each direction based at each cell; a triangle's side of
+    # direction d is that bond based at the cell its flank base offset
+    # points back to
+    bond_at = np.full((3, cells), -1, dtype=idx)
+    for d, group in enumerate(mesh.edge_groups):
+        bond_at[d, cell[a[group]]] = np.arange(group.start, group.stop, dtype=idx)
+    base = cell[mesh.triangles[:, 0]]
+    sides = np.empty((n_tri, 3), dtype=idx)
+    for d, (_, flank_bases) in enumerate(_BOND_OFFSETS):
+        for rows, flank_base in zip((slice(0, n_up), slice(n_up, n_tri)), flank_bases):
+            sides[rows, d] = bond_at[d, base[rows] - step(flank_base)]
+    del base  # each array goes after its last read: the peak is 1.4 MB at 1/64
+
+    # the faces to the left and the right of each bond a -> b: its up flank
+    # is on the left in directions 0 and 2, its down flank in direction 1;
+    # a missing flank is the arc of the bar's half that holds the bond
+    faces = np.empty((2, mesh.n_edges), dtype=idx)  # up, then down
+    faces[0] = faces[1] = np.where(mesh.points[a, 1] + mesh.points[b, 1] > 1.0, top, bottom)
+    faces[0, sides[:n_up]] = np.arange(n_up, dtype=idx)[:, None]
+    faces[1, sides[n_up:]] = np.arange(n_up, n_tri, dtype=idx)[:, None]
+    d1 = mesh.edge_groups[1]
+    faces[:, d1] = faces[::-1, d1].copy()
+    left, right = faces
+    face_sum = left + right  # minus one face of a bond, the other
+
+    x = mesh.points[:, 0]
+    right_grip = mesh.dirichlet & (x > mesh.spec.l / 2.0)
+    left_grip = mesh.dirichlet & ~right_grip
+    crossable = ~((left_grip[a] & left_grip[b]) | (right_grip[a] & right_grip[b]))
+
+    # breadth-first search over the faces, from the top arc to the bottom
+    # one, a layer at a time; a layer is read back from the distances, so
+    # it holds each face once, in ascending order
+    dist = np.full(n_tri + 2, -1, dtype=idx)
+    dist[top] = 0
+    seed = np.flatnonzero(crossable & ((left == top) | (right == top)))
+    reach, k = face_sum[seed] - top, 0
+    while dist[bottom] < 0:
+        k += 1
+        dist[reach[dist[reach] < 0]] = k
+        frontier = np.flatnonzero(dist[:n_tri] == k)
+        if dist[bottom] < 0 and len(frontier) == 0:
+            raise LatticeError("no path of faces joins the top arc to the bottom one")
+        e = sides[frontier]
+        reach = (face_sum[e] - frontier[:, None].astype(idx))[crossable[e]]
+    del sides, reach, e
+    dist[dist < 0] = k  # capped at k, no step between faces exceeds one bond
+    flow = dist[right] - dist[left]  # along a -> b
+    del faces, left, right, face_sum, dist
+
+    # flood fill from the left grip through the unsaturated bonds
+    sentinel = np.array([-1], dtype=idx)
+    ahead = np.concatenate([np.where(crossable & (flow >= 1), -1, b).astype(idx), sentinel])
+    behind = np.concatenate([np.where(crossable & (flow <= -1), -1, a).astype(idx), sentinel])
+    del flow
+    neighbors = np.empty((mesh.n_points, 6), dtype=idx)
+    for d, (offset, _) in enumerate(_BOND_OFFSETS):
+        neighbors[:, 2 * d] = ahead[bond_at[d, cell]]
+        neighbors[:, 2 * d + 1] = behind[bond_at[d, cell - step(offset)]]
+    del ahead, behind, bond_at
+    hops = np.where(left_grip, 0, -1).astype(idx)
+    frontier, h = np.flatnonzero(left_grip), 0
+    while len(frontier):
+        h += 1
+        nxt = neighbors[frontier].ravel()
+        nxt = nxt[nxt >= 0]
+        hops[nxt[hops[nxt] < 0]] = h
+        frontier = np.flatnonzero(hops == h)
+    reached = hops >= 0
+
+    bonds = np.flatnonzero(reached[a] != reached[b])
+    if len(bonds) != k or reached[right_grip].any():
+        raise LatticeError(f"the cut of {len(bonds)} bonds does not match the "
+                           f"flow of {k}")
+    side = ~reached
+    side.setflags(write=False)
+    bonds.setflags(write=False)
+    return MinCut(count=k, bonds=bonds, right=side)

@@ -3,11 +3,15 @@
 The landscape is nonconvex (a fully cracked bar and a stretched elastic
 bar are both critical), so no global optimality is claimed: the driver
 runs a projected descent with Armijo backtracking from a fixed family of
-starting guesses (unloaded, homogeneously stretched, cracked at several
-stations) and reports the best local minimum next to the
-sampled-configuration upper bounds.  The family draws no random
-numbers, so a minimization depends only on its inputs, and each start is
-built only when its descent begins.
+starting guesses (unloaded, homogeneously stretched, and split rigidly
+across the grips' minimum cut, ``TriangleMesh.min_cut``) and reports the
+best local minimum next to the sampled-configuration upper bounds.  For
+exp-well a fully opened bond costs eps * beta, so the split start is the
+crack branch's energy, eps * beta times the fewest bonds that separate
+the grips, and at loads where every cut bond opens fully it is an exact
+critical point.  The family draws no random numbers, so a minimization
+depends only on its inputs, and each start is built only when its
+descent begins.
 
 The descent directions are limited-memory quasi-Newton (L-BFGS) ones
 whose initial inverse Hessian is one multigrid cycle on the rest-state
@@ -77,16 +81,14 @@ class SolveConfig:
     max_iters: int = 400
     grad_tol: float = 1e-6
     multistart: tuple = ("zero", "elastic", "cleaved")
-    n_cleaved: int = 9
     rng_seed: int = 0  # read by nothing; kept while the benchmark still sets it
     mode: str = "chi"
 
     def __post_init__(self):
-        for name in ("max_iters", "n_cleaved"):  # counts: a bool is an int too
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SolverError(f"{name} must be an int, got {value!r}")
-        for name in ("max_iters", "grad_tol", "n_cleaved"):
+        # a count: a bool is an int too
+        if not isinstance(self.max_iters, int) or isinstance(self.max_iters, bool):
+            raise SolverError(f"max_iters must be an int, got {self.max_iters!r}")
+        for name in ("max_iters", "grad_tol"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # false for nan too
                 raise SolverError(f"{name} must be finite and >= 0, got {value}")
@@ -336,7 +338,9 @@ def _initializers(mesh: TriangleMesh, problem: CleavageProblem,
     """Deterministic family of starting displacements, in a fixed order.
 
     The tags were checked when ``config`` was made; the starts are made
-    one at a time, as the returned iterator is advanced.
+    one at a time, as the returned iterator is advanced.  The ``cleaved``
+    start is the rigid split across the grips' minimum cut: u = 0, with
+    u1 = a * l on the right grip's side.
     """
     for tag in config.multistart:
         if tag == "zero":
@@ -344,9 +348,10 @@ def _initializers(mesh: TriangleMesh, problem: CleavageProblem,
         elif tag == "elastic":
             yield "elastic", _elastic_ramp(mesh, problem)
         else:
-            for p in cleaved_stations(problem, config.n_cleaved):
-                u_cr = build_u_cr(problem, float(p))
-                yield f"cleaved(p={p:.6g})", recovery_sequence(u_cr, mesh)
+            cut = mesh.min_cut
+            values = np.zeros((mesh.n_points, 2))
+            values[cut.right, 0] = problem.a * problem.l
+            yield f"cleaved(cut={cut.count})", Displacement(mesh, values)
 
 
 def _elastic_ramp(mesh: TriangleMesh, problem: CleavageProblem) -> Displacement:
@@ -367,7 +372,9 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
              problem: CleavageProblem) -> MinimizeResult:
     """Best local minimum over the configured multistart family.
 
-    ``problem`` places the ``elastic`` ramp and the ``cleaved`` stations.
+    ``problem`` sets the loads of the ``elastic`` ramp and of the
+    ``cleaved`` split; the mesh computes its minimum cut on the first
+    ``cleaved`` start and keeps it for the next minimization.
     """
     # one assembly and one preconditioner serve every start; the
     # preconditioner is the last call's when the mesh, alpha and pinned
@@ -501,16 +508,18 @@ def critical_load_study(problem: CleavageProblem, eps_list,
                         model: MagnetizationModel | None = None) -> dict:
     """The discrete critical load a_crit^eps and both branch gaps along an eps ladder.
 
-    Per rung, the crack branch's energy E_cr^eps is the best ``cleaved``
-    start's at the bracket's upper load, where the cracks are open; with a
-    flat tail (exp-well) it does not depend on the load.  a_crit^eps is
-    then bisected, to ``CRITICAL_TOL`` a_crit, as the load at which the
-    converged ``elastic`` start's energy E_el^eps(a) reaches E_cr^eps; the
-    bracket must hold E_el^eps below E_cr^eps at its lower load and above
-    it at its upper one.  ``config`` sets everything but the starts.  The
-    rung's minimizations all run on one mesh and so share its
-    preconditioner.  Returns the rows and the log-log slopes of
-    |a_crit^eps / a_crit - 1| and of both gaps' magnitudes.
+    Per rung, the crack branch's energy E_cr^eps is the ``cleaved``
+    start's, the rigid split across the grips' minimum cut, descended at
+    the bracket's upper load, where the cut bonds are open; with a flat
+    tail (exp-well) it is eps * beta times the cut and does not depend on
+    the load.  a_crit^eps is then bisected, to ``CRITICAL_TOL`` a_crit,
+    as the load at which the converged ``elastic`` start's energy
+    E_el^eps(a) reaches E_cr^eps; the bracket must hold E_el^eps below
+    E_cr^eps at its lower load and above it at its upper one.  ``config``
+    sets everything but the starts.  The rung's minimizations all run on
+    one mesh and so share its preconditioner.  Returns the rows and the
+    log-log slopes of |a_crit^eps / a_crit - 1| and of both gaps'
+    magnitudes.
     """
     eps_list = list(eps_list)
     if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):

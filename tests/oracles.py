@@ -9,6 +9,7 @@ compare the package against these bit for bit and message for message.
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,48 @@ _OPPOSITE_VERTEX = (2, 1, 0)
 # ----------------------------------------------------------------------
 # mesh topology and continuum sampling
 # ----------------------------------------------------------------------
+
+def grip_max_flow(mesh):
+    """Unit-capacity maximum flow between the grips, by shortest augmenting paths.
+
+    Every bond carries one unit either way; the grips are ``mesh.dirichlet``
+    split at x = l/2, each point of the left one a source and each of the
+    right one a sink.  Returns the flow's value and the (N,) bool mask of
+    the points the last search reached from the left grip: the left side
+    of the minimum cut nearest it, the same for every maximum flow.
+    """
+    right = mesh.dirichlet & (mesh.points[:, 0] > mesh.spec.l / 2.0)
+    sources = np.flatnonzero(mesh.dirichlet & ~right).tolist()
+    neighbors = [[] for _ in range(mesh.n_points)]
+    for a, b in mesh.edges.tolist():
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    flow = {}  # (u, v) -> net flow from u to v
+    value = 0
+    while True:
+        parent = dict.fromkeys(sources)
+        queue, end = deque(sources), None
+        while queue and end is None:
+            u = queue.popleft()
+            for v in neighbors[u]:
+                if v not in parent and flow.get((u, v), 0) < 1:
+                    parent[v] = u
+                    if right[v]:
+                        end = v
+                        break
+                    queue.append(v)
+        if end is None:
+            reached = np.zeros(mesh.n_points, dtype=bool)
+            reached[list(parent)] = True
+            return value, reached
+        v = end
+        while parent[v] is not None:
+            u = parent[v]
+            flow[u, v] = flow.get((u, v), 0) + 1
+            flow[v, u] = flow.get((v, u), 0) - 1
+            v = u
+        value += 1
+
 
 MESH_ARRAYS = ("points", "lam", "triangles", "tri_sign", "edges", "edge_inc_omega",
                "dirichlet")

@@ -91,6 +91,15 @@ def test_solve_domain_is_an_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_n_cleaved_is_an_unknown_key(tmp_path, capsys):
+    # one cleaved start, across the minimum cut, replaced the sampled stations
+    cfg = write_config(tmp_path / "c.cfg", BASE + "solve.n_cleaved = 9\n"
+                       f"out.dir = {tmp_path}/out\n")
+    assert main(["minimize", "--config", cfg]) == 1
+    assert "c.cfg:8: unknown key 'solve.n_cleaved'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", ["1/16,,1/32", "1/0", "1/2/3", "0", "-1/16", "1/", "nan"])
 def test_eps_list_rejects_bad_entries(tmp_path, text):
     cfg = RunConfig.parse(write_config(tmp_path / "c.cfg", f"solve.eps_list = {text}\n"))
@@ -449,7 +458,7 @@ def test_magnet_command(tmp_path):
 def test_minimize_command_is_byte_deterministic(tmp_path):
     text = ("material.alpha = 1.0\nmaterial.beta = 1.0\nlattice.phi = 0.3\n"
             "lattice.l = 1.0\nload.a = 1.8\nsolve.eps_list = 1/8\n"
-            "solve.max_iters = 25\nsolve.n_cleaved = 2\nsolve.seed = 4\n")
+            "solve.max_iters = 25\nsolve.seed = 4\n")
     outs = []
     for name in ("run1", "run2"):
         cfg = write_config(tmp_path / f"{name}.cfg",
@@ -512,6 +521,22 @@ def test_unconverged_best_start_is_reported(tmp_path, capsys, argv):
             assert "did not converge" in captured.err
         else:
             assert captured.err == ""
+
+
+def test_minimize_names_every_unconverged_start(tmp_path, capsys):
+    # below a_crit at 1/16, two steps leave each of the three starts unconverged
+    cfg = subcritical_config(tmp_path, "solve.max_iters = 2\n")
+    assert main(["minimize", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    manifest = (tmp_path / "out" / "minimize_manifest.txt").read_text()
+    best = [ln.split(" = ")[1] for ln in manifest.splitlines()
+            if ln.startswith("derived.best_start = ")]
+    assert best == ["elastic"]
+    lines = captured.err.splitlines()
+    assert [ln.split(" did not converge")[0] for ln in lines] == [
+        "fraclat: warning: start zero", "fraclat: warning: the best start elastic",
+        "fraclat: warning: start cleaved(cut=31)"]
+    assert all(" after 2 iterations" in ln for ln in lines)
 
 
 def test_output_set_discard_removes_written_files(tmp_path):

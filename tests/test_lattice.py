@@ -295,3 +295,72 @@ def test_rotation_matrix_orthogonal():
     R = rotation_matrix(0.7)
     assert np.allclose(R @ R.T, np.eye(2), atol=1e-15)
     assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-15)
+
+
+# ----------------------------------------------------------------------
+# the grips' minimum cut
+# ----------------------------------------------------------------------
+
+def grips(mesh):
+    right = mesh.dirichlet & (mesh.points[:, 0] > mesh.spec.l / 2.0)
+    return mesh.dirichlet & ~right, right
+
+
+@pytest.mark.parametrize("inv_eps", [8, 16])
+@pytest.mark.parametrize("l", [1.0, 2.0])
+@pytest.mark.parametrize("phi", [0.0, 0.1, 0.3, 0.5, 0.9])
+def test_min_cut_is_the_max_flow_nearest_the_left_grip(phi, l, inv_eps):
+    # phi = 0.9 at 1/8 has a stray bond, flanked by no triangle
+    mesh = build_mesh(LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l))
+    value, reached = oracles.grip_max_flow(mesh)
+    cut = mesh.min_cut
+    assert cut.count == value
+    assert np.array_equal(cut.right, ~reached)
+    a, b = mesh.edges.T
+    assert np.array_equal(cut.bonds, np.flatnonzero(cut.right[a] != cut.right[b]))
+
+
+@pytest.mark.parametrize("phi,l,inv_eps", [(0.0, 2.0, 32), (0.3, 2.0, 64), (0.9, 1.0, 32)])
+def test_min_cut_keeps_each_grip_on_its_side(phi, l, inv_eps):
+    mesh = build_mesh(LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l))
+    left, right = grips(mesh)
+    cut = mesh.min_cut
+    assert cut.right[right].all() and not cut.right[left].any()
+    ends = mesh.edges[cut.bonds]
+    assert not (left[ends].all(axis=1) | right[ends].all(axis=1)).any()
+
+
+@pytest.mark.parametrize("phi,l,inv_eps,count", [(0.3, 2.0, 32, 64), (0.3, 2.0, 128, 261),
+                                                 (0.9, 1.0, 8, 15)])
+def test_stray_bonds_lie_in_a_grip_and_are_never_cut(phi, l, inv_eps, count):
+    mesh = build_mesh(LatticeSpec(phi=phi, eps=1.0 / inv_eps, l=l))
+    stray = np.flatnonzero(mesh.edge_inc_omega == 0)
+    assert len(stray) == 1
+    left, right = grips(mesh)
+    ends = mesh.edges[stray[0]]
+    assert left[ends].all() or right[ends].all()
+    assert mesh.min_cut.count == count
+    assert stray[0] not in mesh.min_cut.bonds
+
+
+@pytest.mark.parametrize("phi", [0.3, 0.5])
+def test_min_cut_off_the_axes_is_the_v_gamma_line_nearest_the_left_grip(phi):
+    # every bond of the cut crosses one straight line along v_gamma, and no
+    # point right of that line is left of the cut
+    mesh = build_mesh(LatticeSpec(phi=phi, eps=1.0 / 32.0, l=2.0))
+    cut = mesh.min_cut
+    n = perp(cleavage_direction(phi).v_gamma)
+    mid = mesh.points[mesh.edges[cut.bonds]].mean(axis=1) @ n
+    assert mid.max() - mid.min() < 1e-12
+    offset = mesh.points @ n
+    assert np.array_equal(cut.right, offset < mid.mean())
+
+
+def test_min_cut_is_computed_once_and_read_only():
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 16.0, l=2.0))
+    cut = mesh.min_cut
+    assert mesh.min_cut is cut
+    assert cut.right.shape == (mesh.n_points,) and cut.right.dtype == bool
+    for arr in (cut.bonds, cut.right):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fraclat import discrete_energy, multigrid, solver
+from fraclat import discrete_energy, lattice, multigrid, solver
 from fraclat.continuum import (CleavageProblem, a_crit, build_u_cr, build_u_el,
                                crack_branch_energy, elastic_branch_energy)
 from fraclat.discrete_energy import (Assembly, Displacement, bc_affine, bc_cleavage,
@@ -174,15 +174,13 @@ def test_sampled_energies_are_pinned(inv_eps, pot_unit, chi):
 
 
 # the per-start records (tag, energy, iterations, evaluations) of acceptance
-# test 07, eps = 1/64 on the same bar, as the mesh with margins gave them
-_CLEAVED_07 = [("cleaved(p=0.285144)", 2.046875, 0, 1), ("cleaved(p=0.455433)", 2.03125, 0, 1),
-               ("cleaved(p=0.625722)", 2.015625, 0, 1), ("cleaved(p=0.796011)", 2.046875, 0, 1),
-               ("cleaved(p=0.966299)", 2.03125, 0, 1), ("cleaved(p=1.13659)", 2.03125, 0, 1),
-               ("cleaved(p=1.30688)", 2.03125, 0, 1), ("cleaved(p=1.47717)", 2.046875, 0, 1),
-               ("cleaved(p=1.64745)", 2.03125, 0, 1)]
+# test 07, eps = 1/64 on the same bar: the split across the 129-bond minimum
+# cut costs eps * beta * 129 at both loads, the best of the nine straight
+# cracks once sampled in its place
+_CLEAVED_07 = ("cleaved(cut=129)", 2.015625, 0, 1)
 ACCEPTANCE_07_STARTS = {
-    0.5: [("zero", 2.203125, 0, 1), ("elastic", 0.5235183941055047, 13, 14), *_CLEAVED_07],
-    1.5: [("zero", 2.203125, 0, 1), ("elastic", 4.824329870947651, 16, 17), *_CLEAVED_07],
+    0.5: [("zero", 2.203125, 0, 1), ("elastic", 0.5235183941055047, 13, 14), _CLEAVED_07],
+    1.5: [("zero", 2.203125, 0, 1), ("elastic", 4.824329870947651, 16, 17), _CLEAVED_07],
 }
 
 
@@ -243,7 +241,7 @@ def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, c
     from fraclat import solver
     from fraclat.discrete_energy import Assembly
     prob = problem_with(1.5)
-    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic", "cleaved"), n_cleaved=2)
+    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic", "cleaved"))
 
     def run():
         finals = []
@@ -268,7 +266,7 @@ def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, c
     monkeypatch.setattr(Assembly, "value_and_grad", on_fresh_assembly)
     fresh, fresh_finals = run()
     assert [s.tag for s in reused.starts][:2] == ["zero", "elastic"]
-    assert reused.starts[-1].tag.startswith("cleaved(p=")
+    assert reused.starts[-1].tag == f"cleaved(cut={mesh16.min_cut.count})"
     assert sum(s.iters for s in reused.starts) > 0
     assert sum(s.backtracks for s in reused.starts) > 0
     for (x1, a), (x2, b) in zip(reused_finals, fresh_finals, strict=True):
@@ -338,8 +336,7 @@ def test_each_start_reports_the_breakdown_of_its_final_iterate(mesh16, pot_unit,
 
     monkeypatch.setattr(solver, "_descend", recording)
     prob = problem_with(1.5)
-    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic", "cleaved"), n_cleaved=2,
-                      mode=mode)
+    cfg = SolveConfig(max_iters=40, multistart=("zero", "elastic", "cleaved"), mode=mode)
     res = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
                    model=magmodel, problem=prob)
     assert [rec for _, _, rec in finals] == res.starts
@@ -377,12 +374,12 @@ def test_mode_f_minimize_reports_the_sharp_cutoff(mesh16, pot_unit, chi, magmode
 
 def test_minimize_never_worse_than_cleaved_inits(mesh16, pot_unit, chi):
     prob = problem_with(1.5)
-    cfg = SolveConfig(max_iters=60, multistart=("cleaved",), n_cleaved=3)
+    cfg = SolveConfig(max_iters=60, multistart=("cleaved",))
     res = minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi,
                    problem=prob)
-    # initial energies of the cleaved family are upper bounds for the result
-    from fraclat.solver import cleaved_stations
-    for p in cleaved_stations(prob, 3):
+    # the initial energies of the sampled straight cracks are upper bounds
+    # for the split across the minimum cut
+    for p in cleaved_stations(prob, 9):
         u0 = recovery_sequence(build_u_cr(prob, float(p)), mesh16)
         from fraclat.discrete_energy import apply_bc
         u0 = apply_bc(u0, bc_cleavage(prob.a, prob.l))
@@ -436,24 +433,21 @@ def test_default_multistart_does_not_depend_on_the_seed(mesh16, pot_unit, chi):
     assert np.array_equal(runs[0].u.values, runs[1].u.values)
 
 
-@pytest.mark.parametrize("multistart,n_cleaved", [((), 9), (("cleaved",), 0)])
-def test_empty_multistart_has_no_starting_point(mesh16, pot_unit, chi, multistart, n_cleaved):
+def test_empty_multistart_has_no_starting_point(mesh16, pot_unit, chi):
     prob = problem_with(0.5)
-    cfg = SolveConfig(multistart=multistart, n_cleaved=n_cleaved)
+    cfg = SolveConfig(multistart=())
     with pytest.raises(SolverError, match="no starting point"):
         minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
 
 
 @pytest.mark.parametrize("field, value", [
     ("max_iters", -3), ("grad_tol", -1e-6), ("grad_tol", math.nan), ("grad_tol", math.inf),
-    ("n_cleaved", -2), ("max_iters", 2.5), ("max_iters", True), ("n_cleaved", 1.5),
-    ("n_cleaved", 9.0)])
+    ("max_iters", 2.5), ("max_iters", True)])
 def test_solve_config_rejects_bad_values(field, value):
     # each was once accepted: max_iters = -3 reported every start with
-    # iters = -3, grad_tol = nan ran every start unconverged to max_iters
-    # and n_cleaved = -2 dropped the cleaved starts; max_iters = 2.5 died
-    # in the first descent, True reported iters = True, and n_cleaved = 1.5
-    # put a second cleaved station on the end of the interval
+    # iters = -3 and grad_tol = nan ran every start unconverged to
+    # max_iters; max_iters = 2.5 died in the first descent, and True
+    # reported iters = True
     if field != "grad_tol" and type(value) is not int:
         message = f"{field} must be an int, got {value!r}"
     else:
@@ -462,30 +456,73 @@ def test_solve_config_rejects_bad_values(field, value):
         SolveConfig(**{field: value})
 
 
-def test_solve_config_accepts_zero_iterations_and_no_cleaved_starts():
-    cfg = SolveConfig(max_iters=0, grad_tol=0.0, n_cleaved=0)
-    assert (cfg.max_iters, cfg.grad_tol, cfg.n_cleaved) == (0, 0.0, 0)
+def test_solve_config_accepts_zero_iterations():
+    cfg = SolveConfig(max_iters=0, grad_tol=0.0)
+    assert (cfg.max_iters, cfg.grad_tol) == (0, 0.0)
 
 
-def test_starts_are_built_one_at_a_time(mesh16, pot_unit, chi, monkeypatch):
-    from fraclat import solver
-    built, seen = [], []
-    sample, descend = solver.recovery_sequence, solver._descend
+def counting_cuts(monkeypatch) -> list:
+    """The meshes whose minimum cut is computed from now on, one entry per computation."""
+    cuts, real = [], lattice._grip_min_cut
+    monkeypatch.setattr(lattice, "_grip_min_cut", lambda mesh: cuts.append(mesh) or real(mesh))
+    return cuts
 
-    def counting_sample(*args):
-        built.append(args)
-        return sample(*args)
+
+def test_starts_are_built_one_at_a_time(pot_unit, chi, monkeypatch):
+    seen, descend = [], solver._descend
+    cuts = counting_cuts(monkeypatch)
 
     def recording(asm, precond, tag, *rest):
-        seen.append((tag, len(built)))
+        seen.append((tag, len(cuts)))
         return descend(asm, precond, tag, *rest)
 
-    monkeypatch.setattr(solver, "recovery_sequence", counting_sample)
     monkeypatch.setattr(solver, "_descend", recording)
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 16.0, l=1.0))
     prob = problem_with(1.5)
-    cfg = SolveConfig(max_iters=5, multistart=("zero", "cleaved"), n_cleaved=3)
-    minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
-    assert [count for _, count in seen] == [0, 1, 2, 3]
+    cfg = SolveConfig(max_iters=5, multistart=("zero", "cleaved", "elastic"))
+    minimize(mesh, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
+    assert seen == [("zero", 0), ("cleaved(cut=31)", 1), ("elastic", 1)]
+
+
+def test_two_minimizations_of_one_mesh_build_its_cut_once(pot_unit, chi, monkeypatch):
+    cuts = counting_cuts(monkeypatch)
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 16.0, l=2.0))
+    cfg = SolveConfig(max_iters=5, multistart=("cleaved",))
+    for mult in (0.5, 1.5):
+        prob = problem_with(mult, l=2.0)
+        minimize(mesh, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
+    assert cuts == [mesh]
+
+
+@pytest.mark.parametrize("inv_eps,count", [(16, 31), (32, 64), (64, 129)])
+def test_min_cut_equals_the_best_sampled_straight_crack(inv_eps, count):
+    # the sampled straight cracks of test 07's bar, counted by the bonds
+    # their rigid split opens; none is cheaper than the cut, and the best
+    # is as cheap
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / inv_eps, l=2.0))
+    prob = problem_with(1.5, l=2.0)
+    a, b = mesh.edges.T
+    crossed = []
+    for p in cleaved_stations(prob, 9):
+        right = recovery_sequence(build_u_cr(prob, float(p)), mesh).values[:, 0] > 0.0
+        crossed.append(int(np.count_nonzero(right[a] != right[b])))
+    assert mesh.min_cut.count == min(crossed) == count
+
+
+@pytest.mark.parametrize("inv_eps", [32, 64])
+def test_the_cut_start_is_a_critical_point_above_a_crit(inv_eps, pot_unit, chi):
+    # every cut bond opens far into exp-well's flat tail, so the split costs
+    # eps * beta per bond and no descent step
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / inv_eps, l=2.0))
+    prob = problem_with(1.5, l=2.0)
+    res = minimize(mesh, bc_cleavage(prob.a, prob.l), pot_unit,
+                   SolveConfig(multistart=("cleaved",)), chi=chi, problem=prob)
+    n = mesh.min_cut.count
+    rec, = res.starts
+    assert (rec.tag, rec.energy, rec.iters, rec.evals) \
+        == (f"cleaved(cut={n})", mesh.spec.eps * pot_unit.beta * n, 0, 1)
+    assert rec.converged
+    assert np.array_equal(res.u.values[:, 0] != 0.0, mesh.min_cut.right)
 
 
 # ----------------------------------------------------------------------
@@ -612,7 +649,7 @@ def test_kept_preconditioner_gives_the_answers_of_a_new_one(pot_unit, chi, monke
     mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 16.0, l=2.0))
     prob = problem_with(1.5, l=2.0)
     bc = bc_cleavage(prob.a, prob.l)
-    cfg = SolveConfig(max_iters=60, n_cleaved=2)
+    cfg = SolveConfig(max_iters=60)
 
     def run():
         res = minimize(mesh, bc, pot_unit, cfg, chi=chi, problem=prob)
