@@ -276,8 +276,14 @@ def _run_config_command(body, args) -> int:
     return 0
 
 
-def _warn(message: str):
-    print(f"fraclat: warning: {message}", file=sys.stderr)
+def _warn_unconverged(eps: float, starts, best=None):
+    """One warning line on stderr for each of ``starts`` that did not converge."""
+    for rec in starts:
+        if not rec.converged:
+            which = "the best start" if rec is best else "start"
+            print(f"fraclat: warning: {which} {rec.tag} did not converge at eps = "
+                  f"{_fmt(eps)}: |g| = {rec.grad_norm:.3g} after {rec.iters} iterations",
+                  file=sys.stderr)
 
 
 def cmd_cleavage(cfg: RunConfig, out: OutputSet, args) -> str:
@@ -285,9 +291,8 @@ def cmd_cleavage(cfg: RunConfig, out: OutputSet, args) -> str:
     rows = convergence_study(problem, cfg.eps_list(), config=_solve_config(cfg),
                              pot=_potential(cfg), chi=_chi(cfg), model=_model(cfg),
                              with_minimize=not args.no_minimize)
-    unconverged = [_fmt(r.eps) for r in rows if not r.converged]
-    if unconverged:
-        _warn(f"the best start did not converge at eps = {', '.join(unconverged)}")
+    for r in rows:
+        _warn_unconverged(r.eps, r.starts, r.best)
     write_csv(out.path("convergence.csv"), CONVERGENCE_HEADER, [r.row() for r in rows])
     write_manifest(out.path("cleavage_manifest.txt"), cfg, {
         "derived.gamma": problem.gamma,
@@ -302,9 +307,8 @@ def cmd_critical(cfg: RunConfig, out: OutputSet, args) -> str:
     result = critical_load_study(problem, cfg.eps_list(), config=_solve_config(cfg),
                                  pot=_potential(cfg), chi=_chi(cfg), model=_model(cfg))
     rows = result["rows"]
-    unconverged = [_fmt(r.eps) for r in rows if not r.converged]
-    if unconverged:
-        _warn(f"a start did not converge at eps = {', '.join(unconverged)}")
+    for r in rows:
+        _warn_unconverged(r.eps, r.starts)
     write_csv(out.path("critical.csv"), CRITICAL_HEADER, [r.row() for r in rows])
     write_manifest(out.path("critical_manifest.txt"), cfg, {
         "derived.a_crit": a_crit(problem),
@@ -324,11 +328,7 @@ def cmd_minimize(cfg: RunConfig, out: OutputSet, args) -> str:
     mesh = _mesh(cfg, eps)
     bc = bc_cleavage(problem.a, problem.l)
     res = minimize(mesh, bc, pot, config, chi=chi, model=model, problem=problem)
-    for rec in res.starts:
-        if not rec.converged:
-            which = "the best start" if rec is res.best else "start"
-            _warn(f"{which} {rec.tag} did not converge: |g| = "
-                  f"{rec.grad_norm:.3g} after {rec.iters} iterations")
+    _warn_unconverged(eps, res.starts, res.best)
     displacement_to_csv(res.u, out.path("displacement.csv"))
     write_csv(out.path("energy.csv"), ENERGY_HEADER, [res.breakdown.row()])
     write_manifest(out.path("minimize_manifest.txt"), cfg, {

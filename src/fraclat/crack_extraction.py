@@ -34,7 +34,7 @@ import numpy as np
 
 from .continuum import _oriented_normals, surface_densities
 from .discrete_energy import Displacement, corner_differences, interpolate_gradients
-from .lattice import BLOCK, TriangleMesh, perp, row_dots
+from .lattice import BLOCK, SIDE_CORNERS, TriangleMesh, perp, row_dots
 
 STRETCH_FACTOR = 2.0
 
@@ -207,8 +207,7 @@ class CrackSet:
 CRACK_HEADER = ["seg_id", "x0", "y0", "x1", "y1", "nu_x", "nu_y", "jump1", "jump2"]
 
 
-# side s of a triangle (P0, P1, P2) runs along bond direction s
-_SIDE_VERTICES = np.array([(0, 1), (0, 2), (1, 2)])
+# side s of a triangle (P0, P1, P2) runs along bond direction s, between SIDE_CORNERS[s]
 _OPPOSITE_VERTEX = np.array([2, 1, 0])
 _OTHER_SIDES = np.array([(1, 2), (0, 2), (0, 1)])
 
@@ -241,12 +240,12 @@ def build_modified(u: Displacement, classes: BrokenClassification,
     # side; the far vertex is the first one of side s (m = 2) or, the
     # middle piece of the tent, the vertex opposite the variant side (m = 3)
     corner = _OPPOSITE_VERTEX[s]
-    far = np.where(seg_two, _SIDE_VERTICES[s, 0], _OPPOSITE_VERTEX[vi])
+    far = np.where(seg_two, SIDE_CORNERS[s, 0], _OPPOSITE_VERTEX[vi])
     tri = classes.tri_indices[rec]
     verts = mesh.triangles[tri]
     P = mesh.points[verts]
     Y = P + sqeps * u.values[verts]
-    mids = 0.5 * (P[:, _SIDE_VERTICES[:, 0]] + P[:, _SIDE_VERTICES[:, 1]])
+    mids = 0.5 * (P[:, SIDE_CORNERS[:, 0]] + P[:, SIDE_CORNERS[:, 1]])
     seg = np.arange(len(rec))
     p0, p1 = mids[seg, _OTHER_SIDES[s, 0]], mids[seg, _OTHER_SIDES[s, 1]]
     normal = _oriented_normals(p1 - p0)

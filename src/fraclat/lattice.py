@@ -32,6 +32,8 @@ Conventions
 * The bond directions are one read-only (3, 2) array, row d = direction
   d: v1, v2 and v3 = v2 - v1 (:func:`lattice_vectors`, ``TriangleMesh.vecs``).
 * The bonds run direction by direction, in the three slices ``edge_groups``.
+* A triangle's side of direction d joins its corners ``SIDE_CORNERS[d]``;
+  its bond runs from the first to the second if up, back if down.
 * The grips' minimum cut (:class:`MinCut`, ``TriangleMesh.min_cut``) is a
   shortest top-to-bottom path over the triangles, the planar dual of the
   bond graph; it is computed on first use and kept by the mesh.
@@ -67,6 +69,10 @@ _TRIANGLE_CORNERS = (((0, 0), (1, 0), (0, 1)), ((0, 0), (-1, 0), (0, -1)))
 # boundary-term weight per ordered pair of a bond flanked by 0, 1 or 2 triangles
 EDGE_WEIGHTS = np.array([0.5, 0.25, 0.0])
 EDGE_WEIGHTS.setflags(write=False)
+
+# the corners joined by a triangle's side of each bond direction (module notes)
+SIDE_CORNERS = np.array([(0, 1), (0, 2), (1, 2)])
+SIDE_CORNERS.setflags(write=False)
 
 # per bond direction: the neighbor offset and the up and down flank bases
 _BOND_OFFSETS = (((1, 0), ((0, 0), (1, 0))),
@@ -429,35 +435,22 @@ def _grip_min_cut(mesh: TriangleMesh) -> MinCut:
     a flow and a cut of one size, so both are optimal, or
     :class:`LatticeError` is raised.
 
-    The adjacency is read off a padded grid of the integer coordinates at
-    the offsets ``_BOND_OFFSETS``; only the result is kept.
+    The adjacency is read off the triangles' corners; only the result is kept.
     """
     n_tri, n_up = mesh.n_triangles, int(np.count_nonzero(mesh.tri_sign > 0))
     top, bottom = np.int32(n_tri), np.int32(n_tri + 1)  # the two arcs of the outer face
     a, b = mesh.edges[:, 0], mesh.edges[:, 1]
     idx = np.int32  # every index fits, as the mesh's own do
 
-    # flat cell of each point in its integer box, two empty cells on every side
-    lo = mesh.lam.min(axis=0) - 2
-    width = int(mesh.lam[:, 0].max() - lo[0]) + 3
-    cells = width * (int(mesh.lam[:, 1].max() - lo[1]) + 3)
-    cell = (mesh.lam[:, 1] - lo[1]) * width + (mesh.lam[:, 0] - lo[0])
-
-    def step(offset) -> int:
-        return offset[1] * width + offset[0]
-
-    # the bond of each direction based at each cell; a triangle's side of
-    # direction d is that bond based at the cell its flank base offset
-    # points back to
-    bond_at = np.full((3, cells), -1, dtype=idx)
+    # the bond of each direction that starts at each point; a triangle's side
+    # of direction d starts at its corner SIDE_CORNERS[d][0] if up, [d][1] if down
+    bond_from = np.full((3, mesh.n_points), -1, dtype=idx)
     for d, group in enumerate(mesh.edge_groups):
-        bond_at[d, cell[a[group]]] = np.arange(group.start, group.stop, dtype=idx)
-    base = cell[mesh.triangles[:, 0]]
-    sides = np.empty((n_tri, 3), dtype=idx)
-    for d, (_, flank_bases) in enumerate(_BOND_OFFSETS):
-        for rows, flank_base in zip((slice(0, n_up), slice(n_up, n_tri)), flank_bases):
-            sides[rows, d] = bond_at[d, base[rows] - step(flank_base)]
-    del base  # each array goes after its last read: the peak is 1.4 MB at 1/64
+        bond_from[d, a[group]] = np.arange(group.start, group.stop, dtype=idx)
+    up, down = np.split(mesh.triangles, [n_up])
+    sides = bond_from[np.arange(3), np.concatenate([up[:, SIDE_CORNERS[:, 0]],
+                                                    down[:, SIDE_CORNERS[:, 1]]])]
+    del bond_from, up, down  # each array goes after its last read: the peak is 1.1 MB at 1/64
 
     # the faces to the left and the right of each bond a -> b: its up flank
     # is on the left in directions 0 and 2, its down flank in direction 1;
@@ -496,16 +489,16 @@ def _grip_min_cut(mesh: TriangleMesh) -> MinCut:
     flow = dist[right] - dist[left]  # along a -> b
     del faces, left, right, face_sum, dist
 
-    # flood fill from the left grip through the unsaturated bonds
-    sentinel = np.array([-1], dtype=idx)
-    ahead = np.concatenate([np.where(crossable & (flow >= 1), -1, b).astype(idx), sentinel])
-    behind = np.concatenate([np.where(crossable & (flow <= -1), -1, a).astype(idx), sentinel])
+    # flood fill from the left grip through the unsaturated bonds; a point's
+    # neighbors are the ends ahead and behind along each direction, or -1
+    ahead = np.where(crossable & (flow >= 1), -1, b)
+    behind = np.where(crossable & (flow <= -1), -1, a)
     del flow
-    neighbors = np.empty((mesh.n_points, 6), dtype=idx)
-    for d, (offset, _) in enumerate(_BOND_OFFSETS):
-        neighbors[:, 2 * d] = ahead[bond_at[d, cell]]
-        neighbors[:, 2 * d + 1] = behind[bond_at[d, cell - step(offset)]]
-    del ahead, behind, bond_at
+    neighbors = np.full((mesh.n_points, 6), -1, dtype=idx)
+    for d, group in enumerate(mesh.edge_groups):
+        neighbors[a[group], 2 * d] = ahead[group]
+        neighbors[b[group], 2 * d + 1] = behind[group]
+    del ahead, behind
     hops = np.where(left_grip, 0, -1).astype(idx)
     frontier, h = np.flatnonzero(left_grip), 0
     while len(frontier):

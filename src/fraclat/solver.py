@@ -136,7 +136,8 @@ class ConvergenceRow:
     n_broken: int = 0
     crack_energy_est: float = float("nan")
     crack_angle_deg: float = float("nan")
-    converged: bool = True  # False for a minimization whose best start stopped early
+    starts: tuple = ()  # a minimization's start records; none for a sampled row
+    best: StartResult | None = None  # the one of ``starts`` that won
 
     @property
     def gap(self) -> float:
@@ -160,8 +161,15 @@ class CriticalRow:
     a_crit: float       # the limit's critical load
     elastic_gap: float  # E_el^eps - its limit, at the bracket's lower load
     crack_gap: float    # E_cr^eps - its limit
-    minimizations: int  # the rung's minimize calls, all on one mesh
-    converged: bool     # False when a start of one of them stopped early
+    starts: tuple       # the record of each of the rung's minimizations, one start each
+
+    @property
+    def minimizations(self) -> int:  # the rung's minimize calls, all on one mesh
+        return len(self.starts)
+
+    @property
+    def converged(self) -> bool:  # False when one of them stopped early
+        return all(rec.converged for rec in self.starts)
 
     def row(self) -> list:
         return [self.eps, self.a_crit_eps, self.a_crit_eps / self.a_crit,
@@ -477,7 +485,7 @@ def convergence_study(problem: CleavageProblem, eps_list,
                            problem=problem)
             n, est, ang = _crack_summary(res.u, problem.beta)
             rows.append(ConvergenceRow(eps, f"{mode}/minimize", res.breakdown.total,
-                                       target, n, est, ang, res.best.converged))
+                                       target, n, est, ang, tuple(res.starts), res.best))
     check_gap_ladder(crack_gaps, eps_list, pot.beta)
     return rows
 
@@ -533,13 +541,13 @@ def critical_load_study(problem: CleavageProblem, eps_list,
     rows = []
     for eps in eps_list:
         mesh = _mesh_for(problem, eps)
-        converged = []
+        starts = []
 
         def energy(a: float, start: str) -> float:
             res = minimize(mesh, bc_cleavage(a, problem.l), pot,
                            replace(config, multistart=(start,)), chi=chi, model=model,
                            problem=replace(problem, a=a))
-            converged.append(all(rec.converged for rec in res.starts))
+            starts.extend(res.starts)
             return res.breakdown.total
 
         lo, hi = bracket
@@ -557,8 +565,7 @@ def critical_load_study(problem: CleavageProblem, eps_list,
                 hi = mid
         rows.append(CriticalRow(eps, 0.5 * (lo + hi), limit,
                                 e_lo - elastic_branch_energy(problem, bracket[0]),
-                                e_cr - crack_branch_energy(problem), len(converged),
-                                all(converged)))
+                                e_cr - crack_branch_energy(problem), tuple(starts)))
 
     def slope(values):
         return fit_loglog_slope(eps_list, [abs(v) for v in values])

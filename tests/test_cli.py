@@ -497,10 +497,10 @@ def test_critical_command_needs_two_rungs(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def subcritical_config(tmp_path, extra=""):
+def subcritical_config(tmp_path, extra="", eps_list="1/16"):
     from fraclat.continuum import CleavageProblem, a_crit
     a = 0.5 * a_crit(CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=0.0))
-    text = BASE.replace("load.a = 2.0", f"load.a = {a!r}").replace("1/16,1/32", "1/16")
+    text = BASE.replace("load.a = 2.0", f"load.a = {a!r}").replace("1/16,1/32", eps_list)
     return write_config(tmp_path / "c.cfg", text + extra + f"out.dir = {tmp_path}/out\n")
 
 
@@ -537,6 +537,36 @@ def test_minimize_names_every_unconverged_start(tmp_path, capsys):
         "fraclat: warning: start zero", "fraclat: warning: the best start elastic",
         "fraclat: warning: start cleaved(cut=31)"]
     assert all(" after 2 iterations" in ln for ln in lines)
+
+
+def test_cleavage_names_every_unconverged_start_of_each_rung(tmp_path, capsys):
+    # at 0.5 a_crit the elastic start wins on both rungs; at 1/16 the zero
+    # and the cut starts stop at 400 iterations, at 1/32 every start converges
+    cfg = subcritical_config(tmp_path, eps_list="1/16,1/32")
+    assert main(["cleavage", "--config", cfg]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln.split(": |g| = ")[0] for ln in lines] == [
+        "fraclat: warning: start zero did not converge at eps = 0.0625",
+        "fraclat: warning: start cleaved(cut=31) did not converge at eps = 0.0625"]
+    assert all(ln.endswith(" after 400 iterations") for ln in lines)
+    _, rows = read_rows(tmp_path / "out" / "convergence.csv")
+    assert [row[1] for row in rows] == ["chi/recovery-crack", "chi/recovery-elastic",
+                                        "chi/minimize"] * 2
+
+
+def test_critical_names_every_unconverged_start(tmp_path, capsys):
+    # with |g| <= 1e-9 asked for, each elastic descent stalls first, while the
+    # cut start is an exact critical point; the converged column says so
+    cfg = write_config(tmp_path / "c.cfg",
+                       BASE + f"solve.grad_tol = 1e-9\nout.dir = {tmp_path}/out\n")
+    assert main(["critical", "--config", cfg]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 24
+    for eps, half in (("0.0625", lines[:12]), ("0.03125", lines[12:])):
+        assert all(ln.startswith("fraclat: warning: start elastic did not converge at "
+                                 f"eps = {eps}: |g| = ") for ln in half)
+    _, rows = read_rows(tmp_path / "out" / "critical.csv")
+    assert [row[5:] for row in rows] == [["13", "False"]] * 2
 
 
 def test_output_set_discard_removes_written_files(tmp_path):

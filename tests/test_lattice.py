@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from conftest import check_topology_against_oracle, edge_directions
-from fraclat.lattice import (BLOCK, BOUNDARY_RTOL, PHI_MAX, LatticeError, LatticeSpec,
-                             build_mesh, classify_edges, cleavage_direction,
+from fraclat.lattice import (BLOCK, BOUNDARY_RTOL, PHI_MAX, SIDE_CORNERS, LatticeError,
+                             LatticeSpec, build_mesh, classify_edges, cleavage_direction,
                              lattice_vectors, perp, rotation_matrix, rows_times)
 
 SQRT3 = math.sqrt(3.0)
@@ -254,6 +254,23 @@ def test_edge_direction_consistency(mesh16):
     assert np.abs(d - expect).max() < 1e-12
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.3, 0.9])
+def test_side_corners_join_each_triangles_bond_of_each_direction(phi):
+    # side d runs i -> j on an up triangle and j -> i on a down one, one
+    # integer step of direction d, and is a bond of the group edge_groups[d]
+    mesh = build_mesh(LatticeSpec(phi=phi, eps=1.0 / 16.0, l=2.0))
+    up = mesh.tri_sign > 0
+    steps = [(1, 0), (0, 1), (-1, 1)]
+    for d, (i, j) in enumerate(SIDE_CORNERS):
+        start = np.where(up, mesh.triangles[:, i], mesh.triangles[:, j])
+        end = np.where(up, mesh.triangles[:, j], mesh.triangles[:, i])
+        assert (mesh.lam[end] - mesh.lam[start] == steps[d]).all()
+        bonds = set(map(tuple, mesh.edges[mesh.edge_groups[d]].tolist()))
+        assert set(zip(start.tolist(), end.tolist())) <= bonds
+    with pytest.raises(ValueError):
+        SIDE_CORNERS[0, 0] = 1
+
+
 def test_dirichlet_mask_direct_distance():
     spec = LatticeSpec(phi=0.3, eps=1.0 / 8.0, l=1.0)
     mesh = build_mesh(spec)
@@ -364,3 +381,19 @@ def test_min_cut_is_computed_once_and_read_only():
     for arr in (cut.bonds, cut.right):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
+
+
+def test_min_cut_fits_its_memory_budget():
+    # the cut's work arrays are int32 arrays per point, bond and triangle,
+    # each dropped after its last read: 1.12 MB at 1/64 on the l = 2 bar,
+    # against 1.39 MB with a padded integer grid
+    import tracemalloc
+    mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 64.0, l=2.0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert mesh.min_cut.count == 129
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4e6

@@ -103,6 +103,25 @@ def test_crack_touch_check_agrees_with_the_distance_on_every_station(inv_eps):
             == crack_touches_reference(u_cont, mesh)
 
 
+@pytest.mark.parametrize("phi", [0.0, 1.03])
+def test_cleaved_stations_fit_a_short_steep_bar(phi):
+    # on l = 0.6 the crack line's run along v_gamma leaves no intercept both
+    # 2 percent inside the window [lo, hi] of lines that cross both
+    # horizontal sides and in the middle 80 percent of the bar, so the
+    # stations fill the middle 90 percent of that window
+    prob = CleavageProblem(alpha=1.0, beta=1.0, l=0.6, phi=phi, a=1.0)
+    w = prob.cleavage.v_gamma
+    lo, hi = max(0.0, -w[0] / w[1]), min(prob.l, prob.l - w[0] / w[1])
+    assert min(hi - 0.02 * prob.l, 0.9 * prob.l) < max(lo + 0.02 * prob.l, 0.1 * prob.l)
+    stations = cleaved_stations(prob, 9)
+    assert len(stations) == 9 and (np.diff(stations) > 0.0).all()
+    assert lo + 0.05 * (hi - lo) < stations[0] and stations[-1] < hi - 0.05 * (hi - lo)
+    for p in stations:
+        (seg,) = build_u_cr(prob, float(p)).crack
+        assert seg.p0[1] == 0.0 and seg.p1[1] == 1.0
+        assert 0.0 < min(seg.p0[0], seg.p1[0]) and max(seg.p0[0], seg.p1[0]) < prob.l
+
+
 def test_crack_touch_check_agrees_on_a_crack_through_lattice_points():
     from fraclat.continuum import ContinuumDisplacement, CrackLine, build_u_cr_symmetric
     prob = problem_with(1.5, phi=0.0)
