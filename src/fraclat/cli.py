@@ -282,7 +282,8 @@ def _warn_unconverged(eps: float, starts, best=None):
         if not rec.converged:
             which = "the best start" if rec is best else "start"
             print(f"fraclat: warning: {which} {rec.tag} did not converge at eps = "
-                  f"{_fmt(eps)}: |g| = {rec.grad_norm:.3g} after {rec.iters} iterations",
+                  f"{_fmt(eps)}, a = {_fmt(rec.load)}: |g| = {rec.grad_norm:.3g} "
+                  f"after {rec.iters} iterations",
                   file=sys.stderr)
 
 

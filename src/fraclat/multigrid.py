@@ -15,22 +15,41 @@ SIAM 2000):
   leaves free.  ``SHIFT * I`` is added because a loading may leave a rigid
   translation free.  ``M`` is 0 on every pinned component, where the
   projected gradient vanishes.
+* A component free at every point (u2 under the cleavage grips) carries
+  K's exact null vector, its constant.  The coarse levels keep it down to
+  the dense solve, which would scale it by 1 / SHIFT, so ``M`` removes
+  that component's mean from its input and its output.  ``M`` stays
+  symmetric.
 * The fine level applies K matrix-free, one ``bincount`` pair per bond
   direction.
 * The coarse points are the points with even ``(lam1, lam2)``.  A coarse
   point keeps its value; every other point takes the mean of its two
   coarse neighbours along one bond offset.  A pinned neighbour is dropped
   and the other keeps weight 1/2; an absent one (outside the mesh) leaves
-  weight 1 to the other.
+  weight 1 to the other.  A point with both absent (an orphan, found only
+  on rotated lattices) is the midpoint of a rhombus of coarse points; it
+  takes weight 1 from one corner on the rhombus's other diagonal, so that
+  P keeps the constants.  It takes one, not both: those two are sqrt(3)
+  coarse spacings apart, outside the 7-point stencil.  Even one keeps the
+  stencil only while no bonded neighbour of the orphan takes a parent
+  outside the stencil of the orphan's corner (the other corner, say).
+  The rule does not ensure that; the bars' shapes do.  On bars of
+  l = 1/sqrt(3) ... 3 at eps = 1/8 ... 1/64 no orphan has both corners in
+  the mesh and every coarse stencil is the Galerkin product, which the
+  tests check on bars of l = 1, 2 and 3.
 * A coarse operator is the Galerkin product ``P^T A P``.  It is again a
   7-point stencil of 2 x 2 blocks, read off with 14 products, one per
   displacement component and colour ``(lam1 + 3 lam2) mod 7``: the seven
   points of any stencil have seven different colours.
 * Each level smooths with damped Jacobi before and after its coarse
   correction.  The mesh level corrects once and the coarse levels twice
-  (a V-cycle on the mesh over W-cycles below it, which keeps the
-  iteration count nearly flat down to eps = 1/256); the coarsest level
-  is inverted densely, so the level above it corrects once, exactly.
+  (a V-cycle on the mesh over W-cycles below it); the coarsest level is
+  inverted densely, so the level above it corrects once, exactly.  On the
+  l = 2, phi = 0.3 bar under the cleavage grips, ``e <- e - M K e``
+  contracts the error's energy norm by 0.70, 0.67 and 0.68 per cycle at
+  eps = 1/32, 1/64 and 1/128 (the asymptotic rate), and the ``elastic``
+  start's descent at 0.5 / 1.5 a_crit takes 10 / 16, 9 / 12, 10 / 11,
+  10 / 10 and 10 / 10 iterations at eps = 1/16 ... 1/256.
 
 :func:`rest_preconditioner` keeps the operator it built last, for one
 mesh, alpha and pair of pinned-component masks, so that minimizations of
@@ -60,6 +79,8 @@ COARSE_CYCLES = 2     # cycles on the next level per coarse-level visit (the mes
 _STENCIL = np.array([(0, 0), (1, 0), (-1, 1), (0, 1), (0, -1), (1, -1), (-1, 0)])
 # offset from a point to its two coarse parents, by parity lam1 % 2 + 2 (lam2 % 2)
 _PARENT_OFFSET = np.array([(0, 0), (1, 0), (0, 1), (1, -1)])
+# offset along the other diagonal of the same rhombus, to an orphan's one parent
+_DIAGONAL_OFFSET = np.array([(0, 0), (1, -2), (2, -1), (1, 1)])
 
 
 def _locator(coords: np.ndarray):
@@ -154,16 +175,21 @@ def _coarsen(coords: np.ndarray, active: np.ndarray, level):
     free components.  None when the coarse points would not be fewer and
     nonempty.
     """
-    parity = coords & 1
-    rows = np.flatnonzero(~parity.any(axis=1))
+    parity = (coords & 1) @ (1, 2)  # lam1 % 2 + 2 (lam2 % 2)
+    rows = np.flatnonzero(parity == 0)
     if not 0 < len(rows) < len(coords):
         return None
     coarse, coarse_active = coords[rows] >> 1, active[rows]
     nc = len(rows)
     find = _locator(coarse)
-    offset = _PARENT_OFFSET[parity[:, 0] + 2 * parity[:, 1]]
+    offset = _PARENT_OFFSET[parity]
     parents = np.stack([find((coords + offset) >> 1), find((coords - offset) >> 1)])
     found = parents < nc
+    orphans = np.flatnonzero(~found.any(axis=0))
+    at, d = coords[orphans], _DIAGONAL_OFFSET[parity[orphans]]
+    parent = find((at + d) >> 1)
+    parents[0, orphans] = np.where(parent < nc, parent, find((at - d) >> 1))
+    found[0, orphans] = parents[0, orphans] < nc
     parents[~found] = 0
     weights = (found[:, :, None] & coarse_active[parents] & active) \
         / np.maximum(found.sum(axis=0), 1)[:, None]
@@ -205,6 +231,13 @@ class _DenseInverse:
         return x.reshape(-1, 2)
 
 
+def _remove_means(x: np.ndarray, components) -> np.ndarray:
+    """``x`` with the mean of each of its ``components`` removed, in place."""
+    for k in components:
+        x[:, k] -= x[:, k].mean()  # by column: numpy's axis-0 mean of (N, 2) is ~20x slower
+    return x
+
+
 def _check_masks(n_points: int, **masks):
     """Raise ``ValueError`` naming the first mask that is not bool of shape ``(n_points,)``."""
     for name, mask in masks.items():
@@ -221,7 +254,8 @@ class StiffnessMultigrid:
     (bool, one entry per point); :func:`rest_preconditioner` keeps the last
     one built.  It holds copies of the mesh's bonds and coordinates, never
     the mesh.  ``M`` is symmetric
-    and positive on the free components and 0 on the others.  Calling it on
+    and positive on the free components and 0 on the others, and on the
+    constant of a component free at every point.  Calling it on
     ``(N, 2)`` values returns a new ``(N, 2)`` array.
     """
 
@@ -231,6 +265,8 @@ class StiffnessMultigrid:
         fine = _BondLevel(mesh, alpha)
         self._fine = fine
         active = np.column_stack([~mask_x, ~mask_y])
+        # the components free at every point: a constant on one is a null vector of K
+        self._translations = np.flatnonzero(active.all(axis=0))
         coords, level = mesh.lam.astype(np.intp), fine
         self._levels = []  # (level, omega D^-1, transfer to the level below)
         while active.sum() > COARSEST_DOFS:
@@ -249,7 +285,9 @@ class StiffnessMultigrid:
         return self._fine.stiffness(x)
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        return self._cycle(0, b)
+        if len(self._translations):
+            b = _remove_means(b.copy(), self._translations)
+        return _remove_means(self._cycle(0, b), self._translations)
 
     def _cycle(self, depth: int, b: np.ndarray) -> np.ndarray:
         if depth == len(self._levels):

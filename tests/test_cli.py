@@ -497,9 +497,18 @@ def test_critical_command_needs_two_rungs(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def subcritical_config(tmp_path, extra="", eps_list="1/16"):
+def base_a_crit():
     from fraclat.continuum import CleavageProblem, a_crit
-    a = 0.5 * a_crit(CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=0.0))
+    return a_crit(CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=0.0))
+
+
+def warned_loads(lines):
+    """The load a that each warning line names."""
+    return [float(re.search(r", a = (\S+): \|g\| = ", ln).group(1)) for ln in lines]
+
+
+def subcritical_config(tmp_path, extra="", eps_list="1/16"):
+    a = 0.5 * base_a_crit()
     text = BASE.replace("load.a = 2.0", f"load.a = {a!r}").replace("1/16,1/32", eps_list)
     return write_config(tmp_path / "c.cfg", text + extra + f"out.dir = {tmp_path}/out\n")
 
@@ -519,6 +528,7 @@ def test_unconverged_best_start_is_reported(tmp_path, capsys, argv):
             assert len(captured.err.splitlines()) == 1
             assert captured.err.startswith("fraclat: warning: the best start")
             assert "did not converge" in captured.err
+            assert warned_loads(captured.err.splitlines()) == [0.5 * base_a_crit()]
         else:
             assert captured.err == ""
 
@@ -545,9 +555,10 @@ def test_cleavage_names_every_unconverged_start_of_each_rung(tmp_path, capsys):
     cfg = subcritical_config(tmp_path, eps_list="1/16,1/32")
     assert main(["cleavage", "--config", cfg]) == 0
     lines = capsys.readouterr().err.splitlines()
+    a = cli._fmt(0.5 * base_a_crit())
     assert [ln.split(": |g| = ")[0] for ln in lines] == [
-        "fraclat: warning: start zero did not converge at eps = 0.0625",
-        "fraclat: warning: start cleaved(cut=31) did not converge at eps = 0.0625"]
+        f"fraclat: warning: start zero did not converge at eps = 0.0625, a = {a}",
+        f"fraclat: warning: start cleaved(cut=31) did not converge at eps = 0.0625, a = {a}"]
     assert all(ln.endswith(" after 400 iterations") for ln in lines)
     _, rows = read_rows(tmp_path / "out" / "convergence.csv")
     assert [row[1] for row in rows] == ["chi/recovery-crack", "chi/recovery-elastic",
@@ -556,15 +567,20 @@ def test_cleavage_names_every_unconverged_start_of_each_rung(tmp_path, capsys):
 
 def test_critical_names_every_unconverged_start(tmp_path, capsys):
     # with |g| <= 1e-9 asked for, each elastic descent stalls first, while the
-    # cut start is an exact critical point; the converged column says so
+    # cut start is an exact critical point; the converged column says so.
+    # Each rung's lines name the bracket's two loads, then the ten bisected ones
     cfg = write_config(tmp_path / "c.cfg",
                        BASE + f"solve.grad_tol = 1e-9\nout.dir = {tmp_path}/out\n")
     assert main(["critical", "--config", cfg]) == 0
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 24
+    limit = base_a_crit()
     for eps, half in (("0.0625", lines[:12]), ("0.03125", lines[12:])):
         assert all(ln.startswith("fraclat: warning: start elastic did not converge at "
-                                 f"eps = {eps}: |g| = ") for ln in half)
+                                 f"eps = {eps}, a = ") for ln in half)
+        loads = warned_loads(half)
+        assert loads[:2] == [0.5 * limit, 1.5 * limit]
+        assert len(set(loads)) == 12 and all(loads[0] < a < loads[1] for a in loads[2:])
     _, rows = read_rows(tmp_path / "out" / "critical.csv")
     assert [row[5:] for row in rows] == [["13", "False"]] * 2
 
