@@ -2,9 +2,9 @@
 
 Experiments are configured by a flat plain-text file with one
 ``key = value`` assignment per line and ``#`` comments.  Unknown and
-repeated keys are rejected with their line numbers; omitted keys fall
-back to the defaults listed in ``CONFIG_KEYS`` (a handful of physical
-inputs such as ``material.alpha`` have no default and must be given).
+repeated keys are rejected with their line numbers; an omitted key takes
+its ``CONFIG_KEYS`` default, which for a key that sets a library field is
+that field's own (``material.alpha`` and ``material.beta`` must be given).
 Every command writes its CSV tables plus a manifest echoing the fully
 resolved configuration with 17 significant digits, so a table can be
 reproduced from its manifest alone.  Partial outputs are deleted when a
@@ -32,12 +32,12 @@ from .crack_extraction import (CRACK_HEADER, build_modified, classify_broken,
 from .discrete_energy import (ENERGY_HEADER, bc_cleavage,
                               displacement_from_csv, displacement_to_csv,
                               energy_rescaled, format_float)
-from .lattice import (PHI_MAX, LatticeSpec, TriangleMesh, build_mesh,
-                      cleavage_direction)
+from .lattice import PHI_MAX, LatticeSpec, cleavage_direction
 from .material import MagnetizationModel, PairPotential, PenaltyChi
 from .solver import (CONVERGENCE_HEADER, CRITICAL_HEADER, NONEQ_HEADER, ConvergenceRow,
-                     SolveConfig, cleaved_stations, convergence_study, critical_load_study,
-                     magnet_demo, minimize, nonequicoercivity_demo, recovery_sequence)
+                     SolveConfig, _mesh_for, cleaved_stations, convergence_study,
+                     critical_load_study, magnet_demo, minimize, nonequicoercivity_demo,
+                     recovery_sequence)
 
 GAMMA_HEADER = ["phi", "gamma", "vgamma_x", "vgamma_y", "unique", "a_crit"]
 
@@ -45,25 +45,25 @@ _REQUIRED = object()
 
 # key -> (parser, default); _REQUIRED defaults must be supplied by the user
 CONFIG_KEYS = {
-    "lattice.phi": (float, 0.0),
-    "lattice.l": (float, 1.0),
-    "lattice.eta": (float, 0.25),  # read by nothing; kept while the benchmark still sets it
-    "material.family": (str, "exp-well"),
+    "lattice.phi": (float, CleavageProblem.phi),
+    "lattice.l": (float, LatticeSpec.l),
+    "lattice.eta": (float, LatticeSpec.eta),  # read by nothing; the benchmark still sets it
+    "material.family": (str, PairPotential.family),
     "material.alpha": (float, _REQUIRED),
     "material.beta": (float, _REQUIRED),
-    "material.kappa": (float, 1.0),
-    "material.T": (float, 2.0),
-    "chi.c": (float, 1.0),
-    "chi.delta_det": (float, 0.1),
-    "chi.cutoff": (float, 20.0),
-    "chi.width": (float, 1.0),
-    "load.a": (float, 0.0),
+    "material.kappa": (float, MagnetizationModel.kappa),
+    "material.T": (float, MagnetizationModel.T),
+    "chi.c": (float, PenaltyChi.c_chi),
+    "chi.delta_det": (float, PenaltyChi.delta_det),
+    "chi.cutoff": (float, PenaltyChi.cutoff_norm),
+    "chi.width": (float, PenaltyChi.width),
+    "load.a": (float, CleavageProblem.a),
     "solve.eps_list": (str, "1/16,1/32,1/64"),
-    "solve.max_iters": (int, 400),
-    "solve.grad_tol": (float, 1e-6),
+    "solve.max_iters": (int, SolveConfig.max_iters),
+    "solve.grad_tol": (float, SolveConfig.grad_tol),
     "solve.seed": (int, 0),
-    "solve.mode": (str, "chi"),
-    "solve.multistart": (str, "zero,elastic,cleaved"),
+    "solve.mode": (str, SolveConfig.mode),
+    "solve.multistart": (str, ",".join(SolveConfig.multistart)),
     "recovery.p": (float, float("nan")),  # nan means cleaved_stations(problem, 1)[0]
     "recovery.kind": (str, "crack"),
     "noneq.theta": (float, 1.2),
@@ -232,10 +232,6 @@ def _solve_config(cfg: RunConfig) -> SolveConfig:
                        mode=cfg.get("solve.mode"))
 
 
-def _mesh(cfg: RunConfig, eps: float) -> TriangleMesh:
-    return build_mesh(LatticeSpec(phi=cfg.get("lattice.phi"), eps=eps, l=cfg.get("lattice.l")))
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -290,7 +286,7 @@ def _warn_unconverged(eps: float, starts, best=None):
 def cmd_cleavage(cfg: RunConfig, out: OutputSet, args) -> str:
     problem = _problem(cfg)
     rows = convergence_study(problem, cfg.eps_list(), config=_solve_config(cfg),
-                             pot=_potential(cfg), chi=_chi(cfg), model=_model(cfg),
+                             family=cfg.get("material.family"), chi=_chi(cfg), model=_model(cfg),
                              with_minimize=not args.no_minimize)
     for r in rows:
         _warn_unconverged(r.eps, r.starts, r.best)
@@ -306,7 +302,8 @@ def cmd_cleavage(cfg: RunConfig, out: OutputSet, args) -> str:
 def cmd_critical(cfg: RunConfig, out: OutputSet, args) -> str:
     problem = _problem(cfg)
     result = critical_load_study(problem, cfg.eps_list(), config=_solve_config(cfg),
-                                 pot=_potential(cfg), chi=_chi(cfg), model=_model(cfg))
+                                 family=cfg.get("material.family"), chi=_chi(cfg),
+                                 model=_model(cfg))
     rows = result["rows"]
     for r in rows:
         _warn_unconverged(r.eps, r.starts)
@@ -326,7 +323,7 @@ def cmd_minimize(cfg: RunConfig, out: OutputSet, args) -> str:
     problem, config = _problem(cfg), _solve_config(cfg)
     pot, chi, model = _potential(cfg), _chi(cfg), _model(cfg)
     eps = cfg.eps_list()[-1]
-    mesh = _mesh(cfg, eps)
+    mesh = _mesh_for(problem.phi, problem.l, eps)
     bc = bc_cleavage(problem.a, problem.l)
     res = minimize(mesh, bc, pot, config, chi=chi, model=model, problem=problem)
     _warn_unconverged(eps, res.starts, res.best)
@@ -354,7 +351,7 @@ def cmd_recovery(cfg: RunConfig, out: OutputSet, args) -> str:
     rows = []
     last_u = None
     for eps in cfg.eps_list():
-        mesh = _mesh(cfg, eps)
+        mesh = _mesh_for(problem.phi, problem.l, eps)
         if kind == "elastic":
             u_cont, target = build_u_el(problem), elastic_branch_energy(problem)
         else:
@@ -372,7 +369,7 @@ def cmd_recovery(cfg: RunConfig, out: OutputSet, args) -> str:
 
 def cmd_crack_extract(cfg: RunConfig, out: OutputSet, args) -> str:
     eps = cfg.eps_list()[-1]
-    mesh = _mesh(cfg, eps)
+    mesh = _mesh_for(cfg.get("lattice.phi"), cfg.get("lattice.l"), eps)
     u = displacement_from_csv(args.infile, mesh)
     classes = classify_broken(u)
     crack = build_modified(u, classes, variant=args.variant)
@@ -391,7 +388,7 @@ def cmd_magnet_demo(cfg: RunConfig, out: OutputSet, args) -> str:
     if n_random < 1:  # the manifest reports the largest gap over the random fields
         raise ConfigError(f"{cfg.path}: magnet.n_random must be at least 1, got {n_random}")
     result = magnet_demo(_problem(cfg), _model(cfg), cfg.eps_list(),
-                         pot=_potential(cfg), chi=_chi(cfg), n_random=n_random,
+                         family=cfg.get("material.family"), chi=_chi(cfg), n_random=n_random,
                          seed=cfg.get("solve.seed"),
                          band_angle=cfg.get("magnet.band_angle"))
     rows = [r.row() for r in result["elastic_rows"]]
@@ -429,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma-scan", help="sweep the cleavage data over phi")
     p.add_argument("--phi-steps", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--l", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=CleavageProblem.alpha)
+    p.add_argument("--beta", type=float, default=CleavageProblem.beta)
+    p.add_argument("--l", type=float, default=LatticeSpec.l)
     p.set_defaults(func=cmd_gamma_scan)
 
     def config_command(name: str, help_text: str, body):

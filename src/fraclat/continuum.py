@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import (SQRT3, CleavageData, cleavage_direction, lattice_vectors, perp,
-                      require_finite, row_dots, rows_times)
-from .material import quadratic_form, quadratic_min_under_strain
+from .lattice import (SQRT3, CleavageData, LatticeSpec, cleavage_direction, lattice_vectors,
+                      perp, require_finite, row_dots, rows_times)
+from .material import PairPotential, quadratic_form, quadratic_min_under_strain
 
 _GEOM_TOL = 1e-12
 
@@ -252,12 +252,12 @@ def energy_F_limit(u: ContinuumDisplacement, alpha: float, beta: float,
 class CleavageProblem:
     """Uniaxially stretched bar: material, geometry and boundary strain."""
 
-    alpha: float = 1.0
-    beta: float = 1.0
-    l: float = 1.0
+    alpha: float = PairPotential.alpha
+    beta: float = PairPotential.beta
+    l: float = LatticeSpec.l
     phi: float = 0.0
     a: float = 0.0
-    eta: float = 0.25  # read by nothing; kept while the benchmark still sets it
+    eta: float = LatticeSpec.eta  # read by nothing; kept while the benchmark still sets it
 
     def __post_init__(self):
         require_finite(GeometryError, alpha=self.alpha, beta=self.beta, l=self.l,

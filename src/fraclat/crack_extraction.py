@@ -181,7 +181,6 @@ class CrackSet:
     h_index: np.ndarray   # (S,) which midsegment of its host triangle
     grads: np.ndarray     # (k, 2, 2) gradient of the modified map on each broken triangle
     variant: int
-    eps: float
 
     @cached_property
     def segments(self) -> list:
@@ -222,8 +221,7 @@ def build_modified(u: Displacement, classes: BrokenClassification,
     if variant not in (1, 2, 3):
         raise CrackError(f"variant must be 1, 2 or 3, got {variant}")
     mesh = u.mesh
-    eps = mesh.spec.eps
-    sqeps = math.sqrt(eps)
+    sqeps = math.sqrt(mesh.spec.eps)
     vi = variant - 1
     two = classes.m == 2
     A = np.tile(np.eye(2), (classes.count, 1, 1))
@@ -256,7 +254,7 @@ def build_modified(u: Displacement, classes: BrokenClassification,
     side = row_dots(normal, Pc - 0.5 * (p0 + p1))
     jump_y = np.where((side < 0.0)[:, None], -jump_y, jump_y)
     return CrackSet(p0=p0, p1=p1, normal=normal, jump=jump_y / sqeps, tri=tri, h_index=s,
-                    grads=A, variant=variant, eps=eps)
+                    grads=A, variant=variant)
 
 
 def jump_vectors(u: Displacement, classes: BrokenClassification,

@@ -151,7 +151,6 @@ class CleavageData:
     the tie is broken toward v2.
     """
 
-    phi: float
     gamma: float
     v_gamma: np.ndarray
     index: int  # 0, 1, 2 for v1, v2, v3
@@ -172,8 +171,7 @@ def cleavage_direction(phi: float) -> CleavageData:
     v = vecs[index]
     if v[1] < 0.0:
         v = -v
-    return CleavageData(phi=phi, gamma=gamma, v_gamma=v, index=index,
-                        unique=bool(ties == 1))
+    return CleavageData(gamma=gamma, v_gamma=v, index=index, unique=bool(ties == 1))
 
 
 @dataclass(frozen=True)

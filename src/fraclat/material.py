@@ -20,7 +20,6 @@ import numpy as np
 from .lattice import require_finite
 
 SQRT2 = math.sqrt(2.0)
-SQRT3 = math.sqrt(3.0)
 
 POTENTIAL_FAMILIES = ("exp-well", "shifted-lj")
 

@@ -46,7 +46,8 @@ from .discrete_energy import (MODES, Assembly, BoundaryCondition, Displacement,
                               project_gradient, renormalization_sides)
 from .lattice import (LatticeSpec, TriangleMesh, build_mesh,
                       cleavage_direction, rotation_matrix)
-from .material import MagnetizationModel, PairPotential, PenaltyChi, frobenius_norms
+from .material import (MagnetizationModel, PairPotential, PenaltyChi, frobenius_norms,
+                       quadratic_min_under_strain)
 from .multigrid import StiffnessMultigrid, rest_preconditioner
 
 
@@ -81,7 +82,7 @@ class SolveConfig:
 
     max_iters: int = 400
     grad_tol: float = 1e-6
-    multistart: tuple = ("zero", "elastic", "cleaved")
+    multistart: tuple = START_TAGS
     rng_seed: int = 0  # read by nothing; kept while the benchmark still sets it
     mode: str = "chi"
 
@@ -95,6 +96,8 @@ class SolveConfig:
                 raise SolverError(f"{name} must be finite and >= 0, got {value}")
         if self.mode not in MODES:
             raise SolverError(f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}")
+        if not self.multistart:
+            raise SolverError("multistart names no starting point")
         for tag in self.multistart:
             if tag not in START_TAGS:
                 raise SolverError(f"unknown initializer tag {tag!r}")
@@ -372,7 +375,8 @@ def _elastic_ramp(mesh: TriangleMesh, problem: CleavageProblem) -> Displacement:
     ramp = np.clip((x1 - eps) / span, 0.0, 1.0)
     values = np.zeros((mesh.n_points, 2))
     values[:, 0] = problem.a * problem.l * ramp
-    values[:, 1] = -(problem.a / 3.0) * (mesh.points[:, 1] - 0.5)
+    A = quadratic_min_under_strain(problem.a, problem.alpha)[1]
+    values[:, 1] = A[1, 1] * (mesh.points[:, 1] - 0.5)
     return Displacement(mesh, values)
 
 
@@ -406,8 +410,6 @@ def minimize(mesh: TriangleMesh, bc: BoundaryCondition, pot: PairPotential,
         results.append(rec)
         if best is None or rec.energy < results[best[0]].energy:
             best = (k, x, bd)
-    if best is None:
-        raise SolverError("no starting point; check the multistart list")
     k, x, bd = best
     if bd is None:
         bd = asm.breakdown(x)
@@ -435,13 +437,14 @@ def _crack_summary(u: Displacement, beta: float):
     return classes.count, est, angle
 
 
-def _mesh_for(problem: CleavageProblem, eps: float) -> TriangleMesh:
-    return build_mesh(LatticeSpec(phi=problem.phi, eps=eps, l=problem.l))
+def _mesh_for(phi: float, l: float, eps: float) -> TriangleMesh:
+    """The lattice of the bar (0, l) x (0, 1) rotated by ``phi``, at spacing ``eps``."""
+    return build_mesh(LatticeSpec(phi=phi, eps=eps, l=l))
 
 
 def convergence_study(problem: CleavageProblem, eps_list,
                       config: SolveConfig | None = None,
-                      pot: PairPotential | None = None,
+                      family: str = PairPotential.family,
                       chi: PenaltyChi | None = None,
                       model: MagnetizationModel | None = None,
                       with_minimize: bool = True) -> list:
@@ -451,12 +454,12 @@ def convergence_study(problem: CleavageProblem, eps_list,
     (optionally) a best-of-multistart minimization row, all in
     ``config.mode``; mode ``f`` needs the field ``model``.  The
     sampled-crack gaps are checked to shrink monotonically up to 10
-    percent slack.
+    percent slack.  The potential is ``family``'s, with ``problem``'s alpha and beta.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise SolverError("eps_list must be strictly decreasing")
-    pot = pot or PairPotential(alpha=problem.alpha, beta=problem.beta)
+    pot = PairPotential(family, problem.alpha, problem.beta)
     chi = chi or PenaltyChi()
     config = config or SolveConfig()
     mode = config.mode
@@ -465,7 +468,7 @@ def convergence_study(problem: CleavageProblem, eps_list,
     crack_gaps = []
     p_mid = float(cleaved_stations(problem, 1)[0])
     for eps in eps_list:
-        mesh = _mesh_for(problem, eps)
+        mesh = _mesh_for(problem.phi, problem.l, eps)
         # sample both configurations before the rung's one assembly is built
         # and drop it before the crack is classified: neither step then runs
         # while the assembly's workspace is alive, which keeps the peak down
@@ -489,7 +492,7 @@ def convergence_study(problem: CleavageProblem, eps_list,
             n, est, ang = _crack_summary(res.u, problem.beta)
             rows.append(ConvergenceRow(eps, f"{mode}/minimize", res.breakdown.total,
                                        target, n, est, ang, tuple(res.starts), res.best))
-    check_gap_ladder(crack_gaps, eps_list, pot.beta)
+    check_gap_ladder(crack_gaps, eps_list, problem.beta)
     return rows
 
 
@@ -514,7 +517,7 @@ CRITICAL_TOL = 1e-3
 
 def critical_load_study(problem: CleavageProblem, eps_list,
                         config: SolveConfig | None = None,
-                        pot: PairPotential | None = None,
+                        family: str = PairPotential.family,
                         chi: PenaltyChi | None = None,
                         model: MagnetizationModel | None = None) -> dict:
     """The discrete critical load a_crit^eps and both branch gaps along an eps ladder.
@@ -527,23 +530,23 @@ def critical_load_study(problem: CleavageProblem, eps_list,
     as the load at which the converged ``elastic`` start's energy
     E_el^eps(a) reaches E_cr^eps; the bracket must hold E_el^eps below
     E_cr^eps at its lower load and above it at its upper one.  ``config``
-    sets everything but the starts.  The rung's minimizations all run on
-    one mesh and so share its preconditioner.  Returns the rows and the
-    log-log slopes of |a_crit^eps / a_crit - 1| and of both gaps'
-    magnitudes.
+    sets everything but the starts, and ``family`` the potential, at
+    ``problem``'s alpha and beta.  The rung's minimizations all run on one
+    mesh and so share its preconditioner.  Returns the rows and the log-log
+    slopes of |a_crit^eps / a_crit - 1| and of both gaps' magnitudes.
     """
     eps_list = list(eps_list)
     if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise SolverError(f"eps_list must be two or more strictly decreasing rungs, "
                           f"got {eps_list}")
-    pot = pot or PairPotential(alpha=problem.alpha, beta=problem.beta)
+    pot = PairPotential(family, problem.alpha, problem.beta)
     chi = chi or PenaltyChi()
     config = config or SolveConfig()
     limit = a_crit(problem)
     bracket = tuple(m * limit for m in CRITICAL_BRACKET)
     rows = []
     for eps in eps_list:
-        mesh = _mesh_for(problem, eps)
+        mesh = _mesh_for(problem.phi, problem.l, eps)
         starts = []
 
         def energy(a: float, start: str) -> float:
@@ -611,16 +614,18 @@ def fit_loglog_slope(eps_values, quantities) -> float:
     """Least-squares slope of log(quantity) against log(eps), at two or more distinct eps."""
     if len(set(eps_values)) < 2:
         raise SolverError(f"a log-log slope needs two distinct eps values, got {list(eps_values)}")
+    y = np.asarray(quantities, dtype=float)
+    if not np.all((0.0 < y) & (y < math.inf)):  # false for nan too
+        raise SolverError(f"a log-log slope needs finite positive values, got {y.tolist()}")
     x = np.log(np.asarray(eps_values, dtype=float))
-    y = np.log(np.asarray(quantities, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    return float(np.polyfit(x, np.log(y), 1)[0])
 
 
 NONEQ_HEADER = ["eps", "energy", "grad_l1_total", "grad_l1_band"]
 
 
 def nonequicoercivity_demo(eps_list, theta: float, p: float, q: float,
-                           l: float = 1.0, pot: PairPotential | None = None) -> dict:
+                           l: float = LatticeSpec.l, pot: PairPotential | None = None) -> dict:
     """Energy and gradient mass of the rotated-band configuration per eps.
 
     The energy stays of order one while the L1 norm of the displacement
@@ -631,7 +636,7 @@ def nonequicoercivity_demo(eps_list, theta: float, p: float, q: float,
     pot = pot or PairPotential()
     rows = []
     for eps in eps_list:
-        mesh = build_mesh(LatticeSpec(phi=0.0, eps=eps, l=l))
+        mesh = _mesh_for(0.0, l, eps)
         u = three_piece_rotation(mesh, theta, p, q)
         bd = energy_rescaled(u, pot, mode="plain")
         grad_norms = frobenius_norms(interpolate_gradients(u)[0])
@@ -674,16 +679,16 @@ def rotated_band_displacement(mesh: TriangleMesh, w: float, p: float,
 
 
 def magnet_demo(problem: CleavageProblem, model: MagnetizationModel, eps_list,
-                pot: PairPotential | None = None, chi: PenaltyChi | None = None,
-                n_random: int = 20, seed: int = 0,
-                band_angle: float = 0.4) -> dict:
-    """Renormalization identity checks and field-term convergence rows."""
-    pot = pot or PairPotential(alpha=problem.alpha, beta=problem.beta)
+                family: str = PairPotential.family, chi: PenaltyChi | None = None, *,
+                n_random: int, seed: int, band_angle: float) -> dict:
+    """Renormalization identity checks and field-term convergence rows, with
+    ``family``'s potential at ``problem``'s alpha and beta."""
+    pot = PairPotential(family, problem.alpha, problem.beta)
     chi = chi or PenaltyChi()
     rng = np.random.default_rng(seed)
     identity_gaps, el_rows, band_rows = [], [], []
     for k, eps in enumerate(eps_list):
-        mesh = _mesh_for(problem, eps)
+        mesh = _mesh_for(problem.phi, problem.l, eps)
         if k == 0:  # the identity is checked on random fields of the first rung
             for _ in range(n_random):
                 u = _random_admissible(mesh, model, rng)

@@ -57,6 +57,17 @@ def test_defaults_and_comments(tmp_path):
     assert cfg.get("lattice.eta") == CONFIG_KEYS["lattice.eta"][1]
 
 
+def test_library_fields_default_to_the_library_defaults():
+    from fraclat.continuum import CleavageProblem
+    from fraclat.material import MagnetizationModel, PenaltyChi
+    from fraclat.solver import SolveConfig
+    cfg = RunConfig(values={"material.alpha": 1.3, "material.beta": 0.8})
+    assert cli._solve_config(cfg) == SolveConfig()
+    assert cli._chi(cfg) == PenaltyChi()
+    assert cli._model(cfg) == MagnetizationModel()
+    assert cli._problem(cfg) == CleavageProblem(1.3, 0.8)
+
+
 def test_eps_list_fractions(tmp_path):
     cfg = RunConfig.parse(write_config(
         tmp_path / "c.cfg", "solve.eps_list = 1/8, 0.0625,1/32\n"))
@@ -303,8 +314,7 @@ def test_unknown_mode_fails_before_any_mesh(tmp_path, capsys, monkeypatch, mode,
     # and the multigrid before it failed, and recovery exited 0
     from fraclat import solver
     meshes = []
-    for module in (cli, solver):
-        monkeypatch.setattr(module, "build_mesh", meshes.append)
+    monkeypatch.setattr(solver, "build_mesh", meshes.append)
     cfg = write_config(tmp_path / "c.cfg", BASE + f"solve.mode = {mode}\n"
                        f"out.dir = {tmp_path}/out\n")
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 1
@@ -322,8 +332,7 @@ def test_a_non_positive_eta_is_refused_before_any_mesh(tmp_path, capsys, monkeyp
     # lattice.eta shapes no mesh, and every command still refuses what it refused
     from fraclat import solver
     meshes = []
-    for module in (cli, solver):
-        monkeypatch.setattr(module, "build_mesh", meshes.append)
+    monkeypatch.setattr(solver, "build_mesh", meshes.append)
     cfg = write_config(tmp_path / "c.cfg", BASE + f"lattice.eta = {eta}\n"
                        f"out.dir = {tmp_path}/out\n")
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 1
@@ -336,8 +345,7 @@ def test_minimize_rejects_a_bad_potential_before_any_mesh(tmp_path, capsys, monk
     # minimize once built its mesh before the potential was checked
     from fraclat import solver
     meshes = []
-    for module in (cli, solver):
-        monkeypatch.setattr(module, "build_mesh", meshes.append)
+    monkeypatch.setattr(solver, "build_mesh", meshes.append)
     cfg = write_config(tmp_path / "c.cfg", BASE + "material.family = tabulated\n"
                        f"out.dir = {tmp_path}/out\n")
     assert main(["minimize", "--config", cfg]) == 1
@@ -441,6 +449,16 @@ def test_noneq_command_needs_two_distinct_rungs(tmp_path, capsys, ladder):
     cfg = write_config(tmp_path / "c.cfg", text + f"out.dir = {tmp_path}/out\n")
     assert main(["noneq-demo", "--config", cfg]) == 1
     assert "two distinct eps values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_noneq_command_refuses_a_zero_rotation(tmp_path, capsys):
+    # theta = 0 has no gradient mass: the slope of log 0 was once written as nan
+    text = ("material.alpha = 1.0\nmaterial.beta = 1.0\nsolve.eps_list = 1/8,1/16\n"
+            "noneq.theta = 0\n")
+    cfg = write_config(tmp_path / "c.cfg", text + f"out.dir = {tmp_path}/out\n")
+    assert main(["noneq-demo", "--config", cfg]) == 1
+    assert "finite positive values" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -602,8 +620,7 @@ def test_unwritable_output_exits_nonzero(tmp_path, capsys, monkeypatch):
     # after the whole ladder had run
     from fraclat import solver
     meshes = []
-    for module in (cli, solver):
-        monkeypatch.setattr(module, "build_mesh", meshes.append)
+    monkeypatch.setattr(solver, "build_mesh", meshes.append)
     cfg = write_config(tmp_path / "c.cfg", BASE + "out.dir = /proc/nowhere\n")
     assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 1
     assert capsys.readouterr().err == ("fraclat: error: out.dir '/proc/nowhere' is unusable: "

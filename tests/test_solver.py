@@ -14,7 +14,7 @@ from fraclat.continuum import (CleavageProblem, a_crit, build_u_cr, build_u_el,
 from fraclat.discrete_energy import (Assembly, Displacement, bc_affine, bc_cleavage,
                                      bc_zero, energy_rescaled, interpolate_gradients)
 from fraclat.lattice import LatticeSpec, build_mesh
-from fraclat.material import PairPotential
+from fraclat.material import MagnetizationModel, MaterialError, PairPotential
 from fraclat.multigrid import StiffnessMultigrid, rest_preconditioner
 from fraclat.solver import (ConvergenceRow, SolveConfig, SolverError, _crack_summary,
                             cleaved_stations, convergence_study, critical_load_study,
@@ -452,11 +452,10 @@ def test_default_multistart_does_not_depend_on_the_seed(mesh16, pot_unit, chi):
     assert np.array_equal(runs[0].u.values, runs[1].u.values)
 
 
-def test_empty_multistart_has_no_starting_point(mesh16, pot_unit, chi):
-    prob = problem_with(0.5)
-    cfg = SolveConfig(multistart=())
+def test_empty_multistart_has_no_starting_point():
+    # minimize once found this out only after building the assembly and the multigrid
     with pytest.raises(SolverError, match="no starting point"):
-        minimize(mesh16, bc_cleavage(prob.a, prob.l), pot_unit, cfg, chi=chi, problem=prob)
+        SolveConfig(multistart=())
 
 
 @pytest.mark.parametrize("field, value", [
@@ -737,8 +736,7 @@ def test_kept_preconditioner_gives_the_answers_of_a_new_one(pot_unit, chi, monke
     assert first == kept == fresh
 
 
-def test_critical_load_approaches_a_crit_on_one_preconditioner_per_rung(pot_unit, chi,
-                                                                        monkeypatch):
+def test_critical_load_approaches_a_crit_on_one_preconditioner_per_rung(chi, monkeypatch):
     builds = [0]
     init = StiffnessMultigrid.__init__
 
@@ -748,7 +746,7 @@ def test_critical_load_approaches_a_crit_on_one_preconditioner_per_rung(pot_unit
 
     monkeypatch.setattr(StiffnessMultigrid, "__init__", counting)
     prob = problem_with(0.0, l=2.0)
-    out = critical_load_study(prob, [1.0 / 16.0, 1.0 / 32.0], pot=pot_unit, chi=chi)
+    out = critical_load_study(prob, [1.0 / 16.0, 1.0 / 32.0], chi=chi)
     rows = out["rows"]
     ratios = [row.a_crit_eps / row.a_crit for row in rows]
     assert 0.5 < ratios[0] < ratios[1] < 1.0
@@ -762,12 +760,11 @@ def test_critical_load_approaches_a_crit_on_one_preconditioner_per_rung(pot_unit
     assert out["slope_a_crit"] > 0.0 and out["slope_elastic_gap"] > 0.0
 
 
-def test_critical_load_bracket_must_straddle_the_crossing(pot_unit, chi, monkeypatch):
+def test_critical_load_bracket_must_straddle_the_crossing(chi, monkeypatch):
     # a_crit^eps is 0.944 a_crit at 1/16, below this bracket
     monkeypatch.setattr(solver, "CRITICAL_BRACKET", (1.2, 1.5))
     with pytest.raises(SolverError, match="does not cross the crack branch"):
-        critical_load_study(problem_with(0.0, l=2.0), [1.0 / 16.0, 1.0 / 32.0],
-                            pot=pot_unit, chi=chi)
+        critical_load_study(problem_with(0.0, l=2.0), [1.0 / 16.0, 1.0 / 32.0], chi=chi)
 
 
 @pytest.mark.parametrize("ladder", [[1.0 / 16.0], [1.0 / 16.0, 1.0 / 16.0],
@@ -807,10 +804,9 @@ def test_elastic_start_converges_in_few_iterations(eps, mult, pot_unit, chi):
 # study drivers
 # ----------------------------------------------------------------------
 
-def test_convergence_study_rows(pot_unit, chi):
+def test_convergence_study_rows(chi):
     prob = problem_with(1.5)
-    rows = convergence_study(prob, [1.0 / 16.0, 1.0 / 32.0],
-                             pot=pot_unit, chi=chi, with_minimize=False)
+    rows = convergence_study(prob, [1.0 / 16.0, 1.0 / 32.0], chi=chi, with_minimize=False)
     assert len(rows) == 4
     kinds = {r.mode for r in rows}
     assert kinds == {"chi/recovery-crack", "chi/recovery-elastic"}
@@ -873,14 +869,14 @@ def test_convergence_study_rows_are_the_per_sample_evaluations(pot_unit, chi, ma
     monkeypatch.setattr(solver, "_crack_summary", summary)
     monkeypatch.setattr(solver, "recovery_sequence", tracked_sample)
     rows = convergence_study(prob, ladder, config=SolveConfig(mode=mode),
-                             pot=pot_unit, chi=chi, model=magmodel, with_minimize=False)
+                             chi=chi, model=magmodel, with_minimize=False)
     assert inits == ladder
     # repr keeps every bit and makes nan equal to nan
     assert [list(map(repr, r.row())) for r in rows] == [list(map(repr, r)) for r in expected]
     assert any(r[5] > 0 for r in expected)
 
 
-def test_one_rung_fits_its_memory_budget(pot_unit, chi):
+def test_one_rung_fits_its_memory_budget(chi):
     # one 1/128 rung without minimize on the l = 2 bar: the int32 topology
     # and the blocked classification took its tracemalloc peak from 18.4 MB
     # to 13.3 MB, the mesh on the specimen alone to 10.0 MB, and an
@@ -891,7 +887,7 @@ def test_one_rung_fits_its_memory_budget(pot_unit, chi):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        convergence_study(prob, [1.0 / 128.0], pot=pot_unit, chi=chi, with_minimize=False)
+        convergence_study(prob, [1.0 / 128.0], chi=chi, with_minimize=False)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -909,11 +905,10 @@ def test_gap_ladder_guard():
         check_gap_ladder([0.1, 0.25], [1 / 16, 1 / 32], beta=1.0)
 
 
-def test_convergence_study_requires_decreasing_ladder(pot_unit, chi):
+def test_convergence_study_requires_decreasing_ladder(chi):
     prob = problem_with(1.5)
     with pytest.raises(SolverError):
-        convergence_study(prob, [1.0 / 32.0, 1.0 / 16.0], pot=pot_unit, chi=chi,
-                          with_minimize=False)
+        convergence_study(prob, [1.0 / 32.0, 1.0 / 16.0], chi=chi, with_minimize=False)
 
 
 def test_fit_loglog_slope_exact_powerlaw():
@@ -930,6 +925,19 @@ def test_fit_loglog_slope_needs_two_distinct_eps(eps, pot_unit):
     if eps:
         with pytest.raises(SolverError, match="two distinct eps values"):
             nonequicoercivity_demo(eps, theta=1.2, p=0.125, q=0.875, pot=pot_unit)
+
+
+@pytest.mark.parametrize("values", [[1.0, 0.0], [1.0, math.nan]], ids=["zero", "nan"])
+def test_fit_loglog_slope_needs_finite_positive_quantities(values):
+    with pytest.raises(SolverError, match="finite positive values"):
+        fit_loglog_slope([0.125, 0.0625], values)
+
+
+def test_nonequicoercivity_refuses_a_zero_rotation(pot_unit):
+    # theta = 0 leaves every piece in place, so the gradient mass is 0
+    with pytest.raises(SolverError, match="finite positive values"):
+        nonequicoercivity_demo([1.0 / 8.0, 1.0 / 16.0], theta=0.0, p=0.125, q=0.875,
+                               pot=pot_unit)
 
 
 def test_three_piece_identity_rotation(mesh16_phi0):
@@ -986,10 +994,10 @@ def test_nonequicoercivity_validates_cuts(pot_unit):
         nonequicoercivity_demo([1.0 / 16.0], theta=1.0, p=0.7, q=0.3, pot=pot_unit)
 
 
-def test_magnet_demo_checks(pot_unit, chi, magmodel):
+def test_magnet_demo_checks(chi, magmodel):
     prob = CleavageProblem(alpha=1.0, beta=1.0, l=1.0, phi=0.3, a=0.4)
     res = magnet_demo(prob, magmodel, [1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0],
-                      pot=pot_unit, chi=chi, n_random=5, seed=0, band_angle=0.4)
+                      chi=chi, n_random=5, seed=0, band_angle=0.4)
     assert max(res["identity_gaps"]) <= 1e-12
     el = res["elastic_rows"]
     assert abs(el[-1].gap) < abs(el[0].gap)
@@ -1005,7 +1013,7 @@ def test_magnet_demo_rows_are_the_per_mode_energies(pot_unit, chi, magmodel, mon
     built, init = [], Assembly.__init__
     monkeypatch.setattr(Assembly, "__init__",
                         lambda self, *a, **k: init(self, *a, **k) or built.append(self.mode))
-    res = magnet_demo(prob, magmodel, ladder, pot=pot_unit, chi=chi, n_random=0,
+    res = magnet_demo(prob, magmodel, ladder, chi=chi, n_random=0, seed=0,
                       band_angle=angle)
     assert built == ["f"] * len(ladder)  # one mode-f assembly per rung
     monkeypatch.undo()
@@ -1019,14 +1027,28 @@ def test_magnet_demo_rows_are_the_per_mode_energies(pot_unit, chi, magmodel, mon
         assert band["field_minus_plain"] == f - e
 
 
-def test_magnet_demo_builds_one_mesh_per_rung(pot_unit, chi, magmodel, monkeypatch):
+def test_magnet_demo_builds_one_mesh_per_rung(chi, magmodel, monkeypatch):
     # the identity checks run on the first rung's mesh, not on a second copy
     prob = CleavageProblem(alpha=1.0, beta=1.0, l=1.0, phi=0.3, a=0.4)
     ladder, built = [1.0 / 8.0, 1.0 / 16.0], []
     monkeypatch.setattr(solver, "build_mesh", lambda spec: built.append(spec) or build_mesh(spec))
-    res = magnet_demo(prob, magmodel, ladder, pot=pot_unit, chi=chi, n_random=2)
+    res = magnet_demo(prob, magmodel, ladder, chi=chi, n_random=2, seed=0, band_angle=0.4)
     assert [spec.eps for spec in built] == ladder
     assert len(res["identity_gaps"]) == 2
+
+
+@pytest.mark.parametrize("study", [
+    lambda prob, family: convergence_study(prob, [1.0 / 16.0], family=family),
+    lambda prob, family: critical_load_study(prob, [1.0 / 16.0, 1.0 / 32.0], family=family),
+    lambda prob, family: magnet_demo(prob, MagnetizationModel(), [1.0 / 16.0], family=family,
+                                     n_random=1, seed=0, band_angle=0.4)],
+    ids=["convergence", "critical", "magnet"])
+def test_a_study_takes_alpha_and_beta_from_its_problem(study, monkeypatch):
+    # shifted-lj forces alpha = 72 beta; a study once ran it next to an
+    # alpha = 1 problem and compared its energies with that problem's limit
+    monkeypatch.setattr(solver, "_mesh_for", lambda *args: pytest.fail("mesh built"))
+    with pytest.raises(MaterialError, match="alpha = 72 beta"):
+        study(problem_with(1.5, l=2.0), "shifted-lj")
 
 
 def test_rotated_band_probes_quadratic_field_term(pot_unit, chi, magmodel):
