@@ -101,6 +101,22 @@ class EnergyBreakdown:
         return [self.mode, self.bulk, self.boundary, self.penalty, self.field, self.total]
 
 
+class ValueAndGrad(tuple):
+    """The pair ``(value, grad)`` of :meth:`Assembly.value_and_grad`.
+
+    ``breakdown`` is the value split into its parts: ``value`` is its
+    total, so a caller that keeps an iterate needs no second evaluation to
+    break its energy down.
+    """
+
+    breakdown: EnergyBreakdown
+
+    def __new__(cls, breakdown: EnergyBreakdown, grad: np.ndarray):
+        pair = super().__new__(cls, (breakdown.total, grad))
+        pair.breakdown = breakdown
+        return pair
+
+
 # ----------------------------------------------------------------------
 # interpolation
 # ----------------------------------------------------------------------
@@ -392,10 +408,13 @@ class Assembly:
         """Energy of the displacement values ``x``, split into its parts."""
         return self._evaluate(x, False)[0]
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Total energy of ``x`` and its gradient with respect to ``x``."""
-        bd, grad = self._evaluate(x, True)
-        return bd.total, grad
+    def value_and_grad(self, x: np.ndarray) -> ValueAndGrad:
+        """Total energy of ``x`` and its gradient with respect to ``x``.
+
+        The pair also carries the energy's breakdown.  In mode ``f`` that
+        is the smoothed cutoff's, not :meth:`breakdown`'s sharp one.
+        """
+        return ValueAndGrad(*self._evaluate(x, True))
 
     def _evaluate(self, x: np.ndarray, with_grad: bool):
         n = self.mesh.n_points

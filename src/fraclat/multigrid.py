@@ -41,15 +41,24 @@ SIAM 2000):
   7-point stencil of 2 x 2 blocks, read off with 14 products, one per
   displacement component and colour ``(lam1 + 3 lam2) mod 7``: the seven
   points of any stencil have seven different colours.
-* Each level smooths with damped Jacobi before and after its coarse
-  correction.  The mesh level corrects once and the coarse levels twice
-  (a V-cycle on the mesh over W-cycles below it); the coarsest level is
-  inverted densely, so the level above it corrects once, exactly.  On the
-  l = 2, phi = 0.3 bar under the cleavage grips, ``e <- e - M K e``
-  contracts the error's energy norm by 0.70, 0.67 and 0.68 per cycle at
-  eps = 1/32, 1/64 and 1/128 (the asymptotic rate), and the ``elastic``
-  start's descent at 0.5 / 1.5 a_crit takes 10 / 16, 9 / 12, 10 / 11,
-  10 / 10 and 10 / 10 iterations at eps = 1/16 ... 1/256.
+* Each level smooths before and after its coarse correction with the
+  same degree-2 Chebyshev polynomial in ``D^-1 A`` (Adams, Brezina, Hu
+  and Tuminaro, *J. Comput. Phys.* 188, 2003), so ``M`` stays
+  symmetric.  Its window is ``[hi / CHEBYSHEV_RATIO, hi]``, with ``hi``
+  ``CHEBYSHEV_SAFETY`` times a ``LANCZOS_STEPS``-step Lanczos estimate of
+  ``lambda_max(D^-1 A)``, made once when the level is built from a fixed
+  vector; on the l = 1 and 2 bars at eps = 1/16 and 1/32 the estimate is
+  within 1 % of the exact value.  Written as ``D^-1 (mu r - nu A D^-1 r)``
+  a pass costs one operator application, so a mesh-level visit makes
+  four: one before, one for the residual it restricts and two after.
+* The mesh level corrects once and the coarse levels twice (a V-cycle on
+  the mesh over W-cycles below it); the coarsest level is inverted
+  densely, so the level above it corrects once, exactly.  On the l = 2,
+  phi = 0.3 bar under the cleavage grips, ``e <- e - M K e`` contracts
+  the error's energy norm by 0.63, 0.56 and 0.53 per cycle at eps = 1/32,
+  1/64 and 1/128 (the asymptotic rate), and the ``elastic`` start's
+  descent at 0.5 / 1.5 a_crit takes 8 / 16, 8 / 11, 7 / 9, 7 / 8 and
+  7 / 8 iterations at eps = 1/16 ... 1/256.
 
 :func:`rest_preconditioner` keeps the operator it built last, for one
 mesh, alpha and pair of pinned-component masks, so that minimizations of
@@ -70,8 +79,10 @@ import numpy as np
 from .lattice import TriangleMesh
 
 SHIFT = 1e-6          # added to K on every free component
-JACOBI_OMEGA = 0.6    # damping of the Jacobi sweeps
-JACOBI_SWEEPS = 2     # sweeps before and after each coarse correction
+CHEBYSHEV_SAFETY = 1.1   # hi of the smoothing window over the estimate of lambda_max(D^-1 A)
+CHEBYSHEV_RATIO = 8.0    # hi over lo of the smoothing window
+LANCZOS_STEPS = 20       # Lanczos steps of the lambda_max estimate
+BISECTIONS = 50          # halvings of the bracket around the largest Ritz value
 COARSEST_DOFS = 150   # free components at or below which a level is inverted densely
 COARSE_CYCLES = 2     # cycles on the next level per coarse-level visit (the mesh level makes 1)
 
@@ -231,6 +242,97 @@ class _DenseInverse:
         return x.reshape(-1, 2)
 
 
+def _lambda_max(level, dinv: np.ndarray) -> float:
+    """Largest Ritz value of ``D^-1 A`` after ``LANCZOS_STEPS`` Lanczos steps.
+
+    The steps run on the symmetric ``D^-1/2 A D^-1/2``, whose spectrum is
+    that of ``D^-1 A``, over the free components (where ``dinv`` is
+    nonzero), from a fixed vector.  A Ritz value never exceeds the
+    largest eigenvalue.
+    """
+    v = np.sin(np.arange(1.0, dinv.size + 1.0)).reshape(dinv.shape)
+    v *= dinv > 0.0
+    v /= np.linalg.norm(v)
+    v_prev, u, beta = np.zeros_like(v), np.empty_like(v), 0.0
+    diagonal, off = [], []
+    for _ in range(LANCZOS_STEPS):
+        # D^-1/2 goes into u each time, not into an array of its own that would
+        # be live while the operator is applied
+        np.sqrt(dinv, out=u)
+        w = level.apply(np.multiply(u, v, out=u))
+        w *= np.sqrt(dinv, out=u)
+        diagonal.append(float(np.vdot(w, v)))
+        w -= np.multiply(v, diagonal[-1], out=u)
+        w -= np.multiply(v_prev, beta, out=u)
+        beta = float(np.linalg.norm(w))
+        if beta <= 1e-12 * abs(diagonal[-1]):  # an invariant subspace: the Ritz values are exact
+            break
+        off.append(beta)
+        v_prev, v = v, np.divide(w, beta, out=w)
+    return _largest_eigenvalue(diagonal, off[:len(diagonal) - 1])
+
+
+def _largest_eigenvalue(diagonal, off) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal matrix ``(diagonal, off)``, from above.
+
+    Sturm bisection (Golub and Van Loan, *Matrix Computations*, 8.4): the
+    negative pivots of ``T - x I`` count the eigenvalues below ``x``.  It
+    runs in Python on the few Lanczos coefficients: numpy's dense
+    eigensolver would grow a process's memory by about 0.45 MB on its
+    first call.
+    """
+    bound = [0.0, *map(abs, off), 0.0]
+    lo = max(diagonal)
+    hi = max(a + bound[i] + bound[i + 1] for i, a in enumerate(diagonal))  # Gershgorin
+    squares = [0.0] + [b * b for b in off]
+    for _ in range(BISECTIONS):
+        x = 0.5 * (lo + hi)
+        below, pivot = 0, 1.0
+        for a, b2 in zip(diagonal, squares):
+            pivot = a - x - b2 / pivot
+            if pivot == 0.0:
+                pivot = -1e-300  # an eigenvalue at x counts as below it
+            below += pivot < 0.0
+        if below == len(diagonal):
+            hi = x
+        else:
+            lo = x
+    return hi
+
+
+class _Chebyshev:
+    """Degree-2 Chebyshev smoother in ``D^-1 A`` on one level's free components.
+
+    The error after one pass is ``p(D^-1 A) e``, with ``p`` the degree-2
+    Chebyshev polynomial of the window ``[hi / CHEBYSHEV_RATIO, hi]`` that
+    takes 1 at 0; ``hi`` is ``CHEBYSHEV_SAFETY`` times the Lanczos
+    estimate of ``lambda_max(D^-1 A)``.  ``|p| < 1`` on ``(0, hi]``, so
+    the pass reduces the error's energy norm while ``hi`` bounds the
+    spectrum.  A pass adds ``D^-1 (mu r - nu A D^-1 r)`` for the residual
+    ``r``, a symmetric map of ``r`` with one operator application, kept as
+    ``c (r - kappa A c r)`` with ``c = mu D^-1`` and ``kappa = nu / mu^2``.
+    """
+
+    def __init__(self, level, active: np.ndarray):
+        c = np.divide(1.0, level.diag, out=np.zeros(active.shape), where=active)
+        self.hi = CHEBYSHEV_SAFETY * _lambda_max(level, c)
+        lo = self.hi / CHEBYSHEV_RATIO
+        theta, delta = 0.5 * (self.hi + lo), 0.5 * (self.hi - lo)
+        # p(t) = T_2((theta - t) / delta) / T_2(theta / delta) = 1 - mu t + nu t^2
+        mu = 4.0 * theta / (2.0 * theta ** 2 - delta ** 2)
+        nu = 2.0 / (2.0 * theta ** 2 - delta ** 2)
+        c *= mu
+        self.c, self.kappa = c, nu / mu ** 2
+
+    def correction(self, level, z: np.ndarray) -> np.ndarray:
+        """The pass's correction ``z - kappa c A z`` for the residual ``z / c``, in ``z``."""
+        w = level.apply(z)
+        w *= -self.kappa
+        w *= self.c
+        z += w
+        return z
+
+
 def _remove_means(x: np.ndarray, components) -> np.ndarray:
     """``x`` with the mean of each of its ``components`` removed, in place."""
     for k in components:
@@ -268,15 +370,13 @@ class StiffnessMultigrid:
         # the components free at every point: a constant on one is a null vector of K
         self._translations = np.flatnonzero(active.all(axis=0))
         coords, level = mesh.lam.astype(np.intp), fine
-        self._levels = []  # (level, omega D^-1, transfer to the level below)
+        self._levels = []  # (level, its smoother, transfer to the level below)
         while active.sum() > COARSEST_DOFS:
             step = _coarsen(coords, active, level)
             if step is None:
                 break
             coarse, transfer, coords, coarse_active = step
-            smooth = np.divide(JACOBI_OMEGA, level.diag, out=np.zeros(active.shape),
-                               where=active)
-            self._levels.append((level, smooth, transfer))
+            self._levels.append((level, _Chebyshev(level, active), transfer))
             level, active = coarse, coarse_active
         self._coarsest = _DenseInverse(level, active)
 
@@ -285,33 +385,28 @@ class StiffnessMultigrid:
         return self._fine.stiffness(x)
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        if len(self._translations):
-            b = _remove_means(b.copy(), self._translations)
+        b = _remove_means(b.copy(), self._translations)  # the cycle spends its copy
         return _remove_means(self._cycle(0, b), self._translations)
 
     def _cycle(self, depth: int, b: np.ndarray) -> np.ndarray:
         if depth == len(self._levels):
             return self._coarsest.solve(b)
-        level, smooth, transfer = self._levels[depth]
+        level, smoother, transfer = self._levels[depth]
 
         def residual(x):
             r = level.apply(x)
             return np.subtract(b, r, out=r)
 
-        def jacobi(x):
-            r = residual(x)
-            r *= smooth
-            return r
-
-        x = smooth * b
-        for _ in range(JACOBI_SWEEPS - 1):
-            x += jacobi(x)
+        x = smoother.correction(level, b * smoother.c)
         # the level above the dense one is corrected exactly by its first pass
         cycles = COARSE_CYCLES if 0 < depth < len(self._levels) - 1 else 1
         for _ in range(cycles):
             x += transfer.prolong(self._cycle(depth + 1, transfer.restrict(residual(x))))
-        for _ in range(JACOBI_SWEEPS):
-            x += jacobi(x)
+        # b is spent: the residual takes its place, so no third array of the
+        # level's size is live while the last pass applies the operator
+        r = np.subtract(b, level.apply(x), out=b)
+        r *= smoother.c
+        x += smoother.correction(level, r)
         return x
 
 

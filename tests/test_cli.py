@@ -452,13 +452,15 @@ def test_noneq_command_needs_two_distinct_rungs(tmp_path, capsys, ladder):
     assert not (tmp_path / "out").exists()
 
 
-def test_noneq_command_refuses_a_zero_rotation(tmp_path, capsys):
-    # theta = 0 has no gradient mass: the slope of log 0 was once written as nan
+@pytest.mark.parametrize("theta", ["0", "6.283185307179586"])
+def test_noneq_command_refuses_a_zero_rotation(tmp_path, capsys, theta):
+    # theta = 0 has no gradient mass: the slope of log 0 was once written as
+    # nan; a whole turn once wrote masses of rounding noise and exited 0
     text = ("material.alpha = 1.0\nmaterial.beta = 1.0\nsolve.eps_list = 1/8,1/16\n"
-            "noneq.theta = 0\n")
+            f"noneq.theta = {theta}\n")
     cfg = write_config(tmp_path / "c.cfg", text + f"out.dir = {tmp_path}/out\n")
     assert main(["noneq-demo", "--config", cfg]) == 1
-    assert "finite positive values" in capsys.readouterr().err
+    assert "whole number of turns" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -568,19 +570,46 @@ def test_minimize_names_every_unconverged_start(tmp_path, capsys):
 
 
 def test_cleavage_names_every_unconverged_start_of_each_rung(tmp_path, capsys):
-    # at 0.5 a_crit the elastic start wins on both rungs; at 1/16 the zero
-    # and the cut starts stop at 400 iterations, at 1/32 every start converges
-    cfg = subcritical_config(tmp_path, eps_list="1/16,1/32")
+    # shifted-lj at 1.5 a_crit: on both rungs the zero and the cut starts stop
+    # at 400 iterations, and the cut start wins
+    from fraclat.continuum import CleavageProblem, a_crit
+    a = 1.5 * a_crit(CleavageProblem(alpha=72.0, beta=1.0, l=2.0, phi=0.3, a=0.0))
+    text = BASE.replace("material.alpha = 1.0", "material.alpha = 72.0") \
+        .replace("load.a = 2.0", f"load.a = {a!r}")
+    cfg = write_config(tmp_path / "c.cfg", text + "material.family = shifted-lj\n"
+                       f"out.dir = {tmp_path}/out\n")
     assert main(["cleavage", "--config", cfg]) == 0
     lines = capsys.readouterr().err.splitlines()
-    a = cli._fmt(0.5 * base_a_crit())
+    at = f"a = {cli._fmt(a)}"
     assert [ln.split(": |g| = ")[0] for ln in lines] == [
-        f"fraclat: warning: start zero did not converge at eps = 0.0625, a = {a}",
-        f"fraclat: warning: start cleaved(cut=31) did not converge at eps = 0.0625, a = {a}"]
+        line for eps, cut in (("0.0625", 31), ("0.03125", 64)) for line in (
+            f"fraclat: warning: start zero did not converge at eps = {eps}, {at}",
+            f"fraclat: warning: the best start cleaved(cut={cut}) did not converge "
+            f"at eps = {eps}, {at}")]
     assert all(ln.endswith(" after 400 iterations") for ln in lines)
     _, rows = read_rows(tmp_path / "out" / "convergence.csv")
     assert [row[1] for row in rows] == ["chi/recovery-crack", "chi/recovery-elastic",
                                         "chi/minimize"] * 2
+
+
+def test_minimize_cycles_through_the_coarse_levels(tmp_path, capsys):
+    # the rotated bar at 1/32: the preconditioner builds three coarse levels
+    # below the mesh, one with a point whose two coarse parents lie outside
+    # it, and cycles through them on every step; every start converges, so
+    # nothing is warned about; the split across the 64-bond minimum cut wins;
+    # two runs write the same bytes
+    text = BASE.replace("1/16,1/32", "1/32")
+    outputs = []
+    for run in ("first", "second"):
+        cfg = write_config(tmp_path / f"{run}.cfg", text + f"out.dir = {tmp_path}/{run}\n")
+        assert main(["minimize", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        out = tmp_path / run
+        assert "derived.best_start = cleaved(cut=64)" \
+            in (out / "minimize_manifest.txt").read_text().splitlines()
+        outputs.append([(out / name).read_bytes()
+                        for name in ("energy.csv", "displacement.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_critical_names_every_unconverged_start(tmp_path, capsys):

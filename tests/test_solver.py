@@ -198,8 +198,8 @@ def test_sampled_energies_are_pinned(inv_eps, pot_unit, chi):
 # cracks once sampled in its place
 _CLEAVED_07 = ("cleaved(cut=129)", 2.015625, 0, 1)
 ACCEPTANCE_07_STARTS = {
-    0.5: [("zero", 2.203125, 0, 1), ("elastic", 0.5235183941052187, 10, 11), _CLEAVED_07],
-    1.5: [("zero", 2.203125, 0, 1), ("elastic", 4.824329870946956, 11, 12), _CLEAVED_07],
+    0.5: [("zero", 2.203125, 0, 1), ("elastic", 0.5235183941052259, 7, 8), _CLEAVED_07],
+    1.5: [("zero", 2.203125, 0, 1), ("elastic", 4.824329870947011, 9, 10), _CLEAVED_07],
 }
 
 
@@ -250,9 +250,9 @@ def test_descent_counts_evaluations_and_backtracks(mesh16, pot_unit, chi, monkey
         # one evaluation at the start, then one per trial: accepted or backtracked
         assert start.evals == len(start.history) + start.backtracks
     assert sum(start.backtracks for start in res.starts) > 0
-    # every descent evaluation checks the pair identity, and so does the one
-    # breakdown of the winning start
-    assert len(checks) == sum(start.evals for start in res.starts) + 1
+    # every descent evaluation checks the pair identity, and the winner's
+    # breakdown is its last one's: nothing evaluates it again
+    assert len(checks) == sum(start.evals for start in res.starts)
 
 
 def test_descent_trajectory_does_not_depend_on_the_workspace(mesh16, pot_unit, chi,
@@ -636,9 +636,51 @@ def test_coarse_stencils_stay_galerkin_products_on_rotated_bars(l, phi, inv_eps,
         assert np.abs(level.apply(x) - galerkin).max() <= 1e-14 * np.abs(galerkin).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_sturm_bisection_bounds_the_largest_eigenvalue(n):
+    rng = np.random.default_rng(n)
+    diagonal, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+    exact = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))[-1]
+    got = multigrid._largest_eigenvalue(list(diagonal), list(off))
+    assert exact <= got <= exact + 1e-14 * (1.0 + abs(exact))
+
+
+def positive_definite(S):
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("bc", [bc_cleavage(0.5, 1.0), bc_zero()], ids=["cleavage", "zero"])
+@pytest.mark.parametrize("phi", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("inv_eps", [16, 32])
+def test_the_smoothing_window_covers_the_spectrum(inv_eps, phi, bc):
+    # the smoother's |p| < 1 is kept only on (0, hi], so M is SPD while every
+    # level's hi is at least lambda_max(D^-1 A).  On the free components hi D - A is
+    # positive definite just when hi > lambda_max, which a dense Cholesky
+    # factorization decides in a fifth of an eigensolve's time.  The
+    # Lanczos estimate hi / SAFETY falls short of lambda_max by at most 1 %
+    # on these bars (dense eigensolves: 0.990 at 1/32, phi = 0, bc_zero)
+    M = rotated_bar_multigrid(phi, inv_eps, bc, l=1.0)
+    for level, smoother, _ in M._levels:
+        free = np.flatnonzero(smoother.c.ravel())
+        A = np.empty((len(free), len(free)))
+        for row, j in zip(A, free):
+            unit = np.zeros(2 * level.n)
+            unit[j] = 1.0
+            row[:] = level.apply(unit.reshape(-1, 2)).ravel()[free]
+        A *= -1.0
+        A[np.diag_indices_from(A)] += smoother.hi * level.diag.ravel()[free]
+        assert positive_definite(A)
+
+
 def test_the_cycle_contracts_on_the_rotated_bar():
     # test 07's bar at 1/64, which has an orphan on each of its top two
-    # levels; an interpolation that drops the constants there contracts by 0.92
+    # levels; its last five of 30 cycles contract by 0.55 at most, by 0.65
+    # with damped Jacobi smoothing and by 0.92 with an interpolation that
+    # drops the constants there
     mesh = build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 64.0, l=2.0))
     mask_x, mask_y = bc_cleavage(0.5, 2.0).masks(mesh)
     M = StiffnessMultigrid(mesh, PairPotential().alpha, mask_x, mask_y)
@@ -650,7 +692,7 @@ def test_the_cycle_contracts_on_the_rotated_bar():
         e[:, 1] -= e[:, 1].mean()
         norms.append(math.sqrt(np.vdot(e, M.stiffness(e))))
     rates = np.divide(norms[1:], norms[:-1])
-    assert np.all(rates[-5:] <= 0.75)
+    assert np.all(rates[-5:] <= 0.6)
 
 
 def test_one_preconditioner_per_mesh_alpha_and_pinned_components(pot_unit, chi,
@@ -933,10 +975,17 @@ def test_fit_loglog_slope_needs_finite_positive_quantities(values):
         fit_loglog_slope([0.125, 0.0625], values)
 
 
-def test_nonequicoercivity_refuses_a_zero_rotation(pot_unit):
-    # theta = 0 leaves every piece in place, so the gradient mass is 0
-    with pytest.raises(SolverError, match="finite positive values"):
-        nonequicoercivity_demo([1.0 / 8.0, 1.0 / 16.0], theta=0.0, p=0.125, q=0.875,
+@pytest.mark.parametrize("theta", [0.0, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi],
+                         ids=["0", "2pi", "-2pi", "4pi"])
+def test_nonequicoercivity_refuses_a_zero_rotation(pot_unit, theta, monkeypatch):
+    # theta = 0 leaves every piece in place, so the gradient mass is 0; a whole
+    # turn once wrote masses of about 3e-15 and a slope of -0.963, all rounding
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(solver, "_mesh_for", no_mesh)
+    with pytest.raises(SolverError, match="whole number of turns"):
+        nonequicoercivity_demo([1.0 / 8.0, 1.0 / 16.0], theta=theta, p=0.125, q=0.875,
                                pot=pot_unit)
 
 
