@@ -373,7 +373,7 @@ def cmd_crack_extract(cfg: RunConfig, out: OutputSet, args) -> str:
     u = displacement_from_csv(args.infile, mesh)
     classes = classify_broken(u)
     crack = build_modified(u, classes, variant=args.variant)
-    write_csv(out.path(args.out), CRACK_HEADER, crack.rows())
+    write_csv(out.path("crack.csv"), CRACK_HEADER, crack.rows())
     write_manifest(out.path("crack_manifest.txt"), cfg, {
         "derived.n_broken": classes.count,
         "derived.crack_energy_est": crack_energy_estimate(
@@ -391,10 +391,7 @@ def cmd_magnet_demo(cfg: RunConfig, out: OutputSet, args) -> str:
                          family=cfg.get("material.family"), chi=_chi(cfg), n_random=n_random,
                          seed=cfg.get("solve.seed"),
                          band_angle=cfg.get("magnet.band_angle"))
-    rows = [r.row() for r in result["elastic_rows"]]
-    for b in result["band_rows"]:
-        rows.append(ConvergenceRow(b["eps"], "f/rotated-band", b["field_minus_plain"],
-                                   b["limit"]).row())
+    rows = [r.row() for r in result["elastic_rows"] + result["band_rows"]]
     write_csv(out.path("magnet.csv"), CONVERGENCE_HEADER, rows)
     gap = max(result["identity_gaps"])
     write_manifest(out.path("magnet_manifest.txt"), cfg, {"derived.max_identity_gap": gap})
@@ -449,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = config_command("crack-extract", "extract the crack polyline of a displacement",
                        cmd_crack_extract)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default="crack.csv")
-    p.add_argument("--variant", type=int, default=1)
+    p.add_argument("--variant", type=int, choices=(1, 2, 3), default=1)
     config_command("magnet-demo", "field term checks and renormalization identity",
                    cmd_magnet_demo)
     config_command("noneq-demo", "rotated-band growth of the gradient mass",

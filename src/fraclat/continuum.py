@@ -401,6 +401,15 @@ def anisotropy_gap_term(gamma: float, v_gamma: np.ndarray, nu: np.ndarray) -> fl
     return np.maximum(SQRT3 * np.abs(nu[..., 1]) - np.abs(nu[..., 0]), 0.0)
 
 
+def _surface_density_sides(phi: float, nu: np.ndarray):
+    """(lhs, rhs, P) of the surface density bound; nu has shape (..., 2)."""
+    data = cleavage_direction(phi)
+    lhs = np.abs(nu @ lattice_vectors(phi).T).sum(axis=-1)
+    P = anisotropy_gap_term(data.gamma, data.v_gamma, nu)
+    rhs = SQRT3 / data.gamma * np.abs(nu[..., 0]) + P
+    return lhs, rhs, P
+
+
 def surface_density_bound(phi: float, nu: np.ndarray) -> tuple[float, float, float]:
     """Check sum_v |v . nu| >= (sqrt(3)/gamma) |e1 . nu| + P(gamma, nu).
 
@@ -408,11 +417,7 @@ def surface_density_bound(phi: float, nu: np.ndarray) -> tuple[float, float, flo
     floating tolerance; equality holds for phi = 0 and for nu parallel or
     normal to the best-aligned direction.
     """
-    nu = np.asarray(nu, dtype=float)
-    data = cleavage_direction(phi)
-    lhs = float(np.abs(lattice_vectors(phi) @ nu).sum())
-    P = anisotropy_gap_term(data.gamma, data.v_gamma, nu)
-    rhs = SQRT3 / data.gamma * abs(nu[0]) + P
+    lhs, rhs, P = map(float, _surface_density_sides(phi, np.asarray(nu, dtype=float)))
     if lhs < rhs - 1e-12:
         raise GeometryError(f"surface density bound violated: {lhs} < {rhs}")
     return lhs, rhs, P
@@ -420,11 +425,7 @@ def surface_density_bound(phi: float, nu: np.ndarray) -> tuple[float, float, flo
 
 def surface_density_margins(phi: float, nus: np.ndarray) -> np.ndarray:
     """Vectorized slack lhs - rhs of the surface density bound over unit normals."""
-    nus = np.asarray(nus, dtype=float)
-    data = cleavage_direction(phi)
-    lhs = np.abs(nus @ lattice_vectors(phi).T).sum(axis=1)
-    P = anisotropy_gap_term(data.gamma, data.v_gamma, nus)
-    rhs = SQRT3 / data.gamma * np.abs(nus[:, 0]) + P
+    lhs, rhs, _ = _surface_density_sides(phi, np.asarray(nus, dtype=float))
     return lhs - rhs
 
 

@@ -58,7 +58,8 @@ SIAM 2000):
   the error's energy norm by 0.63, 0.56 and 0.53 per cycle at eps = 1/32,
   1/64 and 1/128 (the asymptotic rate), and the ``elastic`` start's
   descent at 0.5 / 1.5 a_crit takes 8 / 16, 8 / 11, 7 / 9, 7 / 8 and
-  7 / 8 iterations at eps = 1/16 ... 1/256.
+  7 / 8 iterations at eps = 1/16 ... 1/256 (the unpreconditioned descent
+  took 167-766 up to 1/64).
 
 :func:`rest_preconditioner` keeps the operator it built last, for one
 mesh, alpha and pair of pinned-component masks, so that minimizations of

@@ -26,6 +26,23 @@ load.a = 2.0
 solve.eps_list = 1/16,1/32
 """
 
+# the smoke bar: l = 1, phi = 0, a = 3 at eps = 1/8
+SMOKE = """
+material.alpha = 1
+material.beta = 1
+solve.eps_list = 1/8
+load.a = 3
+"""
+
+# the rotated bar: l = 2, phi = 0.3, a = 2; each config adds its ladder
+ROTATED = """
+material.alpha = 1
+material.beta = 1
+lattice.l = 2
+lattice.phi = 0.3
+load.a = 2
+"""
+
 
 def read_rows(path):
     with open(path, newline="") as fh:
@@ -199,6 +216,51 @@ def test_recovery_roundtrip_and_crack_extract(tmp_path):
         assert ang < 5.0
 
 
+@pytest.mark.parametrize("text, n_points, n_broken", [
+    # the classification walks about a dozen blocks of triangles at 1/128
+    (ROTATED + "solve.eps_list = 1/128\n", 37839, 261),
+    (SMOKE, 85, 18),
+    # at a = 1, below a_crit, the sampled crack keeps |F| under 7, yet two
+    # sides of each of the same 18 cut triangles stretch past 2
+    (SMOKE.replace("load.a = 3", "load.a = 1"), 85, 18)],
+    ids=["rotated-128", "smoke", "smoke-a1"])
+def test_crack_extract_counts_the_broken_triangles(tmp_path, text, n_points, n_broken):
+    cfg = write_config(tmp_path / "c.cfg", text + f"out.dir = {tmp_path}/out\n")
+    disp = tmp_path / "out" / "recovery_displacement.csv"
+    assert main(["recovery", "--config", cfg]) == 0
+    assert main(["crack-extract", "--in", str(disp), "--config", cfg]) == 0
+    manifest = (tmp_path / "out" / "crack_manifest.txt").read_text().splitlines()
+    assert f"derived.n_broken = {n_broken}" in manifest
+    # one row per point of the specimen, each with 0 <= x <= l
+    _, rows = read_rows(disp)
+    l = RunConfig.parse(cfg).get("lattice.l")
+    assert len(rows) == n_points
+    assert all(-1e-9 <= float(r[1]) <= l + 1e-9 for r in rows)
+
+
+def test_crack_extract_refuses_a_variant_outside_1_to_3(tmp_path, capsys, monkeypatch):
+    # --variant 4 once read the CSV and classified its triangles before
+    # build_modified refused it
+    monkeypatch.setattr(cli, "displacement_from_csv", lambda *args: pytest.fail("CSV read"))
+    cfg = write_config(tmp_path / "c.cfg", BASE + f"out.dir = {tmp_path}/out\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["crack-extract", "--in", "u.csv", "--config", cfg, "--variant", "4"])
+    assert exc.value.code == 2
+    assert "argument --variant: invalid choice: 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_crack_extract_has_no_out_option(tmp_path, capsys):
+    # --out ../escaped.csv once wrote outside out.dir, where the clean-up
+    # after a failure does not reach
+    cfg = write_config(tmp_path / "c.cfg", BASE + f"out.dir = {tmp_path}/out\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["crack-extract", "--in", "u.csv", "--config", cfg, "--out", "../escaped.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out ../escaped.csv" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["c.cfg"]
+
+
 def test_recovery_elastic_kind_targets_the_elastic_branch(tmp_path):
     from fraclat.continuum import CleavageProblem, elastic_branch_energy
     problem = CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=2.0)
@@ -275,18 +337,23 @@ def test_non_finite_parameter_exits_before_any_output(tmp_path, capsys, key):
     assert not (tmp_path / "out" / "convergence.csv").exists()
 
 
-def test_rejected_config_leaves_no_output_directory(tmp_path, capsys):
-    text = BASE.replace("material.alpha = 1.0", "material.alpha = nan")
+@pytest.mark.parametrize("text, message", [
+    (BASE.replace("material.alpha = 1.0", "material.alpha = nan"),
+     "alpha must be finite, got nan"),
+    (SMOKE + "load.a = 0.5\n", "c.cfg:6: key 'load.a' repeats line 5")],
+    ids=["nan-alpha", "repeated-key"])
+def test_rejected_config_leaves_no_output_directory(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path / "c.cfg", text + f"out.dir = {tmp_path}/out\n")
     assert main(["cleavage", "--config", cfg, "--no-minimize"]) == 1
-    assert "alpha must be finite, got nan" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_negative_max_iters_exits_before_any_output(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["cleavage", "minimize"])
+def test_negative_max_iters_exits_before_any_output(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "c.cfg", BASE + "solve.max_iters = -3\n"
                        f"out.dir = {tmp_path}/out\n")
-    assert main(["cleavage", "--config", cfg]) == 1
+    assert main([command, "--config", cfg]) == 1
     assert "max_iters must be finite and >= 0, got -3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -475,40 +542,6 @@ def test_magnet_command(tmp_path):
     assert float(line.split("=")[1]) < 1e-12
 
 
-def test_minimize_command_is_byte_deterministic(tmp_path):
-    text = ("material.alpha = 1.0\nmaterial.beta = 1.0\nlattice.phi = 0.3\n"
-            "lattice.l = 1.0\nload.a = 1.8\nsolve.eps_list = 1/8\n"
-            "solve.max_iters = 25\nsolve.seed = 4\n")
-    outs = []
-    for name in ("run1", "run2"):
-        cfg = write_config(tmp_path / f"{name}.cfg",
-                           text + f"out.dir = {tmp_path}/{name}\n")
-        assert main(["minimize", "--config", cfg]) == 0
-        outs.append((tmp_path / name / "displacement.csv").read_bytes())
-    assert outs[0] == outs[1]
-
-
-def test_critical_command_is_byte_deterministic(tmp_path):
-    # the load and the starts are the command's own: load.a and the multistart are not read
-    text = BASE + "solve.multistart = zero\n"
-    outs = []
-    for name in ("run1", "run2"):
-        cfg = write_config(tmp_path / f"{name}.cfg", text + f"out.dir = {tmp_path}/{name}\n")
-        assert main(["critical", "--config", cfg]) == 0
-        outs.append((tmp_path / name / "critical.csv").read_bytes())
-    assert outs[0] == outs[1]
-    header, rows = read_rows(tmp_path / "run1" / "critical.csv")
-    assert header == ["eps", "a_crit_eps", "a_crit_ratio", "elastic_gap", "crack_gap",
-                      "minimizations", "converged"]
-    assert [row[0] for row in rows] == ["0.0625", "0.03125"]
-    assert [round(float(row[2]), 4) for row in rows] == [0.9438, 0.9653]
-    assert [row[5:] for row in rows] == [["13", "True"]] * 2
-    manifest = (tmp_path / "run1" / "critical_manifest.txt").read_text()
-    for key in ("derived.a_crit", "derived.slope_a_crit", "derived.slope_elastic_gap",
-                "derived.slope_crack_gap"):
-        assert f"\n{key} = " in manifest
-
-
 def test_critical_command_needs_two_rungs(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg", BASE.replace("1/16,1/32", "1/16")
                        + f"out.dir = {tmp_path}/out\n")
@@ -592,26 +625,6 @@ def test_cleavage_names_every_unconverged_start_of_each_rung(tmp_path, capsys):
                                         "chi/minimize"] * 2
 
 
-def test_minimize_cycles_through_the_coarse_levels(tmp_path, capsys):
-    # the rotated bar at 1/32: the preconditioner builds three coarse levels
-    # below the mesh, one with a point whose two coarse parents lie outside
-    # it, and cycles through them on every step; every start converges, so
-    # nothing is warned about; the split across the 64-bond minimum cut wins;
-    # two runs write the same bytes
-    text = BASE.replace("1/16,1/32", "1/32")
-    outputs = []
-    for run in ("first", "second"):
-        cfg = write_config(tmp_path / f"{run}.cfg", text + f"out.dir = {tmp_path}/{run}\n")
-        assert main(["minimize", "--config", cfg]) == 0
-        assert capsys.readouterr().err == ""
-        out = tmp_path / run
-        assert "derived.best_start = cleaved(cut=64)" \
-            in (out / "minimize_manifest.txt").read_text().splitlines()
-        outputs.append([(out / name).read_bytes()
-                        for name in ("energy.csv", "displacement.csv")])
-    assert outputs[0] == outputs[1]
-
-
 def test_critical_names_every_unconverged_start(tmp_path, capsys):
     # with |g| <= 1e-9 asked for, each elastic descent stalls first, while the
     # cut start is an exact critical point; the converged column says so.
@@ -630,6 +643,107 @@ def test_critical_names_every_unconverged_start(tmp_path, capsys):
         assert len(set(loads)) == 12 and all(loads[0] < a < loads[1] for a in loads[2:])
     _, rows = read_rows(tmp_path / "out" / "critical.csv")
     assert [row[5:] for row in rows] == [["13", "False"]] * 2
+
+
+# ----------------------------------------------------------------------
+# two runs write the same bytes
+# ----------------------------------------------------------------------
+
+OUTPUTS = {
+    "cleavage": ["cleavage_manifest.txt", "convergence.csv"],
+    "minimize": ["displacement.csv", "energy.csv", "minimize_manifest.txt"],
+    "critical": ["critical.csv", "critical_manifest.txt"],
+    "magnet-demo": ["magnet.csv", "magnet_manifest.txt"],
+    "noneq-demo": ["noneq.csv", "noneq_manifest.txt"],
+}
+
+
+def elastic_start_wins(out, err):
+    # mode f at a = 1.5, below a_crit = 2: the elastic start wins, and its
+    # descent adds the smoothed field's triangle terms to every gradient
+    assert "derived.best_start = elastic" \
+        in (out / "minimize_manifest.txt").read_text().splitlines()
+
+
+def cut_start_wins_and_every_start_converges(out, err):
+    # the rotated bar at 1/32: the preconditioner builds three coarse levels
+    # below the mesh, one with a point whose two coarse parents lie outside
+    # it, and cycles through them on every step; every start converges, so
+    # nothing is warned about; the split across the 64-bond minimum cut wins
+    assert err == ""
+    assert "derived.best_start = cleaved(cut=64)" \
+        in (out / "minimize_manifest.txt").read_text().splitlines()
+
+
+def every_rung_converges(out, err):
+    # the smoke bar at 1/8 and 1/16: each rung bisects its crossing in 13
+    # converged minimizations, so no start is warned about
+    assert err == ""
+    _, rows = read_rows(out / "critical.csv")
+    assert [row[5:] for row in rows] == [["13", "True"]] * 2
+
+
+def critical_columns_and_ratios(out, err):
+    # the load and the starts are the command's own: load.a and the
+    # multistart are not read
+    header, rows = read_rows(out / "critical.csv")
+    assert header == ["eps", "a_crit_eps", "a_crit_ratio", "elastic_gap", "crack_gap",
+                      "minimizations", "converged"]
+    assert [row[0] for row in rows] == ["0.0625", "0.03125"]
+    assert [round(float(row[2]), 4) for row in rows] == [0.9438, 0.9653]
+    assert [row[5:] for row in rows] == [["13", "True"]] * 2
+    manifest = (out / "critical_manifest.txt").read_text()
+    for key in ("derived.a_crit", "derived.slope_a_crit", "derived.slope_elastic_gap",
+                "derived.slope_crack_gap"):
+        assert f"\n{key} = " in manifest
+
+
+DEMOS = "material.alpha = 1\nmaterial.beta = 1\nsolve.eps_list = 1/8,1/16\nload.a = 1\n"
+
+
+@pytest.mark.parametrize("argv, text, check", [
+    pytest.param(["cleavage", "--no-minimize"], SMOKE, None, id="cleavage-smoke"),
+    # a rotated bar reads its mesh topology off the padded grid away from
+    # the lattice axes
+    pytest.param(["cleavage", "--no-minimize"], ROTATED + "solve.eps_list = 1/8,1/16\n",
+                 None, id="cleavage-rotated"),
+    # at 1/128 and 1/256 the energy kernel walks many blocks of bonds and triangles
+    pytest.param(["cleavage", "--no-minimize"], ROTATED + "solve.eps_list = 1/128,1/256\n",
+                 None, id="cleavage-blocks"),
+    pytest.param(["minimize"], SMOKE, None, id="minimize-smoke"),
+    pytest.param(["minimize"], SMOKE.replace("load.a = 3", "load.a = 1.5")
+                 + "solve.mode = f\n", elastic_start_wins, id="minimize-field"),
+    pytest.param(["minimize"], "material.alpha = 1.0\nmaterial.beta = 1.0\n"
+                 "lattice.phi = 0.3\nlattice.l = 1.0\nload.a = 1.8\nsolve.eps_list = 1/8\n"
+                 "solve.max_iters = 25\nsolve.seed = 4\n", None, id="minimize-capped"),
+    pytest.param(["minimize"], BASE.replace("1/16,1/32", "1/32"),
+                 cut_start_wins_and_every_start_converges, id="minimize-coarse"),
+    pytest.param(["critical"], SMOKE.replace("1/8", "1/8,1/16"), every_rung_converges,
+                 id="critical-smoke"),
+    pytest.param(["critical"], BASE + "solve.multistart = zero\n",
+                 critical_columns_and_ratios, id="critical-rotated"),
+    # the field and non-equicoercivity demos go through the shared grad-u
+    # kernel, the penalty and field norms and the magnet identity
+    pytest.param(["magnet-demo"], DEMOS, None, id="magnet-demo"),
+    pytest.param(["noneq-demo"], DEMOS, None, id="noneq-demo")])
+def test_two_runs_write_the_same_bytes(tmp_path, capsys, monkeypatch, argv, text, check):
+    # a run depends only on its inputs: two runs, each in its own working
+    # directory, write the same files; out.dir is relative, so the
+    # manifests echo the same value and are compared too
+    cfg = write_config(tmp_path / "run.cfg", text + "out.dir = out\n")
+    written = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 0
+        out = tmp_path / run / "out"
+        err = capsys.readouterr().err
+        if check is not None:
+            check(out, err)
+        written.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert list(written[0]) == OUTPUTS[argv[0]]
+    assert all(written[0].values())
+    assert written[0] == written[1]
 
 
 def test_output_set_discard_removes_written_files(tmp_path):
