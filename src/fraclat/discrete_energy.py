@@ -663,27 +663,165 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g\r\n"  # a displacement row, as format_float gives it
 _CSV_DTYPE = np.dtype([("i", "i8"), ("x", "f8"), ("y", "f8"), ("u1", "f8"), ("u2", "f8")])
-_CSV_BLOCK_ROWS = 4096  # rows formatted or parsed at once: bounds the transient strings
+_CSV_BLOCK_ROWS = 4096  # rows formatted or parsed at once: bounds the transient arrays
+
+
+def _split(x):
+    """Veltkamp's split: ``hi + lo == x`` exactly, each half of 26 bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# The writer formats a block of values in numpy: their 17 significant
+# digits, as ASCII words, go into 32-byte slots of four words, and one mask
+# drops the NUL bytes that pad the slots.  It takes the decimal exponents
+# k of 1e-5 <= |v| < 1e17, those whose scale 10**(17 - k) is a double.
+_WORD = np.dtype("<u8")  # eight ASCII bytes, the first in the low byte
+_K = range(-5, 17)
+_SEPARATORS = (b",", b"\r\n")  # after a field; after a row's last field
+_POW10 = np.array([float(10 ** s) for s in range(23)])  # every one a double, exactly
+_POW10_HI, _POW10_LO = _split(_POW10)
+# the four ASCII digits of 0..9999 in a word, then four NULs; and how many
+# of them are trailing zeros (int16 keeps the import's transients small)
+_DIGITS = np.frombuffer(b"".join(b"%04d\0\0\0\0" % i for i in range(10_000)), dtype=_WORD)
+_TRAILING_ZEROS = sum(np.arange(10_000, dtype=np.int16) % np.int16(10 ** j) == 0
+                      for j in range(1, 5)).astype(np.uint8)
+
+
+def _round_scaled(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``a * 10**s`` rounded to an integer, ties to even, for products in
+    [1e16, 1e18).
+
+    Dekker's error-free product gives ``a * 10**s == hi + lo`` exactly,
+    and a double of at least 2**53 is an even integer, so the rounding of
+    ``lo`` alone is that of the sum.
+    """
+    hi = a * _POW10[s]
+    ah, al = _split(a)
+    bh, bl = _POW10_HI[s], _POW10_LO[s]
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _digit_words(v: np.ndarray):
+    """The digits ``%.17g`` writes for each value with 1e-5 <= |v| < 1e17
+    or v == 0, in ASCII.
+
+    Returns the decimal exponent k, the index of the last digit written
+    (an integer keeps its zeros, a fraction drops them), the digits as
+    the first three words of a slot (seven NULs, the first digit, the
+    other 16) and the indices of the values left out.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-5) & (a < 1e17)
+    zero = a == 0.0
+    a[~fast] = 2.0  # the others take the digits of a number of exponent 0
+    # log10 errs by far less than the margin, so k is the exponent or one
+    # below it, where the digits n reach 10**17
+    k = np.floor(np.log10(a) - 1e-10).astype(np.intp)
+    n = _round_scaled(a, 16 - k)
+    up = np.flatnonzero(n >= 10 ** 17)
+    k[up] += 1
+    n[up] = _round_scaled(a[up], 16 - k[up])
+
+    high = n // 10 ** 8
+    low = n - high * 10 ** 8
+    first = high // 10 ** 8
+    high -= first * 10 ** 8
+    first[zero] = 0
+    words = [(first + ord("0")).astype(np.uint64) << 56]
+    zeros = 0  # trailing zeros of the last 16 digits, counted four digits at a time
+    for part in (high, low):
+        top = part // 10 ** 4
+        chunks = (top, part - top * 10 ** 4)
+        words.append(_DIGITS[chunks[0]] | _DIGITS[chunks[1]] << 32)
+        for chunk in chunks:
+            zeros = _TRAILING_ZEROS[chunk] + (chunk == 0) * zeros
+    return k, np.maximum(16 - zeros, k), words, np.flatnonzero(~(fast | zero))
+
+
+def _field_template(sign: bytes, k: int, end: int):
+    """The bytes before and after the first digit of a field of exponent
+    k whose last digit written is ``end``: ``x`` marks a digit at its
+    place in the digits' slot, ``s`` a digit one place later."""
+    if k < -4:  # exponent notation, the point after the first digit
+        return sign, (b"." + b"s" * end if end else b"") + b"e-%02d" % -k
+    if k < 0:
+        return sign + b"0." + b"0" * (-1 - k), b"x" * end
+    return sign, b"x" * k + (b"." + b"s" * (end - k) if end > k else b"")
+
+
+def _slot_templates():
+    """The slot of each separator, sign, exponent k and last digit written.
+
+    Returns the masks of the ``x`` bytes, the masks of the ``s`` bytes
+    and the templates' own bytes, each as four rows of words, one word
+    per template.
+    """
+    texts = []
+    for sep in _SEPARATORS:
+        for sign in (b"", b"-"):
+            for k in _K:
+                for end in range(17):
+                    head, tail = _field_template(sign, k, end)
+                    texts.append(head.rjust(7, b"\0") + b"x" + (tail + sep).ljust(24, b"\0"))
+    t = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(len(texts), 32)
+    x, s = t == ord("x"), t == ord("s")
+    return [np.ascontiguousarray(w.view(_WORD).T)
+            for w in (x * np.uint8(0xFF), s * np.uint8(0xFF), np.where(x | s, np.uint8(0), t))]
+
+
+_SLOT_X, _SLOT_S, _SLOT_OWN = _slot_templates()
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D float block: each value as :func:`format_float`
+    writes it, commas between them and ``\\r\\n`` after each row.
+
+    For 1e-5 <= |v| < 1e17, the 17 significant digits of v come exactly
+    from its error-free product with a power of ten, and a template per
+    separator, sign, exponent and last digit written lays them out as
+    ``%.17g`` does.  Zeros print as ``0`` and ``-0``.  Every other value
+    goes to :func:`format_float` itself.
+    """
+    rows, cols = block.shape
+    v = block.ravel()
+    k, end, digits, others = _digit_words(v)
+    template = ((np.signbit(v) * len(_K) + k - _K.start) * 17 + end).reshape(rows, cols)
+    template[:, -1] += 2 * len(_K) * 17  # the row's end
+    template = template.ravel()
+    del k, end  # two block-sized arrays fewer at the memory peak, in the slots
+    digits.append(0)  # the NUL word after the digits, and as digits[-1] before them
+    slots = np.empty((len(v), 4), dtype=_WORD)
+    for w in range(4):
+        later = digits[w] << 8 | digits[w - 1] >> 56
+        slots[:, w] = (digits[w] & _SLOT_X[w][template] | later & _SLOT_S[w][template]
+                       | _SLOT_OWN[w][template])
+    for i in others.tolist():
+        text = format_float(v[i]).encode() + _SEPARATORS[i % cols == cols - 1]
+        slots[i] = np.frombuffer(text.ljust(32, b"\0"), dtype=_WORD)
+    text = slots.view(np.uint8)
+    return text[text != 0].tobytes()
 
 
 def displacement_to_csv(u: Displacement, path: str):
     """Write one ``index,x,y,u1,u2`` row per mesh point, floats to 17 digits.
 
     The bytes are those of :mod:`csv` writing :func:`format_float` fields
-    (``\\r\\n`` line ends); rows are formatted a block at a time.
+    (``\\r\\n`` line ends); rows are formatted a block at a time, in numpy.
     """
     points, values = u.mesh.points, u.values
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(DISPLACEMENT_HEADER) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(DISPLACEMENT_HEADER).encode() + b"\r\n")
         for start in range(0, len(points), _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, len(points))
             block = np.empty((stop - start, 5))
-            block[:, 0] = np.arange(start, stop)
+            block[:, 0] = np.arange(start, stop)  # an integer prints as %d does
             block[:, 1:3] = points[start:stop]
             block[:, 3:] = values[start:stop]
-            fh.write((_CSV_ROW * (stop - start)) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(block))
 
 
 def _parse_rows_in_blocks(fh, n: int):

@@ -751,6 +751,92 @@ def test_displacement_csv_roundtrip(mesh16, tmp_path):
     assert np.array_equal(u.values, v.values)
 
 
+def g17_cases():
+    """About 2e5 values, each with both signs: every decade from 1e-6 to
+    1e18, exact ties of the 17th digit, the neighbours of each power of
+    ten, integers, zeros, subnormals and the non-finite values."""
+    rng = np.random.default_rng(41)
+    values = [rng.uniform(1.0, 10.0, 3000) * 10.0 ** e for e in range(-6, 19)]
+    # v * 10**s = N + 1/2 with N of 17 digits: v = m / 2**(s + 1), m odd
+    for s in range(1, 23):
+        m = rng.integers(-(-2 * 10 ** 16 // 5 ** s), min(2 * 10 ** 17 // 5 ** s, 2 ** 53), 1000)
+        values.append(np.ldexp((m | 1).astype(float), -(s + 1)))
+    powers = np.array([float(f"1e{e}") for e in range(-6, 19)])
+    values += [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+               np.arange(5000.0), 2.0 ** 53 + np.arange(-2.0, 3.0),
+               rng.uniform(0.0, 2.2250738585072014e-308, 100),
+               [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf, np.nan]]
+    v = np.concatenate(values)
+    return np.concatenate([v, -v])
+
+
+def test_csv_fields_are_the_percent_17g_bytes():
+    # the numpy digits and templates against Python's correctly rounded %.17g
+    v = g17_cases()
+    got = discrete_energy._format_rows(v[:, None]).decode().split("\r\n")
+    want = ["%.17g" % x for x in v.tolist()] + [""]
+    bad = [(x, g, w) for x, g, w in zip(v.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+@pytest.fixture(scope="module")
+def bar32():
+    return build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 32.0, l=2.0))
+
+
+def in_range_field(mesh, seed):
+    """Every exponent the numpy path takes, both signs and some zeros."""
+    rng = np.random.default_rng(seed)
+    shape = (mesh.n_points, 2)
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-4.99, 16.99, shape)
+    values[rng.random(shape) < 0.05] = 0.0
+    return values
+
+
+def test_csv_writer_leaves_format_float_to_the_values_outside_its_range(bar32, tmp_path,
+                                                                        monkeypatch):
+    from fraclat.continuum import CleavageProblem, a_crit, build_u_cr
+    from fraclat.solver import cleaved_stations, recovery_sequence
+    base = CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=0.0)
+    prob = CleavageProblem(alpha=1.0, beta=1.0, l=2.0, phi=0.3, a=1.5 * a_crit(base))
+    crack = recovery_sequence(build_u_cr(prob, float(cleaved_stations(prob, 1)[0])), bar32)
+    outside = in_range_field(bar32, 43)
+    rng = np.random.default_rng(44)
+    picked = rng.random(outside.shape) < 0.1
+    outside[picked] = rng.choice([3e-6, -5e-324, 1e17, -1e300, np.inf, np.nan], picked.sum())
+    assert picked.sum() > 400
+    calls = []
+    format_float = discrete_energy.format_float
+    monkeypatch.setattr(discrete_energy, "format_float",
+                        lambda x: calls.append(x) or format_float(x))
+    for values, n_outside in [(crack.values, 0), (in_range_field(bar32, 42), 0),
+                              (outside, picked.sum())]:
+        calls.clear()
+        u = Displacement(bar32, values)
+        displacement_to_csv(u, str(tmp_path / "a.csv"))
+        oracles.displacement_to_csv(u, str(tmp_path / "b.csv"))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert len(calls) == n_outside
+
+
+def test_csv_writer_memory_stays_within_a_few_blocks(tmp_path):
+    # at 1/128 on the l = 2 bar (37 839 rows, ten blocks) the writer peaks
+    # at 2.7 MB and formatting every row at once at 25 MB; the bound is
+    # about twice the 1.4 MB of %-formatting the rows a block at a time
+    import tracemalloc
+    u = rand_u(build_mesh(LatticeSpec(phi=0.3, eps=1.0 / 128.0, l=2.0)), 0.3, 42)
+    path = str(tmp_path / "disp.csv")
+    displacement_to_csv(u, path)  # nothing done once per process counts
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        displacement_to_csv(u, path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
 def write_rows(path, rows):
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
 
